@@ -27,8 +27,7 @@ from .bayes import (BayesFactorResult, IntervalEstimate, IntervalKind,
                     density_curve, draw_posterior, grad_log_prior, hpd_interval,
                     log_prior, marginal_posterior_density,
                     posterior_prob_positive, posterior_prob_positive_factorized,
-                    posterior_prob_positive_quadrature, prior_density,
-                    zip_theta_rejection_draws)
+                    posterior_prob_positive_quadrature, prior_density)
 from .datasets import (dataset_names, dataset_table, format_freq_csv,
                        load_counts, load_dataset, parse_counts_text)
 from .distributions import (CountSample, Family, FisherInfo, Parametrization,
@@ -68,5 +67,5 @@ __all__ = [
     "posterior_prob_positive_factorized",
     "posterior_prob_positive_quadrature", "posterior_tail_expansion",
     "prior_density", "run_power_study", "sample", "sample_values",
-    "score_test", "to_pstar", "uniformity_check", "zip_theta_rejection_draws",
+    "score_test", "to_pstar", "uniformity_check",
 ]

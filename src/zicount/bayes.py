@@ -28,9 +28,8 @@ from enum import Enum
 import numpy as np
 from scipy import integrate, interpolate, optimize, special, stats
 
-from .distributions import CountSample, Family, _log_likelihood
-from .errors import (DegenerateSampleError, ParameterRangeError,
-                     QuadratureError, SamplerError)
+from .distributions import CountSample, Family, _log_likelihood, p_lower
+from .errors import DegenerateSampleError, ParameterRangeError, QuadratureError
 
 DEFAULT_DRAWS = 10_000
 _THETA_GRID_SIZE = 4096
@@ -122,34 +121,28 @@ class BayesFactorResult:
 
 
 def log_prior(spec: PriorSpec, p: float, theta: float) -> float:
-    """Log of the (unnormalized) prior density at (p, theta)."""
-    fam = spec.family
-    fam.require_theta(theta)
-    f0 = fam.f0(theta)
-    lo = -f0 / (1.0 - f0)
+    """Log of the (unnormalized) prior density at (p, theta).
+
+    The conditional Jeffreys prior is the Beta(1/2, 1/2) law of pstar mapped
+    to p, ``sqrt((1 - f0) / ((1 - p) * pstar)) / pi``, times the family's
+    Jeffreys prior for theta.  The joint Jeffreys prior is the root
+    determinant of ``fisher_info``, ``(1 - f0) * sqrt(i_trunc(theta) / pstar)``.
+    """
+    series = spec.family._series
+    lo = p_lower(spec.family, theta)
     if not (lo < p < 1.0):
         raise ParameterRangeError(f"p={p!r} outside extended range ({lo!r}, 1)")
+    f0 = series.f0(theta)
     a = f0 + p * (1.0 - f0)
+    log_om = math.log(-math.expm1(-series.log_c(theta)))
     if spec.kind is PriorKind.CONDITIONAL_JEFFREYS:
         # conditional factor integrates to one in p at every theta
-        if fam is Family.POISSON:
-            om = -math.expm1(-theta)
-            val = (-math.log(math.pi)
-                   + 0.5 * (math.log(om) - math.log1p(-p) - math.log(a))
-                   - 0.5 * math.log(theta))
-        else:
-            val = (-math.log(math.pi)
-                   - 0.5 * (math.log1p(-p) + math.log(a))
-                   - math.log1p(-theta))
+        val = (-math.log(math.pi)
+               + 0.5 * (log_om - math.log1p(-p) - math.log(a))
+               + series.log_jeffreys(theta))
     else:
-        if fam is Family.POISSON:
-            e = f0
-            val = (0.5 * math.log(1.0 - e - theta * e)
-                   - 0.5 * (math.log(theta) + math.log(a)))
-        else:
-            val = (0.5 * math.log(theta) - math.log1p(-theta)
-                   - 0.5 * math.log(a))
-    return val
+        val = log_om + 0.5 * (math.log(series.trunc_info(theta)) - math.log(a))
+    return float(val)
 
 
 def prior_density(spec: PriorSpec, p: float, theta: float) -> float:
@@ -159,48 +152,36 @@ def prior_density(spec: PriorSpec, p: float, theta: float) -> float:
 
 def grad_log_prior(spec: PriorSpec, p: float, theta: float) -> np.ndarray:
     """Gradient of log prior in (p, theta), in closed form."""
-    fam = spec.family
-    fam.require_theta(theta)
-    f0 = fam.f0(theta)
+    series = spec.family._series
+    spec.family.require_theta(theta)
+    f0 = series.f0(theta)
+    d1 = series.f0_derivs(theta)[0]
+    om = -math.expm1(-series.log_c(theta))
     a = f0 + p * (1.0 - f0)
-    if fam is Family.POISSON:
-        a_p, a_t = 1.0 - f0, -(1.0 - p) * f0
-    else:
-        a_p, a_t = theta, -(1.0 - p)
+    a_p, a_t = 1.0 - f0, (1.0 - p) * d1
     if spec.kind is PriorKind.CONDITIONAL_JEFFREYS:
         gp = 0.5 / (1.0 - p) - 0.5 * a_p / a
-        if fam is Family.POISSON:
-            om = -math.expm1(-theta)
-            gt = 0.5 * f0 / om - 0.5 * a_t / a - 0.5 / theta
-        else:
-            gt = -0.5 * a_t / a + 1.0 / (1.0 - theta)
+        gt = -0.5 * d1 / om - 0.5 * a_t / a + series.dlog_jeffreys(theta)
     else:
         gp = -0.5 * a_p / a
-        if fam is Family.POISSON:
-            c = 1.0 - f0 - theta * f0
-            gt = 0.5 * theta * f0 / c - 0.5 / theta - 0.5 * a_t / a
-        else:
-            gt = 0.5 / theta + 1.0 / (1.0 - theta) - 0.5 * a_t / a
+        gt = -d1 / om + 0.5 * series.dlog_trunc_info(theta) - 0.5 * a_t / a
     return np.array([gp, gt])
 
 
 def _log_prior_pstar(spec: PriorSpec, pstar, theta):
-    """Log prior mapped to (pstar, theta) coordinates; numpy-broadcastable."""
+    """Log prior mapped to (pstar, theta) coordinates; numpy-broadcastable.
+
+    The map ``p -> pstar`` has slope ``1 - f0``, which cancels the same
+    factor in both priors.
+    """
     pstar = np.asarray(pstar, dtype=float)
     theta = np.asarray(theta, dtype=float)
+    series = spec.family._series
     if spec.kind is PriorKind.CONDITIONAL_JEFFREYS:
         base = (-math.log(math.pi)
                 - 0.5 * (np.log(pstar) + np.log1p(-pstar)))
-        if spec.family is Family.POISSON:
-            return base - 0.5 * np.log(theta)
-        return base - np.log1p(-theta) - 0.5 * np.log(theta)
-    if spec.family is Family.POISSON:
-        e = np.exp(-theta)
-        om = -np.expm1(-theta)
-        return (0.5 * np.log(1.0 - e - theta * e)
-                - 0.5 * (np.log(theta) + np.log(pstar)) - np.log(om))
-    return (-0.5 * np.log(theta) - np.log1p(-theta)
-            - 0.5 * np.log(pstar))
+        return base + series.log_jeffreys(theta)
+    return 0.5 * (np.log(series.trunc_info(theta)) - np.log(pstar))
 
 
 # ---------------------------------------------------------------------------
@@ -246,58 +227,6 @@ def _zip_theta_inverse_cdf(m: int, s: float):
     cdf /= cdf[-1]
     keep = np.concatenate(([True], np.diff(cdf) > 0.0))
     return interpolate.PchipInterpolator(cdf[keep], grid[keep])
-
-
-def zip_theta_rejection_draws(rng: np.random.Generator, m: int, s: float,
-                              size: int, max_batches: int = 200) -> np.ndarray:
-    """Gamma-envelope rejection sampler for the Poisson-case theta posterior.
-
-    Cross-check for the grid inverse-CDF sampler.  The target kernel is the
-    gamma kernel with shape ``s - m + 1/2`` and rate ``m`` times
-    ``exp(m * r(theta))`` with ``r = log(theta / (1 - exp(-theta)))``, and r
-    is increasing and concave, so bounding it by its tangent at the target
-    mode gives an exact gamma envelope with the same shape and rate
-    ``m * (1 - r'(mode))``.
-    """
-    shape = s - m + 0.5
-    if shape <= 0.0 or m <= 0:
-        raise SamplerError("rejection envelope undefined for this sample")
-
-    def r_slope(t):
-        # d/dt log(t / (1 - exp(-t))), in (0, 1/2), decreasing
-        return 1.0 / t - math.exp(-t) / -math.expm1(-t)
-
-    mode, _, _ = _zip_theta_bracket(m, s)
-    mode = max(mode, 1e-6)
-    slope = r_slope(mode)
-    rate = m * (1.0 - slope)
-    if rate <= 0.0:
-        raise SamplerError("degenerate envelope rate")
-
-    def log_ratio(t):
-        # target/envelope kernel ratio; maximized (at zero) at the tangent point
-        r = np.log(t) - np.log(-np.expm1(-t))
-        r_mode = math.log(mode) - math.log(-math.expm1(-mode))
-        return m * (r - r_mode - slope * (t - mode))
-
-    out = np.empty(0)
-    proposed = accepted = 0
-    for _ in range(max_batches):
-        batch = max(size, 1024)
-        cand = rng.gamma(shape, 1.0 / rate, batch)
-        ratio = np.exp(log_ratio(cand))
-        if np.any(ratio > 1.0 + 1e-9):
-            raise SamplerError("envelope failed to dominate the target")
-        keep = rng.random(batch) < ratio
-        proposed += batch
-        accepted += int(keep.sum())
-        out = np.concatenate([out, cand[keep]])
-        if out.size >= size:
-            return out[:size]
-        if proposed >= 10 * size and accepted / proposed < 1e-4:
-            break
-    raise SamplerError(
-        f"rejection sampler acceptance too low ({accepted}/{proposed})")
 
 
 def draw_posterior(family: Family, sample: CountSample, B: int = DEFAULT_DRAWS,
@@ -561,11 +490,7 @@ def _marginal_density_evaluator(draws: PosteriorDraws, sample: CountSample):
     """
     n0, m = sample.n0, sample.n - sample.n0
     a_beta, b_beta = n0 + 0.5, m + 0.5
-    theta = draws.theta
-    if draws.family is Family.POISSON:
-        f0 = np.exp(-theta)
-    else:
-        f0 = 1.0 - theta
+    f0 = draws.family.f0(draws.theta)
     scale = 1.0 - f0  # Jacobian of p -> pstar at fixed theta
     log_norm = float(special.betaln(a_beta, b_beta))
 
@@ -669,10 +594,7 @@ def density_curve(draws: PosteriorDraws, sample: CountSample,
     if num < 16:
         raise ValueError("num must be at least 16")
     evaluate = _marginal_density_evaluator(draws, sample)
-    if draws.family is Family.POISSON:
-        f0 = np.exp(-draws.theta)
-    else:
-        f0 = 1.0 - draws.theta
+    f0 = draws.family.f0(draws.theta)
     support_lo = float(np.min(-f0 / (1.0 - f0)))
     lo, hi = float(draws.p.min()), float(draws.p.max())
     span = hi - lo
@@ -699,9 +621,9 @@ def _prior_prob_positive(prior: PriorSpec,
                          theta_window: tuple[float, float]) -> tuple[float, tuple[float, float]]:
     """Prior probability of positive weight, theta averaged over a window."""
     fam = prior.family
+    series = fam._series
     lo, hi = theta_window
-    if fam is Family.GEOMETRIC:
-        hi = min(hi, 1.0 - 1e-6)
+    hi = min(hi, series.theta_max - 1e-6)
     lo = max(lo, 1e-12)
     if not hi > lo:
         raise ValueError("empty theta window")
@@ -713,10 +635,7 @@ def _prior_prob_positive(prior: PriorSpec,
     else:
         positive = lambda f0: 1.0 - math.sqrt(f0)
 
-    if fam is Family.POISSON:
-        weight = lambda t: 1.0 / math.sqrt(t)
-    else:
-        weight = lambda t: 1.0 / ((1.0 - t) * math.sqrt(t))
+    weight = lambda t: math.exp(series.log_jeffreys(t))
 
     num, _ = integrate.quad(lambda t: weight(t) * positive(fam.f0(t)), lo, hi,
                             limit=200)

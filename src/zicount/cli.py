@@ -50,10 +50,6 @@ def _auto_seed(value) -> int:
     return int(np.random.SeedSequence().entropy % (2 ** 31))
 
 
-def _family(name: str) -> Family:
-    return Family.POISSON if name == "poisson" else Family.GEOMETRIC
-
-
 def _load_sample(args) -> tuple[CountSample, str]:
     if args.dataset:
         return load_dataset(args.dataset), args.dataset
@@ -162,7 +158,7 @@ def _emit(report: dict, out_format: str) -> None:
 
 
 def _cmd_test(args) -> int:
-    family = _family(args.model)
+    family = Family(args.model)
     sample, name = _load_sample(args)
     seed = _auto_seed(args.seed)
     sided = Sidedness.ONE_SIDED if args.sided == "one" else Sidedness.TWO_SIDED
@@ -198,7 +194,7 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_interval(args) -> int:
-    family = _family(args.model)
+    family = Family(args.model)
     sample, name = _load_sample(args)
     seed = _auto_seed(args.seed)
     t0 = time.perf_counter()
@@ -233,7 +229,7 @@ def _cmd_interval(args) -> int:
 
 
 def _cmd_posterior(args) -> int:
-    family = _family(args.model)
+    family = Family(args.model)
     sample, name = _load_sample(args)
     seed = _auto_seed(args.seed)
     draws = draw_posterior(family, sample, B=args.draws, seed=seed)
@@ -267,7 +263,7 @@ def _cmd_power(args) -> int:
             "methods", ["score1", "bayes", "lr1"]))
         config = PowerConfig(
             thetas=tuple(raw["thetas"]), ps=tuple(raw["ps"]), ns=tuple(raw["ns"]),
-            methods=methods, family=_family(raw.get("family", "poisson")),
+            methods=methods, family=Family(raw.get("family", "poisson")),
             reps=int(raw.get("reps", args.reps)),
             draws=int(raw.get("draws", args.draws)),
             alpha=float(raw.get("alpha", args.alpha)),
@@ -280,7 +276,7 @@ def _cmd_power(args) -> int:
             ps=_parse_grid_values(args.ps, float),
             ns=_parse_grid_values(args.ns, int),
             methods=tuple(Method(m) for m in args.methods.split(",")),
-            family=_family(args.model), reps=args.reps, draws=args.draws,
+            family=Family(args.model), reps=args.reps, draws=args.draws,
             alpha=args.alpha, seed=seed)
 
     print(f"zicount {__version__}  seed={config.seed}  reps={config.reps} "

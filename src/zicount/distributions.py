@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 from scipy import special, stats
@@ -31,68 +32,169 @@ from .errors import ParameterRangeError
 BOUNDARY_MARGIN = 1e-12
 
 
-class Family(Enum):
-    """Power series base family."""
+@dataclass(frozen=True)
+class _PowerSeries:
+    """Primitives of one power series family (see ``Family``)."""
 
-    POISSON = "poisson"
-    GEOMETRIC = "geometric"
+    theta_max: float
+    f0: Callable
+    f0_derivs: Callable
+    log_c: Callable
+    log_c_derivs: Callable
+    log_a: Callable
+    mean: Callable
+    theta_from_mean: Callable
+    truncated_mle: Callable
+    draws: Callable
+    tail_bound: Callable
+    trunc_info: Callable
+    dlog_trunc_info: Callable
+    log_jeffreys: Callable
+    dlog_jeffreys: Callable
+
+
+def _poisson_f0(theta):
+    # numpy for arrays of posterior draws, math for the scalar hot paths
+    return np.exp(-theta) if isinstance(theta, np.ndarray) else math.exp(-theta)
+
+
+def _poisson_truncated_mle(m: int, s: float, tol: float, max_iter: int):
+    """Solve ``theta = c * (1 - exp(-theta))``, ``c = s / m``, by damped
+    fixed point.
+
+    ``c`` is both the starting value and the map scale.  The map is
+    monotone and contracts near the solution; damping by half guards
+    against overshoot when successive steps change direction.
+    """
+    c = s / m
+    theta = c
+    prev_delta = 0.0
+    for it in range(1, max_iter + 1):
+        new = c * -math.expm1(-theta)
+        delta = new - theta
+        if prev_delta * delta < 0.0:
+            new = 0.5 * (new + theta)
+            delta = new - theta
+        theta = new
+        if abs(delta) < tol:
+            return theta, it, True
+        prev_delta = delta
+    return theta, max_iter, False
+
+
+def _poisson_tail_bound(theta: float, eps: float) -> int:
+    # scipy's inverse survival function loses precision below 1e-16;
+    # extend geometrically from there using the tail ratio bound
+    clamped = max(eps, 1e-16)
+    bound = int(stats.poisson.isf(clamped, theta)) + 2
+    if eps < clamped:
+        ratio = min(theta / (bound + 1.0), 0.99)
+        bound += int(math.ceil(math.log(eps / clamped) / math.log(ratio))) + 1
+    return bound
+
+
+def _poisson_dlog_trunc_info(theta: float) -> float:
+    e = math.exp(-theta)
+    om = -math.expm1(-theta)
+    return theta * e / (1.0 - e - theta * e) - 1.0 / theta - 2.0 * e / om
+
+
+# c(theta) = exp(theta), a_y = 1 / y!
+_POISSON = _PowerSeries(
+    theta_max=math.inf,
+    f0=_poisson_f0,
+    f0_derivs=lambda t: (-math.exp(-t), math.exp(-t), -math.exp(-t)),
+    log_c=lambda t: t,
+    log_c_derivs=lambda t: (1.0, 0.0, 0.0),
+    log_a=lambda y: -special.gammaln(y + 1.0),
+    mean=lambda t: t,
+    theta_from_mean=lambda mean: mean,
+    truncated_mle=_poisson_truncated_mle,
+    draws=lambda rng, t, n: rng.poisson(t, n),
+    tail_bound=_poisson_tail_bound,
+    trunc_info=lambda t: ((1.0 - np.exp(-t) - t * np.exp(-t))
+                          / (t * np.expm1(-t) ** 2)),
+    dlog_trunc_info=_poisson_dlog_trunc_info,
+    log_jeffreys=lambda t: -0.5 * np.log(t),
+    dlog_jeffreys=lambda t: -0.5 / t,
+)
+
+# c(theta) = 1 / (1 - theta), a_y = 1
+_GEOMETRIC = _PowerSeries(
+    theta_max=1.0,
+    f0=lambda t: 1.0 - t,
+    f0_derivs=lambda t: (-1.0, 0.0, 0.0),
+    log_c=lambda t: -math.log1p(-t),
+    log_c_derivs=lambda t: (1.0 / (1.0 - t), 1.0 / (1.0 - t) ** 2,
+                            2.0 / (1.0 - t) ** 3),
+    log_a=lambda y: 0.0,
+    mean=lambda t: t / (1.0 - t),
+    theta_from_mean=lambda mean: mean / (1.0 + mean),
+    truncated_mle=lambda m, s, tol, max_iter: ((s - m) / s, 0, True),
+    # numpy's geometric counts trials >= 1 with success probability 1 - theta
+    draws=lambda rng, t, n: rng.geometric(1.0 - t, n) - 1,
+    # P(Y > y) = theta**(y + 1)
+    tail_bound=lambda t, eps: int(math.ceil(math.log(eps) / math.log(t))) + 2,
+    trunc_info=lambda t: 1.0 / (t * (1.0 - t) ** 2),
+    dlog_trunc_info=lambda t: -1.0 / t + 2.0 / (1.0 - t),
+    log_jeffreys=lambda t: -0.5 * np.log(t) - np.log1p(-t),
+    dlog_jeffreys=lambda t: -0.5 / t + 1.0 / (1.0 - t),
+)
+
+
+class Family(Enum):
+    """Power series base family, ``f(y | theta) = a_y * theta**y / c(theta)``.
+
+    The members differ only in their record of primitives, ``_series``;
+    the likelihood and its derivatives, both Fisher informations, the
+    priors, the score and likelihood ratio statistics are each written once
+    in terms of it.  With the normalization ``a_0 = a_1 = 1``, the zero
+    probability is ``f0 = 1 / c(theta)``.  A new family adds a member with
+    a ``_PowerSeries`` record supplying:
+
+    * ``theta_max``: theta ranges over ``(0, theta_max)``;
+    * ``f0`` and ``f0_derivs``: ``f0`` and its first three theta-derivatives;
+    * ``log_c`` and ``log_c_derivs``: ``log c`` and its first three
+      derivatives;
+    * ``log_a``: ``log a_y``, vectorized over ``y``;
+    * ``mean`` and ``theta_from_mean``: the family mean and its inverse;
+    * ``truncated_mle``: theta solving the zero-truncated likelihood
+      equations for ``m`` positive counts summing to ``s``;
+    * ``draws``: the base sampler;
+    * ``tail_bound``: a ``y`` with tail mass beyond it below ``eps``;
+    * ``trunc_info`` and ``dlog_trunc_info``: the Fisher information of the
+      zero-truncated family and the derivative of its log;
+    * ``log_jeffreys`` and ``dlog_jeffreys``: the log of the family's
+      Jeffreys prior for theta, ``sqrt(i(theta))``, and its derivative.
+
+    ``f0``, ``trunc_info`` and ``log_jeffreys`` also accept numpy arrays.
+    """
+
+    POISSON = "poisson", _POISSON
+    GEOMETRIC = "geometric", _GEOMETRIC
+
+    def __new__(cls, value: str, series: _PowerSeries):
+        member = object.__new__(cls)
+        member._value_ = value
+        member._series = series
+        return member
 
     def require_theta(self, theta: float) -> None:
         """Raise unless ``theta`` is strictly inside the family's range."""
-        if self is Family.POISSON:
-            if not theta > BOUNDARY_MARGIN:
-                raise ParameterRangeError(
-                    f"poisson rate must be positive, got theta={theta!r}")
-        else:
-            if not (BOUNDARY_MARGIN < theta < 1.0 - BOUNDARY_MARGIN):
-                raise ParameterRangeError(
-                    f"geometric parameter must lie in (0, 1), got theta={theta!r}")
+        hi = self._series.theta_max
+        if not (BOUNDARY_MARGIN < theta < hi - BOUNDARY_MARGIN):
+            raise ParameterRangeError(
+                f"{self.value} parameter must lie in (0, {hi}), got theta={theta!r}")
 
-    def f0(self, theta: float) -> float:
-        """Base-family probability of zero."""
-        if self is Family.POISSON:
-            return math.exp(-theta)
-        return 1.0 - theta
+    def f0(self, theta):
+        """Base-family probability of zero, ``1 / c(theta)``."""
+        return self._series.f0(theta)
 
-    def log_f0(self, theta: float) -> float:
-        if self is Family.POISSON:
-            return -theta
-        return math.log1p(-theta)
 
-    def base_mean(self, theta: float) -> float:
-        """Mean of the non-inflated family."""
-        if self is Family.POISSON:
-            return theta
-        return theta / (1.0 - theta)
-
-    def theta_from_mean(self, mean: float) -> float:
-        """Invert ``base_mean``; used for moment-matching starting values."""
-        if self is Family.POISSON:
-            return mean
-        return mean / (1.0 + mean)
-
-    def base_log_pmf(self, y, theta: float):
-        """Log pmf of the non-inflated family, vectorized over ``y``."""
-        y = np.asarray(y)
-        if self is Family.POISSON:
-            return -theta + y * math.log(theta) - special.gammaln(y + 1.0)
-        return math.log1p(-theta) + y * math.log(theta)
-
-    def support_bound(self, theta: float, eps: float) -> int:
-        """Smallest y with base-family tail mass beyond y below ``eps``."""
-        if self is Family.POISSON:
-            # scipy's inverse survival function loses precision below 1e-16;
-            # extend geometrically from there using the tail ratio bound
-            clamped = max(eps, 1e-16)
-            bound = int(stats.poisson.isf(clamped, theta)) + 2
-            if eps < clamped:
-                ratio = min(theta / (bound + 1.0), 0.99)
-                bound += int(math.ceil(math.log(eps / clamped)
-                                       / math.log(ratio))) + 1
-        else:
-            # P(Y > y) = theta**(y + 1)
-            bound = int(math.ceil(math.log(eps) / math.log(theta))) + 2
-        return max(bound, 10)
+def _log_a_sum(family: Family, sample: CountSample) -> float:
+    """Data constant ``sum_i log a_{y_i}`` of the log likelihood."""
+    log_a = family._series.log_a
+    return sum(count * log_a(value) for value, count in sample.freq.items() if value)
 
 
 class Parametrization(Enum):
@@ -133,7 +235,6 @@ class ZipsModel:
     theta: float
 
     def __post_init__(self):
-        self.family.require_theta(self.theta)
         lo = p_lower(self.family, self.theta)
         # margin scaled by the range width below zero so that p = 0 stays
         # valid even when the lower endpoint is within rounding of zero
@@ -151,12 +252,12 @@ class ZipsModel:
 
     def mean(self) -> float:
         """Model mean, ``(1 - p)`` times the base-family mean."""
-        return (1.0 - self.p) * self.family.base_mean(self.theta)
+        return (1.0 - self.p) * self.family._series.mean(self.theta)
 
     def support_bound(self, eps: float) -> int:
         """Smallest y with model tail mass beyond y below ``eps``."""
         scale = max(1.0 - self.p, 1e-300)
-        return self.family.support_bound(self.theta, eps / scale)
+        return max(self.family._series.tail_bound(self.theta, eps / scale), 10)
 
 
 @dataclass(frozen=True)
@@ -203,6 +304,10 @@ class CountSample:
         values = np.asarray(values)
         if values.size == 0:
             raise ValueError("empty sample")
+        if not np.issubdtype(values.dtype, np.integer):
+            fractional = values[np.mod(values, 1) != 0]
+            if fractional.size:
+                raise ValueError(f"non-integer entry {fractional[0]!r}")
         counts = np.bincount(values.astype(np.int64))
         return cls({int(v): int(c) for v, c in enumerate(counts) if c > 0})
 
@@ -240,7 +345,8 @@ def log_pmf(model: ZipsModel, y):
         if not np.all(np.equal(np.mod(arr, 1), 0)) or np.any(arr < 0):
             raise ValueError("y must contain nonnegative integers")
         arr = arr.astype(np.int64)
-    base = model.family.base_log_pmf(arr, model.theta)
+    series = model.family._series
+    base = -series.log_c(model.theta) + arr * math.log(model.theta) + series.log_a(arr)
     out = np.where(arr == 0,
                    math.log(model.pzero),
                    math.log1p(-model.p) + base)
@@ -253,17 +359,14 @@ def pmf(model: ZipsModel, y):
 
 
 def _log_likelihood(family: Family, p: float, theta: float, sample: CountSample,
-                    *, allow_boundary: bool = False,
-                    include_constants: bool = True) -> float:
+                    *, allow_boundary: bool = False) -> float:
     """Log likelihood at raw parameter values.
 
     With ``allow_boundary`` the weight may sit at the exact lower endpoint,
     where the zero-probability term is dropped when the sample has no zeros
     and -inf is returned when it does.
     """
-    family.require_theta(theta)
-    f0 = family.f0(theta)
-    lo = -f0 / (1.0 - f0)
+    lo = p_lower(family, theta)
     if allow_boundary:
         if not (lo - 1e-9 <= p < 1.0):
             raise ParameterRangeError(f"p={p!r} outside closed range [{lo!r}, 1)")
@@ -272,6 +375,7 @@ def _log_likelihood(family: Family, p: float, theta: float, sample: CountSample,
         if not (lo + margin < p < 1.0 - BOUNDARY_MARGIN):
             raise ParameterRangeError(f"p={p!r} outside open range ({lo!r}, 1)")
 
+    f0 = family.f0(theta)
     pzero = f0 + p * (1.0 - f0)
     m = sample.n - sample.n0
     ll = 0.0
@@ -281,14 +385,8 @@ def _log_likelihood(family: Family, p: float, theta: float, sample: CountSample,
         ll += sample.n0 * math.log(pzero)
     if m > 0:
         ll += m * math.log1p(-p)
-        if family is Family.POISSON:
-            ll += -m * theta + sample.s * math.log(theta)
-            if include_constants:
-                for value, count in sample.freq.items():
-                    if value > 0:
-                        ll -= count * special.gammaln(value + 1.0)
-        else:
-            ll += m * math.log1p(-theta) + sample.s * math.log(theta)
+        ll += -m * family._series.log_c(theta) + sample.s * math.log(theta)
+        ll += _log_a_sum(family, sample)
     return ll
 
 
@@ -302,23 +400,6 @@ def log_likelihood(model: ZipsModel, sample: CountSample) -> float:
     return _log_likelihood(model.family, model.p, model.theta, sample)
 
 
-def _loglik_gradient(family: Family, p: float, theta: float,
-                     sample: CountSample) -> np.ndarray:
-    """Gradient of the total log likelihood in (p, theta)."""
-    f0 = family.f0(theta)
-    pzero = f0 + p * (1.0 - f0)
-    m = sample.n - sample.n0
-    if family is Family.POISSON:
-        a_p, a_t = 1.0 - f0, -(1.0 - p) * f0
-        dtheta_pos = -m + sample.s / theta
-    else:
-        a_p, a_t = theta, -(1.0 - p)
-        dtheta_pos = -m / (1.0 - theta) + sample.s / theta
-    gp = sample.n0 * a_p / pzero - m / (1.0 - p)
-    gt = sample.n0 * a_t / pzero + dtheta_pos
-    return np.array([gp, gt])
-
-
 def loglik_derivatives(family: Family, p: float, theta: float,
                        sample: CountSample):
     """First, second and third derivatives of the total log likelihood.
@@ -327,28 +408,23 @@ def loglik_derivatives(family: Family, p: float, theta: float,
     in (p, theta) order.  The third-order tensor is symmetric in its indices.
     """
     family.require_theta(theta)
-    f0 = family.f0(theta)
+    series = family._series
+    f0 = series.f0(theta)
     a = f0 + p * (1.0 - f0)
     if a <= 0.0 or p >= 1.0:
         raise ParameterRangeError("parameters outside the extended range")
     n0, m, s = sample.n0, sample.n - sample.n0, sample.s
 
-    if family is Family.POISSON:
-        e = f0
-        ap, at = 1.0 - e, -(1.0 - p) * e
-        apt, att = e, (1.0 - p) * e
-        aptt, attt = -e, -(1.0 - p) * e
-        t1 = -m + s / theta
-        t2 = -s / theta ** 2
-        t3 = 2.0 * s / theta ** 3
-    else:
-        ap, at = theta, -(1.0 - p)
-        apt, att = 1.0, 0.0
-        aptt, attt = 0.0, 0.0
-        q = 1.0 - theta
-        t1 = -m / q + s / theta
-        t2 = -m / q ** 2 - s / theta ** 2
-        t3 = -2.0 * m / q ** 3 + 2.0 * s / theta ** 3
+    # a = f0 + p * (1 - f0) is linear in p, so its derivatives follow f0's
+    d1, d2, d3 = series.f0_derivs(theta)
+    ap, at = 1.0 - f0, (1.0 - p) * d1
+    apt, att = -d1, (1.0 - p) * d2
+    aptt, attt = -d2, (1.0 - p) * d3
+    # the positive counts contribute s * log(theta) - m * log(c(theta))
+    c1, c2, c3 = series.log_c_derivs(theta)
+    t1 = -m * c1 + s / theta
+    t2 = -m * c2 - s / theta ** 2
+    t3 = -m * c3 + 2.0 * s / theta ** 3
 
     # derivatives of log(a); a_pp and all its p,p,* derivatives vanish
     lp, lt = ap / a, at / a
@@ -375,19 +451,20 @@ def loglik_derivatives(family: Family, p: float, theta: float,
 
 
 def fisher_info(model: ZipsModel) -> FisherInfo:
-    """Per-observation Fisher information in the (p, theta) coordinates."""
+    """Per-observation Fisher information in the (p, theta) coordinates.
+
+    The orthogonal information mapped through the Jacobian of
+    ``(p, theta) -> (pstar, theta)``, whose first row is ``(1 - f0, (1 - p) f0')``.
+    """
     p, theta = model.p, model.theta
-    f0 = model.family.f0(theta)
+    series = model.family._series
+    f0 = series.f0(theta)
+    d1 = series.f0_derivs(theta)[0]
     a = f0 + p * (1.0 - f0)
-    if model.family is Family.POISSON:
-        i11 = (1.0 - f0) / ((1.0 - p) * a)
-        i12 = -f0 / a
-        i22 = (1.0 - p) / theta - p * (1.0 - p) * f0 / a
-    else:
-        i11 = theta / ((1.0 - p) * a)
-        i12 = -1.0 / a
-        q = 1.0 - theta
-        i22 = (1.0 - p) * ((theta + q * q) / (q * q * theta) + (1.0 - p) / a)
+    om = 1.0 - f0
+    i11 = om / ((1.0 - p) * a)
+    i12 = d1 / a
+    i22 = (1.0 - p) * (d1 * d1 / (a * om) + om * float(series.trunc_info(theta)))
     return FisherInfo(i11, i12, i22, Parametrization.P_THETA)
 
 
@@ -414,25 +491,16 @@ def fisher_info_orthogonal(family: Family, pstar: float, theta: float) -> Fisher
     """Per-observation Fisher information in the (pstar, theta) coordinates.
 
     The matrix is exactly diagonal: pstar is a Bernoulli zero-probability,
-    so its information is ``1 / (pstar * (1 - pstar))`` regardless of family.
+    so its information is ``1 / (pstar * (1 - pstar))`` regardless of family,
+    and theta is informed by the ``1 - pstar`` share of positive counts, drawn
+    from the zero-truncated family.
     """
     family.require_theta(theta)
     if not (0.0 < pstar < 1.0):
         raise ParameterRangeError(f"pstar={pstar!r} outside open (0, 1)")
     i11 = 1.0 / (pstar * (1.0 - pstar))
-    if family is Family.POISSON:
-        e = math.exp(-theta)
-        om = -math.expm1(-theta)
-        i22 = (1.0 - e - theta * e) * (1.0 - pstar) / (theta * om * om)
-    else:
-        q = 1.0 - theta
-        i22 = (1.0 - pstar) / (theta * q * q)
+    i22 = (1.0 - pstar) * float(family._series.trunc_info(theta))
     return FisherInfo(i11, 0.0, i22, Parametrization.PSTAR_THETA)
-
-
-def _pmf_table(model: ZipsModel, upper: int) -> np.ndarray:
-    ys = np.arange(upper + 1)
-    return np.exp(log_pmf(model, ys))
 
 
 def sample(model: ZipsModel, n: int, rng_seed) -> CountSample:
@@ -454,18 +522,11 @@ def sample_values(model: ZipsModel, n: int, rng: np.random.Generator) -> np.ndar
     """Raw count draws as an integer array (back end for ``sample``)."""
     p, theta = model.p, model.theta
     if p >= 0.0:
-        out = _base_draws(model.family, theta, n, rng)
+        out = model.family._series.draws(rng, theta, n)
         if p > 0.0:
             out[rng.random(n) < p] = 0
         return out
     upper = model.support_bound(1e-15)
-    cdf = np.cumsum(_pmf_table(model, upper))
+    cdf = np.cumsum(np.exp(log_pmf(model, np.arange(upper + 1))))
     idx = np.searchsorted(cdf, rng.random(n), side="right")
     return np.minimum(idx, upper).astype(np.int64)
-
-
-def _base_draws(family: Family, theta: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    if family is Family.POISSON:
-        return rng.poisson(theta, n)
-    # numpy's geometric counts trials >= 1 with success probability 1 - theta
-    return rng.geometric(1.0 - theta, n) - 1

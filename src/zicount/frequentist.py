@@ -4,7 +4,8 @@ Tests address the null of no zero inflation (weight p = 0) against the
 one-sided alternative p > 0, with two-sided variants.  The score statistic
 has a closed form in the sufficient statistics (n, n0, ybar); the likelihood
 ratio statistic needs the full-model MLE, obtained for the Poisson case by a
-damped fixed-point iteration and for the geometric case in closed form.
+damped fixed-point iteration and for the geometric case in closed form; both
+are computed from the sufficient statistics (n, n0, s) alone.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from enum import Enum
 import numpy as np
 from scipy import stats
 
-from .distributions import CountSample, Family, _log_likelihood, _loglik_gradient
+from .distributions import (CountSample, Family, _log_a_sum, _log_likelihood,
+                            loglik_derivatives)
 from .errors import DegenerateSampleError
 
 FIXED_POINT_TOL = 1e-10
@@ -79,31 +81,9 @@ def mle_null(family: Family, sample: CountSample) -> MleResult:
     if sample.s == 0:
         raise DegenerateSampleError(
             "no positive counts: null MLE sits at the boundary of the base family")
-    theta0 = family.theta_from_mean(sample.ybar)
+    theta0 = family._series.theta_from_mean(sample.ybar)
     ll = _log_likelihood(family, 0.0, theta0, sample)
     return MleResult(0.0, theta0, ll, converged=True, iterations=0)
-
-
-def _poisson_theta_fixed_point(c: float, tol: float, max_iter: int):
-    """Solve ``theta = c * (1 - exp(-theta))`` by damped fixed point.
-
-    ``c = s / (n - n0)`` is both the starting value and the map scale.  The
-    map is monotone and contracts near the solution; damping by half guards
-    against overshoot when successive steps change direction.
-    """
-    theta = c
-    prev_delta = 0.0
-    for it in range(1, max_iter + 1):
-        new = c * -math.expm1(-theta)
-        delta = new - theta
-        if prev_delta * delta < 0.0:
-            new = 0.5 * (new + theta)
-            delta = new - theta
-        theta = new
-        if abs(delta) < tol:
-            return theta, it, True
-        prev_delta = delta
-    return theta, max_iter, False
 
 
 def _mle_full_stats(family: Family, n: int, n0: int, s: int,
@@ -112,8 +92,7 @@ def _mle_full_stats(family: Family, n: int, n0: int, s: int,
     """Full-model MLE from sufficient statistics.
 
     Returns ``(p_hat, theta_hat, iterations, converged, boundary)`` without
-    evaluating the likelihood; callers add whatever log likelihood convention
-    they need.
+    evaluating the likelihood; ``_sup_loglik`` gives its maximum.
     """
     if n0 == n:
         raise DegenerateSampleError("all counts are zero: (p, theta) not identifiable")
@@ -123,32 +102,32 @@ def _mle_full_stats(family: Family, n: int, n0: int, s: int,
         # approached as theta tends to zero, with p running off to the
         # lower endpoint along pstar = n0/n
         return math.nan, 0.0, 0, True, True
-    if family is Family.POISSON:
-        c = s / m
-        theta, iters, converged = _poisson_theta_fixed_point(c, tol, max_iter)
-        e = math.exp(-theta)
-        p_hat = (n0 / n - e) / (1.0 - e)
-    else:
-        theta = (s - m) / s
-        p_hat = (n0 / n - (1.0 - theta)) / theta
-        iters, converged = 0, True
-    boundary = n0 == 0
-    return p_hat, theta, iters, converged, boundary
+    theta, iters, converged = family._series.truncated_mle(m, s, tol, max_iter)
+    # the fitted zero probability p + (1 - p) * f0 equals n0 / n
+    f0 = family.f0(theta)
+    p_hat = (n0 / n - f0) / (1.0 - f0)
+    return p_hat, theta, iters, converged, n0 == 0
 
 
-def _loglik_at_fit(family: Family, p_hat: float, theta_hat: float,
-                   sample: CountSample, boundary: bool) -> float:
-    if not boundary:
-        return _log_likelihood(family, p_hat, theta_hat, sample)
-    if theta_hat == 0.0:
-        # supremum value for samples whose positive counts are all one;
-        # the factorial constants vanish since log(1!) = 0
-        n, n0 = sample.n, sample.n0
-        ll = (sample.n - n0) * math.log((n - n0) / n)
-        if n0 > 0:
-            ll += n0 * math.log(n0 / n)
-        return ll
-    return _log_likelihood(family, p_hat, theta_hat, sample, allow_boundary=True)
+def _sup_loglik(family: Family, n: int, n0: int, s: float,
+                theta_hat: float) -> float:
+    """Full-model maximum of the log likelihood, without the log a_y constants.
+
+    In the orthogonal coordinates the likelihood splits into a binomial part
+    in pstar, maximized at n0 / n, and the zero-truncated family in theta,
+    ``s * log(theta) - m * log(c(theta) - 1)``.  The latter tends to zero as
+    ``theta_hat`` does, which is the supremum for samples whose positive
+    counts all equal one.
+    """
+    m = n - n0
+    ll = m * math.log(m / n)
+    if n0 > 0:
+        ll += n0 * math.log(n0 / n)
+    if theta_hat > 0.0:
+        log_c = family._series.log_c(theta_hat)
+        # log(c - 1) = log c + log(1 - f0), stable for large and small c
+        ll += s * math.log(theta_hat) - m * (log_c + math.log(-math.expm1(-log_c)))
+    return ll
 
 
 def mle_full(family: Family, sample: CountSample,
@@ -162,7 +141,8 @@ def mle_full(family: Family, sample: CountSample,
     """
     p_hat, theta_hat, iters, converged, boundary = _mle_full_stats(
         family, sample.n, sample.n0, sample.s, tol, max_iter)
-    ll = _loglik_at_fit(family, p_hat, theta_hat, sample, boundary)
+    ll = (_sup_loglik(family, sample.n, sample.n0, sample.s, theta_hat)
+          + _log_a_sum(family, sample))
     return MleResult(p_hat, theta_hat, ll, converged, iters, boundary)
 
 
@@ -170,24 +150,48 @@ def gradient_norm_at(family: Family, result: MleResult, sample: CountSample) -> 
     """Euclidean norm of the log-likelihood gradient at a fit (diagnostic)."""
     if result.boundary:
         raise ValueError("gradient undefined at a boundary fit")
-    return float(np.linalg.norm(
-        _loglik_gradient(family, result.p_hat, result.theta_hat, sample)))
+    grad, _, _ = loglik_derivatives(family, result.p_hat, result.theta_hat, sample)
+    return float(np.linalg.norm(grad))
 
 
 def _score_statistic(family: Family, n: int, n0: int, s: int) -> tuple[float, float]:
-    """Score statistic and its sign from sufficient statistics."""
-    ybar = s / n
-    if family is Family.POISSON:
-        e0 = math.exp(-ybar)
-        num = (n0 / e0 - n) ** 2
-        den = n * ((1.0 - e0) / e0 - ybar)
-        stat = num / den
-        direction = n0 / n - e0
-    else:
-        stat = n * (1.0 + ybar) / ybar ** 2 * (n0 / n * (1.0 + ybar) - 1.0) ** 2
-        f0 = 1.0 / (1.0 + ybar)
-        direction = n0 / n - f0
+    """Score statistic and its sign from sufficient statistics.
+
+    At the null fit ``theta0`` the score for p is ``n0 / f0 - n``.  Its
+    variance is n times the efficient information for p,
+    ``(1 - f0) / f0 - theta0 * c1**2 / (c1 + theta0 * c2)``, where ``c1`` and
+    ``c2`` are the first two derivatives of ``log c`` at ``theta0``.
+    """
+    series = family._series
+    theta0 = series.theta_from_mean(s / n)
+    f0 = series.f0(theta0)
+    c1, c2, _ = series.log_c_derivs(theta0)
+    efficient = (1.0 - f0) / f0 - theta0 * c1 * c1 / (c1 + theta0 * c2)
+    stat = (n0 / f0 - n) ** 2 / (n * efficient)
+    direction = n0 / n - f0
     return stat, math.copysign(1.0, direction) if direction != 0.0 else 0.0
+
+
+def _lr_statistic_stats(family: Family, n: int, n0: int, s: float,
+                        tol: float = FIXED_POINT_TOL,
+                        max_iter: int = FIXED_POINT_MAX_ITER) -> tuple[float, float]:
+    """Likelihood ratio statistic and sign from sufficient statistics.
+
+    The log a_y constants cancel.  The statistic is clamped at zero against
+    rounding in the fixed point.  When the full-model weight estimate is
+    undefined (every positive count equal to one), the sign falls back to
+    the score direction ``n0/n - f0(theta0)``.
+    """
+    p_hat, theta_hat, _, _, _ = _mle_full_stats(family, n, n0, s, tol, max_iter)
+    series = family._series
+    theta0 = series.theta_from_mean(s / n)
+    ll0 = s * math.log(theta0) - n * series.log_c(theta0)
+    stat = max(2.0 * (_sup_loglik(family, n, n0, s, theta_hat) - ll0), 0.0)
+    if math.isnan(p_hat):
+        _, sign = _score_statistic(family, n, n0, s)
+    else:
+        sign = math.copysign(1.0, p_hat) if p_hat != 0.0 else 0.0
+    return stat, sign
 
 
 def _build_report(method: TestMethod, stat: float, sign: float,
@@ -223,18 +227,8 @@ def lr_test(family: Family, sample: CountSample, alpha: float = 0.05,
             tol: float = FIXED_POINT_TOL,
             max_iter: int = FIXED_POINT_MAX_ITER) -> TestReport:
     """Likelihood ratio test of p = 0, with the same rejection rules as
-    ``score_test``.
-
-    When the full-model weight estimate is undefined (boundary fits), the
-    sign of the root falls back to the score direction ``n0/n - f0(theta0)``.
+    ``score_test``; the statistic comes from ``_lr_statistic_stats``.
     """
-    null = mle_null(family, sample)
-    full = mle_full(family, sample, tol, max_iter)
-    stat = 2.0 * (full.loglik - null.loglik)
-    if stat < 0.0:
-        stat = 0.0  # clamp numerical noise from the fixed point
-    if full.boundary and math.isnan(full.p_hat):
-        _, sign = _score_statistic(family, sample.n, sample.n0, sample.s)
-    else:
-        sign = math.copysign(1.0, full.p_hat) if full.p_hat != 0.0 else 0.0
+    stat, sign = _lr_statistic_stats(family, sample.n, sample.n0, sample.s,
+                                     tol, max_iter)
     return _build_report(TestMethod.LR, stat, sign, alpha, sidedness)

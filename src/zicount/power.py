@@ -23,7 +23,7 @@ from scipy import stats
 from .bayes import posterior_prob_positive
 from .distributions import CountSample, Family, ZipsModel, sample_values
 from .errors import DegenerateSampleError, MissingCellError
-from .frequentist import _mle_full_stats, _score_statistic
+from .frequentist import _lr_statistic_stats, _score_statistic
 
 MAX_REDRAWS = 100
 
@@ -99,44 +99,6 @@ class PowerGrid:
 
 def _alpha_cutoffs(alpha: float) -> tuple[float, float]:
     return float(stats.norm.ppf(1.0 - alpha)), float(stats.chi2.ppf(1.0 - alpha, 1))
-
-
-def _lr_statistic_stats(family: Family, n: int, n0: int, s: int) -> tuple[float, float]:
-    """LR statistic and sign from sufficient statistics (constants cancel)."""
-    m = n - n0
-    ybar = s / n
-    if family is Family.POISSON:
-        theta0 = ybar
-        ll0 = -n * theta0 + s * math.log(theta0)
-    else:
-        theta0 = ybar / (1.0 + ybar)
-        ll0 = n * math.log1p(-theta0) + s * math.log(theta0)
-    p_hat, theta1, _, _, boundary = _mle_full_stats(family, n, n0, s)
-    if boundary and theta1 == 0.0:
-        ll1 = m * math.log(m / n) + (n0 * math.log(n0 / n) if n0 else 0.0)
-    elif family is Family.POISSON:
-        e = math.exp(-theta1)
-        om = 1.0 - e
-        if n0 == 0:
-            ll1 = -m * math.log(om) - m * theta1 + s * math.log(theta1)
-        else:
-            a = e + p_hat * om
-            ll1 = (n0 * math.log(a) + m * math.log1p(-p_hat)
-                   - m * theta1 + s * math.log(theta1))
-    else:
-        q = 1.0 - theta1
-        if n0 == 0:
-            ll1 = -m * math.log(theta1) + m * math.log(q) + s * math.log(theta1)
-        else:
-            a = q + p_hat * theta1
-            ll1 = (n0 * math.log(a) + m * math.log1p(-p_hat)
-                   + m * math.log(q) + s * math.log(theta1))
-    stat = max(2.0 * (ll1 - ll0), 0.0)
-    if boundary and math.isnan(p_hat):
-        _, sign = _score_statistic(family, n, n0, s)
-    else:
-        sign = math.copysign(1.0, p_hat) if p_hat != 0.0 else 0.0
-    return stat, sign
 
 
 def _run_combo(config: PowerConfig, combo_index: int):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
 
-from zicount import CountSample
+from zicount import CountSample, SamplerError
+from zicount import bayes
 
 
 @pytest.fixture(scope="session")
@@ -129,3 +130,55 @@ class PosteriorOracle:
             return (1.0 - f0) * stats.beta.pdf(f0 + x * (1.0 - f0),
                                                self.n0 + 0.5, self.m + 0.5)
         return self._quad(g) / self.norm
+
+
+def zip_theta_rejection_draws(rng: np.random.Generator, m: int, s: float,
+                              size: int, max_batches: int = 200) -> np.ndarray:
+    """Gamma-envelope rejection sampler for the Poisson-case theta posterior.
+
+    Cross-check for the grid inverse-CDF sampler.  The target kernel is the
+    gamma kernel with shape ``s - m + 1/2`` and rate ``m`` times
+    ``exp(m * r(theta))`` with ``r = log(theta / (1 - exp(-theta)))``, and r
+    is increasing and concave, so bounding it by its tangent at the target
+    mode gives an exact gamma envelope with the same shape and rate
+    ``m * (1 - r'(mode))``.
+    """
+    shape = s - m + 0.5
+    if shape <= 0.0 or m <= 0:
+        raise SamplerError("rejection envelope undefined for this sample")
+
+    def r_slope(t):
+        # d/dt log(t / (1 - exp(-t))), in (0, 1/2), decreasing
+        return 1.0 / t - math.exp(-t) / -math.expm1(-t)
+
+    mode, _, _ = bayes._zip_theta_bracket(m, s)
+    mode = max(mode, 1e-6)
+    slope = r_slope(mode)
+    rate = m * (1.0 - slope)
+    if rate <= 0.0:
+        raise SamplerError("degenerate envelope rate")
+
+    def log_ratio(t):
+        # target/envelope kernel ratio; maximized (at zero) at the tangent point
+        r = np.log(t) - np.log(-np.expm1(-t))
+        r_mode = math.log(mode) - math.log(-math.expm1(-mode))
+        return m * (r - r_mode - slope * (t - mode))
+
+    out = np.empty(0)
+    proposed = accepted = 0
+    for _ in range(max_batches):
+        batch = max(size, 1024)
+        cand = rng.gamma(shape, 1.0 / rate, batch)
+        ratio = np.exp(log_ratio(cand))
+        if np.any(ratio > 1.0 + 1e-9):
+            raise SamplerError("envelope failed to dominate the target")
+        keep = rng.random(batch) < ratio
+        proposed += batch
+        accepted += int(keep.sum())
+        out = np.concatenate([out, cand[keep]])
+        if out.size >= size:
+            return out[:size]
+        if proposed >= 10 * size and accepted / proposed < 1e-4:
+            break
+    raise SamplerError(
+        f"rejection sampler acceptance too low ({accepted}/{proposed})")

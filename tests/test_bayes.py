@@ -11,10 +11,10 @@ from zicount import (CountSample, DegenerateSampleError, Family, IntervalKind,
                      log_prior, marginal_posterior_density, p_lower,
                      posterior_prob_positive, posterior_prob_positive_factorized,
                      posterior_prob_positive_quadrature, prior_density,
-                     sample_values, zip_theta_rejection_draws)
+                     sample_values)
 from zicount.bayes import _zip_theta_inverse_cdf
 
-from conftest import PosteriorOracle, fd_gradient
+from conftest import PosteriorOracle, fd_gradient, zip_theta_rejection_draws
 
 
 class TestPriorDensity:

@@ -200,6 +200,14 @@ class TestCli:
             "draws": 200, "seed": 9, "methods": ["score1"]}))
         assert main(["power", "--config", str(config)]) == 0
 
+    def test_power_config_misspelled_family_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({
+            "thetas": [0.5], "ps": [0.0], "ns": [40], "reps": 150,
+            "seed": 9, "methods": ["score1"], "family": "poison"}))
+        assert main(["power", "--config", str(config)]) == 2
+        assert "poison" in capsys.readouterr().err
+
     def test_power_empty_grid_exits_2(self, capsys):
         assert main(["power", "--reps", "200"]) == 2
 

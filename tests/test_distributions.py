@@ -6,8 +6,9 @@ from scipy import stats
 
 from zicount import (CountSample, Family, Parametrization, ParameterRangeError,
                      ZipsModel, fisher_info, fisher_info_orthogonal, from_pstar,
-                     log_likelihood, log_pmf, p_lower, pmf, sample, to_pstar)
-from zicount.distributions import _log_likelihood, _loglik_gradient
+                     log_likelihood, log_pmf, loglik_derivatives, p_lower, pmf,
+                     sample, to_pstar)
+from zicount.distributions import _log_likelihood
 
 from conftest import fd_hessian
 
@@ -180,8 +181,8 @@ class TestFisherInformation:
             probs = np.exp(log_pmf(model, ys))
             total = np.zeros((2, 2))
             for y, pr in zip(ys, probs):
-                score = _loglik_gradient(model.family, model.p, model.theta,
-                                         CountSample({int(y): 1}))
+                score, _, _ = loglik_derivatives(model.family, model.p, model.theta,
+                                                 CountSample({int(y): 1}))
                 total += pr * np.outer(score, score)
             assert np.allclose(total, fisher_info(model).matrix(), atol=1e-6)
 
@@ -311,6 +312,14 @@ class TestCountSample:
         cs = CountSample.from_values([0, 0, 1, 3, 1])
         assert cs.freq == {0: 2, 1: 2, 3: 1}
         assert (cs.n, cs.n0, cs.s) == (5, 2, 5)
+
+    def test_from_values_rejects_non_integers(self):
+        with pytest.raises(ValueError, match="non-integer entry"):
+            CountSample.from_values([0.5, 1.7, 2.2])
+        with pytest.raises(ValueError, match="non-integer entry"):
+            CountSample.from_values(np.array([0.0, 2.0, np.nan]))
+        cs = CountSample.from_values(np.array([0.0, 2.0, 2.0]))
+        assert cs.freq == {0: 1, 2: 2}
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -5,11 +5,11 @@ import pytest
 from scipy import stats
 
 from zicount import (CountSample, DegenerateSampleError, Family, Sidedness,
-                     TestMethod, ZipsModel, lr_test, mle_full, mle_null,
-                     sample_values, score_test)
+                     TestMethod, ZipsModel, log_likelihood, lr_test, mle_full,
+                     mle_null, sample_values, score_test)
 from zicount.distributions import _log_likelihood
-from zicount.frequentist import _mle_full_stats, _score_statistic, gradient_norm_at
-from zicount.power import _lr_statistic_stats
+from zicount.frequentist import (_lr_statistic_stats, _mle_full_stats,
+                                 _score_statistic, gradient_norm_at)
 
 
 class TestMleNull:
@@ -213,6 +213,35 @@ class TestLrTest:
             except DegenerateSampleError:
                 continue
             assert full.loglik >= null.loglik - 1e-9
+
+    def test_statistic_matches_fitted_log_likelihoods(self):
+        # oracle: twice the gap between the full and null fits' log
+        # likelihoods, over random samples that include samples without
+        # zeros and samples whose positive counts all equal one
+        rng = np.random.default_rng(12)
+        samples = [CountSample({1: 7}), CountSample({0: 3, 1: 4}),
+                   CountSample({1: 3, 2: 2, 5: 1})]
+        for _ in range(40):
+            n = int(rng.integers(2, 60))
+            values = rng.poisson(rng.uniform(0.2, 3.0), n)
+            values[rng.random(n) < rng.uniform(0.0, 0.6)] = 0
+            if values.sum() > 0:
+                samples.append(CountSample.from_values(values))
+        assert any(cs.n0 == 0 for cs in samples)
+        for fam in Family:
+            for cs in samples:
+                full = mle_full(fam, cs)
+                null = mle_null(fam, cs)
+                expected = max(2.0 * (full.loglik - null.loglik), 0.0)
+                assert lr_test(fam, cs).statistic == pytest.approx(expected, abs=1e-9)
+                if not full.boundary:
+                    # the fitted value itself, from the likelihood at the fit
+                    direct = log_likelihood(ZipsModel(fam, full.p_hat, full.theta_hat), cs)
+                    assert full.loglik == pytest.approx(direct, abs=1e-9)
+
+    def test_all_zero_sample_raises(self):
+        with pytest.raises(DegenerateSampleError):
+            lr_test(Family.POISSON, CountSample({0: 5}))
 
     def test_report_invariants(self, uti, terror):
         for cs in (uti, terror):
