@@ -16,7 +16,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+import scipy
+from scipy import special
 
 from .bayes import (PriorSpec, default_prior, grad_log_prior,
                     posterior_prob_positive, posterior_prob_positive_factorized,
@@ -61,7 +62,7 @@ class BetaCalibration:
 
     def cutoff(self, alpha: float) -> float:
         """Upper-alpha rejection cutoff for the Bayes test at this n."""
-        return float(stats.beta.ppf(1.0 - alpha, self.alpha_hat, self.beta_hat))
+        return float(special.betaincinv(self.alpha_hat, self.beta_hat, 1.0 - alpha))
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,9 @@ def posterior_tail_expansion(inputs: ExpansionInputs, eta10: float,
     # of the scalar flat-prior case shows the skewness term must pull
     # P(eta <= eta_hat | Y) below one half when the third derivative is
     # positive, which requires the minus sign here
-    value = (stats.norm.cdf(w)
-             - stats.norm.pdf(w) * (g1 + g3 * (w * w - 1.0)) / math.sqrt(n))
+    # normal pdf in scipy.stats.norm.pdf's own arithmetic, so values match it
+    pdf = np.exp(-w**2 / 2.0) / np.sqrt(2 * np.pi)
+    value = special.ndtr(w) - pdf * (g1 + g3 * (w * w - 1.0)) / math.sqrt(n)
     return float(min(max(value, 0.0), 1.0))
 
 
@@ -175,7 +177,7 @@ def uniformity_check(family: Family, theta_null: float, n: int, reps: int,
     if n < 2:
         raise ValueError("n too small")
     ts = _simulate_null_ts(family, theta_null, n, reps, B, seed)
-    ks = stats.kstest(ts, "uniform")
+    ks = scipy.stats.kstest(ts, "uniform")
     return UniformityReport(ks_distance=float(ks.statistic),
                             ks_pvalue=float(ks.pvalue),
                             moment1=float(ts.mean()),

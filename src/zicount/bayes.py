@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import integrate, interpolate, optimize, special, stats
+import scipy
+from scipy import special
 
-from .distributions import CountSample, Family, _log_likelihood, p_lower
+from .distributions import CountSample, Family, _log_a_sum, p_lower
 from .errors import DegenerateSampleError, ParameterRangeError, QuadratureError
 
 DEFAULT_DRAWS = 10_000
@@ -200,7 +201,7 @@ def _zip_theta_bracket(m: int, s: float) -> tuple[float, float, float]:
     if ratio > 1.0:
         phi = lambda t: t / -math.expm1(-t) - ratio
         hi0 = max(2.0 * ratio, 10.0)
-        mode = optimize.brentq(phi, 1e-10, hi0, xtol=1e-12)
+        mode = scipy.optimize.brentq(phi, 1e-10, hi0, xtol=1e-12)
     else:
         mode = 1e-10  # mass piles up against zero; kernel ~ theta**(-1/2)
     ref = float(_zip_theta_log_kernel(max(mode, 1e-10), m, s))
@@ -223,10 +224,10 @@ def _zip_theta_inverse_cdf(m: int, s: float):
     grid = np.linspace(lo, hi, _THETA_GRID_SIZE)
     logk = _zip_theta_log_kernel(grid, m, s)
     dens = np.exp(logk - logk.max())
-    cdf = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
+    cdf = scipy.integrate.cumulative_trapezoid(dens, grid, initial=0.0)
     cdf /= cdf[-1]
     keep = np.concatenate(([True], np.diff(cdf) > 0.0))
-    return interpolate.PchipInterpolator(cdf[keep], grid[keep])
+    return scipy.interpolate.PchipInterpolator(cdf[keep], grid[keep])
 
 
 def draw_posterior(family: Family, sample: CountSample, B: int = DEFAULT_DRAWS,
@@ -334,12 +335,29 @@ def posterior_prob_positive(family: Family, sample: CountSample,
 # quadrature oracle and posterior normalization
 
 
-def _log_posterior_kernel(family: Family, sample: CountSample,
-                          prior: PriorSpec, p: float, theta: float) -> float:
-    # boundary-tolerant likelihood: quadrature windows may touch the open
-    # endpoints more closely than the model constructor allows
-    return (_log_likelihood(family, p, theta, sample, allow_boundary=True)
-            + log_prior(prior, p, theta))
+def _log_kernel_in_p(family: Family, sample: CountSample, prior: PriorSpec,
+                     theta: float):
+    """``log likelihood + log prior`` at fixed theta, as a function of p.
+
+    Both are ``(n0 - 1/2) log(f0 + p (1 - f0)) + k log(1 - p)`` plus terms
+    in theta alone (``log c``, ``s log theta``, ``sum log a_y`` and the
+    theta prior factor), which are summed here once.  Valid inside the
+    quadrature's p window, which stays clear of the endpoints.
+    """
+    series = family._series
+    n0, m = sample.n0, sample.n - sample.n0
+    f0 = series.f0(theta)
+    log_c = series.log_c(theta)
+    log_om = math.log(-math.expm1(-log_c))
+    const = -m * log_c + sample.s * math.log(theta) + _log_a_sum(family, sample)
+    if prior.kind is PriorKind.CONDITIONAL_JEFFREYS:
+        const += -math.log(math.pi) + 0.5 * log_om + series.log_jeffreys(theta)
+        k = m - 0.5
+    else:
+        const += log_om + 0.5 * math.log(series.trunc_info(theta))
+        k = m
+    om = 1.0 - f0
+    return lambda p: (n0 - 0.5) * math.log(f0 + p * om) + k * math.log1p(-p) + const
 
 
 def _theta_range(family: Family, sample: CountSample) -> tuple[float, float]:
@@ -347,8 +365,8 @@ def _theta_range(family: Family, sample: CountSample) -> tuple[float, float]:
     if family is Family.POISSON:
         _, lo, hi = _zip_theta_bracket(m, sample.s)
         return max(lo, 1e-8), hi
-    lo = stats.beta.ppf(1e-14, sample.s - m + 0.5, max(m, 1))
-    hi = stats.beta.isf(1e-14, sample.s - m + 0.5, max(m, 1))
+    lo = special.betaincinv(sample.s - m + 0.5, max(m, 1), 1e-14)
+    hi = special.betainccinv(sample.s - m + 0.5, max(m, 1), 1e-14)
     return max(lo, 1e-9), min(hi, 1.0 - 1e-9)
 
 
@@ -363,8 +381,7 @@ def _log_wedge_integral(family: Family, sample: CountSample, prior: PriorSpec,
     t_lo, t_hi = _theta_range(family, sample)
 
     def p_window(theta: float) -> tuple[float, float]:
-        f0 = family.f0(theta)
-        lo = -f0 / (1.0 - f0)
+        lo = p_lower(family, theta)
         eps = 1e-13 * max(1.0, abs(lo))
         start = 0.0 + 1e-300 if positive_only else lo + eps
         return max(start, lo + eps), 1.0 - 1e-13
@@ -374,10 +391,9 @@ def _log_wedge_integral(family: Family, sample: CountSample, prior: PriorSpec,
     big = -math.inf
     for t in t_mesh:
         a, b = p_window(float(t))
+        log_k = _log_kernel_in_p(family, sample, prior, float(t))
         for q in np.linspace(a + 1e-9, b - 1e-9, 32):
-            val = _log_posterior_kernel(family, sample, prior, float(q), float(t))
-            if val > big:
-                big = val
+            big = max(big, log_k(float(q)))
     if not math.isfinite(big):
         raise QuadratureError("posterior kernel vanished on the search mesh")
 
@@ -385,9 +401,9 @@ def _log_wedge_integral(family: Family, sample: CountSample, prior: PriorSpec,
         a, b = p_window(theta)
         if a >= b:
             return 0.0
-        f = lambda q: math.exp(
-            _log_posterior_kernel(family, sample, prior, q, theta) - big)
-        val, _ = integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-10, limit=200)
+        log_k = _log_kernel_in_p(family, sample, prior, theta)
+        val, _ = scipy.integrate.quad(lambda q: math.exp(log_k(q) - big), a, b,
+                                      epsabs=1e-13, epsrel=1e-10, limit=200)
         return val
 
     # widen the theta range until the profile is negligible at both ends
@@ -404,8 +420,8 @@ def _log_wedge_integral(family: Family, sample: CountSample, prior: PriorSpec,
             t_hi = 1.0 - 1e-12
             break
 
-    value, err = integrate.quad(inner, t_lo, t_hi,
-                                epsabs=1e-13, epsrel=1e-10, limit=200)
+    value, err = scipy.integrate.quad(inner, t_lo, t_hi,
+                                      epsabs=1e-13, epsrel=1e-10, limit=200)
     if value <= 0.0:
         raise QuadratureError("posterior integral evaluated to zero")
     return math.log(value) + big, err / value
@@ -442,8 +458,8 @@ def posterior_prob_positive_factorized(family: Family,
         logk = _zip_theta_log_kernel(t, m, s)
         f0 = np.exp(-t)
     else:
-        lo = float(stats.beta.ppf(1e-15, s - m + 0.5, m))
-        hi = float(stats.beta.isf(1e-15, s - m + 0.5, m))
+        lo = float(special.betaincinv(s - m + 0.5, m, 1e-15))
+        hi = float(special.betainccinv(s - m + 0.5, m, 1e-15))
         t = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         logk = (s - m - 0.5) * np.log(t) + (m - 1.0) * np.log1p(-t)
         f0 = 1.0 - t
@@ -570,13 +586,13 @@ def hpd_interval(draws: PosteriorDraws, sample: CountSample,
         below_left = np.where(~above[:mode_idx + 1])[0]
         if below_left.size:
             i = below_left[-1]
-            lower = float(optimize.brentq(f, grid[i], grid[i + 1], xtol=1e-10))
+            lower = float(scipy.optimize.brentq(f, grid[i], grid[i + 1], xtol=1e-10))
         else:
             lower = lo
         below_right = np.where(~above[mode_idx:])[0]
         if below_right.size:
             j = mode_idx + below_right[0]
-            upper = float(optimize.brentq(f, grid[j - 1], grid[j], xtol=1e-10))
+            upper = float(scipy.optimize.brentq(f, grid[j - 1], grid[j], xtol=1e-10))
         else:
             upper = hi
     return IntervalEstimate(lower, upper, level, IntervalKind.HPD,
@@ -637,9 +653,9 @@ def _prior_prob_positive(prior: PriorSpec,
 
     weight = lambda t: math.exp(series.log_jeffreys(t))
 
-    num, _ = integrate.quad(lambda t: weight(t) * positive(fam.f0(t)), lo, hi,
-                            limit=200)
-    den, _ = integrate.quad(weight, lo, hi, limit=200)
+    num, _ = scipy.integrate.quad(lambda t: weight(t) * positive(fam.f0(t)),
+                                  lo, hi, limit=200)
+    den, _ = scipy.integrate.quad(weight, lo, hi, limit=200)
     return num / den, (lo, hi)
 
 

@@ -24,7 +24,7 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import ParameterRangeError
 
@@ -83,10 +83,15 @@ def _poisson_truncated_mle(m: int, s: float, tol: float, max_iter: int):
 
 
 def _poisson_tail_bound(theta: float, eps: float) -> int:
-    # scipy's inverse survival function loses precision below 1e-16;
-    # extend geometrically from there using the tail ratio bound
+    # the Poisson inverse survival function (scipy.stats' discrete rule on
+    # pdtrik/pdtr) loses precision below 1e-16; extend geometrically from
+    # there using the tail ratio bound
     clamped = max(eps, 1e-16)
-    bound = int(stats.poisson.isf(clamped, theta)) + 2
+    q = 1.0 - clamped
+    isf = math.ceil(special.pdtrik(q, theta))
+    if isf > 0 and special.pdtr(isf - 1, theta) >= q:
+        isf -= 1
+    bound = isf + 2
     if eps < clamped:
         ratio = min(theta / (bound + 1.0), 0.99)
         bound += int(math.ceil(math.log(eps / clamped) / math.log(ratio))) + 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .distributions import (CountSample, Family, _log_a_sum, _log_likelihood,
                             loglik_derivatives)
@@ -194,15 +194,22 @@ def _lr_statistic_stats(family: Family, n: int, n0: int, s: float,
     return stat, sign
 
 
+def _alpha_cutoffs(alpha: float) -> tuple[float, float]:
+    """Upper-alpha normal and chi-square(1) cutoffs, as scipy.stats computes them."""
+    return (float(special.ndtri(1.0 - alpha)),
+            float(2.0 * special.gammaincinv(0.5, 1.0 - alpha)))
+
+
 def _build_report(method: TestMethod, stat: float, sign: float,
                   alpha: float, sidedness: Sidedness) -> TestReport:
     signed_root = sign * math.sqrt(max(stat, 0.0))
+    z_cut, chi_cut = _alpha_cutoffs(alpha)
     if sidedness is Sidedness.ONE_SIDED:
-        p_value = float(stats.norm.sf(signed_root))
-        reject = signed_root > stats.norm.ppf(1.0 - alpha)
+        p_value = float(special.ndtr(-signed_root))
+        reject = signed_root > z_cut
     else:
-        p_value = float(stats.chi2.sf(stat, 1))
-        reject = stat > stats.chi2.ppf(1.0 - alpha, 1)
+        p_value = float(special.chdtrc(1, stat))
+        reject = stat > chi_cut
     return TestReport(method=method, statistic=stat, signed_root=signed_root,
                       p_value=p_value, posterior_prob=None, alpha=alpha,
                       reject=bool(reject), sidedness=sidedness)

@@ -13,17 +13,15 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import stats
 
 from .bayes import posterior_prob_positive
 from .distributions import CountSample, Family, ZipsModel, sample_values
 from .errors import DegenerateSampleError, MissingCellError
-from .frequentist import _lr_statistic_stats, _score_statistic
+from .frequentist import _alpha_cutoffs, _lr_statistic_stats, _score_statistic
 
 MAX_REDRAWS = 100
 
@@ -95,10 +93,6 @@ class PowerGrid:
                         for m in methods)
                 lines.append(row)
         return "\n".join(lines)
-
-
-def _alpha_cutoffs(alpha: float) -> tuple[float, float]:
-    return float(stats.norm.ppf(1.0 - alpha)), float(stats.chi2.ppf(1.0 - alpha, 1))
 
 
 def _run_combo(config: PowerConfig, combo_index: int):
@@ -173,18 +167,25 @@ def run_power_study(config: PowerConfig, n_jobs: int = 1,
     if not config.combos():
         raise ValueError("empty grid")
     combos = config.combos()
-    indices = range(len(combos))
-    if n_jobs > 1:
+
+    def finished():
+        if n_jobs <= 1:
+            for i in range(len(combos)):
+                yield _run_combo(config, i)
+            return
+        from concurrent.futures import ProcessPoolExecutor, as_completed
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_run_combo, [config] * len(combos), indices))
-    else:
-        results = []
-        for i in indices:
-            results.append(_run_combo(config, i))
-            if progress:
-                theta, p, n = combos[i]
-                print(f"  done theta={theta} p={p} n={n} "
-                      f"[{i + 1}/{len(combos)}]", flush=True)
+            futures = [pool.submit(_run_combo, config, i) for i in range(len(combos))]
+            for future in as_completed(futures):
+                yield future.result()
+
+    results = []
+    for result in finished():
+        results.append(result)
+        if progress:
+            theta, p, n = combos[result[0]]
+            print(f"  done theta={theta} p={p} n={n} "
+                  f"[{len(results)}/{len(combos)}]", flush=True)
 
     cells, redraws = {}, {}
     for combo_index, rejections, redrawn in sorted(results):

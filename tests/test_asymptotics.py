@@ -9,7 +9,8 @@ from zicount import (CountSample, DegenerateSampleError, ExpansionInputs,
                      expansion_inputs, loglik_derivatives,
                      posterior_prob_positive_factorized,
                      posterior_tail_expansion, sample_values, uniformity_check)
-from zicount.asymptotics import beta_moment_fit
+from zicount.asymptotics import (BetaCalibration, _correction_terms,
+                                 beta_moment_fit)
 from zicount.distributions import _log_likelihood
 
 from conftest import fd_hessian, fd_third
@@ -125,6 +126,18 @@ class TestPosteriorTailExpansion:
         assert posterior_tail_expansion(synthetic_inputs(third_scale=0.3),
                                         0.0, n) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("third_scale", [0.0, 0.3, 50.0])
+    def test_matches_scipy_stats_normal_exactly(self, third_scale):
+        inputs = synthetic_inputs(third_scale=third_scale)
+        g1, g3 = _correction_terms(inputs)
+        for n in (25, 100, 400):
+            for eta10 in (-5.0, -0.3, -0.01, 0.0, 0.05, 0.2, 5.0):
+                w = math.sqrt(n / 2.0) * eta10
+                value = (stats.norm.cdf(w) - stats.norm.pdf(w)
+                         * (g1 + g3 * (w * w - 1.0)) / math.sqrt(n))
+                expected = float(min(max(value, 0.0), 1.0))
+                assert posterior_tail_expansion(inputs, eta10, n) == expected
+
     def test_clipped_to_unit_interval(self):
         inputs = synthetic_inputs(third_scale=50.0)
         assert 0.0 <= posterior_tail_expansion(inputs, -5.0, 25) <= 1.0
@@ -199,6 +212,13 @@ class TestBetaCalibration:
         assert abs(cal.beta_hat - 1.0) < 0.25
         cutoff = cal.cutoff(0.05)
         assert 0.9 < cutoff < 0.99
+
+    def test_cutoff_matches_scipy_stats_beta_exactly(self):
+        rng = np.random.default_rng(11)
+        for a, b in zip(rng.uniform(0.3, 3.0, 200), rng.uniform(0.3, 3.0, 200)):
+            cal = BetaCalibration(float(a), float(b), 50, Family.POISSON, 1.0)
+            for alpha in (0.1, 0.05, 0.01, 0.001):
+                assert cal.cutoff(alpha) == float(stats.beta.ppf(1.0 - alpha, a, b))
 
     def test_approaches_uniform_as_n_grows(self):
         small = beta_calibration(Family.POISSON, 1.0, 50, reps=2500, B=0, seed=7)

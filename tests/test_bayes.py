@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from zicount import (CountSample, DegenerateSampleError, Family, IntervalKind,
                      PriorKind, PriorSpec, ZipsModel, bayes_factor_positive,
@@ -12,7 +12,8 @@ from zicount import (CountSample, DegenerateSampleError, Family, IntervalKind,
                      posterior_prob_positive, posterior_prob_positive_factorized,
                      posterior_prob_positive_quadrature, prior_density,
                      sample_values)
-from zicount.bayes import _zip_theta_inverse_cdf
+from zicount import bayes
+from zicount.bayes import _theta_range, _zip_theta_inverse_cdf
 
 from conftest import PosteriorOracle, fd_gradient, zip_theta_rejection_draws
 
@@ -186,6 +187,25 @@ class TestPosteriorProbPositive:
         geo = CountSample({0: 22, 1: 9, 2: 4, 4: 1})
         assert posterior_prob_positive_factorized(Family.GEOMETRIC, geo) == pytest.approx(
             posterior_prob_positive_quadrature(Family.GEOMETRIC, geo), abs=1e-8)
+
+    GEOMETRIC_SAMPLES = ({0: 22, 1: 9, 2: 4, 4: 1}, {0: 1, 1: 40},
+                         {0: 5, 7: 3, 20: 1}, {0: 200, 2: 200}, {0: 3, 1: 1})
+
+    def test_geometric_brackets_match_scipy_stats_beta_exactly(self, monkeypatch):
+        for table in self.GEOMETRIC_SAMPLES:
+            cs = CountSample(table)
+            m = cs.n - cs.n0
+            a, b = cs.s - m + 0.5, max(m, 1)
+            assert _theta_range(Family.GEOMETRIC, cs) == (
+                max(stats.beta.ppf(1e-14, a, b), 1e-9),
+                min(stats.beta.isf(1e-14, a, b), 1.0 - 1e-9))
+        # the factorized bracket: the same T with the Beta quantiles taken
+        # from scipy.stats
+        shipped = [posterior_prob_positive_factorized(Family.GEOMETRIC, CountSample(t))
+                   for t in self.GEOMETRIC_SAMPLES]
+        monkeypatch.setattr(bayes, "special", _StatsBetaQuantiles())
+        assert shipped == [posterior_prob_positive_factorized(Family.GEOMETRIC, CountSample(t))
+                           for t in self.GEOMETRIC_SAMPLES]
 
     def test_symmetric_case_is_one_half(self):
         # zero mass symmetric about one half on the pstar scale, with the
@@ -369,3 +389,18 @@ class _nullcontext:
 
     def __exit__(self, *args):
         return False
+
+
+class _StatsBetaQuantiles:
+    """``scipy.special`` with the Beta quantiles taken from ``scipy.stats``."""
+
+    def __getattr__(self, name):
+        return getattr(special, name)
+
+    @staticmethod
+    def betaincinv(a, b, q):
+        return stats.beta.ppf(q, a, b)
+
+    @staticmethod
+    def betainccinv(a, b, q):
+        return stats.beta.isf(q, a, b)

@@ -8,7 +8,7 @@ from zicount import (CountSample, Family, Parametrization, ParameterRangeError,
                      ZipsModel, fisher_info, fisher_info_orthogonal, from_pstar,
                      log_likelihood, log_pmf, loglik_derivatives, p_lower, pmf,
                      sample, to_pstar)
-from zicount.distributions import _log_likelihood
+from zicount.distributions import _log_likelihood, _poisson_tail_bound
 
 from conftest import fd_hessian
 
@@ -139,6 +139,15 @@ class TestNormalizationAndMean:
             ys = np.arange(upper + 1)
             mean = float((ys * np.exp(log_pmf(model, ys))).sum())
             assert mean == pytest.approx(model.mean(), abs=1e-8)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-9, 1e-12, 1e-16])
+    def test_poisson_tail_bound_matches_scipy_stats_isf(self, eps):
+        # the pdtrik/pdtr rule is scipy.stats' own poisson.isf, bit for bit
+        thetas = np.exp(np.random.default_rng(3).uniform(
+            math.log(1e-6), math.log(700.0), 400))
+        for theta in (*thetas, 1e-6, 0.5, 1.0, 700.0):
+            expected = int(stats.poisson.isf(eps, theta)) + 2
+            assert _poisson_tail_bound(float(theta), eps) == expected
 
 
 class TestFisherInformation:

@@ -8,7 +8,8 @@ from zicount import (CountSample, DegenerateSampleError, Family, Sidedness,
                      TestMethod, ZipsModel, log_likelihood, lr_test, mle_full,
                      mle_null, sample_values, score_test)
 from zicount.distributions import _log_likelihood
-from zicount.frequentist import (_lr_statistic_stats, _mle_full_stats,
+from zicount.frequentist import (_alpha_cutoffs, _build_report,
+                                 _lr_statistic_stats, _mle_full_stats,
                                  _score_statistic, gradient_norm_at)
 
 
@@ -162,6 +163,28 @@ class TestScoreTest:
     def test_degenerate_propagates(self):
         with pytest.raises(DegenerateSampleError):
             score_test(Family.POISSON, CountSample({0: 4}))
+
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.05, 0.01, 1e-6])
+    def test_report_matches_scipy_stats_exactly(self, alpha):
+        z_cut = stats.norm.ppf(1.0 - alpha)
+        chi_cut = stats.chi2.ppf(1.0 - alpha, 1)
+        assert _alpha_cutoffs(alpha) == (float(z_cut), float(chi_cut))
+        # statistics at and one ulp around both cutoffs, plus a spread
+        stats_grid = [0.0, 1e-12, 1e-3, 0.5, 2.7, 15.34, 30.56, 80.0, 700.0,
+                      z_cut ** 2, float(chi_cut)]
+        stats_grid += [float(np.nextafter(x, up)) for x in stats_grid[-2:]
+                       for up in (0.0, math.inf)]
+        for stat in stats_grid:
+            for sign in (1.0, -1.0, 0.0):
+                one = _build_report(TestMethod.SCORE, stat, sign, alpha,
+                                    Sidedness.ONE_SIDED)
+                assert one.p_value == float(stats.norm.sf(one.signed_root))
+                assert one.reject == bool(one.signed_root > z_cut)
+                two = _build_report(TestMethod.LR, stat, sign, alpha,
+                                    Sidedness.TWO_SIDED)
+                assert two.p_value == float(stats.chi2.sf(stat, 1))
+                assert two.reject == bool(stat > chi_cut)
 
 
 class TestLrTest:

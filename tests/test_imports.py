@@ -1,0 +1,67 @@
+"""Import weight of the package and of the light CLI commands.
+
+``tests/conftest.py`` imports ``scipy.stats`` into the test process, so each
+check runs in a fresh interpreter and reports what that interpreter loaded.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# modules that cost start-up time and that the light commands never use
+HEAVY = ("scipy.stats", "scipy.integrate", "scipy.interpolate",
+         "scipy.optimize", "concurrent.futures.process")
+
+LIGHT_COMMANDS = (
+    ["--version"],
+    ["test", "--dataset", "uti", "--method", "score"],
+    ["test", "--dataset", "uti", "--method", "lr"],
+    ["interval", "--dataset", "uti", "--model", "geometric"],
+)
+
+PROBE = """
+import contextlib, io, json, sys
+heavy = json.loads(sys.argv[1])
+loaded = lambda: [name for name in heavy if name in sys.modules]
+from zicount.cli import main
+found = {"import": loaded()}
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --version exits from argparse
+            code = exc.code
+    found[" ".join(argv)] = [code, loaded()]
+print(json.dumps(found))
+"""
+
+
+def _probe(commands) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(HEAVY), json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def probed():
+    return _probe(list(LIGHT_COMMANDS))
+
+
+def test_package_import_loads_no_heavy_module(probed):
+    assert probed["import"] == []
+
+
+@pytest.mark.parametrize("argv", LIGHT_COMMANDS, ids=" ".join)
+def test_light_command_loads_no_heavy_module(probed, argv):
+    code, loaded = probed[" ".join(argv)]
+    assert code == 0
+    assert loaded == []

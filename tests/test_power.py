@@ -25,6 +25,18 @@ class TestRunPowerStudy:
         assert sequential.cells == parallel.cells
         assert sequential.redraws == parallel.redraws
 
+    def test_progress_with_workers(self, capsys):
+        config = small_grid(ps=(0.0, 0.3), reps=100, draws=200,
+                            methods=(Method.SCORE_ONE, Method.LR_ONE))
+        parallel = run_power_study(config, n_jobs=2, progress=True)
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert all(line.strip().startswith("done theta=") for line in lines)
+        assert {line.rsplit(" ", 1)[1] for line in lines} == {"[1/2]", "[2/2]"}
+        sequential = run_power_study(config, n_jobs=1)
+        assert parallel.cells == sequential.cells
+        assert parallel.redraws == sequential.redraws
+
     def test_deterministic_given_seed(self):
         config = small_grid()
         assert run_power_study(config).cells == run_power_study(config).cells
