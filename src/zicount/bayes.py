@@ -4,12 +4,11 @@ The working prior is the conditional Jeffreys prior for the weight p at fixed
 theta (proper over the extended weight range, where it is a Beta(1/2, 1/2)
 law on the zero-probability scale) times the Jeffreys prior for theta from
 the non-inflated family.  Under the orthogonal coordinates
-``pstar = p + (1 - p) * f0(theta)`` the posterior factorizes:
-
-* ``pstar | y ~ Beta(n0 + 1/2, n - n0 + 1/2)`` for both families;
-* Poisson: ``theta | y`` has density proportional to
-  ``(exp(-theta) / (1 - exp(-theta)))**(n - n0) * theta**(s - 1/2)``;
-* geometric: ``theta | y ~ Beta(s - (n - n0) + 1/2, n - n0)``.
+``pstar = p + (1 - p) * f0(theta)`` the posterior factorizes into
+``pstar | y ~ Beta(n0 + 1/2, n - n0 + 1/2)`` and a theta law with density
+proportional to ``theta**s / (c(theta) - 1)**(n - n0)`` times the theta
+prior.  One rule, ``_ThetaPosterior``, handles the theta law for both
+families and serves factorized T, posterior draws and the 2-D oracle.
 
 The test statistic is the posterior probability of positive weight,
 ``T(Y) = P(p > 0 | Y)``, estimated either by a self-normalized importance
@@ -20,6 +19,7 @@ which serves as the deterministic oracle for the Monte Carlo estimate.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,8 +33,6 @@ from .distributions import CountSample, Family, _log_a_sum, p_lower
 from .errors import DegenerateSampleError, ParameterRangeError, QuadratureError
 
 DEFAULT_DRAWS = 10_000
-_THETA_GRID_SIZE = 4096
-_TAIL_LOG_CUTOFF = math.log(1e-16)
 
 
 class PriorKind(Enum):
@@ -186,48 +184,90 @@ def _log_prior_pstar(spec: PriorSpec, pstar, theta):
 
 
 # ---------------------------------------------------------------------------
-# posterior sampling
+# the theta posterior and posterior sampling
 
 
-def _zip_theta_log_kernel(theta, m: int, s: float):
-    theta = np.asarray(theta, dtype=float)
-    return (-m * theta - m * np.log(-np.expm1(-theta))
-            + (s - 0.5) * np.log(theta))
+class _ThetaPosterior:
+    """Posterior law of ``u = log(theta)`` under the conditional Jeffreys prior.
 
-
-def _zip_theta_bracket(m: int, s: float) -> tuple[float, float, float]:
-    """Mode and a (lo, hi) range holding all but ~1e-16 of the mass."""
-    ratio = (s - 0.5) / m
-    if ratio > 1.0:
-        phi = lambda t: t / -math.expm1(-t) - ratio
-        hi0 = max(2.0 * ratio, 10.0)
-        mode = scipy.optimize.brentq(phi, 1e-10, hi0, xtol=1e-12)
-    else:
-        mode = 1e-10  # mass piles up against zero; kernel ~ theta**(-1/2)
-    ref = float(_zip_theta_log_kernel(max(mode, 1e-10), m, s))
-    lo = mode / 2.0 if mode > 1e-9 else 1e-12
-    while lo > 1e-280 and _zip_theta_log_kernel(lo, m, s) > ref + _TAIL_LOG_CUTOFF:
-        lo /= 2.0
-    hi = max(2.0 * mode, 1.0)
-    while _zip_theta_log_kernel(hi, m, s) > ref + _TAIL_LOG_CUTOFF:
-        hi *= 1.5
-    return mode, lo, hi
-
-
-def _zip_theta_inverse_cdf(m: int, s: float):
-    """Tabulated inverse CDF of the Poisson-case theta posterior.
-
-    A 4096-point grid spans the bracketed range; the CDF comes from
-    trapezoidal accumulation and is inverted with a monotone spline.
+    With ``pstar`` integrated out, ``m`` positive counts summing to ``s``
+    leave the kernel ``theta**s / (c(theta) - 1)**m`` times the Jeffreys
+    prior, times ``theta`` in u, where it is log-concave for both families:
+    the all-ones pole ``theta**(-1/2)`` becomes an exponential tail and
+    geometric mass at ``theta = 1`` a finite end ``top``.  ``[lo, hi]``
+    widens from the Laplace 1e-16 points until the density is below 1e-16
+    of its peak, clipped at ``top``.
     """
-    _, lo, hi = _zip_theta_bracket(m, s)
-    grid = np.linspace(lo, hi, _THETA_GRID_SIZE)
-    logk = _zip_theta_log_kernel(grid, m, s)
-    dens = np.exp(logk - logk.max())
-    cdf = scipy.integrate.cumulative_trapezoid(dens, grid, initial=0.0)
-    cdf /= cdf[-1]
-    keep = np.concatenate(([True], np.diff(cdf) > 0.0))
-    return scipy.interpolate.PchipInterpolator(cdf[keep], grid[keep])
+
+    legendre = staticmethod(functools.cache(special.roots_legendre))
+
+    def __init__(self, family: Family, m: int, s: float):
+        self.series, self.m, self.s = family._series, m, s
+        self.top = top = math.log(self.series.theta_max)
+        mode, sd = self._mode()
+        self.mode, self.peak = mode, float(self.log_density(mode)[0])
+        floor = self.peak + math.log(1e-16)
+        below = above = math.sqrt(-2.0 * math.log(1e-16)) * (sd or 1.0)
+        while self.log_density(mode - below)[0] > floor:
+            below *= 1.25
+        while mode + above < top and self.log_density(mode + above)[0] > floor:
+            above *= 1.25
+        self.lo, self.hi = mode - below, min(mode + above, top)
+        self.cuts = [self.lo, self.hi] if sd is None else [self.lo, mode, self.hi]
+
+    def log_density(self, u):
+        """Log density of u up to a constant, and ``f0`` at ``exp(u)``."""
+        theta = np.exp(u)
+        log_c = self.series.log_c(theta)
+        return ((self.s + 1.0) * u - self.m * (log_c + np.log(-np.expm1(-log_c)))
+                + self.series.log_jeffreys(theta)), np.exp(-log_c)
+
+    def _mode(self) -> tuple[float, float | None]:
+        """Mode of u and its Laplace standard deviation (None at ``top``), by
+        Newton steps on the score, bisecting its sign-change bracket."""
+        series, m, s, top = self.series, self.m, self.s, self.top
+
+        def score(u):
+            theta = math.exp(u)
+            return (s + 1.0 + theta * series.dlog_jeffreys(theta) - m * theta
+                    * series.log_c_derivs(theta)[0] / -math.expm1(-series.log_c(theta)))
+
+        if math.isfinite(top) and score(top - 1e-12) >= 0.0:
+            return top - 1e-12, None
+        lo, hi, u = -math.inf, top, math.log(series.theta_from_mean((s + 0.5) / m - 1.0))
+        for _ in range(100):
+            h = 1e-6 * min(1.0, top - u)
+            g_up, g_down = score(u + h), score(u - h)
+            g, slope = 0.5 * (g_up + g_down), (g_up - g_down) / (2.0 * h)
+            lo, hi = (u, hi) if g > 0.0 else (lo, u)
+            step = -g / slope if slope < 0.0 else math.copysign(2.0, g)
+            new = u + max(-2.0, min(2.0, step))
+            new = new if lo < new < hi else 0.5 * (lo + hi)
+            if slope < 0.0 and abs(new - u) * math.sqrt(-slope) < 1e-4:
+                break  # quadratic convergence leaves far less than this
+            u = new
+        return new, (1.0 / math.sqrt(-slope) if slope < 0.0 else None)
+
+    def nodes(self, cuts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """64 Gauss-Legendre nodes u per panel between ``cuts``, weights
+        times the density relative to the mode, and ``f0``.  A panel ending
+        at ``top`` maps ``u = b - (b - a) t**2`` first: half-integer powers
+        of ``top - u`` (the Beta tail as ``f0 -> 0``) become polynomials."""
+        x, gl = self.legendre(64)
+        t = 0.5 * (1.0 + x)
+        us, jacs = zip(*((0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * gl)
+                         if b < self.top else (b - (b - a) * t * t, (b - a) * t * gl)
+                         for a, b in zip(cuts[:-1], cuts[1:])))
+        log_d, f0 = self.log_density(u := np.concatenate(us))
+        return u, np.concatenate(jacs) * np.exp(log_d - self.peak), f0
+
+    def inverse_cdf(self, r: np.ndarray) -> np.ndarray:
+        """Theta at CDF levels ``r``, by linear interpolation in u of a
+        midpoint-rule CDF over 4096 cells of the bracket."""
+        edges = np.linspace(self.lo, self.hi, 4097)
+        log_d, _ = self.log_density(0.5 * (edges[1:] + edges[:-1]))
+        cdf = np.concatenate(([0.0], np.cumsum(np.exp(log_d - self.peak))))
+        return np.exp(np.interp(r, cdf / cdf[-1], edges))
 
 
 def draw_posterior(family: Family, sample: CountSample, B: int = DEFAULT_DRAWS,
@@ -235,30 +275,19 @@ def draw_posterior(family: Family, sample: CountSample, B: int = DEFAULT_DRAWS,
     """Exact joint posterior draws under the conditional Jeffreys prior.
 
     ``pstar`` is Beta-distributed for both families; ``theta`` is drawn by
-    grid inverse-CDF (Poisson) or from its Beta posterior (geometric).  The
-    weight draws are recovered as ``p = (pstar - f0) / (1 - f0)``.
+    tabulated inverse CDF from the same stream.  The weight draws are
+    recovered as ``p = (pstar - f0) / (1 - f0)``.
     """
     if B <= 0:
         raise ValueError("B must be positive")
-    n, n0, s = sample.n, sample.n0, sample.s
-    m = n - n0
-    if n0 == 0 or n0 == n:
+    n0, m = sample.n0, sample.n - sample.n0
+    if n0 == 0 or m == 0:
         raise DegenerateSampleError(
             "posterior sampling needs both zero and positive counts")
-    if s == m:
-        warnings.warn("all positive counts equal one; theta posterior is "
-                      "unbounded at zero and draws may be inaccurate",
-                      stacklevel=2)
     rng = np.random.default_rng(seed)
     pstar = rng.beta(n0 + 0.5, m + 0.5, B)
-    if family is Family.POISSON:
-        inv_cdf = _zip_theta_inverse_cdf(m, s)
-        theta = np.asarray(inv_cdf(rng.random(B)))
-        f0 = np.exp(-theta)
-    else:
-        theta = rng.beta(s - m + 0.5, m, B)
-        f0 = 1.0 - theta
-    p = (pstar - f0) / (1.0 - f0)
+    theta = _ThetaPosterior(family, m, sample.s).inverse_cdf(rng.random(B))
+    p = (pstar - family.f0(theta)) / -np.expm1(-family._series.log_c(theta))
     return PosteriorDraws(family=family, pstar=pstar, theta=theta, p=p,
                           weights=np.ones(B), seed=seed, B=B)
 
@@ -342,13 +371,14 @@ def _log_kernel_in_p(family: Family, sample: CountSample, prior: PriorSpec,
     Both are ``(n0 - 1/2) log(f0 + p (1 - f0)) + k log(1 - p)`` plus terms
     in theta alone (``log c``, ``s log theta``, ``sum log a_y`` and the
     theta prior factor), which are summed here once.  Valid inside the
-    quadrature's p window, which stays clear of the endpoints.
+    quadrature's p window, which stays clear of the endpoints; returned
+    with the lower endpoint of the weight range, ``-f0 / (1 - f0)``.
     """
     series = family._series
     n0, m = sample.n0, sample.n - sample.n0
     f0 = series.f0(theta)
     log_c = series.log_c(theta)
-    log_om = math.log(-math.expm1(-log_c))
+    log_om = math.log(om := -math.expm1(-log_c))
     const = -m * log_c + sample.s * math.log(theta) + _log_a_sum(family, sample)
     if prior.kind is PriorKind.CONDITIONAL_JEFFREYS:
         const += -math.log(math.pi) + 0.5 * log_om + series.log_jeffreys(theta)
@@ -356,18 +386,8 @@ def _log_kernel_in_p(family: Family, sample: CountSample, prior: PriorSpec,
     else:
         const += log_om + 0.5 * math.log(series.trunc_info(theta))
         k = m
-    om = 1.0 - f0
-    return lambda p: (n0 - 0.5) * math.log(f0 + p * om) + k * math.log1p(-p) + const
-
-
-def _theta_range(family: Family, sample: CountSample) -> tuple[float, float]:
-    m = sample.n - sample.n0
-    if family is Family.POISSON:
-        _, lo, hi = _zip_theta_bracket(m, sample.s)
-        return max(lo, 1e-8), hi
-    lo = special.betaincinv(sample.s - m + 0.5, max(m, 1), 1e-14)
-    hi = special.betainccinv(sample.s - m + 0.5, max(m, 1), 1e-14)
-    return max(lo, 1e-9), min(hi, 1.0 - 1e-9)
+    return -f0 / om, lambda p: ((n0 - 0.5) * math.log(f0 + p * om)
+                                + k * math.log1p(-p) + const)
 
 
 def _log_wedge_integral(family: Family, sample: CountSample, prior: PriorSpec,
@@ -378,62 +398,51 @@ def _log_wedge_integral(family: Family, sample: CountSample, prior: PriorSpec,
     over p from the extended lower endpoint (or zero) to one, by nested
     adaptive quadrature.  Returns the log value and a relative error bound.
     """
-    t_lo, t_hi = _theta_range(family, sample)
+    theta_max = family._series.theta_max
+    edge = theta_max * (1.0 - 1e-12)
+    rule = _ThetaPosterior(family, sample.n - sample.n0, sample.s)
+    t_lo, t_hi = math.exp(rule.lo), min(math.exp(rule.hi), edge)
 
-    def p_window(theta: float) -> tuple[float, float]:
-        lo = p_lower(family, theta)
+    def window(theta: float):
+        lo, log_k = _log_kernel_in_p(family, sample, prior, theta)
         eps = 1e-13 * max(1.0, abs(lo))
         start = 0.0 + 1e-300 if positive_only else lo + eps
-        return max(start, lo + eps), 1.0 - 1e-13
+        return max(start, lo + eps), 1.0 - 1e-13, log_k
 
     # scale constant from a coarse mesh so the integrand stays O(1)
-    t_mesh = np.linspace(t_lo, t_hi, 48)
     big = -math.inf
-    for t in t_mesh:
-        a, b = p_window(float(t))
-        log_k = _log_kernel_in_p(family, sample, prior, float(t))
+    for t in np.linspace(t_lo, t_hi, 48):
+        a, b, log_k = window(float(t))
         for q in np.linspace(a + 1e-9, b - 1e-9, 32):
             big = max(big, log_k(float(q)))
     if not math.isfinite(big):
         raise QuadratureError("posterior kernel vanished on the search mesh")
 
     def inner(theta: float) -> float:
-        a, b = p_window(theta)
+        a, b, log_k = window(theta)
         if a >= b:
             return 0.0
-        log_k = _log_kernel_in_p(family, sample, prior, theta)
         val, _ = scipy.integrate.quad(lambda q: math.exp(log_k(q) - big), a, b,
                                       epsabs=1e-13, epsrel=1e-10, limit=200)
         return val
 
-    # widen the theta range until the profile is negligible at both ends
-    peak = inner(0.5 * (t_lo + t_hi))
+    # widen toward 0 and theta_max until the profile per unit of u = log(theta),
+    # where a theta**(-1/2) pole is a smooth tail, is negligible at both ends
+    profile = lambda u: math.exp(u) * inner(math.exp(u))
+    u_lo, u_hi, peak = rule.lo, math.log(t_hi), profile(min(rule.mode, math.log(edge)))
     for _ in range(60):
-        if inner(t_lo) < 1e-14 * peak or t_lo < 1e-8:
+        if profile(u_lo) >= 1e-14 * peak:
+            u_lo -= 1.0
+        elif t_hi < edge and profile(u_hi) >= 1e-14 * peak:
+            t_hi = min(1.5 * t_hi, 0.5 * (t_hi + theta_max), edge)
+            u_hi = math.log(t_hi)
+        else:
             break
-        t_lo = max(t_lo / 2.0, 1e-12)
-    for _ in range(60):
-        if inner(t_hi) < 1e-14 * peak:
-            break
-        t_hi = t_hi * 1.5 if family is Family.POISSON else 0.5 * (t_hi + 1.0)
-        if family is Family.GEOMETRIC and t_hi > 1.0 - 1e-12:
-            t_hi = 1.0 - 1e-12
-            break
-
-    value, err = scipy.integrate.quad(inner, t_lo, t_hi,
+    value, err = scipy.integrate.quad(profile, u_lo, u_hi,
                                       epsabs=1e-13, epsrel=1e-10, limit=200)
     if value <= 0.0:
         raise QuadratureError("posterior integral evaluated to zero")
     return math.log(value) + big, err / value
-
-
-_GL_CACHE: dict = {}
-
-
-def _gauss_legendre(order: int = 256):
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
 
 
 def posterior_prob_positive_factorized(family: Family,
@@ -442,32 +451,24 @@ def posterior_prob_positive_factorized(family: Family,
 
     Under the conditional Jeffreys prior, ``T = E[SF(f0(theta))]`` where the
     survival function is that of the Beta posterior of the zero probability
-    and the expectation runs over the theta posterior.  Much faster than the
+    and the expectation runs over the theta posterior, in Gauss-Legendre
+    panels of ``u = log(theta)`` that meet at its mode.  Much faster than the
     two-dimensional oracle and far more accurate than the importance sampler
     for large samples, where the sampler's proposal drifts away from the
     posterior.
     """
-    n, n0, s = sample.n, sample.n0, sample.s
-    m = n - n0
-    if s == 0 or n0 == n:
+    n0, m = sample.n0, sample.n - sample.n0
+    if sample.s == 0 or m == 0:
         raise DegenerateSampleError("all counts zero: T(Y) undefined")
-    nodes, gl_weights = _gauss_legendre()
-    if family is Family.POISSON:
-        _, lo, hi = _zip_theta_bracket(m, s)
-        t = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        logk = _zip_theta_log_kernel(t, m, s)
-        f0 = np.exp(-t)
-    else:
-        lo = float(special.betaincinv(s - m + 0.5, m, 1e-15))
-        hi = float(special.betainccinv(s - m + 0.5, m, 1e-15))
-        t = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        logk = (s - m - 0.5) * np.log(t) + (m - 1.0) * np.log1p(-t)
-        f0 = 1.0 - t
-    w = gl_weights * np.exp(logk - logk.max())
-    # Beta(n0 + 1/2, m + 1/2) survival function via the regularized
-    # incomplete beta, cheaper than the frozen-distribution call
-    tail = special.betainc(m + 0.5, n0 + 0.5, 1.0 - f0)
-    return float(np.sum(w * tail) / np.sum(w))
+    # P(pstar > f0) rises across the Beta bulk of pstar: a narrow rise gets a panel
+    rule = _ThetaPosterior(family, m, sample.s)
+    a, b = n0 + 0.5, m + 0.5
+    u, w, f0 = rule.nodes(rule.cuts)
+    rise_lo = u[f0 >= special.betainccinv(a, b, 1e-17)].max(initial=rule.lo)
+    rise_hi = u[f0 <= special.betaincinv(a, b, 1e-17)].min(initial=rule.hi)
+    if rise_hi - rise_lo < 0.5 * (rule.hi - rule.lo):
+        u, w, f0 = rule.nodes(sorted({*rule.cuts, rise_lo, rise_hi}))
+    return float(np.sum(w * (1.0 - special.betainc(a, b, f0))) / np.sum(w))
 
 
 def posterior_prob_positive_quadrature(family: Family, sample: CountSample,

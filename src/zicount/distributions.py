@@ -129,7 +129,7 @@ _GEOMETRIC = _PowerSeries(
     theta_max=1.0,
     f0=lambda t: 1.0 - t,
     f0_derivs=lambda t: (-1.0, 0.0, 0.0),
-    log_c=lambda t: -math.log1p(-t),
+    log_c=lambda t: -np.log1p(-t) if isinstance(t, np.ndarray) else -math.log1p(-t),
     log_c_derivs=lambda t: (1.0 / (1.0 - t), 1.0 / (1.0 - t) ** 2,
                             2.0 / (1.0 - t) ** 3),
     log_a=lambda y: 0.0,
@@ -172,7 +172,7 @@ class Family(Enum):
     * ``log_jeffreys`` and ``dlog_jeffreys``: the log of the family's
       Jeffreys prior for theta, ``sqrt(i(theta))``, and its derivative.
 
-    ``f0``, ``trunc_info`` and ``log_jeffreys`` also accept numpy arrays.
+    ``f0``, ``log_c``, ``trunc_info`` and ``log_jeffreys`` take arrays too.
     """
 
     POISSON = "poisson", _POISSON

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
 
-from zicount import CountSample, SamplerError
-from zicount import bayes
+from zicount import CountSample, Family, SamplerError
 
 
 @pytest.fixture(scope="session")
@@ -78,46 +77,102 @@ def fd_third(hess_fn, x, h=5e-4):
 
 
 class PosteriorOracle:
-    """Exact posterior quantities for the Poisson family via 1-D quadrature.
+    """Exact posterior quantities via 1-D adaptive quadrature over theta.
 
     Uses the factorization of the posterior under the conditional Jeffreys
     prior: the zero probability is Beta(n0 + 1/2, n - n0 + 1/2) independent
-    of theta, whose posterior kernel is integrated adaptively here.
+    of theta, whose posterior kernel is integrated adaptively here.  The
+    range is Laplace-sized, the mode plus and minus 15 standard deviations,
+    widened until the kernel is below 1e-22 of its peak.  When every
+    positive count is one the theta kernel has a ``theta**(-1/2)`` pole at
+    zero, so the integration variable is ``x = sqrt(theta)``; otherwise it
+    is theta itself.
     """
 
-    def __init__(self, sample: CountSample):
+    def __init__(self, sample: CountSample, family: Family = Family.POISSON):
         self.n, self.n0, self.s = sample.n, sample.n0, sample.s
-        self.m = self.n - self.n0
-        ratio = (self.s - 0.5) / self.m
-        mode = optimize.brentq(lambda t: t / -math.expm1(-t) - ratio,
-                               1e-9, max(3.0 * ratio, 10.0))
-        self._scale = self._logk(mode)
-        lo, hi = mode / 2.0, max(2.0 * mode, 1.0)
-        while lo > 1e-12 and self._logk(lo) - self._scale > math.log(1e-18):
-            lo /= 2.0
-        while self._logk(hi) - self._scale > math.log(1e-18):
-            hi *= 1.5
-        self.lo, self.hi = lo, hi
+        self.m = m = self.n - self.n0
+        s = self.s
+        if family is Family.POISSON:
+            self._f0 = lambda t: math.exp(-t)
+            logk = lambda t: -m * t - m * math.log(-math.expm1(-t)) + (s - 0.5) * math.log(t)
+            dlogk = lambda t: (s - 0.5) / t - m / -math.expm1(-t)
+            upper, start_hi = math.inf, 10.0 * s / m + 10.0
+        else:
+            a, b = s - m + 0.5, m
+            self._f0 = lambda t: 1.0 - t
+            logk = lambda t: (a - 1.0) * math.log(t) + (b - 1.0) * math.log1p(-t)
+            dlogk = lambda t: (a - 1.0) / t - (b - 1.0) / (1.0 - t)
+            upper, start_hi = 1.0, 1.0 - 1e-12
+        self._root = s == m
+        if self._root:
+            self._theta = lambda x: x * x
+            self._logg = lambda x: logk(x * x) + math.log(2.0 * x)
+            dlogg = lambda x: 2.0 * x * dlogk(x * x) + 1.0 / x
+            upper, start_hi = math.sqrt(upper), math.sqrt(start_hi)
+        else:
+            self._theta = lambda x: x
+            self._logg, dlogg = logk, dlogk
+
+        # mode of the integrand, at an end of the range when it is monotone
+        tiny = 1e-150
+        if dlogg(tiny) <= 0.0:
+            mode, inside = 0.0, tiny
+            curvature = dlogg(1e-4) / 1e-4
+        elif dlogg(start_hi) >= 0.0:
+            mode, inside, curvature = upper, start_hi, 0.0
+        else:
+            mode = inside = optimize.brentq(dlogg, tiny, start_hi, xtol=1e-15, rtol=1e-15)
+            h = 1e-6 * mode
+            curvature = (dlogg(mode + h) - dlogg(mode - h)) / (2.0 * h)
+        sd = 1.0 / math.sqrt(-curvature) if curvature < 0.0 else start_hi
+        self._peak = self._logg(inside)
+        lo, hi = max(mode - 15.0 * sd, 0.0), min(mode + 15.0 * sd, upper)
+        while lo > 0.0 and self._logg(lo) - self._peak > -50.0:
+            lo = max(mode - 1.5 * (mode - lo), 0.0)
+        while hi < upper and self._logg(hi) - self._peak > -50.0:
+            hi = min(mode + 1.5 * (hi - mode), upper)
+        self.lo, self.hi, self._mode = lo, hi, mode
         self.norm = self._quad(lambda t: 1.0)
 
-    def _logk(self, t):
-        return (-self.m * t - self.m * math.log(-math.expm1(-t))
-                + (self.s - 0.5) * math.log(t))
-
-    def _quad(self, g):
-        f = lambda t: math.exp(self._logk(t) - self._scale) * g(t)
-        return integrate.quad(f, self.lo, self.hi, limit=400)[0]
+    def _quad(self, g, lo=None, hi=None, epsabs=0.0):
+        lo = self.lo if lo is None else lo
+        hi = self.hi if hi is None else hi
+        f = lambda x: math.exp(self._logg(x) - self._peak) * g(self._theta(x))
+        points = [self._mode] if lo < self._mode < hi else None
+        return integrate.quad(f, lo, hi, points=points, limit=500,
+                              epsabs=epsabs, epsrel=1e-12)[0]
 
     def theta_mean(self):
         return self._quad(lambda t: t) / self.norm
 
+    def theta_cdf(self, theta):
+        """Posterior CDF of theta, vectorized by summing the quadratures
+        between consecutive sorted points."""
+        theta = np.asarray(theta, dtype=float)
+        x = np.sqrt(theta) if self._root else theta
+        x = np.clip(x, self.lo, self.hi)
+        order = np.argsort(x, axis=None)
+        edges = np.concatenate(([self.lo], x.ravel()[order]))
+        pieces = [self._quad(lambda t: 1.0, a, b, 1e-10 * self.norm) if b > a else 0.0
+                  for a, b in zip(edges[:-1], edges[1:])]
+        out = np.empty(x.size)
+        out[order] = np.cumsum(pieces) / self.norm
+        return out.reshape(x.shape)
+
+    def theta_quantile(self, q):
+        x = optimize.brentq(lambda x: self._quad(lambda t: 1.0, self.lo, x) / self.norm - q,
+                            self.lo, self.hi, xtol=1e-14, rtol=1e-12)
+        return self._theta(x)
+
     def prob_positive(self):
-        g = lambda t: stats.beta.sf(math.exp(-t), self.n0 + 0.5, self.m + 0.5)
+        g = lambda t: stats.beta.sf(self._f0(t), self.n0 + 0.5, self.m + 0.5)
         return self._quad(g) / self.norm
 
     def p_cdf(self, x):
-        g = lambda t: stats.beta.cdf(math.exp(-t) + x * (1.0 - math.exp(-t)),
-                                     self.n0 + 0.5, self.m + 0.5)
+        def g(t):
+            f0 = self._f0(t)
+            return stats.beta.cdf(f0 + x * (1.0 - f0), self.n0 + 0.5, self.m + 0.5)
         return self._quad(g) / self.norm
 
     def p_quantile(self, q):
@@ -126,7 +181,7 @@ class PosteriorOracle:
 
     def p_density(self, x):
         def g(t):
-            f0 = math.exp(-t)
+            f0 = self._f0(t)
             return (1.0 - f0) * stats.beta.pdf(f0 + x * (1.0 - f0),
                                                self.n0 + 0.5, self.m + 0.5)
         return self._quad(g) / self.norm
@@ -136,7 +191,7 @@ def zip_theta_rejection_draws(rng: np.random.Generator, m: int, s: float,
                               size: int, max_batches: int = 200) -> np.ndarray:
     """Gamma-envelope rejection sampler for the Poisson-case theta posterior.
 
-    Cross-check for the grid inverse-CDF sampler.  The target kernel is the
+    Cross-check for the inverse-CDF theta draws of ``draw_posterior``.  The target kernel is the
     gamma kernel with shape ``s - m + 1/2`` and rate ``m`` times
     ``exp(m * r(theta))`` with ``r = log(theta / (1 - exp(-theta)))``, and r
     is increasing and concave, so bounding it by its tangent at the target
@@ -151,8 +206,12 @@ def zip_theta_rejection_draws(rng: np.random.Generator, m: int, s: float,
         # d/dt log(t / (1 - exp(-t))), in (0, 1/2), decreasing
         return 1.0 / t - math.exp(-t) / -math.expm1(-t)
 
-    mode, _, _ = bayes._zip_theta_bracket(m, s)
-    mode = max(mode, 1e-6)
+    # mode of the theta kernel, or its floor when the mass piles up at zero
+    ratio = (s - 0.5) / m
+    mode = 1e-6
+    if ratio > 1.0:
+        mode = max(optimize.brentq(lambda t: t / -math.expm1(-t) - ratio, 1e-10,
+                                   max(2.0 * ratio, 10.0), xtol=1e-12), mode)
     slope = r_slope(mode)
     rate = m * (1.0 - slope)
     if rate <= 0.0:

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, special, stats
+from scipy import integrate, stats
 
 from zicount import (CountSample, DegenerateSampleError, Family, IntervalKind,
                      PriorKind, PriorSpec, ZipsModel, bayes_factor_positive,
@@ -12,8 +13,6 @@ from zicount import (CountSample, DegenerateSampleError, Family, IntervalKind,
                      posterior_prob_positive, posterior_prob_positive_factorized,
                      posterior_prob_positive_quadrature, prior_density,
                      sample_values)
-from zicount import bayes
-from zicount.bayes import _theta_range, _zip_theta_inverse_cdf
 
 from conftest import PosteriorOracle, fd_gradient, zip_theta_rejection_draws
 
@@ -123,8 +122,7 @@ class TestDrawPosterior:
     def test_rejection_sampler_agrees_with_grid_sampler(self, uti):
         m, s = uti.n - uti.n0, uti.s
         rej = zip_theta_rejection_draws(np.random.default_rng(8), m, s, 30_000)
-        inv = _zip_theta_inverse_cdf(m, s)
-        grid = np.asarray(inv(np.random.default_rng(9).random(30_000)))
+        grid = draw_posterior(Family.POISSON, uti, B=30_000, seed=9).theta
         assert stats.ks_2samp(rej, grid).pvalue > 1e-3
         oracle = PosteriorOracle(uti)
         se = rej.std() / math.sqrt(rej.size)
@@ -155,9 +153,8 @@ class TestPosteriorProbPositive:
             cs = CountSample.from_values(sample_values(model, 60, rng))
             if cs.n0 in (0, cs.n) or cs.s == cs.n - cs.n0:
                 continue
-            import warnings as _warnings
-            with _warnings.catch_warnings(record=True) as caught:
-                _warnings.simplefilter("always")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 est = posterior_prob_positive(Family.POISSON, cs, B=20_000,
                                               seed=len(zs))
             if est.ess < 100.0:
@@ -187,25 +184,6 @@ class TestPosteriorProbPositive:
         geo = CountSample({0: 22, 1: 9, 2: 4, 4: 1})
         assert posterior_prob_positive_factorized(Family.GEOMETRIC, geo) == pytest.approx(
             posterior_prob_positive_quadrature(Family.GEOMETRIC, geo), abs=1e-8)
-
-    GEOMETRIC_SAMPLES = ({0: 22, 1: 9, 2: 4, 4: 1}, {0: 1, 1: 40},
-                         {0: 5, 7: 3, 20: 1}, {0: 200, 2: 200}, {0: 3, 1: 1})
-
-    def test_geometric_brackets_match_scipy_stats_beta_exactly(self, monkeypatch):
-        for table in self.GEOMETRIC_SAMPLES:
-            cs = CountSample(table)
-            m = cs.n - cs.n0
-            a, b = cs.s - m + 0.5, max(m, 1)
-            assert _theta_range(Family.GEOMETRIC, cs) == (
-                max(stats.beta.ppf(1e-14, a, b), 1e-9),
-                min(stats.beta.isf(1e-14, a, b), 1.0 - 1e-9))
-        # the factorized bracket: the same T with the Beta quantiles taken
-        # from scipy.stats
-        shipped = [posterior_prob_positive_factorized(Family.GEOMETRIC, CountSample(t))
-                   for t in self.GEOMETRIC_SAMPLES]
-        monkeypatch.setattr(bayes, "special", _StatsBetaQuantiles())
-        assert shipped == [posterior_prob_positive_factorized(Family.GEOMETRIC, CountSample(t))
-                           for t in self.GEOMETRIC_SAMPLES]
 
     def test_symmetric_case_is_one_half(self):
         # zero mass symmetric about one half on the pstar scale, with the
@@ -237,6 +215,75 @@ class TestPosteriorProbPositive:
     def test_degenerate(self):
         with pytest.raises(DegenerateSampleError):
             posterior_prob_positive(Family.POISSON, CountSample({0: 3}), B=100, seed=0)
+
+
+def _null_sample(family, theta, n):
+    """The first sample of size n from the base family with a positive
+    count, over a fixed sequence of seeds."""
+    for seed in range(100):
+        rng = np.random.default_rng([n, seed])
+        cs = CountSample.from_values(sample_values(ZipsModel(family, 0.0, theta), n, rng))
+        if cs.n0 < cs.n:
+            return cs
+    raise AssertionError("no usable sample")
+
+
+ORACLE_GRID = [(family, theta, n)
+               for family, thetas in ((Family.POISSON, (0.3, 1.0, 8.0)),
+                                      (Family.GEOMETRIC, (0.1, 0.5, 0.9)))
+               for theta in thetas
+               for n in (2, 5, 20, 100, 1_000, 10_000, 100_000, 1_000_000)]
+# every positive count one (a theta**(-1/2) pole at zero), and m = 1
+SMALL_SAMPLES = ({0: 4, 1: 6}, {0: 18, 1: 2}, {0: 3, 1: 1}, {0: 19, 1: 1})
+
+
+class TestThetaPosterior:
+    """The theta-posterior rule behind factorized T, posterior draws and
+    the 2-D oracle's range, against the 1-D quadrature oracle."""
+
+    @pytest.mark.parametrize("family, theta, n", ORACLE_GRID,
+                             ids=lambda v: getattr(v, "value", v))
+    def test_factorized_matches_oracle_on_null_samples(self, family, theta, n):
+        cs = _null_sample(family, theta, n)
+        exact = PosteriorOracle(cs, family).prob_positive()
+        assert abs(posterior_prob_positive_factorized(family, cs) - exact) < 1e-8
+
+    @pytest.mark.parametrize("table", SMALL_SAMPLES, ids=str)
+    @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
+    def test_factorized_matches_oracle_on_small_samples(self, family, table):
+        cs = CountSample(table)
+        exact = PosteriorOracle(cs, family).prob_positive()
+        assert abs(posterior_prob_positive_factorized(family, cs) - exact) < 1e-8
+
+    @pytest.mark.parametrize("table", SMALL_SAMPLES, ids=str)
+    @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
+    def test_quadrature_oracle_matches_1d_oracle(self, family, table):
+        cs = CountSample(table)
+        exact = PosteriorOracle(cs, family).prob_positive()
+        assert abs(posterior_prob_positive_quadrature(family, cs) - exact) < 1e-8
+
+    @pytest.mark.parametrize("n", (10_000, 100_000, 1_000_000))
+    @pytest.mark.parametrize("family, theta", ((Family.POISSON, 1.0),
+                                               (Family.GEOMETRIC, 0.5)),
+                             ids=("poisson", "geometric"))
+    def test_draws_at_large_n(self, family, theta, n):
+        cs = _null_sample(family, theta, n)
+        oracle = PosteriorOracle(cs, family)
+        draws = draw_posterior(family, cs, B=10_000, seed=31)
+        se = draws.theta.std() / math.sqrt(draws.B)
+        assert abs(draws.theta.mean() - oracle.theta_mean()) < 4.0 * se
+        assert stats.kstest(draws.theta, oracle.theta_cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
+    def test_all_ones_draws_match_oracle_quantiles(self, family):
+        cs = CountSample({0: 4, 1: 6})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = draw_posterior(family, cs, B=100_000, seed=32)
+        oracle = PosteriorOracle(cs, family)
+        for q in (0.01, 0.5, 0.99):
+            share = np.mean(draws.theta <= oracle.theta_quantile(q))
+            assert abs(share - q) < 4.0 * math.sqrt(q * (1.0 - q) / draws.B)
 
 
 class TestMarginalDensity:
@@ -389,18 +436,3 @@ class _nullcontext:
 
     def __exit__(self, *args):
         return False
-
-
-class _StatsBetaQuantiles:
-    """``scipy.special`` with the Beta quantiles taken from ``scipy.stats``."""
-
-    def __getattr__(self, name):
-        return getattr(special, name)
-
-    @staticmethod
-    def betaincinv(a, b, q):
-        return stats.beta.ppf(q, a, b)
-
-    @staticmethod
-    def betainccinv(a, b, q):
-        return stats.beta.isf(q, a, b)

@@ -151,6 +151,19 @@ class TestCli:
         assert 0.4 < entry["lower"] < entry["upper"] < 0.8
         assert entry["density_threshold"] > 0
 
+    def test_interval_on_large_count_file(self, tmp_path, capsys):
+        # 20 000 Poisson(1.5) counts with 5% extra zeros, as in the benchmark
+        rng = np.random.default_rng(1)
+        y = rng.poisson(1.5, 20_000)
+        y[rng.random(20_000) < 0.05] = 0
+        path = tmp_path / "counts.txt"
+        path.write_text("\n".join(map(str, y)) + "\n")
+        code = main(["interval", "--data", str(path), "--model", "poisson",
+                     "--seed", "1", "--out", "json"])
+        assert code == 0
+        entry = json.loads(capsys.readouterr().out)["intervals"][0]
+        assert np.isfinite(entry["lower"]) and entry["lower"] < entry["upper"] < 1.0
+
     def test_interval_level_validation(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["interval", "--dataset", "uti", "--level", "1.0"])

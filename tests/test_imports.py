@@ -23,6 +23,8 @@ LIGHT_COMMANDS = (
     ["test", "--dataset", "uti", "--method", "score"],
     ["test", "--dataset", "uti", "--method", "lr"],
     ["interval", "--dataset", "uti", "--model", "geometric"],
+    ["interval", "--dataset", "uti"],
+    ["posterior", "--dataset", "cholera", "--out", "{tmp}/density.csv"],
 )
 
 PROBE = """
@@ -52,8 +54,13 @@ def _probe(commands) -> dict:
 
 
 @pytest.fixture(scope="module")
-def probed():
-    return _probe(list(LIGHT_COMMANDS))
+def probed(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("probe")
+    commands = [[arg.format(tmp=tmp) for arg in argv] for argv in LIGHT_COMMANDS]
+    found = _probe(commands)
+    found.update({" ".join(argv): found[" ".join(command)]
+                  for argv, command in zip(LIGHT_COMMANDS, commands)})
+    return found
 
 
 def test_package_import_loads_no_heavy_module(probed):
