@@ -22,10 +22,12 @@ from scipy import special
 from .bayes import (PriorSpec, default_prior, grad_log_prior,
                     posterior_prob_positive, posterior_prob_positive_factorized,
                     prior_density)
-from .distributions import (CountSample, Family, ZipsModel, loglik_derivatives,
+# sample_values is unused here; perfbench/tracing.py wraps this module's name
+from .distributions import (CountSample, Family, loglik_derivatives,
                             sample_values)
 from .errors import DegenerateSampleError
 from .frequentist import mle_full
+from .power import _replications
 
 
 @dataclass(frozen=True)
@@ -136,32 +138,20 @@ def posterior_tail_expansion(inputs: ExpansionInputs, eta10: float,
 
 def _simulate_null_ts(family: Family, theta_null: float, n: int, reps: int,
                       B: int, seed: int) -> np.ndarray:
-    """Null-model T values over independent replications.
+    """Null-model T values over the replications of ``power._replications``.
 
     ``B > 0`` uses the Monte Carlo estimator with B draws per replication;
     ``B = 0`` computes T by the factorized quadrature, which stays accurate
     at sample sizes where the importance sampler's proposal breaks down.
-    All-zero replications are redrawn from the same stream.
     """
-    model = ZipsModel(family, 1e-14, theta_null)  # numerically p = 0
-    ts = np.empty(reps)
-    for rep in range(reps):
-        ss = np.random.SeedSequence(seed, spawn_key=(rep,))
-        c_data, c_bayes = ss.spawn(2)
-        rng = np.random.default_rng(c_data)
-        for _ in range(100):
-            cs = CountSample.from_values(sample_values(model, n, rng))
-            if cs.n0 < cs.n:
-                break
-        else:
-            raise DegenerateSampleError("could not draw a non-degenerate sample")
+    ts = []
+    for values, _, bayes_seed, _ in _replications(family, 0.0, theta_null, n, reps, seed):
+        cs = CountSample.from_values(values)
         if B > 0:
-            bayes_seed = int(c_bayes.generate_state(1)[0])
-            ts[rep] = posterior_prob_positive(family, cs, B=B,
-                                              seed=bayes_seed).value
+            ts.append(posterior_prob_positive(family, cs, B=B, seed=bayes_seed).value)
         else:
-            ts[rep] = posterior_prob_positive_factorized(family, cs)
-    return ts
+            ts.append(posterior_prob_positive_factorized(family, cs))
+    return np.array(ts)
 
 
 def uniformity_check(family: Family, theta_null: float, n: int, reps: int,

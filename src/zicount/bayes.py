@@ -636,28 +636,29 @@ def density_curve(draws: PosteriorDraws, sample: CountSample,
 
 def _prior_prob_positive(prior: PriorSpec,
                          theta_window: tuple[float, float]) -> tuple[float, tuple[float, float]]:
-    """Prior probability of positive weight, theta averaged over a window."""
-    fam = prior.family
-    series = fam._series
+    """Prior probability of positive weight, theta averaged over a window.
+
+    Both theta integrals use one 241-node tanh-sinh rule in ``log theta``."""
+    series = prior.family._series
     lo, hi = theta_window
     hi = min(hi, series.theta_max - 1e-6)
     lo = max(lo, 1e-12)
     if not hi > lo:
         raise ValueError("empty theta window")
-
+    a, b = math.log(lo), math.log(hi)
+    tau = np.linspace(-4.0, 4.0, 241)
+    arg = 0.5 * math.pi * np.sinh(tau)
+    theta = np.exp(0.5 * (a + b) + 0.5 * (b - a) * np.tanh(arg))
+    # prior density times dtheta/dtau, up to factors that cancel in the ratio
+    weight = np.exp(series.log_jeffreys(theta)) * theta * np.cosh(tau) / np.cosh(arg) ** 2
+    f0 = series.f0(theta)
     if prior.kind is PriorKind.CONDITIONAL_JEFFREYS:
         # conditional mass above zero is a Beta(1/2, 1/2) tail on the
         # zero-probability scale
-        positive = lambda f0: 1.0 - special.betainc(0.5, 0.5, f0)
+        positive = special.betaincc(0.5, 0.5, f0)
     else:
-        positive = lambda f0: 1.0 - math.sqrt(f0)
-
-    weight = lambda t: math.exp(series.log_jeffreys(t))
-
-    num, _ = scipy.integrate.quad(lambda t: weight(t) * positive(fam.f0(t)),
-                                  lo, hi, limit=200)
-    den, _ = scipy.integrate.quad(weight, lo, hi, limit=200)
-    return num / den, (lo, hi)
+        positive = 1.0 - np.sqrt(f0)
+    return float(weight @ positive / weight.sum()), (lo, hi)
 
 
 def bayes_factor_positive(family: Family, sample: CountSample,

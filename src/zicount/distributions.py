@@ -101,7 +101,7 @@ def _poisson_tail_bound(theta: float, eps: float) -> int:
 def _poisson_dlog_trunc_info(theta: float) -> float:
     e = math.exp(-theta)
     om = -math.expm1(-theta)
-    return theta * e / (1.0 - e - theta * e) - 1.0 / theta - 2.0 * e / om
+    return theta * e / float(special.gammainc(2.0, theta)) - 1.0 / theta - 2.0 * e / om
 
 
 # c(theta) = exp(theta), a_y = 1 / y!
@@ -117,8 +117,8 @@ _POISSON = _PowerSeries(
     truncated_mle=_poisson_truncated_mle,
     draws=lambda rng, t, n: rng.poisson(t, n),
     tail_bound=_poisson_tail_bound,
-    trunc_info=lambda t: ((1.0 - np.exp(-t) - t * np.exp(-t))
-                          / (t * np.expm1(-t) ** 2)),
+    # 1 - e^-t - t e^-t, without its cancellation at small t
+    trunc_info=lambda t: special.gammainc(2.0, t) / (t * np.expm1(-t) ** 2),
     dlog_trunc_info=_poisson_dlog_trunc_info,
     log_jeffreys=lambda t: -0.5 * np.log(t),
     dlog_jeffreys=lambda t: -0.5 / t,

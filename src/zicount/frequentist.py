@@ -158,18 +158,22 @@ def _score_statistic(family: Family, n: int, n0: int, s: int) -> tuple[float, fl
     """Score statistic and its sign from sufficient statistics.
 
     At the null fit ``theta0`` the score for p is ``n0 / f0 - n``.  Its
-    variance is n times the efficient information for p,
-    ``(1 - f0) / f0 - theta0 * c1**2 / (c1 + theta0 * c2)``, where ``c1`` and
-    ``c2`` are the first two derivatives of ``log c`` at ``theta0``.
+    variance is n times the efficient information for p, ``v / f0`` with
+    ``v = 1 - f0 - f0 * theta0 * c1**2 / (c1 + theta0 * c2)``, where ``c1``
+    and ``c2`` are the first two derivatives of ``log c`` at ``theta0``.
+    Both are scaled by ``f0`` so that a tiny ``f0`` does not overflow; when
+    ``f0`` underflows to zero, any zero in the sample is infinite evidence.
     """
     series = family._series
     theta0 = series.theta_from_mean(s / n)
     f0 = series.f0(theta0)
+    if f0 == 0.0:
+        return (math.inf, 1.0) if n0 > 0 else (0.0, 0.0)
     c1, c2, _ = series.log_c_derivs(theta0)
-    efficient = (1.0 - f0) / f0 - theta0 * c1 * c1 / (c1 + theta0 * c2)
-    stat = (n0 / f0 - n) ** 2 / (n * efficient)
-    direction = n0 / n - f0
-    return stat, math.copysign(1.0, direction) if direction != 0.0 else 0.0
+    v = 1.0 - f0 - f0 * theta0 * c1 * c1 / (c1 + theta0 * c2)
+    excess = n0 - n * f0
+    stat = excess * excess / (n * f0 * v)
+    return stat, math.copysign(1.0, excess) if excess != 0.0 else 0.0
 
 
 def _lr_statistic_stats(family: Family, n: int, n0: int, s: float,

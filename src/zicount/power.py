@@ -95,61 +95,61 @@ class PowerGrid:
         return "\n".join(lines)
 
 
-def _run_combo(config: PowerConfig, combo_index: int):
-    """All replications for one (theta, p, n) grid point.
+def _replications(family: Family, p: float, theta: float, n: int, reps: int,
+                  seed: int, key: tuple = ()):
+    """Seeded ZIP(p, theta) samples of size n, one per replication.
 
-    Every replication derives its own seed from (grid seed, combo index,
-    replication index), so the result does not depend on evaluation order.
-    All-zero datasets are redrawn (bounded) and counted.
+    Replication ``rep`` is seeded from ``(seed, key + (rep,))`` alone, and an
+    all-zero sample is redrawn at most ``MAX_REDRAWS`` times.  Yields
+    ``(values, n0, bayes_seed, redraws)``.
     """
+    model = ZipsModel(family, p if p != 0.0 else 1e-14, theta)
+    for rep in range(reps):
+        c_data, c_bayes = np.random.SeedSequence(seed, spawn_key=key + (rep,)).spawn(2)
+        rng = np.random.default_rng(c_data)
+        for redraws in range(MAX_REDRAWS):
+            values = sample_values(model, n, rng)
+            n0 = int(np.count_nonzero(values == 0))
+            if n0 < n:
+                break
+        else:
+            raise DegenerateSampleError(
+                f"all-zero samples persisted for {MAX_REDRAWS} redraws at "
+                f"theta={theta}, p={p}, n={n}")
+        yield values, n0, int(c_bayes.generate_state(1)[0]), redraws
+
+
+def _run_combo(config: PowerConfig, combo_index: int):
+    """All replications for one (theta, p, n) grid point, with its redraw count."""
     theta, p, n = config.combos()[combo_index]
-    model = ZipsModel(config.family, p if p != 0.0 else 1e-14, theta)
+    family, methods = config.family, config.methods
     z_cut, chi_cut = _alpha_cutoffs(config.alpha)
-    bayes_cut = 1.0 - config.alpha
-    methods = config.methods
-    need_score = Method.SCORE_ONE in methods or Method.SCORE_TWO in methods
-    need_lr = Method.LR_ONE in methods or Method.LR_TWO in methods
+    # (statistic, one-sided method, two-sided method); the statistics are
+    # looked up here, at call time, so wrappers installed on this module apply
+    tests = [(stat, one, two) for stat, one, two in (
+        (_score_statistic, Method.SCORE_ONE, Method.SCORE_TWO),
+        (_lr_statistic_stats, Method.LR_ONE, Method.LR_TWO))
+        if one in methods or two in methods]
     rejections = {m: 0 for m in methods}
     redraws = 0
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for rep in range(config.reps):
-            ss = np.random.SeedSequence(config.seed, spawn_key=(combo_index, rep))
-            c_data, c_bayes = ss.spawn(2)
-            rng = np.random.default_rng(c_data)
-            for _ in range(MAX_REDRAWS):
-                values = sample_values(model, n, rng)
-                n0 = int(np.count_nonzero(values == 0))
-                if n0 < n:
-                    break
-                redraws += 1
-            else:
-                raise DegenerateSampleError(
-                    f"all-zero samples persisted for {MAX_REDRAWS} redraws at "
-                    f"theta={theta}, p={p}, n={n}")
+        for values, n0, bayes_seed, redrawn in _replications(
+                family, p, theta, n, config.reps, config.seed, (combo_index,)):
+            redraws += redrawn
             s = int(values.sum())
-
-            if need_score:
-                stat, sign = _score_statistic(config.family, n, n0, s)
-                root = sign * math.sqrt(stat)
-                if Method.SCORE_ONE in methods and root > z_cut:
-                    rejections[Method.SCORE_ONE] += 1
-                if Method.SCORE_TWO in methods and stat > chi_cut:
-                    rejections[Method.SCORE_TWO] += 1
-            if need_lr:
-                stat, sign = _lr_statistic_stats(config.family, n, n0, s)
-                root = sign * math.sqrt(stat)
-                if Method.LR_ONE in methods and root > z_cut:
-                    rejections[Method.LR_ONE] += 1
-                if Method.LR_TWO in methods and stat > chi_cut:
-                    rejections[Method.LR_TWO] += 1
+            for statistic, one, two in tests:
+                stat, sign = statistic(family, n, n0, s)
+                if one in methods and sign * math.sqrt(stat) > z_cut:
+                    rejections[one] += 1
+                if two in methods and stat > chi_cut:
+                    rejections[two] += 1
             if Method.BAYES in methods:
-                cs = CountSample.from_values(values)
                 est = posterior_prob_positive(
-                    config.family, cs, B=config.draws,
-                    seed=int(c_bayes.generate_state(1)[0]))
-                if est.value > bayes_cut:
+                    family, CountSample.from_values(values), B=config.draws,
+                    seed=bayes_seed)
+                if est.value > 1.0 - config.alpha:
                     rejections[Method.BAYES] += 1
 
     return combo_index, rejections, redraws

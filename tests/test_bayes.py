@@ -14,6 +14,8 @@ from zicount import (CountSample, DegenerateSampleError, Family, IntervalKind,
                      posterior_prob_positive_quadrature, prior_density,
                      sample_values)
 
+from zicount.bayes import _prior_prob_positive
+
 from conftest import PosteriorOracle, fd_gradient, zip_theta_rejection_draws
 
 
@@ -184,6 +186,20 @@ class TestPosteriorProbPositive:
         geo = CountSample({0: 22, 1: 9, 2: 4, 4: 1})
         assert posterior_prob_positive_factorized(Family.GEOMETRIC, geo) == pytest.approx(
             posterior_prob_positive_quadrature(Family.GEOMETRIC, geo), abs=1e-8)
+
+    @pytest.mark.parametrize("counts, expected", [
+        ({0: 4, 1: 6}, 0.025219), ({0: 1, 1: 1}, 0.34913), ({1: 3, 2: 2}, 0.033720)])
+    def test_joint_prior_oracle_on_small_theta_samples(self, counts, expected):
+        # these posteriors put mass at theta near zero, where the joint
+        # prior's 1 - e^-t - t e^-t must not cancel to zero or below
+        cs = CountSample(counts)
+        prior = PriorSpec(PriorKind.JEFFREYS_JOINT, Family.POISSON)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            exact = posterior_prob_positive_quadrature(Family.POISSON, cs, prior)
+        assert exact == pytest.approx(expected, rel=1e-4)
+        est = posterior_prob_positive(Family.POISSON, cs, prior, B=200_000, seed=1)
+        assert abs(est.value - exact) < 4.0 * est.mc_se
 
     def test_symmetric_case_is_one_half(self):
         # zero mass symmetric about one half on the pstar scale, with the
@@ -423,6 +439,29 @@ class TestBayesFactor:
             result = bayes_factor_positive(Family.POISSON, cholera, B=10_000, seed=24)
         assert result.lower_bound
         assert math.isfinite(result.value) and result.value > 1.0
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("kind", list(PriorKind))
+    @pytest.mark.parametrize("window, rel", [
+        ((0.0, 50.0), 1e-10), ((0.1, 5.0), 1e-10), ((1e-3, 0.9), 1e-10),
+        ((0.0, 1e6), 1e-6),  # adaptive quad without breakpoints: 1.3e-3
+    ])
+    def test_prior_probability_matches_tight_quadrature(self, family, kind,
+                                                        window, rel):
+        prior = PriorSpec(kind, family)
+        q, (lo, hi) = _prior_prob_positive(prior, window)
+        series = family._series
+        weight = lambda u: math.exp(series.log_jeffreys(math.exp(u)) + u)
+        if kind is PriorKind.CONDITIONAL_JEFFREYS:
+            positive = lambda t: stats.beta.sf(family.f0(t), 0.5, 0.5)
+        else:
+            positive = lambda t: 1.0 - math.sqrt(family.f0(t))
+        a, b = math.log(lo), math.log(hi)
+        points = [x for x in (-1e-2, -1e-3, 0.0, 1.0, 2.0) if a < x < b]
+        tight = dict(epsabs=0.0, epsrel=1e-13, limit=500, points=points)
+        num, _ = integrate.quad(lambda u: weight(u) * positive(math.exp(u)), a, b, **tight)
+        den, _ = integrate.quad(weight, a, b, **tight)
+        assert q == pytest.approx(num / den, rel=rel)
 
     def test_window_stamped(self, uti):
         result = bayes_factor_positive(Family.POISSON, uti, B=2000, seed=25,

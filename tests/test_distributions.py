@@ -195,6 +195,17 @@ class TestFisherInformation:
                 total += pr * np.outer(score, score)
             assert np.allclose(total, fisher_info(model).matrix(), atol=1e-6)
 
+    @pytest.mark.parametrize("theta", [1e-10, 1e-6, 1e-3])
+    def test_poisson_truncated_information_at_small_theta(self, theta):
+        # (1 - e^-t - t e^-t) / (t (1 - e^-t)^2) from the Taylor series of
+        # numerator and denominator; at t = 1e-3 twelve terms reach 1e-36
+        sign = lambda k: -1.0 if k % 2 else 1.0
+        num = sum(sign(k) * (k - 1) * theta ** k / math.factorial(k)
+                  for k in range(2, 14))
+        om = sum(-sign(k) * theta ** k / math.factorial(k) for k in range(1, 14))
+        got = float(Family.POISSON._series.trunc_info(theta))
+        assert got == pytest.approx(num / (theta * om * om), rel=1e-12)
+
     def test_positive_definite_in_the_interior(self):
         for model in random_models(50, seed=9):
             info = fisher_info(model)

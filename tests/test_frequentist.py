@@ -164,6 +164,30 @@ class TestScoreTest:
         with pytest.raises(DegenerateSampleError):
             score_test(Family.POISSON, CountSample({0: 4}))
 
+    @pytest.mark.parametrize("counts, expected", [
+        ({0: 5, 800: 3, 900: 2}, 6.333188405901794e182),
+        ({0: 5, 1000: 5}, 3.5089805446320937e217),
+        ({1500: 4}, 0.0),  # f0 = exp(-1500) underflows, no zeros: no evidence
+        ({0: 1, 20000: 1}, math.inf),  # f0 underflows, one zero: certain evidence
+    ])
+    def test_means_above_700(self, counts, expected):
+        # the Poisson statistic (n0 - n f0)^2 / (n f0 (1 - f0 - theta0 f0))
+        # is n0^2 e^theta0 / n to double precision once f0 is tiny
+        sample = CountSample(counts)
+        one = score_test(Family.POISSON, sample)
+        two = score_test(Family.POISSON, sample, sidedness=Sidedness.TWO_SIDED)
+        assert one.statistic == two.statistic == pytest.approx(expected, rel=1e-12)
+        if sample.n0 > 0:
+            theta0 = sample.s / sample.n
+            log_ratio = math.log(sample.n0 ** 2 / sample.n) + theta0
+            if math.isfinite(expected):
+                assert math.log(one.statistic) == pytest.approx(log_ratio, rel=1e-14)
+            assert one.p_value == two.p_value == 0.0
+            assert one.reject and two.reject
+        else:
+            assert one.p_value == 0.5 and two.p_value == 1.0
+            assert not one.reject and not two.reject
+
 
     @pytest.mark.parametrize("alpha", [0.2, 0.05, 0.01, 1e-6])
     def test_report_matches_scipy_stats_exactly(self, alpha):

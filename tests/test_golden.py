@@ -76,6 +76,15 @@ def _call(fn, *args, **kwargs):
         return {"error": type(err).__name__}
 
 
+def _power_entry(grid) -> dict:
+    return {
+        "cells": {f"{m.value}/{t}/{p}/{n}": _plain(cell)
+                  for (m, t, p, n), cell in sorted(
+                      grid.cells.items(), key=lambda kv: kv[0][0].value)},
+        "redraws": [[list(k), v] for k, v in sorted(grid.redraws.items())],
+    }
+
+
 def compute_outputs() -> dict:
     """All recorded outputs, split into exact (seeded) and close values."""
     exact, close = {}, {}
@@ -125,15 +134,19 @@ def compute_outputs() -> dict:
         config = PowerConfig(thetas=(THETAS[family][1],), ps=(0.3,), ns=(30,),
                              methods=tuple(Method), family=family, reps=100,
                              draws=500, seed=11)
-        grid = run_power_study(config)
-        exact[f"power/{family.value}"] = {
-            "cells": {f"{m.value}/{t}/{p}/{n}": _plain(cell)
-                      for (m, t, p, n), cell in sorted(
-                          grid.cells.items(), key=lambda kv: kv[0][0].value)},
-            "redraws": [[list(k), v] for k, v in sorted(grid.redraws.items())],
-        }
+        exact[f"power/{family.value}"] = _power_entry(run_power_study(config))
         report = uniformity_check(family, THETAS[family][1], 25, 50, seed=5)
         exact[f"uniformity/{family.value}"] = _plain(report)
+        report = uniformity_check(family, THETAS[family][1], 25, 50, B=200, seed=5)
+        exact[f"uniformity_is/{family.value}"] = _plain(report)
+        # theta = 0.1 at n = 5: about 1.5 all-zero redraws per replication
+        report = uniformity_check(family, 0.1, 5, 50, seed=5)
+        exact[f"uniformity_redraws/{family.value}"] = _plain(report)
+
+    # p = 0.9 at n = 10: about two all-zero redraws per replication
+    config = PowerConfig(thetas=(0.5,), ps=(0.9,), ns=(10,), methods=tuple(Method),
+                         family=Family.POISSON, reps=150, draws=200, seed=6)
+    exact["power_redraws/poisson"] = _power_entry(run_power_study(config))
     return {"exact": exact, "close": close}
 
 

@@ -20,6 +20,7 @@ HEAVY = ("scipy.stats", "scipy.integrate", "scipy.interpolate",
 
 LIGHT_COMMANDS = (
     ["--version"],
+    ["test", "--dataset", "uti"],
     ["test", "--dataset", "uti", "--method", "score"],
     ["test", "--dataset", "uti", "--method", "lr"],
     ["interval", "--dataset", "uti", "--model", "geometric"],

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from zicount import (CellResult, Family, Method, MissingCellError, PowerConfig,
-                     PowerGrid, REFERENCE_POWER_ONE_SIDED,
-                     REFERENCE_POWER_TWO_SIDED, compare_tables,
-                     run_power_study)
+from zicount import (CellResult, DegenerateSampleError, Family, Method,
+                     MissingCellError, PowerConfig, PowerGrid,
+                     REFERENCE_POWER_ONE_SIDED, REFERENCE_POWER_TWO_SIDED,
+                     compare_tables, run_power_study, uniformity_check)
 
 ALL_METHODS = (Method.SCORE_ONE, Method.SCORE_TWO, Method.BAYES,
                Method.LR_ONE, Method.LR_TWO)
@@ -47,6 +47,17 @@ class TestRunPowerStudy:
                              draws=200, seed=6, methods=(Method.SCORE_ONE,))
         grid = run_power_study(config)
         assert grid.redraws[(0.5, 0.9, 10)] > 0
+
+    def test_persistent_redraws_raise_one_error_on_both_simulations(self):
+        # at theta = 1e-4 and n = 2 a sample is all zero with probability 0.9998
+        config = PowerConfig(thetas=(1e-4,), ps=(0.0,), ns=(2,), reps=100,
+                             seed=1, methods=(Method.SCORE_ONE,))
+        with pytest.raises(DegenerateSampleError) as power_err:
+            run_power_study(config)
+        with pytest.raises(DegenerateSampleError) as null_err:
+            uniformity_check(Family.POISSON, 1e-4, 2, reps=10, seed=1)
+        assert str(power_err.value) == str(null_err.value) == (
+            "all-zero samples persisted for 100 redraws at theta=0.0001, p=0.0, n=2")
 
     def test_validation(self):
         with pytest.raises(ValueError):
