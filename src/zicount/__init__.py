@@ -8,8 +8,9 @@ sits in the interior of the parameter space.  It provides:
   orthogonal zero-probability reparametrization and random variates
   (``distributions``);
 * score and likelihood ratio tests with exact MLEs (``frequentist``);
-* objective-prior Bayesian tests, posterior sampling, marginal densities and
-  credible/HPD intervals (``bayes``);
+* objective-prior Bayesian tests, posterior sampling, the exact marginal
+  posterior of the weight with its equal-tail and HPD intervals, and the
+  draw-based densities and intervals of the paper (``bayes``);
 * higher-order posterior tail expansions and finite-sample calibration of
   the Bayes test (``asymptotics``);
 * a Monte Carlo power-study harness with bundled reference tables
@@ -21,10 +22,11 @@ sits in the interior of the parameter space.  It provides:
 from .asymptotics import (BetaCalibration, ExpansionInputs, UniformityReport,
                           beta_calibration, expansion_inputs,
                           posterior_tail_expansion, uniformity_check)
-from .bayes import (BayesFactorResult, IntervalEstimate, IntervalKind,
-                    PosteriorDraws, PosteriorProbability, PriorKind, PriorSpec,
-                    bayes_factor_positive, credible_interval, default_prior,
-                    density_curve, draw_posterior, grad_log_prior, hpd_interval,
+from .bayes import (BayesFactorResult, ExactMarginal, IntervalEstimate,
+                    IntervalKind, PosteriorDraws, PosteriorProbability,
+                    PriorKind, PriorSpec, bayes_factor_positive,
+                    credible_interval, default_prior, density_curve,
+                    draw_posterior, exact_marginal, grad_log_prior, hpd_interval,
                     log_prior, marginal_posterior_density,
                     posterior_prob_positive, posterior_prob_positive_factorized,
                     posterior_prob_positive_quadrature, prior_density)
@@ -49,7 +51,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BayesFactorResult", "BetaCalibration", "CellResult", "ComparisonReport",
-    "CountSample", "DegenerateSampleError", "ExpansionInputs", "Family",
+    "CountSample", "DegenerateSampleError", "ExactMarginal", "ExpansionInputs",
+    "Family",
     "FisherInfo", "IntervalEstimate", "IntervalKind", "Method",
     "MissingCellError", "MleResult", "Parametrization", "ParameterRangeError",
     "PosteriorDraws", "PosteriorProbability", "PowerConfig", "PowerGrid",
@@ -58,7 +61,8 @@ __all__ = [
     "TestReport", "UniformityReport", "ZicountError", "ZipsModel",
     "bayes_factor_positive", "beta_calibration", "compare_tables",
     "credible_interval", "dataset_names", "dataset_table", "default_prior",
-    "density_curve", "draw_posterior", "expansion_inputs", "fisher_info",
+    "density_curve", "draw_posterior", "exact_marginal", "expansion_inputs",
+    "fisher_info",
     "fisher_info_orthogonal", "format_freq_csv", "from_pstar",
     "grad_log_prior", "hpd_interval", "load_counts", "load_dataset",
     "log_likelihood", "log_pmf", "log_prior", "loglik_derivatives", "lr_test",

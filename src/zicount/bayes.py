@@ -8,7 +8,10 @@ the non-inflated family.  Under the orthogonal coordinates
 ``pstar | y ~ Beta(n0 + 1/2, n - n0 + 1/2)`` and a theta law with density
 proportional to ``theta**s / (c(theta) - 1)**(n - n0)`` times the theta
 prior.  One rule, ``_ThetaPosterior``, handles the theta law for both
-families and serves factorized T, posterior draws and the 2-D oracle.
+families and serves factorized T, posterior draws, the 2-D oracle and the
+exact marginal posterior of the weight (``exact_marginal``: density, CDF,
+equal-tail and HPD intervals), which the CLI uses.  The draw-based density
+and intervals (``draw_posterior`` onwards) are the paper's route.
 
 The test statistic is the posterior probability of positive weight,
 ``T(Y) = P(p > 0 | Y)``, estimated either by a self-normalized importance
@@ -33,6 +36,8 @@ from .distributions import CountSample, Family, _log_a_sum, p_lower
 from .errors import DegenerateSampleError, ParameterRangeError, QuadratureError
 
 DEFAULT_DRAWS = 10_000
+# theta window over which the Bayes factor averages its prior odds
+DEFAULT_THETA_WINDOW = (0.0, 50.0)
 
 
 class PriorKind(Enum):
@@ -494,6 +499,276 @@ def posterior_prob_positive_quadrature(family: Family, sample: CountSample,
 
 
 # ---------------------------------------------------------------------------
+# exact marginal of the weight: density, CDF, equal-tail and HPD intervals
+
+
+def _newton(fun, x: float, tol: float, lo: float = -math.inf,
+            hi: float = math.inf, ftol: float = 0.0) -> float:
+    """Root of a decreasing ``fun`` (returning value and slope) by Newton
+    steps from ``x``.  Returns once a step is below ``tol`` (after a Newton
+    step the error is of order ``tol**2``) or at a point where ``|fun|`` is
+    at most ``ftol``.  ``lo`` and ``hi`` bracket the root and shrink as it
+    goes; a step that leaves them bisects them, or, while a side is still
+    open, steps outward from the other by a doubling length."""
+    step = 0.5
+    for _ in range(200):
+        val, slope = fun(x)
+        if abs(val) <= ftol:
+            return x
+        lo, hi = (x, hi) if val > 0.0 else (lo, x)
+        new = x - val / slope if -math.inf < slope < 0.0 else math.nan
+        if not (lo < new < hi or abs(new - x) <= tol):
+            if math.isinf(hi) or math.isinf(lo):
+                new = lo + step if math.isinf(hi) else hi - step
+                step *= 2.0
+            else:
+                new = 0.5 * (lo + hi)
+        if abs(new - x) <= tol:
+            return new
+        x = new
+    raise QuadratureError("root search did not converge in 200 steps")
+
+
+def _stirling_rest(z: float) -> float:
+    """``log Gamma(z)`` less ``(z - 1/2) log z - z + log(2 pi) / 2``; from
+    z = 10 on by its asymptotic series, which avoids the cancellation."""
+    if z < 10.0:
+        return float(special.gammaln(z)) - ((z - 0.5) * math.log(z) - z
+                                           + 0.5 * math.log(2.0 * math.pi))
+    z2 = z * z
+    return (1/12 - (1/360 - (1/1260 - (1/1680 - 1/(1188*z2)) / z2) / z2) / z2) / z
+
+
+def _log_beta_pdf(x, y, a: float, b: float):
+    """Log of the Beta(a, b) density at ``x``, with ``y = 1 - x`` given.
+
+    Written about the mean ``a / (a + b)`` with a Stirling constant, so that
+    no term is of order ``a + b``: ``x**(a - 1)`` and ``B(a, b)`` taken
+    apart lose about 2e-9 relative at ``a + b = 1e6``.
+    """
+    s = a + b
+    mu, nu = a / s, b / s
+    d = x - mu
+    bulk = np.abs(d) < 0.5 * min(mu, nu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lx = np.where(bulk, np.log1p(d / mu), np.log(x / mu))
+        ly = np.where(bulk, np.log1p(-d / nu), np.log(y / nu))
+    return ((a - 1.0) * lx + (b - 1.0) * ly
+            + 0.5 * (3.0 * math.log(s) - math.log(2.0 * math.pi * a * b))
+            - _stirling_rest(a) - _stirling_rest(b) + _stirling_rest(s))
+
+
+@dataclass(frozen=True)
+class ExactMarginal:
+    """Exact marginal posterior of the weight under the conditional Jeffreys prior.
+
+    Given theta, ``pstar = f0 + p * (1 - f0)`` is ``Beta(a, b)`` with
+    ``a = n0 + 1/2`` and ``b = m + 1/2``, so the density and CDF of p are
+    theta-posterior averages of that law mapped back to p.  Each point gets
+    its own Gauss-Legendre nodes: the theta rule's panels plus one over
+    ``window``, the 1e-17 and 1 - 1e-17 quantiles of ``1 - pstar``, mapped to
+    ``u = log(theta)`` through ``1 - pstar = (1 - p)(1 - f0)``.  Root
+    searches run in ``t = log(1 - p)``, where the heavy left tail of an
+    all-ones sample (theta near zero sends ``-f0 / (1 - f0)`` to minus
+    infinity) becomes an exponential one.  Built by ``exact_marginal``.
+    """
+
+    rule: _ThetaPosterior
+    a: float
+    b: float
+    window: tuple[float, float]
+
+    def _nodes_at(self, p):
+        """``pstar``, ``1 - pstar``, ``1 - f0`` and normalized node weights,
+        per point (leading axes) and node (last axis)."""
+        rule, series = self.rule, self.rule.series
+        p = np.asarray(p, dtype=float)[..., None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            om = np.asarray(self.window) / (1.0 - p)
+            edges = np.log(series.theta_from_log_c(-np.log1p(-om)))
+        # an edge outside the bracket leaves an empty panel at its lower end
+        edges = np.where((edges > rule.lo) & (edges < rule.hi), edges, rule.lo)
+        cuts = np.broadcast_to(rule.cuts, edges.shape[:-1] + (len(rule.cuts),))
+        cuts = np.sort(np.concatenate([cuts, edges], axis=-1))
+        left, right = cuts[..., :-1, None], cuts[..., 1:, None]
+        # as in the rule's own panels, a panel ending at top, or at the edge
+        # where pstar reaches zero, maps u = right - width * t**2 so that
+        # half-integer powers of right - u become polynomials
+        z, gl = _numpy_legendre(64)
+        t = 0.5 * (1.0 + z)
+        squared = (right >= rule.top) | (right == edges[..., 1, None, None])
+        u = right - (right - left) * np.where(squared, t * t, 0.5 * (1.0 - z))
+        jac = (right - left) * np.where(squared, t * gl, 0.5 * gl)
+        # a node within rounding of top would sit at theta_max itself
+        u = np.minimum(u.reshape(p.shape[:-1] + (-1,)),
+                       math.log(np.nextafter(series.theta_max, 0.0)))
+        log_d, _ = rule.log_density(u)
+        w = jac.reshape(u.shape) * np.exp(log_d - rule.peak)
+        log_c = series.log_c(np.exp(u))
+        om = -np.expm1(-log_c)
+        return (np.exp(-log_c) + p * om, (1.0 - p) * om, om,
+                w / w.sum(axis=-1, keepdims=True))
+
+    def _pdf(self, x, y, om):
+        """Density of p given theta at each node."""
+        inside = (x > 0.0) & (y > 0.0)
+        return np.where(inside, np.exp(_log_beta_pdf(x, y, self.a, self.b)) * om, 0.0)
+
+    def _below(self, x, y):
+        """``P(pstar <= x)`` at each node: 0 or 1 to within 1e-17 outside
+        the window, so ``betainc`` runs only inside it."""
+        out = (y < self.window[0]).astype(float)
+        inside = (y >= self.window[0]) & (y <= self.window[1])
+        out[inside] = special.betainc(self.a, self.b, x[inside])
+        return out
+
+    def _local(self, p, cdf: bool = False):
+        """Density, its derivative in p and, with ``cdf``, the CDF at ``p``."""
+        x, y, om, w = self._nodes_at(p)
+        pdf = self._pdf(x, y, om) * w
+        # the slope is infinite where pstar**(a - 1) meets zero with a < 2
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            rate = np.where(pdf > 0.0, (self.a - 1.0) / x - (self.b - 1.0) / y, 0.0)
+            out = (pdf.sum(axis=-1), np.sum(pdf * rate * om, axis=-1))
+        return out + (np.sum(self._below(x, y) * w, axis=-1),) if cdf else out
+
+    def density(self, p) -> np.ndarray:
+        """Marginal posterior density of the weight at ``p``."""
+        return self._local(p)[0]
+
+    def cdf(self, p) -> np.ndarray:
+        """Marginal posterior CDF of the weight at ``p``."""
+        return np.minimum(self._local(p, cdf=True)[2], 1.0)
+
+    def _quantile_t(self, q: float) -> float:
+        """``t = log(1 - p)`` where the CDF is ``q``, by Newton steps from
+        the conditional quantile at the theta mode."""
+        om = -math.expm1(-self.rule.series.log_c(math.exp(self.rule.mode)))
+
+        def fun(t):
+            dens, _, cdf = self._local(-math.expm1(t), cdf=True)
+            return float(cdf) - q, -float(dens) * math.exp(t)
+
+        t = math.log(special.betaincinv(self.b, self.a, 1.0 - q) / om)  # 1 - pstar
+        return _newton(fun, t, 1e-9 * max(1.0, abs(t)))
+
+    def _flank_t(self, log_c: float, t: float, side: float, bound: float) -> float:
+        """``t`` where the log density is ``log_c``: beyond ``bound`` on the
+        lower flank (``side = 1``) or below it on the upper (``side = -1``)."""
+        def fun(t):
+            f, df = self._local(-math.expm1(t))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return (side * (float(np.log(f)) - log_c),
+                        -side * float(df / f) * math.exp(t))
+
+        tol = 1e-9 * max(1.0, abs(t))
+        return (_newton(fun, t, tol, lo=bound) if side > 0.0
+                else _newton(fun, t, tol, hi=bound))
+
+    def _mode_t(self, lo: float, hi: float) -> float:
+        """``t`` at the density's mode, between ``lo`` and ``hi``, by secant
+        steps on ``d log f / dt``, which falls through zero there."""
+        last = []
+
+        def fun(t):
+            f, df = self._local(-math.expm1(t))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d = -float(df / f) * math.exp(t)
+            slope = (d - last[1]) / (t - last[0]) if last else math.nan
+            last[:] = [t, d]
+            return d, slope
+
+        return _newton(fun, 0.5 * (lo + hi), 1e-12 * max(1.0, abs(lo)), lo, hi)
+
+    def _scan(self, num: int = 129):
+        """``t``, p and the density on ``num`` points even in ``t`` across
+        the range that ``window`` reaches over the theta bracket; ascending
+        in p."""
+        with np.errstate(divide="ignore"):  # geometric hi may be theta = 1
+            log_c = self.rule.series.log_c(np.exp([self.rule.lo, self.rule.hi]))
+        t = np.linspace(*np.log(np.asarray(self.window)[::-1] / -np.expm1(-log_c)), num)
+        p = -np.expm1(t)
+        return t, p, self.density(p)
+
+    def interval(self, level: float, kind: IntervalKind) -> IntervalEstimate:
+        """Equal-tail interval (two CDF roots) or HPD interval (the level set
+        ``density >= c`` holding ``level``).
+
+        The HPD threshold starts from trapezoid cells of a scan of the
+        density, taken in decreasing height until they hold ``level``, and
+        is refined by Newton steps on ``log c``, each solving
+        ``density = c`` on both flanks.  If the scan crosses the threshold
+        more than twice, the hull of its super-level set is returned with
+        a warning.
+        """
+        if not (0.0 < level < 1.0):
+            raise ValueError("level must be strictly between 0 and 1")
+        if kind is IntervalKind.EQUAL_TAIL:
+            half = 0.5 * (1.0 - level)
+            return IntervalEstimate(*(-math.expm1(self._quantile_t(q))
+                                      for q in (half, 1.0 - half)), level, kind)
+        t, p, dens = self._scan()
+        cell = 0.5 * (dens[1:] + dens[:-1])
+        mass = cell * np.diff(p)
+        order = np.argsort(-cell)
+        k = int(np.searchsorted(np.cumsum(mass[order]), level * mass.sum()))
+        threshold = float(cell[order[min(k, cell.size - 1)]])
+        idx = np.flatnonzero(cell >= threshold)
+        above = dens >= threshold
+        if np.count_nonzero(above[1:] != above[:-1]) > 2:
+            warnings.warn("exact posterior not unimodal at the HPD threshold; "
+                          "returning the hull of the super-level set", stacklevel=2)
+            return IntervalEstimate(float(p[idx[0]]), float(p[idx[-1] + 1]), level,
+                                    kind, density_threshold=threshold,
+                                    note="multimodal density; hull of super-level set")
+        k = int(np.argmax(dens))
+        split = self._mode_t(t[min(k + 1, t.size - 1)], t[max(k - 1, 0)])
+        peak = float(self.density(-math.expm1(split)))
+        ends = [float(t[idx[0]]), float(t[idx[-1] + 1])]
+
+        def fun(log_c):  # mass of {density >= c} less the level, decreasing in c
+            ends[0] = self._flank_t(log_c, ends[0], 1.0, split)
+            ends[1] = self._flank_t(log_c, ends[1], -1.0, split)
+            _, df, cdf = self._local(-np.expm1(ends), cdf=True)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slope = math.exp(2.0 * log_c) * float(1.0 / df[1] - 1.0 / df[0])
+            return float(cdf[1] - cdf[0]) - level, slope
+
+        log_c = _newton(fun, math.log(threshold), 1e-15, hi=math.log(peak), ftol=1e-12)
+        return IntervalEstimate(-math.expm1(ends[0]), -math.expm1(ends[1]), level,
+                                kind, density_threshold=math.exp(log_c))
+
+    def curve(self, num: int = 512) -> tuple[np.ndarray, np.ndarray]:
+        """Density on ``num`` even points spanning where it is at least a
+        thousandth of its peak, each end one scan step beyond."""
+        if num < 16:
+            raise ValueError("num must be at least 16")
+        _, p, dens = self._scan()
+        keep = np.flatnonzero(dens >= 1e-3 * dens.max())
+        grid = np.linspace(p[max(keep[0] - 1, 0)], p[min(keep[-1] + 1, p.size - 1)], num)
+        return grid, self.density(grid)
+
+
+_numpy_legendre = functools.cache(lambda n: np.polynomial.legendre.leggauss(n))
+
+
+def exact_marginal(family: Family, sample: CountSample) -> ExactMarginal:
+    """The exact marginal posterior of the weight under the default prior.
+
+    One theta-posterior rule supplies the nodes; numpy's Gauss-Legendre
+    table stands in for SciPy's so that no SciPy submodule loads.
+    """
+    n0, m = sample.n0, sample.n - sample.n0
+    if n0 == 0 or m == 0:
+        raise DegenerateSampleError(
+            "the posterior of the weight needs both zero and positive counts")
+    a, b = n0 + 0.5, m + 0.5
+    # 1 - pstar is Beta(b, a)
+    window = (float(special.betaincinv(b, a, 1e-17)), float(special.betainccinv(b, a, 1e-17)))
+    return ExactMarginal(_ThetaPosterior(family, m, sample.s), a, b, window)
+
+
+# ---------------------------------------------------------------------------
 # marginal density of the weight, credible and HPD intervals
 
 
@@ -661,10 +936,23 @@ def _prior_prob_positive(prior: PriorSpec,
     return float(weight @ positive / weight.sum()), (lo, hi)
 
 
+def _bayes_factor_from(est: PosteriorProbability, prior: PriorSpec,
+                       theta_window: tuple[float, float]) -> BayesFactorResult:
+    """The posterior-odds factor for an estimate of T already drawn."""
+    q, window = _prior_prob_positive(prior, theta_window)
+    floor = max(est.mc_se, 1.0 / est.draws)
+    lower_bound = est.value > 1.0 - floor
+    t_eff = min(est.value, 1.0 - floor)
+    value = (t_eff / (1.0 - t_eff)) / (q / (1.0 - q))
+    return BayesFactorResult(value=value, posterior_prob=est.value,
+                             prior_prob=q, theta_window=window,
+                             lower_bound=lower_bound)
+
+
 def bayes_factor_positive(family: Family, sample: CountSample,
                           prior: PriorSpec | None = None,
                           B: int = DEFAULT_DRAWS, seed: int = 0,
-                          theta_window: tuple[float, float] = (0.0, 50.0)
+                          theta_window: tuple[float, float] = DEFAULT_THETA_WINDOW
                           ) -> BayesFactorResult:
     """Posterior odds of {p > 0} divided by its prior odds.
 
@@ -673,11 +961,4 @@ def bayes_factor_positive(family: Family, sample: CountSample,
     """
     prior = prior or default_prior(family)
     est = posterior_prob_positive(family, sample, prior, B, seed)
-    q, window = _prior_prob_positive(prior, theta_window)
-    floor = max(est.mc_se, 1.0 / B)
-    lower_bound = est.value > 1.0 - floor
-    t_eff = min(est.value, 1.0 - floor)
-    value = (t_eff / (1.0 - t_eff)) / (q / (1.0 - q))
-    return BayesFactorResult(value=value, posterior_prob=est.value,
-                             prior_prob=q, theta_window=window,
-                             lower_bound=lower_bound)
+    return _bayes_factor_from(est, prior, theta_window)

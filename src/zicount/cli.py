@@ -20,9 +20,11 @@ import time
 import numpy as np
 
 from . import __version__
-from .bayes import (IntervalKind, bayes_factor_positive, credible_interval,
-                    density_curve, draw_posterior, hpd_interval,
-                    posterior_prob_positive)
+from .bayes import (DEFAULT_THETA_WINDOW, IntervalKind, _bayes_factor_from,
+                    default_prior, exact_marginal, posterior_prob_positive)
+# unused here; kept only because perfbench/tracing.py wraps this module's names
+from .bayes import (bayes_factor_positive, credible_interval, density_curve,
+                    draw_posterior, hpd_interval)
 from .datasets import (dataset_names, dataset_table, format_freq_csv,
                        load_counts, load_dataset)
 from .distributions import CountSample, Family
@@ -179,7 +181,7 @@ def _cmd_test(args) -> int:
             "mc_se": est.mc_se, "ess": est.ess, "alpha": args.alpha,
             "reject": est.value > 1.0 - args.alpha, "sidedness": "one",
         }
-        bf = bayes_factor_positive(family, sample, B=args.draws, seed=seed)
+        bf = _bayes_factor_from(est, default_prior(family), DEFAULT_THETA_WINDOW)
         results["bayes_factor"] = {
             "value": bf.value, "posterior_prob": bf.posterior_prob,
             "prior_prob": bf.prior_prob, "theta_window": list(bf.theta_window),
@@ -198,14 +200,10 @@ def _cmd_interval(args) -> int:
     sample, name = _load_sample(args)
     seed = _auto_seed(args.seed)
     t0 = time.perf_counter()
-    draws = draw_posterior(family, sample, B=args.draws, seed=seed)
-    if args.kind == "equal":
-        est = credible_interval(draws, args.level)
-    else:
-        est = hpd_interval(draws, sample, args.level)
+    kind = IntervalKind.EQUAL_TAIL if args.kind == "equal" else IntervalKind.HPD
+    est = exact_marginal(family, sample).interval(args.level, kind)
     report = _report_skeleton("interval", name, sample, args, seed)
-    report["draws"] = args.draws
-    entry = {"kind": est.kind.value, "level": est.level,
+    entry = {"kind": est.kind.value, "method": "exact", "level": est.level,
              "lower": est.lower, "upper": est.upper}
     if est.density_threshold is not None:
         entry["density_threshold"] = est.density_threshold
@@ -218,7 +216,7 @@ def _cmd_interval(args) -> int:
     else:
         print(f"zicount {__version__}  seed={seed}")
         label = "equal-tail" if est.kind is IntervalKind.EQUAL_TAIL else "HPD"
-        line = (f"{name}: {_fmt(est.level)} {label} interval for the "
+        line = (f"{name}: {_fmt(est.level)} exact {label} interval for the "
                 f"zero-inflation weight: ({_fmt(est.lower)}, {_fmt(est.upper)})")
         if est.density_threshold is not None:
             line += f"  density threshold {_fmt(est.density_threshold)}"
@@ -232,15 +230,14 @@ def _cmd_posterior(args) -> int:
     family = Family(args.model)
     sample, name = _load_sample(args)
     seed = _auto_seed(args.seed)
-    draws = draw_posterior(family, sample, B=args.draws, seed=seed)
-    grid, dens = density_curve(draws, sample, num=args.grid_points)
+    grid, dens = exact_marginal(family, sample).curve(args.grid_points)
     lines = ["p,density"]
     lines.extend(f"{p:.8g},{d:.8g}" for p, d in zip(grid, dens))
     text = "\n".join(lines) + "\n"
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(text)
     print(f"zicount {__version__}  seed={seed}")
-    print(f"wrote {len(grid)} density points for {name} to {args.out}")
+    print(f"wrote {len(grid)} exact density points for {name} to {args.out}")
     return 0
 
 
@@ -369,7 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_options(p_int)
     p_int.add_argument("--kind", choices=("equal", "hpd"), default="equal")
     p_int.add_argument("--level", type=_probability, default=0.95)
-    p_int.add_argument("--draws", type=int, default=50_000)
+    p_int.add_argument("--draws", type=int, default=50_000,
+                       help="accepted for compatibility; no effect, the "
+                            "interval is exact")
     p_int.add_argument("--seed", type=int, default=None)
     p_int.add_argument("--out", choices=("json", "text"), default="text")
     p_int.set_defaults(func=_cmd_interval)
@@ -377,7 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_post = sub.add_parser("posterior", help="export the posterior density curve")
     _add_data_options(p_post)
     p_post.add_argument("--grid-points", type=int, default=512)
-    p_post.add_argument("--draws", type=int, default=50_000)
+    p_post.add_argument("--draws", type=int, default=50_000,
+                        help="accepted for compatibility; no effect, the "
+                             "density is exact")
     p_post.add_argument("--seed", type=int, default=None)
     p_post.add_argument("--out", required=True, help="output CSV path")
     p_post.set_defaults(func=_cmd_posterior)

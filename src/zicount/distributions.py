@@ -44,6 +44,7 @@ class _PowerSeries:
     log_a: Callable
     mean: Callable
     theta_from_mean: Callable
+    theta_from_log_c: Callable
     truncated_mle: Callable
     draws: Callable
     tail_bound: Callable
@@ -114,6 +115,7 @@ _POISSON = _PowerSeries(
     log_a=lambda y: -special.gammaln(y + 1.0),
     mean=lambda t: t,
     theta_from_mean=lambda mean: mean,
+    theta_from_log_c=lambda log_c: log_c,
     truncated_mle=_poisson_truncated_mle,
     draws=lambda rng, t, n: rng.poisson(t, n),
     tail_bound=_poisson_tail_bound,
@@ -135,6 +137,7 @@ _GEOMETRIC = _PowerSeries(
     log_a=lambda y: 0.0,
     mean=lambda t: t / (1.0 - t),
     theta_from_mean=lambda mean: mean / (1.0 + mean),
+    theta_from_log_c=lambda log_c: -np.expm1(-log_c),
     truncated_mle=lambda m, s, tol, max_iter: ((s - m) / s, 0, True),
     # numpy's geometric counts trials >= 1 with success probability 1 - theta
     draws=lambda rng, t, n: rng.geometric(1.0 - t, n) - 1,
@@ -163,6 +166,7 @@ class Family(Enum):
       derivatives;
     * ``log_a``: ``log a_y``, vectorized over ``y``;
     * ``mean`` and ``theta_from_mean``: the family mean and its inverse;
+    * ``theta_from_log_c``: the inverse of ``log_c``;
     * ``truncated_mle``: theta solving the zero-truncated likelihood
       equations for ``m`` positive counts summing to ``s``;
     * ``draws``: the base sampler;
@@ -172,7 +176,8 @@ class Family(Enum):
     * ``log_jeffreys`` and ``dlog_jeffreys``: the log of the family's
       Jeffreys prior for theta, ``sqrt(i(theta))``, and its derivative.
 
-    ``f0``, ``log_c``, ``trunc_info`` and ``log_jeffreys`` take arrays too.
+    ``f0``, ``log_c``, ``theta_from_log_c``, ``trunc_info`` and
+    ``log_jeffreys`` take arrays too.
     """
 
     POISSON = "poisson", _POISSON

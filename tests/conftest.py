@@ -86,7 +86,9 @@ class PosteriorOracle:
     widened until the kernel is below 1e-22 of its peak.  When every
     positive count is one the theta kernel has a ``theta**(-1/2)`` pole at
     zero, so the integration variable is ``x = sqrt(theta)``; otherwise it
-    is theta itself.
+    is theta itself.  The weight's density and CDF at a negative point get
+    a breakpoint where that point leaves the weight range, so the far left
+    tail of an all-ones sample is integrated, not skipped.
     """
 
     def __init__(self, sample: CountSample, family: Family = Family.POISSON):
@@ -95,12 +97,15 @@ class PosteriorOracle:
         s = self.s
         if family is Family.POISSON:
             self._f0 = lambda t: math.exp(-t)
+            # theta where f0 / (1 - f0) = r: the weight's lower end is -r
+            self._theta_at_odds = lambda r: math.log1p(1.0 / r)
             logk = lambda t: -m * t - m * math.log(-math.expm1(-t)) + (s - 0.5) * math.log(t)
             dlogk = lambda t: (s - 0.5) / t - m / -math.expm1(-t)
             upper, start_hi = math.inf, 10.0 * s / m + 10.0
         else:
             a, b = s - m + 0.5, m
             self._f0 = lambda t: 1.0 - t
+            self._theta_at_odds = lambda r: 1.0 / (1.0 + r)
             logk = lambda t: (a - 1.0) * math.log(t) + (b - 1.0) * math.log1p(-t)
             dlogk = lambda t: (a - 1.0) / t - (b - 1.0) / (1.0 - t)
             upper, start_hi = 1.0, 1.0 - 1e-12
@@ -135,13 +140,21 @@ class PosteriorOracle:
         self.lo, self.hi, self._mode = lo, hi, mode
         self.norm = self._quad(lambda t: 1.0)
 
-    def _quad(self, g, lo=None, hi=None, epsabs=0.0):
+    def _quad(self, g, lo=None, hi=None, epsabs=0.0, breaks=()):
         lo = self.lo if lo is None else lo
         hi = self.hi if hi is None else hi
         f = lambda x: math.exp(self._logg(x) - self._peak) * g(self._theta(x))
-        points = [self._mode] if lo < self._mode < hi else None
+        points = [x for x in (self._mode, *breaks) if lo < x < hi] or None
         return integrate.quad(f, lo, hi, points=points, limit=500,
                               epsabs=epsabs, epsrel=1e-12)[0]
+
+    def _support_edge(self, x):
+        """Breakpoint where the weight's lower end ``-f0 / (1 - f0)`` passes
+        ``x``: above that theta, p = x is outside the weight range."""
+        if x >= 0.0:
+            return ()
+        t = self._theta_at_odds(-x)
+        return (math.sqrt(t) if self._root else t,)
 
     def theta_mean(self):
         return self._quad(lambda t: t) / self.norm
@@ -173,10 +186,17 @@ class PosteriorOracle:
         def g(t):
             f0 = self._f0(t)
             return stats.beta.cdf(f0 + x * (1.0 - f0), self.n0 + 0.5, self.m + 0.5)
-        return self._quad(g) / self.norm
+        return self._quad(g, breaks=self._support_edge(x)) / self.norm
 
     def p_quantile(self, q):
-        return optimize.brentq(lambda x: self.p_cdf(x) - q, -50.0, 1.0 - 1e-12,
+        """The weight's q-quantile.  When every positive count is one, the
+        theta posterior reaches zero, where the weight's lower end
+        ``-f0 / (1 - f0)`` runs to minus infinity, so the lower end of the
+        bracket widens geometrically until the CDF falls below q."""
+        lo = -1.0
+        while self.p_cdf(lo) > q:
+            lo *= 8.0
+        return optimize.brentq(lambda x: self.p_cdf(x) - q, lo, 1.0 - 1e-12,
                                xtol=1e-8)
 
     def p_density(self, x):
@@ -184,7 +204,7 @@ class PosteriorOracle:
             f0 = self._f0(t)
             return (1.0 - f0) * stats.beta.pdf(f0 + x * (1.0 - f0),
                                                self.n0 + 0.5, self.m + 0.5)
-        return self._quad(g) / self.norm
+        return self._quad(g, breaks=self._support_edge(x)) / self.norm
 
 
 def zip_theta_rejection_draws(rng: np.random.Generator, m: int, s: float,

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from zicount import (CountSample, DegenerateSampleError, Family, IntervalKind,
-                     PriorKind, PriorSpec, ZipsModel, bayes_factor_positive,
-                     credible_interval, default_prior, density_curve,
-                     draw_posterior, fisher_info, grad_log_prior, hpd_interval,
-                     log_prior, marginal_posterior_density, p_lower,
+from zicount import (CountSample, DegenerateSampleError, ExactMarginal, Family,
+                     IntervalKind, PriorKind, PriorSpec, ZicountError, ZipsModel,
+                     bayes_factor_positive, credible_interval, default_prior,
+                     density_curve, draw_posterior, exact_marginal, fisher_info,
+                     grad_log_prior, hpd_interval, log_prior,
+                     marginal_posterior_density, p_lower,
                      posterior_prob_positive, posterior_prob_positive_factorized,
                      posterior_prob_positive_quadrature, prior_density,
                      sample_values)
@@ -371,6 +372,9 @@ class TestIntervals:
         upper = brentq(lambda x: oracle.p_density(x) - threshold, mode, grid[-1])
         assert est.lower == pytest.approx(lower, abs=0.01)
         assert est.upper == pytest.approx(upper, abs=0.01)
+        exact = exact_marginal(Family.POISSON, uti).interval(0.95, IntervalKind.HPD)
+        assert exact.lower == pytest.approx(lower, abs=0.01)
+        assert exact.upper == pytest.approx(upper, abs=0.01)
 
     def test_hpd_properties(self, uti, terror, cholera):
         for cs in (uti, terror, cholera):
@@ -413,6 +417,126 @@ class TestIntervals:
             est = hpd_interval(draws, uti, 0.95)
         assert est.note is not None
         assert est.lower < est.upper
+
+
+# sample sizes for samples drawn at p = 0.2, and all-ones samples, whose
+# weight posterior has a heavy left tail (theta near zero sends -f0/(1 - f0)
+# to minus infinity)
+MARGINAL_CASES = (2, 20, 100, 1_000, 10_000, 1_000_000,
+                  {0: 4, 1: 6}, {0: 18, 1: 2}, {0: 19, 1: 1})
+
+
+def _marginal_sample(family, case):
+    if isinstance(case, dict):
+        return CountSample(case)
+    model = ZipsModel(family, 0.2, 1.0 if family is Family.POISSON else 0.5)
+    for seed in range(100):
+        cs = CountSample.from_values(sample_values(model, case, np.random.default_rng([case, seed])))
+        if 0 < cs.n0 < cs.n:
+            return cs
+    raise AssertionError("no usable sample")
+
+
+class TestExactMarginal:
+    """The exact marginal of the weight, against the 1-D quadrature oracle."""
+
+    @pytest.mark.parametrize("case", MARGINAL_CASES, ids=str)
+    @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
+    def test_matches_oracle(self, family, case):
+        cs = _marginal_sample(family, case)
+        oracle = PosteriorOracle(cs, family)
+        exact = exact_marginal(family, cs)
+        equal = exact.interval(0.95, IntervalKind.EQUAL_TAIL)
+        points = {oracle.p_quantile(q): None for q in (0.01, 0.5, 0.99)}
+        points.update({equal.lower: 0.025, equal.upper: 0.975})
+        for x, q in points.items():
+            # relative above one: at n = 1e6 the density is about 300, and
+            # the oracle's theta kernel, like the rule's, sums terms of order
+            # n, which leaves about 1e-11 relative noise in either
+            dens, cdf = oracle.p_density(x), oracle.p_cdf(x)
+            assert abs(exact.density(x) - dens) <= 1e-8 * max(1.0, dens)
+            assert abs(exact.cdf(x) - cdf) <= 1e-8
+            assert q is None or abs(cdf - q) <= 1e-8
+
+    @pytest.mark.parametrize("level", (0.5, 0.95))
+    @pytest.mark.parametrize("case", MARGINAL_CASES, ids=str)
+    @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
+    def test_hpd_is_the_level_set(self, family, case, level):
+        exact = exact_marginal(family, _marginal_sample(family, case))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hpd = exact.interval(level, IntervalKind.HPD)
+            equal = exact.interval(level, IntervalKind.EQUAL_TAIL)
+        _, dens = exact.curve(512)
+        lower, upper = exact.density([hpd.lower, hpd.upper])
+        assert hpd.note is None and hpd.lower < hpd.upper < 1.0
+        assert abs(exact.cdf(hpd.upper) - exact.cdf(hpd.lower) - level) <= 1e-9
+        assert abs(lower - upper) <= 1e-8 * dens.max()
+        assert hpd.density_threshold == pytest.approx(lower, rel=1e-8)
+        assert hpd.upper - hpd.lower <= equal.upper - equal.lower
+
+    def test_curve_spans_visible_mass(self, uti, cholera):
+        for cs in (uti, cholera):
+            grid, dens = exact_marginal(Family.POISSON, cs).curve(256)
+            assert grid.size == 256 and np.all(np.diff(grid) > 0.0)
+            assert dens[0] < 1e-3 * dens.max() and dens[-1] < 1e-3 * dens.max()
+            assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=2e-3)
+
+    def test_multimodal_fallback_returns_hull_with_warning(self, uti):
+        class TwoBumps(ExactMarginal):
+            def density(self, p):
+                p = np.asarray(p, dtype=float)
+                return (np.exp(-0.5 * ((p - 0.2) / 0.05) ** 2)
+                        + np.exp(-0.5 * ((p - 0.7) / 0.05) ** 2))
+
+        base = exact_marginal(Family.POISSON, uti)
+        bumps = TwoBumps(base.rule, base.a, base.b, base.window)
+        with pytest.warns(UserWarning, match="unimodal"):
+            est = bumps.interval(0.95, IntervalKind.HPD)
+        assert est.note is not None
+        assert est.lower < 0.2 < 0.7 < est.upper
+
+    def test_level_validation(self, uti):
+        exact = exact_marginal(Family.POISSON, uti)
+        for kind in IntervalKind:
+            with pytest.raises(ValueError):
+                exact.interval(1.0, kind)
+        with pytest.raises(ValueError):
+            exact.curve(8)
+
+
+# (n0, positive counts): n from 2 to 1e6, with no zeros, no positives, all
+# positives one, a single large count, and a Poisson mean above 700
+SWEEP_TABLES = (
+    {0: 1, 1: 1}, {0: 1, 7: 1}, {1: 3, 2: 2}, {0: 5}, {0: 4, 1: 6},
+    {0: 12, 1: 5, 2: 2, 4: 1}, {0: 9, 50: 1}, {0: 99, 1000: 1}, {0: 1, 5000: 1},
+    {0: 3, 800: 2, 900: 3}, {0: 400_000, 1: 600_000}, {0: 999_999, 1: 1},
+    {0: 1, 1: 999_999}, {0: 1, 2: 999_999},
+    {0: 600_000, 1: 250_000, 2: 100_000, 3: 50_000},
+)
+
+
+@pytest.mark.parametrize("table", SWEEP_TABLES, ids=lambda t: str(t)[:40])
+@pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
+def test_exact_marginal_returns_finite_numbers_or_typed_errors(family, table):
+    cs = CountSample(table)
+    if cs.n0 == 0 or cs.n0 == cs.n:
+        with pytest.raises(DegenerateSampleError):
+            exact_marginal(family, cs)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            exact = exact_marginal(family, cs)
+            points = [-10.0, 0.0, 0.5, 0.999]
+            values = [exact.density(points), exact.cdf(points), *exact.curve(64)]
+            for kind in IntervalKind:
+                est = exact.interval(0.95, kind)
+                values.append([est.lower, est.upper])
+        except ZicountError:
+            return
+    assert all(np.all(np.isfinite(v)) for v in values)
+    assert np.all(values[0] >= 0.0) and np.all((values[1] >= 0.0) & (values[1] <= 1.0))
 
 
 class TestBayesFactor:

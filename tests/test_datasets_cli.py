@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,14 @@ class TestCli:
         assert report["mle"]["full"]["p_hat"] == pytest.approx(0.7116, abs=5e-4)
         assert report["seed"] == 3
 
+    def test_bayes_test_draws_the_importance_sampled_t_once(self, capsys):
+        # the Bayes factor reuses the test's estimate: one low-ESS warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["test", "--dataset", "cholera", "--method", "bayes",
+                         "--seed", "1"]) == 0
+        assert sum("ESS low" in str(w.message) for w in caught) == 1
+
     def test_text_and_json_carry_identical_numbers(self, capsys):
         main(["test", "--dataset", "terror", "--method", "score",
               "--seed", "2", "--out", "json"])
@@ -147,7 +156,8 @@ class TestCli:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         entry = report["intervals"][0]
-        assert entry["kind"] == "hpd"
+        assert entry["kind"] == "hpd" and entry["method"] == "exact"
+        assert "draws" not in report
         assert 0.4 < entry["lower"] < entry["upper"] < 0.8
         assert entry["density_threshold"] > 0
 

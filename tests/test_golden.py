@@ -6,6 +6,10 @@ exactly; every other number must agree within ``1e-12 * max(1, |x|)``.
 Run this file as a script to re-record the fixture:
 
     PYTHONPATH=src python tests/test_golden.py
+
+A re-record keeps every recorded ``close`` entry that still passes the
+check, so only real changes (and new keys) reach the file, not last-digit
+noise.
 """
 
 import dataclasses
@@ -180,10 +184,22 @@ def test_outputs_match_golden_fixture():
         _assert_same(got[bucket], want[bucket], bucket, bucket == "exact")
 
 
+def _passes(got, want) -> bool:
+    try:
+        _assert_same(got, want, "", exact=False)
+    except AssertionError:
+        return False
+    return True
+
+
 if __name__ == "__main__":
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        outputs = compute_outputs()
+        outputs = json.loads(json.dumps(compute_outputs()))
+    if GOLDEN.exists():
+        recorded = json.loads(GOLDEN.read_text())["close"]
+        outputs["close"] = {k: recorded[k] if k in recorded and _passes(v, recorded[k])
+                            else v for k, v in outputs["close"].items()}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")

@@ -25,6 +25,7 @@ LIGHT_COMMANDS = (
     ["test", "--dataset", "uti", "--method", "lr"],
     ["interval", "--dataset", "uti", "--model", "geometric"],
     ["interval", "--dataset", "uti"],
+    ["interval", "--dataset", "terror", "--kind", "hpd"],
     ["posterior", "--dataset", "cholera", "--out", "{tmp}/density.csv"],
 )
 
