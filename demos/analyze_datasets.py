@@ -3,18 +3,18 @@
 For each dataset: sufficient statistics, the null and full maximum
 likelihood fits, score and likelihood ratio tests, the Bayesian posterior
 probability of excess zeros with its deterministic quadrature cross-check,
-the posterior-odds factor, and 95% equal-tail and HPD intervals.
+the posterior-odds factor, and exact 95% equal-tail and HPD intervals from
+the marginal posterior of the weight.
 """
 
 import warnings
 
-from zicount import (Family, bayes_factor_positive, credible_interval,
-                     dataset_names, draw_posterior, hpd_interval, load_dataset,
-                     lr_test, mle_full, mle_null, posterior_prob_positive,
+from zicount import (Family, IntervalKind, bayes_factor_positive,
+                     dataset_names, exact_marginal, load_dataset, lr_test,
+                     mle_full, mle_null, posterior_prob_positive,
                      posterior_prob_positive_quadrature, score_test)
 
 SEED = 1
-DRAWS = 50_000
 
 warnings.filterwarnings("ignore")
 
@@ -47,11 +47,11 @@ for name in dataset_names():
     print(f"posterior-odds factor: {factor.value:.2f}{bound} "
           f"(non-authoritative; prior P(p > 0) = {factor.prior_prob:.3f})")
 
-    draws = draw_posterior(Family.POISSON, sample, B=DRAWS, seed=SEED)
-    eq = credible_interval(draws, 0.95)
-    hp = hpd_interval(draws, sample, 0.95)
-    print(f"95% equal-tail interval: ({eq.lower:.4f}, {eq.upper:.4f})")
-    print(f"95% HPD interval:        ({hp.lower:.4f}, {hp.upper:.4f})")
+    marginal = exact_marginal(Family.POISSON, sample)
+    eq = marginal.interval(0.95, IntervalKind.EQUAL_TAIL)
+    hp = marginal.interval(0.95, IntervalKind.HPD)
+    print(f"95% equal-tail interval (exact): ({eq.lower:.4f}, {eq.upper:.4f})")
+    print(f"95% HPD interval (exact):        ({hp.lower:.4f}, {hp.upper:.4f})")
     verdict = "zero inflation" if eq.lower > 0 else "no clear zero inflation"
     print(f"=> interval {'excludes' if eq.lower > 0 else 'contains'} zero: "
           f"{verdict}")

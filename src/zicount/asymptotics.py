@@ -27,7 +27,7 @@ from .distributions import (CountSample, Family, loglik_derivatives,
                             sample_values)
 from .errors import DegenerateSampleError
 from .frequentist import mle_full
-from .power import _replications
+from .power import _bayes_seed, _replications
 
 
 @dataclass(frozen=True)
@@ -143,14 +143,21 @@ def _simulate_null_ts(family: Family, theta_null: float, n: int, reps: int,
     ``B > 0`` uses the Monte Carlo estimator with B draws per replication;
     ``B = 0`` computes T by the factorized quadrature, which stays accurate
     at sample sizes where the importance sampler's proposal breaks down.
+    Factorized T depends on a sample only through ``(n0, s)`` at fixed n, so
+    it is computed once per distinct pair within this call.
     """
-    ts = []
-    for values, _, bayes_seed, _ in _replications(family, 0.0, theta_null, n, reps, seed):
-        cs = CountSample.from_values(values)
+    ts, t_of_stat = [], {}
+    for values, n0, rep, _ in _replications(family, 0.0, theta_null, n, reps, seed):
         if B > 0:
-            ts.append(posterior_prob_positive(family, cs, B=B, seed=bayes_seed).value)
-        else:
-            ts.append(posterior_prob_positive_factorized(family, cs))
+            cs = CountSample.from_values(values)
+            ts.append(posterior_prob_positive(family, cs, B=B,
+                                              seed=_bayes_seed(seed, (), rep)).value)
+            continue
+        stat = (n0, int(values.sum()))
+        if stat not in t_of_stat:
+            t_of_stat[stat] = posterior_prob_positive_factorized(
+                family, CountSample.from_values(values))
+        ts.append(t_of_stat[stat])
     return np.array(ts)
 
 

@@ -99,14 +99,16 @@ def _replications(family: Family, p: float, theta: float, n: int, reps: int,
                   seed: int, key: tuple = ()):
     """Seeded ZIP(p, theta) samples of size n, one per replication.
 
-    Replication ``rep`` is seeded from ``(seed, key + (rep,))`` alone, and an
-    all-zero sample is redrawn at most ``MAX_REDRAWS`` times.  Yields
-    ``(values, n0, bayes_seed, redraws)``.
+    Replication ``rep`` draws its data from the child ``key + (rep, 0)`` of
+    ``seed``, which is ``spawn(2)[0]`` of ``key + (rep,)``, and an all-zero
+    sample is redrawn at most ``MAX_REDRAWS`` times.  Yields
+    ``(values, n0, rep, redraws)``; ``_bayes_seed`` gives the replication's
+    Bayes seed to the callers that need one.
     """
     model = ZipsModel(family, p if p != 0.0 else 1e-14, theta)
     for rep in range(reps):
-        c_data, c_bayes = np.random.SeedSequence(seed, spawn_key=key + (rep,)).spawn(2)
-        rng = np.random.default_rng(c_data)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=key + (rep, 0)))
         for redraws in range(MAX_REDRAWS):
             values = sample_values(model, n, rng)
             n0 = int(np.count_nonzero(values == 0))
@@ -116,7 +118,12 @@ def _replications(family: Family, p: float, theta: float, n: int, reps: int,
             raise DegenerateSampleError(
                 f"all-zero samples persisted for {MAX_REDRAWS} redraws at "
                 f"theta={theta}, p={p}, n={n}")
-        yield values, n0, int(c_bayes.generate_state(1)[0]), redraws
+        yield values, n0, rep, redraws
+
+
+def _bayes_seed(seed: int, key: tuple, rep: int) -> int:
+    """Seed of replication ``rep``'s Bayes draws: the child ``key + (rep, 1)``."""
+    return int(np.random.SeedSequence(seed, spawn_key=key + (rep, 1)).generate_state(1)[0])
 
 
 def _run_combo(config: PowerConfig, combo_index: int):
@@ -131,12 +138,12 @@ def _run_combo(config: PowerConfig, combo_index: int):
         (_lr_statistic_stats, Method.LR_ONE, Method.LR_TWO))
         if one in methods or two in methods]
     rejections = {m: 0 for m in methods}
-    redraws = 0
+    redraws, key = 0, (combo_index,)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for values, n0, bayes_seed, redrawn in _replications(
-                family, p, theta, n, config.reps, config.seed, (combo_index,)):
+        for values, n0, rep, redrawn in _replications(
+                family, p, theta, n, config.reps, config.seed, key):
             redraws += redrawn
             s = int(values.sum())
             for statistic, one, two in tests:
@@ -148,7 +155,7 @@ def _run_combo(config: PowerConfig, combo_index: int):
             if Method.BAYES in methods:
                 est = posterior_prob_positive(
                     family, CountSample.from_values(values), B=config.draws,
-                    seed=bayes_seed)
+                    seed=_bayes_seed(config.seed, key, rep))
                 if est.value > 1.0 - config.alpha:
                     rejections[Method.BAYES] += 1
 

@@ -12,6 +12,7 @@ from zicount import (CountSample, DegenerateSampleError, ExpansionInputs,
 from zicount.asymptotics import (BetaCalibration, _correction_terms,
                                  beta_moment_fit)
 from zicount.distributions import _log_likelihood
+from zicount.power import _replications
 
 from conftest import fd_hessian, fd_third
 
@@ -194,6 +195,33 @@ class TestUniformityCheck:
     def test_validation(self):
         with pytest.raises(ValueError):
             uniformity_check(Family.POISSON, 1.0, 100, reps=0)
+
+    @pytest.mark.parametrize("family, theta, n", [
+        (Family.POISSON, 1.0, 30), (Family.GEOMETRIC, 0.5, 60)])
+    def test_factorized_t_once_per_distinct_statistic(self, monkeypatch,
+                                                      family, theta, n):
+        reps, seed = 400, 12
+        direct = posterior_prob_positive_factorized
+        keys = []
+
+        def counted(fam, sample):
+            keys.append((sample.n0, sample.s))
+            return direct(fam, sample)
+
+        monkeypatch.setattr("zicount.asymptotics.posterior_prob_positive_factorized",
+                            counted)
+        report = uniformity_check(family, theta, n, reps=reps, B=0, seed=seed)
+        samples = [CountSample.from_values(values) for values, *_ in
+                   _replications(family, 0.0, theta, n, reps, seed)]
+        distinct = {(cs.n0, cs.s) for cs in samples}
+        assert len(keys) == len(set(keys)) == len(distinct) < reps
+        assert set(keys) == distinct
+        expected = np.array([direct(family, cs) for cs in samples])
+        assert np.array_equal(report.t_values, expected)
+        # no cache outlives a call: the same call computes every T again
+        again = uniformity_check(family, theta, n, reps=reps, B=0, seed=seed)
+        assert len(keys) == 2 * len(distinct)
+        assert np.array_equal(again.t_values, expected)
 
 
 class TestBetaCalibration:

@@ -9,11 +9,11 @@ from zicount import (CountSample, DegenerateSampleError, ExactMarginal, Family,
                      IntervalKind, PriorKind, PriorSpec, ZicountError, ZipsModel,
                      bayes_factor_positive, credible_interval, default_prior,
                      density_curve, draw_posterior, exact_marginal, fisher_info,
-                     grad_log_prior, hpd_interval, log_prior,
-                     marginal_posterior_density, p_lower,
+                     grad_log_prior, hpd_interval, log_prior, lr_test,
+                     marginal_posterior_density, mle_full, mle_null, p_lower,
                      posterior_prob_positive, posterior_prob_positive_factorized,
                      posterior_prob_positive_quadrature, prior_density,
-                     sample_values)
+                     sample_values, score_test)
 
 from zicount.bayes import _prior_prob_positive
 
@@ -537,6 +537,44 @@ def test_exact_marginal_returns_finite_numbers_or_typed_errors(family, table):
             return
     assert all(np.all(np.isfinite(v)) for v in values)
     assert np.all(values[0] >= 0.0) and np.all((values[1] >= 0.0) & (values[1] <= 1.0))
+
+
+def _sweep_outputs(route, family, cs):
+    """The numbers one route returns on one sweep sample."""
+    if route == "factorized":
+        return [posterior_prob_positive_factorized(family, cs)]
+    if route in ("score_test", "lr_test"):
+        report = (score_test if route == "score_test" else lr_test)(family, cs)
+        return [report.statistic, report.signed_root, report.p_value]
+    fit = (mle_null if route == "mle_null" else mle_full)(family, cs)
+    return [fit.p_hat, fit.theta_hat, fit.loglik]
+
+
+@pytest.mark.parametrize("route", ["factorized", "score_test", "lr_test",
+                                   "mle_null", "mle_full"])
+@pytest.mark.parametrize("table", SWEEP_TABLES, ids=lambda t: str(t)[:40])
+@pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
+def test_routes_return_finite_numbers_or_typed_errors(family, table, route):
+    cs = CountSample(table)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = _sweep_outputs(route, family, cs)
+        except ZicountError:
+            return
+    # two defined non-finite values:
+    if route == "score_test" and family is Family.POISSON and math.exp(-cs.ybar) == 0.0:
+        # f0 underflows at the null fit theta = ybar (Poisson {0: 1, 5000: 1}):
+        # the statistic is +inf and the p-value 0
+        assert values[0] == values[1] == math.inf and values[2] == 0.0
+        values = values[2:]
+    if route == "mle_full" and 0 < cs.n0 and cs.s == cs.n - cs.n0:
+        # every positive count is one: no interior MLE, the boundary p_hat is NaN
+        assert math.isnan(values[0])
+        values = values[1:]
+    assert all(math.isfinite(v) for v in values), values
+    if route == "factorized":
+        assert 0.0 <= values[0] <= 1.0
 
 
 class TestBayesFactor:

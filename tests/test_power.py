@@ -5,6 +5,8 @@ from zicount import (CellResult, DegenerateSampleError, Family, Method,
                      MissingCellError, PowerConfig, PowerGrid,
                      REFERENCE_POWER_ONE_SIDED, REFERENCE_POWER_TWO_SIDED,
                      compare_tables, run_power_study, uniformity_check)
+from zicount.distributions import ZipsModel, sample_values
+from zicount.power import _bayes_seed, _replications
 
 ALL_METHODS = (Method.SCORE_ONE, Method.SCORE_TWO, Method.BAYES,
                Method.LR_ONE, Method.LR_TWO)
@@ -181,3 +183,35 @@ class TestCompareTables:
         report = compare_tables(grid, subset)
         assert report.n_cells == 36
         assert report.pass_fraction >= 0.9
+
+
+class TestSeedLayout:
+    """Replication ``rep`` of cell ``key`` takes its data from child 0 and its
+    Bayes seed from child 1 of ``SeedSequence(seed, spawn_key=key + (rep,))``."""
+
+    @pytest.mark.parametrize("seed, key", [(0, ()), (5, (0,)), (123456789, (7,))])
+    def test_data_and_bayes_children_match_spawn(self, seed, key):
+        # a sample is all zero with probability about 0.18, so some are redrawn
+        model = ZipsModel(Family.POISSON, 0.6, 0.5)
+        stream = _replications(Family.POISSON, 0.6, 0.5, 10, 20, seed, key)
+        total_redraws = 0
+        for values, n0, rep, redraws in stream:
+            data, bayes = np.random.SeedSequence(seed, spawn_key=key + (rep,)).spawn(2)
+            rng = np.random.default_rng(data)
+            for _ in range(redraws + 1):
+                expected = sample_values(model, 10, rng)
+            assert np.array_equal(values, expected)
+            assert n0 == int(np.count_nonzero(expected == 0)) < 10
+            assert _bayes_seed(seed, key, rep) == int(bayes.generate_state(1)[0])
+            total_redraws += redraws
+        assert total_redraws > 0
+
+    def test_score_and_lr_grid_draws_no_bayes_seed(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("Bayes seed derived for a grid without the Bayes test")
+
+        monkeypatch.setattr("zicount.power._bayes_seed", forbidden)
+        config = small_grid(methods=(Method.SCORE_ONE, Method.SCORE_TWO,
+                                     Method.LR_ONE, Method.LR_TWO), reps=100)
+        grid = run_power_study(config)
+        assert len(grid.cells) == 8
