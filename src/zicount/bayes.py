@@ -27,6 +27,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 import scipy
@@ -40,9 +41,36 @@ DEFAULT_DRAWS = 10_000
 DEFAULT_THETA_WINDOW = (0.0, 50.0)
 
 
+@dataclass(frozen=True)
+class _Prior:
+    """Constants of one objective prior (see ``PriorKind``)."""
+
+    k: int
+    log_z: float
+    log_g: Callable
+    dlog_g: Callable
+
+
 class PriorKind(Enum):
-    JEFFREYS_JOINT = "jeffreys_joint"
-    CONDITIONAL_JEFFREYS = "conditional_jeffreys_times_marginal"
+    """Objective prior for (p, theta), each member with its record ``_prior``.
+
+    Both priors are ``pstar**(-1/2) * (1 - pstar)**(-k/2) * g(theta) / Z`` in
+    the orthogonal coordinates: ``(k, Z, g)`` is ``(0, 1, sqrt(i_trunc))`` for
+    the joint Jeffreys prior and ``(1, pi, sqrt(i))`` for the conditional one.
+    ``log_g`` and its derivative take the family's ``_PowerSeries`` and theta.
+    """
+
+    JEFFREYS_JOINT = "jeffreys_joint", _Prior(
+        0, 0.0, lambda s, t: 0.5 * np.log(s.trunc_info(t)),
+        lambda s, t: 0.5 * s.dlog_trunc_info(t))
+    CONDITIONAL_JEFFREYS = "conditional_jeffreys_times_marginal", _Prior(
+        1, math.log(math.pi), lambda s, t: s.log_jeffreys(t), lambda s, t: s.dlog_jeffreys(t))
+
+    def __new__(cls, value: str, prior: _Prior):
+        member = object.__new__(cls)
+        member._value_ = value
+        member._prior = prior
+        return member
 
 
 @dataclass(frozen=True)
@@ -127,26 +155,21 @@ class BayesFactorResult:
 def log_prior(spec: PriorSpec, p: float, theta: float) -> float:
     """Log of the (unnormalized) prior density at (p, theta).
 
-    The conditional Jeffreys prior is the Beta(1/2, 1/2) law of pstar mapped
-    to p, ``sqrt((1 - f0) / ((1 - p) * pstar)) / pi``, times the family's
-    Jeffreys prior for theta.  The joint Jeffreys prior is the root
-    determinant of ``fisher_info``, ``(1 - f0) * sqrt(i_trunc(theta) / pstar)``.
+    The prior in (pstar, theta) (see ``PriorKind``) times the slope
+    ``1 - f0`` of ``p -> pstar``: ``sqrt((1 - f0) / ((1 - p) * pstar)) / pi``
+    times the family's Jeffreys prior for the conditional kind, and
+    ``(1 - f0) * sqrt(i_trunc(theta) / pstar)`` for the joint one.
     """
-    series = spec.family._series
+    series, prior = spec.family._series, spec.kind._prior
     lo = p_lower(spec.family, theta)
     if not (lo < p < 1.0):
         raise ParameterRangeError(f"p={p!r} outside extended range ({lo!r}, 1)")
     f0 = series.f0(theta)
     a = f0 + p * (1.0 - f0)
     log_om = math.log(-math.expm1(-series.log_c(theta)))
-    if spec.kind is PriorKind.CONDITIONAL_JEFFREYS:
-        # conditional factor integrates to one in p at every theta
-        val = (-math.log(math.pi)
-               + 0.5 * (log_om - math.log1p(-p) - math.log(a))
-               + series.log_jeffreys(theta))
-    else:
-        val = log_om + 0.5 * (math.log(series.trunc_info(theta)) - math.log(a))
-    return float(val)
+    # log(1 - pstar) as log1p(-p) + log(1 - f0), so that a p near one keeps its digits
+    return float(-prior.log_z - 0.5 * (math.log(a) + prior.k * (math.log1p(-p) + log_om))
+                 + prior.log_g(series, theta) + log_om)
 
 
 def prior_density(spec: PriorSpec, p: float, theta: float) -> float:
@@ -156,40 +179,40 @@ def prior_density(spec: PriorSpec, p: float, theta: float) -> float:
 
 def grad_log_prior(spec: PriorSpec, p: float, theta: float) -> np.ndarray:
     """Gradient of log prior in (p, theta), in closed form."""
-    series = spec.family._series
+    series, prior = spec.family._series, spec.kind._prior
     spec.family.require_theta(theta)
     f0 = series.f0(theta)
     d1 = series.f0_derivs(theta)[0]
     om = -math.expm1(-series.log_c(theta))
     a = f0 + p * (1.0 - f0)
     a_p, a_t = 1.0 - f0, (1.0 - p) * d1
-    if spec.kind is PriorKind.CONDITIONAL_JEFFREYS:
-        gp = 0.5 / (1.0 - p) - 0.5 * a_p / a
-        gt = -0.5 * d1 / om - 0.5 * a_t / a + series.dlog_jeffreys(theta)
-    else:
-        gp = -0.5 * a_p / a
-        gt = -d1 / om + 0.5 * series.dlog_trunc_info(theta) - 0.5 * a_t / a
+    gp = 0.5 * prior.k / (1.0 - p) - 0.5 * a_p / a
+    gt = -(1.0 - 0.5 * prior.k) * d1 / om - 0.5 * a_t / a + prior.dlog_g(series, theta)
     return np.array([gp, gt])
 
 
 def _log_prior_pstar(spec: PriorSpec, pstar, theta):
-    """Log prior mapped to (pstar, theta) coordinates; numpy-broadcastable.
-
-    The map ``p -> pstar`` has slope ``1 - f0``, which cancels the same
-    factor in both priors.
-    """
+    """Log prior in (pstar, theta) coordinates (see ``PriorKind``); numpy-broadcastable."""
     pstar = np.asarray(pstar, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    series = spec.family._series
-    if spec.kind is PriorKind.CONDITIONAL_JEFFREYS:
-        base = (-math.log(math.pi)
-                - 0.5 * (np.log(pstar) + np.log1p(-pstar)))
-        return base + series.log_jeffreys(theta)
-    return 0.5 * (np.log(series.trunc_info(theta)) - np.log(pstar))
+    prior = spec.kind._prior
+    # k = 0 takes no log(1 - pstar), which is -inf at a draw rounded to one
+    log_1m = prior.k * np.log1p(-pstar) if prior.k else 0.0
+    return (-prior.log_z - 0.5 * (np.log(pstar) + log_1m)
+            + prior.log_g(spec.family._series, theta))
 
 
 # ---------------------------------------------------------------------------
 # the theta posterior and posterior sampling
+
+
+@functools.cache
+def _gauss_legendre() -> np.ndarray:
+    """64-point Gauss-Legendre node offsets from a panel's end ``b``, and weights, per unit
+    width: ``[offsets, weights]`` of the linear map and of ``u = b - (b - a) t**2``."""
+    x, gl = np.polynomial.legendre.leggauss(64)
+    t = 0.5 * (1.0 + x)
+    return np.array([[0.5 * (1.0 - x), 0.5 * gl], [t * t, t * gl]])
 
 
 class _ThetaPosterior:
@@ -203,8 +226,6 @@ class _ThetaPosterior:
     widens from the Laplace 1e-16 points until the density is below 1e-16
     of its peak, clipped at ``top``.
     """
-
-    legendre = staticmethod(functools.cache(special.roots_legendre))
 
     def __init__(self, family: Family, m: int, s: float):
         self.series, self.m, self.s = family._series, m, s
@@ -221,11 +242,11 @@ class _ThetaPosterior:
         self.cuts = [self.lo, self.hi] if sd is None else [self.lo, mode, self.hi]
 
     def log_density(self, u):
-        """Log density of u up to a constant, and ``f0`` at ``exp(u)``."""
+        """Log density of u up to a constant, and ``log c`` at ``exp(u)``."""
         theta = np.exp(u)
         log_c = self.series.log_c(theta)
         return ((self.s + 1.0) * u - self.m * (log_c + np.log(-np.expm1(-log_c)))
-                + self.series.log_jeffreys(theta)), np.exp(-log_c)
+                + self.series.log_jeffreys(theta)), log_c
 
     def _mode(self) -> tuple[float, float | None]:
         """Mode of u and its Laplace standard deviation (None at ``top``), by
@@ -253,18 +274,20 @@ class _ThetaPosterior:
             u = new
         return new, (1.0 / math.sqrt(-slope) if slope < 0.0 else None)
 
-    def nodes(self, cuts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """64 Gauss-Legendre nodes u per panel between ``cuts``, weights
-        times the density relative to the mode, and ``f0``.  A panel ending
-        at ``top`` maps ``u = b - (b - a) t**2`` first: half-integer powers
-        of ``top - u`` (the Beta tail as ``f0 -> 0``) become polynomials."""
-        x, gl = self.legendre(64)
-        t = 0.5 * (1.0 + x)
-        us, jacs = zip(*((0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * gl)
-                         if b < self.top else (b - (b - a) * t * t, (b - a) * t * gl)
-                         for a, b in zip(cuts[:-1], cuts[1:])))
-        log_d, f0 = self.log_density(u := np.concatenate(us))
-        return u, np.concatenate(jacs) * np.exp(log_d - self.peak), f0
+    def nodes(self, cuts, squared=False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """64 Gauss-Legendre nodes u per panel between ``cuts`` (rows over leading
+        axes), weights times the density relative to the mode, and ``log c``.  A panel
+        ending at ``top``, or flagged in ``squared``, maps ``u = b - (b - a) t**2``
+        first: half-integer powers of ``b - u`` (a Beta tail) become polynomials."""
+        cuts = np.asarray(cuts, dtype=float)
+        b = cuts[..., 1:, None]
+        width = b - cuts[..., :-1, None]
+        rule = _gauss_legendre()[((b[..., 0] >= self.top) | squared).astype(int)]
+        # a node within rounding of top would sit at theta_max itself
+        u = np.minimum((b - width * rule[..., 0, :]).reshape(cuts.shape[:-1] + (-1,)),
+                       math.log(math.nextafter(self.series.theta_max, 0.0)))
+        log_d, log_c = self.log_density(u)
+        return u, (width * rule[..., 1, :]).reshape(u.shape) * np.exp(log_d - self.peak), log_c
 
     def inverse_cdf(self, r: np.ndarray) -> np.ndarray:
         """Theta at CDF levels ``r``, by linear interpolation in u of a
@@ -331,8 +354,7 @@ def _posterior_prob_geometric(n: int, n0: int, s: int, prior: PriorSpec,
                               B: int, rng: np.random.Generator):
     """Exact posterior draws for the geometric family (both coordinates Beta)."""
     m = n - n0
-    beta2 = m + 0.5 if prior.kind is PriorKind.CONDITIONAL_JEFFREYS else m + 1.0
-    pstar = rng.beta(n0 + 0.5, beta2, B)
+    pstar = rng.beta(n0 + 0.5, m + 1 - 0.5 * prior.kind._prior.k, B)
     theta = rng.beta(s - m + 0.5, m, B)
     ind = pstar > 1.0 - theta
     value = float(np.mean(ind))
@@ -373,26 +395,21 @@ def _log_kernel_in_p(family: Family, sample: CountSample, prior: PriorSpec,
                      theta: float):
     """``log likelihood + log prior`` at fixed theta, as a function of p.
 
-    Both are ``(n0 - 1/2) log(f0 + p (1 - f0)) + k log(1 - p)`` plus terms
-    in theta alone (``log c``, ``s log theta``, ``sum log a_y`` and the
-    theta prior factor), which are summed here once.  Valid inside the
-    quadrature's p window, which stays clear of the endpoints; returned
-    with the lower endpoint of the weight range, ``-f0 / (1 - f0)``.
+    ``(n0 - 1/2) log(f0 + p (1 - f0)) + (m - k/2) log(1 - p)`` plus terms in
+    theta alone (``log c``, ``s log theta``, ``sum log a_y`` and the prior's
+    ``(1 - k/2) log(1 - f0) + log g - log Z``), which are summed here once.
+    Valid inside the quadrature's p window, which stays clear of the
+    endpoints; returned with the lower endpoint ``-f0 / (1 - f0)``.
     """
-    series = family._series
+    series, kind = family._series, prior.kind._prior
     n0, m = sample.n0, sample.n - sample.n0
     f0 = series.f0(theta)
     log_c = series.log_c(theta)
     log_om = math.log(om := -math.expm1(-log_c))
     const = -m * log_c + sample.s * math.log(theta) + _log_a_sum(family, sample)
-    if prior.kind is PriorKind.CONDITIONAL_JEFFREYS:
-        const += -math.log(math.pi) + 0.5 * log_om + series.log_jeffreys(theta)
-        k = m - 0.5
-    else:
-        const += log_om + 0.5 * math.log(series.trunc_info(theta))
-        k = m
+    const += (1.0 - 0.5 * kind.k) * log_om + kind.log_g(series, theta) - kind.log_z
     return -f0 / om, lambda p: ((n0 - 0.5) * math.log(f0 + p * om)
-                                + k * math.log1p(-p) + const)
+                                + (m - 0.5 * kind.k) * math.log1p(-p) + const)
 
 
 def _log_wedge_integral(family: Family, sample: CountSample, prior: PriorSpec,
@@ -468,11 +485,13 @@ def posterior_prob_positive_factorized(family: Family,
     # P(pstar > f0) rises across the Beta bulk of pstar: a narrow rise gets a panel
     rule = _ThetaPosterior(family, m, sample.s)
     a, b = n0 + 0.5, m + 0.5
-    u, w, f0 = rule.nodes(rule.cuts)
+    u, w, log_c = rule.nodes(rule.cuts)
+    f0 = np.exp(-log_c)
     rise_lo = u[f0 >= special.betainccinv(a, b, 1e-17)].max(initial=rule.lo)
     rise_hi = u[f0 <= special.betaincinv(a, b, 1e-17)].min(initial=rule.hi)
     if rise_hi - rise_lo < 0.5 * (rule.hi - rule.lo):
-        u, w, f0 = rule.nodes(sorted({*rule.cuts, rise_lo, rise_hi}))
+        u, w, log_c = rule.nodes(sorted({*rule.cuts, rise_lo, rise_hi}))
+        f0 = np.exp(-log_c)
     return float(np.sum(w * (1.0 - special.betainc(a, b, f0))) / np.sum(w))
 
 
@@ -581,30 +600,17 @@ class ExactMarginal:
     def _nodes_at(self, p):
         """``pstar``, ``1 - pstar``, ``1 - f0`` and normalized node weights,
         per point (leading axes) and node (last axis)."""
-        rule, series = self.rule, self.rule.series
+        rule = self.rule
         p = np.asarray(p, dtype=float)[..., None]
         with np.errstate(divide="ignore", invalid="ignore"):
             om = np.asarray(self.window) / (1.0 - p)
-            edges = np.log(series.theta_from_log_c(-np.log1p(-om)))
+            edges = np.log(rule.series.theta_from_log_c(-np.log1p(-om)))
         # an edge outside the bracket leaves an empty panel at its lower end
         edges = np.where((edges > rule.lo) & (edges < rule.hi), edges, rule.lo)
         cuts = np.broadcast_to(rule.cuts, edges.shape[:-1] + (len(rule.cuts),))
         cuts = np.sort(np.concatenate([cuts, edges], axis=-1))
-        left, right = cuts[..., :-1, None], cuts[..., 1:, None]
-        # as in the rule's own panels, a panel ending at top, or at the edge
-        # where pstar reaches zero, maps u = right - width * t**2 so that
-        # half-integer powers of right - u become polynomials
-        z, gl = _numpy_legendre(64)
-        t = 0.5 * (1.0 + z)
-        squared = (right >= rule.top) | (right == edges[..., 1, None, None])
-        u = right - (right - left) * np.where(squared, t * t, 0.5 * (1.0 - z))
-        jac = (right - left) * np.where(squared, t * gl, 0.5 * gl)
-        # a node within rounding of top would sit at theta_max itself
-        u = np.minimum(u.reshape(p.shape[:-1] + (-1,)),
-                       math.log(np.nextafter(series.theta_max, 0.0)))
-        log_d, _ = rule.log_density(u)
-        w = jac.reshape(u.shape) * np.exp(log_d - rule.peak)
-        log_c = series.log_c(np.exp(u))
+        # the panel ending where pstar reaches zero has a Beta tail there too
+        _, w, log_c = rule.nodes(cuts, squared=cuts[..., 1:] == edges[..., 1:])
         om = -np.expm1(-log_c)
         return (np.exp(-log_c) + p * om, (1.0 - p) * om, om,
                 w / w.sum(axis=-1, keepdims=True))
@@ -749,15 +755,9 @@ class ExactMarginal:
         return grid, self.density(grid)
 
 
-_numpy_legendre = functools.cache(lambda n: np.polynomial.legendre.leggauss(n))
-
-
 def exact_marginal(family: Family, sample: CountSample) -> ExactMarginal:
-    """The exact marginal posterior of the weight under the default prior.
-
-    One theta-posterior rule supplies the nodes; numpy's Gauss-Legendre
-    table stands in for SciPy's so that no SciPy submodule loads.
-    """
+    """The exact marginal posterior of the weight under the default prior,
+    on the nodes of the theta-posterior rule."""
     n0, m = sample.n0, sample.n - sample.n0
     if n0 == 0 or m == 0:
         raise DegenerateSampleError(
@@ -924,15 +924,10 @@ def _prior_prob_positive(prior: PriorSpec,
     tau = np.linspace(-4.0, 4.0, 241)
     arg = 0.5 * math.pi * np.sinh(tau)
     theta = np.exp(0.5 * (a + b) + 0.5 * (b - a) * np.tanh(arg))
-    # prior density times dtheta/dtau, up to factors that cancel in the ratio
+    # the family's Jeffreys density times dtheta/dtau, under both prior kinds
     weight = np.exp(series.log_jeffreys(theta)) * theta * np.cosh(tau) / np.cosh(arg) ** 2
-    f0 = series.f0(theta)
-    if prior.kind is PriorKind.CONDITIONAL_JEFFREYS:
-        # conditional mass above zero is a Beta(1/2, 1/2) tail on the
-        # zero-probability scale
-        positive = special.betaincc(0.5, 0.5, f0)
-    else:
-        positive = 1.0 - np.sqrt(f0)
+    # mass above zero is the tail beyond f0 of pstar's Beta(1/2, 1 - k/2) law
+    positive = special.betaincc(0.5, 1.0 - 0.5 * prior.kind._prior.k, series.f0(theta))
     return float(weight @ positive / weight.sum()), (lo, hi)
 
 

@@ -17,8 +17,7 @@ from enum import Enum
 import numpy as np
 from scipy import special
 
-from .distributions import (CountSample, Family, _log_a_sum, _log_likelihood,
-                            loglik_derivatives)
+from .distributions import CountSample, Family, _log_a_sum, loglik_derivatives
 from .errors import DegenerateSampleError
 
 FIXED_POINT_TOL = 1e-10
@@ -81,9 +80,16 @@ def mle_null(family: Family, sample: CountSample) -> MleResult:
     if sample.s == 0:
         raise DegenerateSampleError(
             "no positive counts: null MLE sits at the boundary of the base family")
-    theta0 = family._series.theta_from_mean(sample.ybar)
-    ll = _log_likelihood(family, 0.0, theta0, sample)
-    return MleResult(0.0, theta0, ll, converged=True, iterations=0)
+    theta0, ll0 = _null_fit(family, sample.n, sample.s)
+    return MleResult(0.0, theta0, ll0 + _log_a_sum(family, sample),
+                     converged=True, iterations=0)
+
+
+def _null_fit(family: Family, n: int, s: float) -> tuple[float, float]:
+    """Null fit ``theta0`` (mean ``s / n``) and its log likelihood without the
+    log a_y constants, ``s log theta0 - n log c``, finite where ``1 / c`` underflows."""
+    theta0 = family._series.theta_from_mean(s / n)
+    return theta0, s * math.log(theta0) - n * family._series.log_c(theta0)
 
 
 def _mle_full_stats(family: Family, n: int, n0: int, s: int,
@@ -187,10 +193,8 @@ def _lr_statistic_stats(family: Family, n: int, n0: int, s: float,
     the score direction ``n0/n - f0(theta0)``.
     """
     p_hat, theta_hat, _, _, _ = _mle_full_stats(family, n, n0, s, tol, max_iter)
-    series = family._series
-    theta0 = series.theta_from_mean(s / n)
-    ll0 = s * math.log(theta0) - n * series.log_c(theta0)
-    stat = max(2.0 * (_sup_loglik(family, n, n0, s, theta_hat) - ll0), 0.0)
+    stat = max(2.0 * (_sup_loglik(family, n, n0, s, theta_hat)
+                      - _null_fit(family, n, s)[1]), 0.0)
     if math.isnan(p_hat):
         _, sign = _score_statistic(family, n, n0, s)
     else:

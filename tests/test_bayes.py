@@ -15,7 +15,7 @@ from zicount import (CountSample, DegenerateSampleError, ExactMarginal, Family,
                      posterior_prob_positive_quadrature, prior_density,
                      sample_values, score_test)
 
-from zicount.bayes import _prior_prob_positive
+from zicount.bayes import _prior_prob_positive, _ThetaPosterior
 
 from conftest import PosteriorOracle, fd_gradient, zip_theta_rejection_draws
 
@@ -202,6 +202,16 @@ class TestPosteriorProbPositive:
         est = posterior_prob_positive(Family.POISSON, cs, prior, B=200_000, seed=1)
         assert abs(est.value - exact) < 4.0 * est.mc_se
 
+    @pytest.mark.parametrize("counts", [{0: 22, 1: 9, 2: 4, 4: 1}, {0: 4, 1: 6, 3: 2}],
+                             ids=str)
+    def test_geometric_joint_prior_draws_match_quadrature(self, counts):
+        # the joint prior's pstar draws are Beta(n0 + 1/2, m + 1), not m + 1/2
+        cs = CountSample(counts)
+        prior = PriorSpec(PriorKind.JEFFREYS_JOINT, Family.GEOMETRIC)
+        exact = posterior_prob_positive_quadrature(Family.GEOMETRIC, cs, prior)
+        est = posterior_prob_positive(Family.GEOMETRIC, cs, prior, B=200_000, seed=1)
+        assert abs(est.value - exact) < 4.0 * est.mc_se
+
     def test_symmetric_case_is_one_half(self):
         # zero mass symmetric about one half on the pstar scale, with the
         # theta posterior concentrated at one half
@@ -290,6 +300,21 @@ class TestThetaPosterior:
         se = draws.theta.std() / math.sqrt(draws.B)
         assert abs(draws.theta.mean() - oracle.theta_mean()) < 4.0 * se
         assert stats.kstest(draws.theta, oracle.theta_cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
+    def test_batched_nodes_equal_nodes_per_row(self, family):
+        cs = CountSample({0: 12, 1: 5, 2: 2, 4: 1})
+        rule = _ThetaPosterior(family, cs.n - cs.n0, cs.s)
+        rng = np.random.default_rng(7)
+        extra = rng.uniform(rule.lo, rule.hi, (5, 2))
+        cuts = np.sort(np.concatenate([np.broadcast_to(rule.cuts, (5, len(rule.cuts))), extra],
+                                      axis=1))
+        squared = rng.random((5, cuts.shape[1] - 1)) < 0.4
+        batched = rule.nodes(cuts, squared)
+        for row in range(5):
+            single = rule.nodes(cuts[row], squared[row])
+            for got, want in zip(batched, single):
+                assert np.array_equal(got[row], want)
 
     @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
     def test_all_ones_draws_match_oracle_quantiles(self, family):
@@ -539,10 +564,27 @@ def test_exact_marginal_returns_finite_numbers_or_typed_errors(family, table):
     assert np.all(values[0] >= 0.0) and np.all((values[1] >= 0.0) & (values[1] <= 1.0))
 
 
+# the two tables where the importance sampler's proposal drifts from the
+# posterior far enough for its documented low-ESS warning
+LOW_ESS_TABLES = ({0: 1, 2: 999_999}, {0: 600_000, 1: 250_000, 2: 100_000, 3: 50_000})
+IS_ROUTES = tuple(f"posterior_prob_positive/{kind.value}" for kind in PriorKind) + (
+    "bayes_factor_positive",)
+
+
 def _sweep_outputs(route, family, cs):
     """The numbers one route returns on one sweep sample."""
     if route == "factorized":
         return [posterior_prob_positive_factorized(family, cs)]
+    if route.startswith("posterior_prob_positive/"):
+        prior = PriorSpec(PriorKind(route.split("/")[1]), family)
+        est = posterior_prob_positive(family, cs, prior, B=500)
+        return [est.value, est.mc_se, est.ess]
+    if route == "bayes_factor_positive":
+        result = bayes_factor_positive(family, cs, B=500)
+        return [result.value, result.posterior_prob, result.prior_prob]
+    if route == "draw_posterior":
+        draws = draw_posterior(family, cs, B=500)
+        return [*draws.pstar, *draws.theta, *draws.p]
     if route in ("score_test", "lr_test"):
         report = (score_test if route == "score_test" else lr_test)(family, cs)
         return [report.statistic, report.signed_root, report.p_value]
@@ -551,15 +593,17 @@ def _sweep_outputs(route, family, cs):
 
 
 @pytest.mark.parametrize("route", ["factorized", "score_test", "lr_test",
-                                   "mle_null", "mle_full"])
+                                   "mle_null", "mle_full", *IS_ROUTES, "draw_posterior"])
 @pytest.mark.parametrize("table", SWEEP_TABLES, ids=lambda t: str(t)[:40])
 @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
 def test_routes_return_finite_numbers_or_typed_errors(family, table, route):
     cs = CountSample(table)
+    low_ess = route in IS_ROUTES and family is Family.POISSON and table in LOW_ESS_TABLES
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            values = _sweep_outputs(route, family, cs)
+            with pytest.warns(UserWarning, match="ESS low") if low_ess else _nullcontext():
+                values = _sweep_outputs(route, family, cs)
         except ZicountError:
             return
     # two defined non-finite values:
@@ -572,8 +616,8 @@ def test_routes_return_finite_numbers_or_typed_errors(family, table, route):
         # every positive count is one: no interior MLE, the boundary p_hat is NaN
         assert math.isnan(values[0])
         values = values[1:]
-    assert all(math.isfinite(v) for v in values), values
-    if route == "factorized":
+    assert all(math.isfinite(v) for v in values), values[:3]
+    if route == "factorized" or route.startswith("posterior_prob_positive/"):
         assert 0.0 <= values[0] <= 1.0
 
 

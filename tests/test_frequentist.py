@@ -31,6 +31,15 @@ class TestMleNull:
         with pytest.raises(DegenerateSampleError):
             mle_null(Family.POISSON, CountSample({0: 10}))
 
+    def test_underflowing_zero_probability(self):
+        # at theta = 2500, e^-theta underflows, but the null fit is finite:
+        # -2 theta + 5000 log theta - log 5000!
+        fit = mle_null(Family.POISSON, CountSample({0: 1, 5000: 1}))
+        assert fit.theta_hat == 2500.0
+        expected = -5000.0 + 5000.0 * math.log(2500.0) - math.lgamma(5001.0)
+        assert fit.loglik == pytest.approx(expected, rel=1e-12)
+        assert fit.loglik == pytest.approx(-3470.9134545953057, rel=1e-12)
+
 
 class TestMleFull:
     def test_uti_fixed_point(self, uti):

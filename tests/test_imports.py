@@ -46,13 +46,17 @@ print(json.dumps(found))
 """
 
 
-def _probe(commands) -> dict:
+def _run(code: str, *args: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on the package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(HEAVY), json.dumps(commands)],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
-    return json.loads(proc.stdout)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return proc.stdout
+
+
+def _probe(commands) -> dict:
+    return json.loads(_run(PROBE, json.dumps(HEAVY), json.dumps(commands)))
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +78,12 @@ def test_light_command_loads_no_heavy_module(probed, argv):
     code, loaded = probed[" ".join(argv)]
     assert code == 0
     assert loaded == []
+
+
+def test_factorized_t_loads_no_linear_algebra():
+    # the theta rule's Gauss-Legendre table comes from numpy, not scipy.linalg
+    code = ("import sys\n"
+            "from zicount import Family, load_dataset, posterior_prob_positive_factorized\n"
+            "posterior_prob_positive_factorized(Family.POISSON, load_dataset('terror'))\n"
+            "print('scipy.linalg' in sys.modules)")
+    assert _run(code).strip() == "False"
