@@ -28,7 +28,7 @@ for name in dataset_names():
     full = mle_full(Family.POISSON, sample)
     print(f"null fit:  theta = {null.theta_hat:.4f}")
     print(f"full fit:  p = {full.p_hat:.4f}, theta = {full.theta_hat:.4f} "
-          f"({full.iterations} fixed-point iterations)")
+          f"({full.iterations} Newton steps)")
 
     score = score_test(Family.POISSON, sample)
     lr = lr_test(Family.POISSON, sample)

@@ -33,7 +33,7 @@ import numpy as np
 import scipy
 from scipy import special
 
-from .distributions import CountSample, Family, _log_a_sum, p_lower
+from .distributions import CountSample, Family, _log_a_sum, _newton, p_lower
 from .errors import DegenerateSampleError, ParameterRangeError, QuadratureError
 
 DEFAULT_DRAWS = 10_000
@@ -250,7 +250,7 @@ class _ThetaPosterior:
 
     def _mode(self) -> tuple[float, float | None]:
         """Mode of u and its Laplace standard deviation (None at ``top``), by
-        Newton steps on the score, bisecting its sign-change bracket."""
+        ``_newton`` on the score with a central-difference slope."""
         series, m, s, top = self.series, self.m, self.s, self.top
 
         def score(u):
@@ -260,19 +260,19 @@ class _ThetaPosterior:
 
         if math.isfinite(top) and score(top - 1e-12) >= 0.0:
             return top - 1e-12, None
-        lo, hi, u = -math.inf, top, math.log(series.theta_from_mean((s + 0.5) / m - 1.0))
-        for _ in range(100):
+        slope = math.nan
+
+        def fun(u):
+            nonlocal slope
             h = 1e-6 * min(1.0, top - u)
             g_up, g_down = score(u + h), score(u - h)
-            g, slope = 0.5 * (g_up + g_down), (g_up - g_down) / (2.0 * h)
-            lo, hi = (u, hi) if g > 0.0 else (lo, u)
-            step = -g / slope if slope < 0.0 else math.copysign(2.0, g)
-            new = u + max(-2.0, min(2.0, step))
-            new = new if lo < new < hi else 0.5 * (lo + hi)
-            if slope < 0.0 and abs(new - u) * math.sqrt(-slope) < 1e-4:
-                break  # quadratic convergence leaves far less than this
-            u = new
-        return new, (1.0 / math.sqrt(-slope) if slope < 0.0 else None)
+            slope = (g_up - g_down) / (2.0 * h)
+            return 0.5 * (g_up + g_down), slope
+
+        start = math.log(series.theta_from_mean((s + 0.5) / m - 1.0))
+        # near top the mode's scale is its distance from top
+        mode = _newton(fun, start, 1e-6 * min(1.0, top - start), hi=top)
+        return mode, (1.0 / math.sqrt(-slope) if slope < 0.0 else None)
 
     def nodes(self, cuts, squared=False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """64 Gauss-Legendre nodes u per panel between ``cuts`` (rows over leading
@@ -519,33 +519,6 @@ def posterior_prob_positive_quadrature(family: Family, sample: CountSample,
 
 # ---------------------------------------------------------------------------
 # exact marginal of the weight: density, CDF, equal-tail and HPD intervals
-
-
-def _newton(fun, x: float, tol: float, lo: float = -math.inf,
-            hi: float = math.inf, ftol: float = 0.0) -> float:
-    """Root of a decreasing ``fun`` (returning value and slope) by Newton
-    steps from ``x``.  Returns once a step is below ``tol`` (after a Newton
-    step the error is of order ``tol**2``) or at a point where ``|fun|`` is
-    at most ``ftol``.  ``lo`` and ``hi`` bracket the root and shrink as it
-    goes; a step that leaves them bisects them, or, while a side is still
-    open, steps outward from the other by a doubling length."""
-    step = 0.5
-    for _ in range(200):
-        val, slope = fun(x)
-        if abs(val) <= ftol:
-            return x
-        lo, hi = (x, hi) if val > 0.0 else (lo, x)
-        new = x - val / slope if -math.inf < slope < 0.0 else math.nan
-        if not (lo < new < hi or abs(new - x) <= tol):
-            if math.isinf(hi) or math.isinf(lo):
-                new = lo + step if math.isinf(hi) else hi - step
-                step *= 2.0
-            else:
-                new = 0.5 * (lo + hi)
-        if abs(new - x) <= tol:
-            return new
-        x = new
-    raise QuadratureError("root search did not converge in 200 steps")
 
 
 def _stirling_rest(z: float) -> float:
@@ -924,8 +897,9 @@ def _prior_prob_positive(prior: PriorSpec,
     tau = np.linspace(-4.0, 4.0, 241)
     arg = 0.5 * math.pi * np.sinh(tau)
     theta = np.exp(0.5 * (a + b) + 0.5 * (b - a) * np.tanh(arg))
-    # the family's Jeffreys density times dtheta/dtau, under both prior kinds
-    weight = np.exp(series.log_jeffreys(theta)) * theta * np.cosh(tau) / np.cosh(arg) ** 2
+    # the prior's theta marginal g times dtheta/dtau
+    weight = (np.exp(prior.kind._prior.log_g(series, theta))
+              * theta * np.cosh(tau) / np.cosh(arg) ** 2)
     # mass above zero is the tail beyond f0 of pstar's Beta(1/2, 1 - k/2) law
     positive = special.betaincc(0.5, 1.0 - 0.5 * prior.kind._prior.k, series.f0(theta))
     return float(weight @ positive / weight.sum()), (lo, hi)

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .errors import ParameterRangeError
+from .errors import ParameterRangeError, QuadratureError
 
 # Open endpoints are rejected within this relative margin to keep logs finite.
 BOUNDARY_MARGIN = 1e-12
@@ -45,7 +45,6 @@ class _PowerSeries:
     mean: Callable
     theta_from_mean: Callable
     theta_from_log_c: Callable
-    truncated_mle: Callable
     draws: Callable
     tail_bound: Callable
     trunc_info: Callable
@@ -57,30 +56,6 @@ class _PowerSeries:
 def _poisson_f0(theta):
     # numpy for arrays of posterior draws, math for the scalar hot paths
     return np.exp(-theta) if isinstance(theta, np.ndarray) else math.exp(-theta)
-
-
-def _poisson_truncated_mle(m: int, s: float, tol: float, max_iter: int):
-    """Solve ``theta = c * (1 - exp(-theta))``, ``c = s / m``, by damped
-    fixed point.
-
-    ``c`` is both the starting value and the map scale.  The map is
-    monotone and contracts near the solution; damping by half guards
-    against overshoot when successive steps change direction.
-    """
-    c = s / m
-    theta = c
-    prev_delta = 0.0
-    for it in range(1, max_iter + 1):
-        new = c * -math.expm1(-theta)
-        delta = new - theta
-        if prev_delta * delta < 0.0:
-            new = 0.5 * (new + theta)
-            delta = new - theta
-        theta = new
-        if abs(delta) < tol:
-            return theta, it, True
-        prev_delta = delta
-    return theta, max_iter, False
 
 
 def _poisson_tail_bound(theta: float, eps: float) -> int:
@@ -116,7 +91,6 @@ _POISSON = _PowerSeries(
     mean=lambda t: t,
     theta_from_mean=lambda mean: mean,
     theta_from_log_c=lambda log_c: log_c,
-    truncated_mle=_poisson_truncated_mle,
     draws=lambda rng, t, n: rng.poisson(t, n),
     tail_bound=_poisson_tail_bound,
     # 1 - e^-t - t e^-t, without its cancellation at small t
@@ -138,7 +112,6 @@ _GEOMETRIC = _PowerSeries(
     mean=lambda t: t / (1.0 - t),
     theta_from_mean=lambda mean: mean / (1.0 + mean),
     theta_from_log_c=lambda log_c: -np.expm1(-log_c),
-    truncated_mle=lambda m, s, tol, max_iter: ((s - m) / s, 0, True),
     # numpy's geometric counts trials >= 1 with success probability 1 - theta
     draws=lambda rng, t, n: rng.geometric(1.0 - t, n) - 1,
     # P(Y > y) = theta**(y + 1)
@@ -167,8 +140,6 @@ class Family(Enum):
     * ``log_a``: ``log a_y``, vectorized over ``y``;
     * ``mean`` and ``theta_from_mean``: the family mean and its inverse;
     * ``theta_from_log_c``: the inverse of ``log_c``;
-    * ``truncated_mle``: theta solving the zero-truncated likelihood
-      equations for ``m`` positive counts summing to ``s``;
     * ``draws``: the base sampler;
     * ``tail_bound``: a ``y`` with tail mass beyond it below ``eps``;
     * ``trunc_info`` and ``dlog_trunc_info``: the Fisher information of the
@@ -205,6 +176,33 @@ def _log_a_sum(family: Family, sample: CountSample) -> float:
     """Data constant ``sum_i log a_{y_i}`` of the log likelihood."""
     log_a = family._series.log_a
     return sum(count * log_a(value) for value, count in sample.freq.items() if value)
+
+
+def _newton(fun, x: float, tol: float, lo: float = -math.inf,
+            hi: float = math.inf, ftol: float = 0.0) -> float:
+    """Root of a decreasing ``fun`` (returning value and slope) by Newton
+    steps from ``x``.  Returns once a step is below ``tol`` (after a Newton
+    step the error is of order ``tol**2``) or at a point where ``|fun|`` is
+    at most ``ftol``.  ``lo`` and ``hi`` bracket the root and shrink as it
+    goes; a step that leaves them bisects them, or, while a side is still
+    open, steps outward from the other by a doubling length."""
+    step = 0.5
+    for _ in range(200):
+        val, slope = fun(x)
+        if abs(val) <= ftol:
+            return x
+        lo, hi = (x, hi) if val > 0.0 else (lo, x)
+        new = x - val / slope if -math.inf < slope < 0.0 else math.nan
+        if not (lo < new < hi or abs(new - x) <= tol):
+            if math.isinf(hi) or math.isinf(lo):
+                new = lo + step if math.isinf(hi) else hi - step
+                step *= 2.0
+            else:
+                new = 0.5 * (lo + hi)
+        if abs(new - x) <= tol:
+            return new
+        x = new
+    raise QuadratureError("root search did not converge in 200 steps")
 
 
 class Parametrization(Enum):

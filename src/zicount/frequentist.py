@@ -3,9 +3,9 @@
 Tests address the null of no zero inflation (weight p = 0) against the
 one-sided alternative p > 0, with two-sided variants.  The score statistic
 has a closed form in the sufficient statistics (n, n0, ybar); the likelihood
-ratio statistic needs the full-model MLE, obtained for the Poisson case by a
-damped fixed-point iteration and for the geometric case in closed form; both
-are computed from the sufficient statistics (n, n0, s) alone.
+ratio statistic needs the full-model MLE, ``pstar = n0 / n`` and theta
+solving the zero-truncated mean equation by Newton steps, one solver for every
+family; both are computed from the sufficient statistics (n, n0, s) alone.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ from enum import Enum
 import numpy as np
 from scipy import special
 
-from .distributions import CountSample, Family, _log_a_sum, loglik_derivatives
+from .distributions import (CountSample, Family, _log_a_sum, _newton,
+                            loglik_derivatives)
 from .errors import DegenerateSampleError
-
-FIXED_POINT_TOL = 1e-10
-FIXED_POINT_MAX_ITER = 10_000
 
 
 class Sidedness(Enum):
@@ -44,6 +42,7 @@ class MleResult:
     ``boundary`` marks fits whose supremum is attained only in the closure of
     the parameter range (no zeros in the sample, or every positive count
     equal to one); ``p_hat`` is then the boundary value or NaN.
+    ``iterations`` counts the Newton steps of the theta solve.
     """
 
     p_hat: float
@@ -92,12 +91,37 @@ def _null_fit(family: Family, n: int, s: float) -> tuple[float, float]:
     return theta0, s * math.log(theta0) - n * family._series.log_c(theta0)
 
 
-def _mle_full_stats(family: Family, n: int, n0: int, s: int,
-                    tol: float = FIXED_POINT_TOL,
-                    max_iter: int = FIXED_POINT_MAX_ITER):
+def _truncated_mean_root(family: Family, m: int, s: float) -> tuple[float, int]:
+    """Theta solving the zero-truncated mean equation
+    ``mean(theta) / (1 - f0(theta)) = s / m``, and its Newton steps.
+
+    The steps run in ``u = log(theta)``, where the truncated mean rises with
+    slope ``theta**2 * trunc_info(theta)`` (the truncated variance), from
+    ``theta_from_mean((s - m) / m)``, the exact root for geometric, and stop
+    once a step is below 1e-6 (leaving an error of order 1e-12) or the mean
+    is within four ulps of ``s / m``.
+    The rounding of ``s / m`` bounds the accuracy near the all-ones boundary
+    ``s = m``, to about ``4e-16 * m / (s - m)`` relative for Poisson.
+    """
+    series, target = family._series, s / m
+    steps = 0
+
+    def fun(u):
+        nonlocal steps
+        steps += 1
+        theta = math.exp(u)
+        mean = series.mean(theta) / -math.expm1(-series.log_c(theta))
+        return target - mean, -theta * theta * float(series.trunc_info(theta))
+
+    u = _newton(fun, math.log(series.theta_from_mean((s - m) / m)), 1e-6,
+                hi=math.log(series.theta_max), ftol=4.0 * math.ulp(target))
+    return math.exp(u), steps
+
+
+def _mle_full_stats(family: Family, n: int, n0: int, s: int):
     """Full-model MLE from sufficient statistics.
 
-    Returns ``(p_hat, theta_hat, iterations, converged, boundary)`` without
+    Returns ``(p_hat, theta_hat, iterations, boundary)`` without
     evaluating the likelihood; ``_sup_loglik`` gives its maximum.
     """
     if n0 == n:
@@ -107,12 +131,12 @@ def _mle_full_stats(family: Family, n: int, n0: int, s: int,
         # every positive count equals one; the likelihood supremum is only
         # approached as theta tends to zero, with p running off to the
         # lower endpoint along pstar = n0/n
-        return math.nan, 0.0, 0, True, True
-    theta, iters, converged = family._series.truncated_mle(m, s, tol, max_iter)
+        return math.nan, 0.0, 0, True
+    theta, iters = _truncated_mean_root(family, m, s)
     # the fitted zero probability p + (1 - p) * f0 equals n0 / n
     f0 = family.f0(theta)
     p_hat = (n0 / n - f0) / (1.0 - f0)
-    return p_hat, theta, iters, converged, n0 == 0
+    return p_hat, theta, iters, n0 == 0
 
 
 def _sup_loglik(family: Family, n: int, n0: int, s: float,
@@ -136,20 +160,18 @@ def _sup_loglik(family: Family, n: int, n0: int, s: float,
     return ll
 
 
-def mle_full(family: Family, sample: CountSample,
-             tol: float = FIXED_POINT_TOL,
-             max_iter: int = FIXED_POINT_MAX_ITER) -> MleResult:
+def mle_full(family: Family, sample: CountSample) -> MleResult:
     """MLE of (p, theta) over the extended weight range.
 
     A sample without zeros yields a boundary fit with negative ``p_hat`` at
     the lower endpoint (flagged, not an error).  An all-zero sample raises,
     since (p, theta) is then not identifiable.
     """
-    p_hat, theta_hat, iters, converged, boundary = _mle_full_stats(
-        family, sample.n, sample.n0, sample.s, tol, max_iter)
+    p_hat, theta_hat, iters, boundary = _mle_full_stats(
+        family, sample.n, sample.n0, sample.s)
     ll = (_sup_loglik(family, sample.n, sample.n0, sample.s, theta_hat)
           + _log_a_sum(family, sample))
-    return MleResult(p_hat, theta_hat, ll, converged, iters, boundary)
+    return MleResult(p_hat, theta_hat, ll, True, iters, boundary)
 
 
 def gradient_norm_at(family: Family, result: MleResult, sample: CountSample) -> float:
@@ -182,17 +204,15 @@ def _score_statistic(family: Family, n: int, n0: int, s: int) -> tuple[float, fl
     return stat, math.copysign(1.0, excess) if excess != 0.0 else 0.0
 
 
-def _lr_statistic_stats(family: Family, n: int, n0: int, s: float,
-                        tol: float = FIXED_POINT_TOL,
-                        max_iter: int = FIXED_POINT_MAX_ITER) -> tuple[float, float]:
+def _lr_statistic_stats(family: Family, n: int, n0: int, s: float) -> tuple[float, float]:
     """Likelihood ratio statistic and sign from sufficient statistics.
 
     The log a_y constants cancel.  The statistic is clamped at zero against
-    rounding in the fixed point.  When the full-model weight estimate is
+    rounding in the Newton solve.  When the full-model weight estimate is
     undefined (every positive count equal to one), the sign falls back to
     the score direction ``n0/n - f0(theta0)``.
     """
-    p_hat, theta_hat, _, _, _ = _mle_full_stats(family, n, n0, s, tol, max_iter)
+    p_hat, theta_hat, _, _ = _mle_full_stats(family, n, n0, s)
     stat = max(2.0 * (_sup_loglik(family, n, n0, s, theta_hat)
                       - _null_fit(family, n, s)[1]), 0.0)
     if math.isnan(p_hat):
@@ -238,12 +258,9 @@ def score_test(family: Family, sample: CountSample, alpha: float = 0.05,
 
 
 def lr_test(family: Family, sample: CountSample, alpha: float = 0.05,
-            sidedness: Sidedness = Sidedness.ONE_SIDED,
-            tol: float = FIXED_POINT_TOL,
-            max_iter: int = FIXED_POINT_MAX_ITER) -> TestReport:
+            sidedness: Sidedness = Sidedness.ONE_SIDED) -> TestReport:
     """Likelihood ratio test of p = 0, with the same rejection rules as
     ``score_test``; the statistic comes from ``_lr_statistic_stats``.
     """
-    stat, sign = _lr_statistic_stats(family, sample.n, sample.n0, sample.s,
-                                     tol, max_iter)
+    stat, sign = _lr_statistic_stats(family, sample.n, sample.n0, sample.s)
     return _build_report(TestMethod.LR, stat, sign, alpha, sidedness)

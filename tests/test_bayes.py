@@ -536,8 +536,8 @@ SWEEP_TABLES = (
     {0: 1, 1: 1}, {0: 1, 7: 1}, {1: 3, 2: 2}, {0: 5}, {0: 4, 1: 6},
     {0: 12, 1: 5, 2: 2, 4: 1}, {0: 9, 50: 1}, {0: 99, 1000: 1}, {0: 1, 5000: 1},
     {0: 3, 800: 2, 900: 3}, {0: 400_000, 1: 600_000}, {0: 999_999, 1: 1},
-    {0: 1, 1: 999_999}, {0: 1, 2: 999_999},
-    {0: 600_000, 1: 250_000, 2: 100_000, 3: 50_000},
+    {0: 1, 1: 999_999}, {0: 1, 2: 999_999}, {0: 5, 1: 9_999, 2: 1},
+    {0: 1, 1: 999_999, 2: 1}, {0: 600_000, 1: 250_000, 2: 100_000, 3: 50_000},
 )
 
 
@@ -657,11 +657,15 @@ class TestBayesFactor:
         prior = PriorSpec(kind, family)
         q, (lo, hi) = _prior_prob_positive(prior, window)
         series = family._series
-        weight = lambda u: math.exp(series.log_jeffreys(math.exp(u)) + u)
+        # the prior's theta marginal: the family's Jeffreys prior under the
+        # conditional prior, sqrt(i_trunc) under the joint one
         if kind is PriorKind.CONDITIONAL_JEFFREYS:
+            log_g = series.log_jeffreys
             positive = lambda t: stats.beta.sf(family.f0(t), 0.5, 0.5)
         else:
+            log_g = lambda t: 0.5 * math.log(series.trunc_info(t))
             positive = lambda t: 1.0 - math.sqrt(family.f0(t))
+        weight = lambda u: math.exp(log_g(math.exp(u)) + u)
         a, b = math.log(lo), math.log(hi)
         points = [x for x in (-1e-2, -1e-3, 0.0, 1.0, 2.0) if a < x < b]
         tight = dict(epsabs=0.0, epsrel=1e-13, limit=500, points=points)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
 from zicount import (CountSample, DegenerateSampleError, Family, Sidedness,
                      TestMethod, ZipsModel, log_likelihood, lr_test, mle_full,
@@ -41,6 +41,16 @@ class TestMleNull:
         assert fit.loglik == pytest.approx(-3470.9134545953057, rel=1e-12)
 
 
+# n from 2 to 1e6, with the all-ones boundary shape s = m + 1 among them
+TRUNCATED_MLE_TABLES = (
+    {0: 1, 2: 1}, {1: 1, 2: 1}, {0: 1, 1: 1, 2: 1}, {0: 81, 1: 9, 2: 7, 3: 1},
+    {0: 9, 50: 1}, {0: 1, 5000: 1}, {0: 3, 800: 2, 900: 3}, {1: 90, 2: 10},
+    {0: 5, 1: 9_999, 2: 1}, {0: 10, 1: 999, 2: 1}, {0: 1, 1: 999_999, 2: 1},
+    {0: 400_000, 1: 599_999, 3: 1}, {0: 600_000, 1: 250_000, 2: 100_000, 3: 50_000},
+    {1: 500_000, 2: 500_000},
+)
+
+
 class TestMleFull:
     def test_uti_fixed_point(self, uti):
         fit = mle_full(Family.POISSON, uti)
@@ -59,15 +69,38 @@ class TestMleFull:
 
     def test_poisson_shaped_sample_gives_zero_weight(self):
         # with n0/n equal to exp(-theta_hat) the weight estimate vanishes;
-        # arrange it exactly by solving the fixed point for a real-valued s
+        # arrange it exactly by solving the truncated mean equation for a real-valued s
         theta_star = math.log(4.0)
         n, n0 = 100, 25
         s = theta_star * (n - n0) / (1.0 - math.exp(-theta_star))
-        p_hat, theta_hat, _, converged, boundary = _mle_full_stats(
-            Family.POISSON, n, n0, s)
-        assert converged and not boundary
+        p_hat, theta_hat, _, boundary = _mle_full_stats(Family.POISSON, n, n0, s)
+        assert not boundary
         assert theta_hat == pytest.approx(theta_star, abs=1e-9)
         assert p_hat == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
+    def test_truncated_mle_matches_tight_root(self, family):
+        # theta solves m * excess(theta) = (s - m) * (1 - f0(theta)), where
+        # excess = theta * (log c)' - (1 - f0), the truncated mean equation
+        # written without its cancellation near s = m (Poisson excess by its
+        # Taylor series below 1)
+        excess, one_m_f0, upper = {
+            Family.POISSON: (
+                lambda t: t + math.expm1(-t) if t >= 1.0 else
+                sum((-t) ** k / math.factorial(k) for k in range(2, 30)),
+                lambda t: -math.expm1(-t), lambda m, s: s / m + 1.0),
+            Family.GEOMETRIC: (lambda t: t * t / (1.0 - t), lambda t: t,
+                               lambda m, s: 1.0 - 0.5 * m / s),
+        }[family]
+        for table in TRUNCATED_MLE_TABLES:
+            cs = CountSample(table)
+            m, s = cs.n - cs.n0, cs.s
+            root = optimize.brentq(lambda t: m * excess(t) - (s - m) * one_m_f0(t),
+                                   0.5 * (s - m) / s, upper(m, s),
+                                   xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+            fit = mle_full(family, cs)
+            assert fit.converged, table
+            assert fit.theta_hat == pytest.approx(root, rel=1e-9, abs=0.0), table
 
     def test_geometric_closed_form(self):
         cs = CountSample({0: 50, 1: 25, 2: 25})

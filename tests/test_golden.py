@@ -9,7 +9,8 @@ Run this file as a script to re-record the fixture:
 
 A re-record keeps every recorded ``close`` entry that still passes the
 check, so only real changes (and new keys) reach the file, not last-digit
-noise.
+noise.  It prints each key whose value it changed, with the largest absolute
+and relative move among its floats and every other entry that changed.
 """
 
 import dataclasses
@@ -192,14 +193,55 @@ def _passes(got, want) -> bool:
     return True
 
 
+def _leaves(x, path=""):
+    """``(path, value)`` for every scalar inside a recorded value."""
+    if isinstance(x, dict):
+        for k, v in x.items():
+            yield from _leaves(v, f"{path}/{k}")
+    elif isinstance(x, list):
+        for i, v in enumerate(x):
+            yield from _leaves(v, f"{path}[{i}]")
+    else:
+        yield path, x
+
+
+def _move(new, old) -> str | None:
+    """The largest absolute and relative moves of the floats from ``old`` to
+    ``new``, and every other entry that changed; None when nothing did."""
+    new, old = dict(_leaves(new)), dict(_leaves(old))
+    if new.keys() != old.keys():
+        return "entries added or removed"
+    big_abs = big_rel = 0.0
+    others = []
+    for path, x in new.items():
+        y = old[path]
+        if x == y or (x != x and y != y):  # equal, or both NaN
+            continue
+        if isinstance(x, float) and isinstance(y, (int, float)) and not isinstance(y, bool):
+            big_abs = max(big_abs, abs(x - y))
+            big_rel = max(big_rel, abs(x - y) / abs(y) if y else math.inf)
+        else:
+            others.append(f"{path or 'value'} {y!r} -> {x!r}")
+    moves = [f"max abs {big_abs:.3g}, max rel {big_rel:.3g}"] if big_abs else []
+    return "; ".join(moves + others) or None
+
+
 if __name__ == "__main__":
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         outputs = json.loads(json.dumps(compute_outputs()))
     if GOLDEN.exists():
-        recorded = json.loads(GOLDEN.read_text())["close"]
-        outputs["close"] = {k: recorded[k] if k in recorded and _passes(v, recorded[k])
+        recorded = json.loads(GOLDEN.read_text())
+        outputs["close"] = {k: recorded["close"][k]
+                            if k in recorded["close"] and _passes(v, recorded["close"][k])
                             else v for k, v in outputs["close"].items()}
+        for bucket in ("exact", "close"):
+            old, new = recorded[bucket], outputs[bucket]
+            for key in sorted(old.keys() | new.keys()):
+                if key not in new or key not in old:
+                    print(f"{bucket}/{key}: {'removed' if key in old else 'new'}")
+                elif (move := _move(new[key], old[key])) is not None:
+                    print(f"{bucket}/{key}: {move}")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")
