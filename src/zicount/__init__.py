@@ -24,10 +24,10 @@ from .asymptotics import (BetaCalibration, ExpansionInputs, UniformityReport,
                           posterior_tail_expansion, uniformity_check)
 from .bayes import (BayesFactorResult, ExactMarginal, IntervalEstimate,
                     IntervalKind, PosteriorDraws, PosteriorProbability,
-                    PriorKind, PriorSpec, bayes_factor_positive,
-                    credible_interval, default_prior, density_curve,
-                    draw_posterior, exact_marginal, grad_log_prior, hpd_interval,
-                    log_prior, marginal_posterior_density,
+                    PriorKind, bayes_factor_positive, credible_interval,
+                    density_curve, draw_posterior, exact_marginal,
+                    grad_log_prior, hpd_interval, log_prior,
+                    marginal_posterior_density,
                     posterior_prob_positive, posterior_prob_positive_factorized,
                     posterior_prob_positive_quadrature, prior_density)
 from .datasets import (dataset_names, dataset_table, format_freq_csv,
@@ -56,11 +56,11 @@ __all__ = [
     "FisherInfo", "IntervalEstimate", "IntervalKind", "Method",
     "MissingCellError", "MleResult", "Parametrization", "ParameterRangeError",
     "PosteriorDraws", "PosteriorProbability", "PowerConfig", "PowerGrid",
-    "PriorKind", "PriorSpec", "QuadratureError", "REFERENCE_POWER_ONE_SIDED",
+    "PriorKind", "QuadratureError", "REFERENCE_POWER_ONE_SIDED",
     "REFERENCE_POWER_TWO_SIDED", "SamplerError", "Sidedness", "TestMethod",
     "TestReport", "UniformityReport", "ZicountError", "ZipsModel",
     "bayes_factor_positive", "beta_calibration", "compare_tables",
-    "credible_interval", "dataset_names", "dataset_table", "default_prior",
+    "credible_interval", "dataset_names", "dataset_table",
     "density_curve", "draw_posterior", "exact_marginal", "expansion_inputs",
     "fisher_info",
     "fisher_info_orthogonal", "format_freq_csv", "from_pstar",

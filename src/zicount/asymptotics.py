@@ -21,7 +21,7 @@ from scipy import special
 
 # posterior_prob_positive_factorized and sample_values are unused here;
 # perfbench/tracing.py wraps this module's names
-from .bayes import (PriorSpec, _factorized_t, default_prior, grad_log_prior,
+from .bayes import (_DEFAULT_PRIOR, PriorKind, _factorized_t, grad_log_prior,
                     posterior_prob_positive, posterior_prob_positive_factorized,
                     prior_density)
 from .distributions import (CountSample, Family, loglik_derivatives,
@@ -82,13 +82,12 @@ class UniformityReport:
 
 
 def expansion_inputs(family: Family, sample: CountSample,
-                     prior: PriorSpec | None = None) -> ExpansionInputs:
+                     prior: PriorKind = _DEFAULT_PRIOR) -> ExpansionInputs:
     """Evaluate all expansion ingredients at the full-model MLE.
 
     Derivatives are analytic; each entry matches central finite differences
     of the average log likelihood.  Boundary fits (no interior MLE) raise.
     """
-    prior = prior or default_prior(family)
     fit = mle_full(family, sample)
     if fit.boundary:
         raise DegenerateSampleError("no interior MLE: expansion undefined")
@@ -100,8 +99,8 @@ def expansion_inputs(family: Family, sample: CountSample,
     info_inv = np.linalg.inv(info)
     m = info_inv[:, 0] / info_inv[0, 0]
     K = info_inv - np.outer(info_inv[:, 0], info_inv[0, :]) / info_inv[0, 0]
-    pv = prior_density(prior, eta[0], eta[1])
-    pg = pv * grad_log_prior(prior, eta[0], eta[1])
+    pv = prior_density(family, eta[0], eta[1], prior)
+    pg = pv * grad_log_prior(family, eta[0], eta[1], prior)
     return ExpansionInputs(eta_hat=eta, a2=a2, a3=a3, info_inv=info_inv,
                            m=m, K=K, prior_value=pv, prior_grad=pg)
 

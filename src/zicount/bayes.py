@@ -73,16 +73,8 @@ class PriorKind(Enum):
         return member
 
 
-@dataclass(frozen=True)
-class PriorSpec:
-    """Which objective prior to use for (p, theta)."""
-
-    kind: PriorKind
-    family: Family
-
-
-def default_prior(family: Family) -> PriorSpec:
-    return PriorSpec(PriorKind.CONDITIONAL_JEFFREYS, family)
+# the prior of every entry point that takes one; the family is the model's own
+_DEFAULT_PRIOR = PriorKind.CONDITIONAL_JEFFREYS
 
 
 class IntervalKind(Enum):
@@ -152,7 +144,8 @@ class BayesFactorResult:
 # prior densities
 
 
-def log_prior(spec: PriorSpec, p: float, theta: float) -> float:
+def log_prior(family: Family, p: float, theta: float,
+              prior: PriorKind = _DEFAULT_PRIOR) -> float:
     """Log of the (unnormalized) prior density at (p, theta).
 
     The prior in (pstar, theta) (see ``PriorKind``) times the slope
@@ -160,8 +153,8 @@ def log_prior(spec: PriorSpec, p: float, theta: float) -> float:
     times the family's Jeffreys prior for the conditional kind, and
     ``(1 - f0) * sqrt(i_trunc(theta) / pstar)`` for the joint one.
     """
-    series, prior = spec.family._series, spec.kind._prior
-    lo = p_lower(spec.family, theta)
+    series, prior = family._series, prior._prior
+    lo = p_lower(family, theta)
     if not (lo < p < 1.0):
         raise ParameterRangeError(f"p={p!r} outside extended range ({lo!r}, 1)")
     f0 = series.f0(theta)
@@ -172,15 +165,17 @@ def log_prior(spec: PriorSpec, p: float, theta: float) -> float:
                  + prior.log_g(series, theta) + log_om)
 
 
-def prior_density(spec: PriorSpec, p: float, theta: float) -> float:
+def prior_density(family: Family, p: float, theta: float,
+                  prior: PriorKind = _DEFAULT_PRIOR) -> float:
     """Unnormalized prior density; proper in p for the conditional kind."""
-    return math.exp(log_prior(spec, p, theta))
+    return math.exp(log_prior(family, p, theta, prior))
 
 
-def grad_log_prior(spec: PriorSpec, p: float, theta: float) -> np.ndarray:
+def grad_log_prior(family: Family, p: float, theta: float,
+                   prior: PriorKind = _DEFAULT_PRIOR) -> np.ndarray:
     """Gradient of log prior in (p, theta), in closed form."""
-    series, prior = spec.family._series, spec.kind._prior
-    spec.family.require_theta(theta)
+    series, prior = family._series, prior._prior
+    family.require_theta(theta)
     f0 = series.f0(theta)
     d1 = series.f0_derivs(theta)[0]
     om = -math.expm1(-series.log_c(theta))
@@ -191,15 +186,15 @@ def grad_log_prior(spec: PriorSpec, p: float, theta: float) -> np.ndarray:
     return np.array([gp, gt])
 
 
-def _log_prior_pstar(spec: PriorSpec, pstar, theta):
+def _log_prior_pstar(family: Family, prior: PriorKind, pstar, theta):
     """Log prior in (pstar, theta) coordinates (see ``PriorKind``); numpy-broadcastable."""
     pstar = np.asarray(pstar, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    prior = spec.kind._prior
+    prior = prior._prior
     # k = 0 takes no log(1 - pstar), which is -inf at a draw rounded to one
     log_1m = prior.k * np.log1p(-pstar) if prior.k else 0.0
     return (-prior.log_z - 0.5 * (np.log(pstar) + log_1m)
-            + prior.log_g(spec.family._series, theta))
+            + prior.log_g(family._series, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +359,7 @@ def draw_posterior(family: Family, sample: CountSample, B: int = DEFAULT_DRAWS,
 # the Bayes test statistic T(Y) = P(p > 0 | Y)
 
 
-def _posterior_prob_poisson(n: int, n0: int, s: int, prior: PriorSpec,
+def _posterior_prob_poisson(n: int, n0: int, s: int, prior: PriorKind,
                             B: int, rng: np.random.Generator):
     """Self-normalized importance sampling estimate for the Poisson family.
 
@@ -378,7 +373,7 @@ def _posterior_prob_poisson(n: int, n0: int, s: int, prior: PriorSpec,
     m = n - n0
     pstar = rng.beta(n0 + 1.0, m + 1.0, B)
     theta = rng.gamma(s - m + 1.0, 1.0 / m, B)
-    logw = (_log_prior_pstar(prior, pstar, theta)
+    logw = (_log_prior_pstar(Family.POISSON, prior, pstar, theta)
             + m * (np.log(theta) - np.log(-np.expm1(-theta))))
     w = np.exp(logw - logw.max())
     wsum = w.sum()
@@ -390,11 +385,11 @@ def _posterior_prob_poisson(n: int, n0: int, s: int, prior: PriorSpec,
     return value, mc_se, ess
 
 
-def _posterior_prob_geometric(n: int, n0: int, s: int, prior: PriorSpec,
+def _posterior_prob_geometric(n: int, n0: int, s: int, prior: PriorKind,
                               B: int, rng: np.random.Generator):
     """Exact posterior draws for the geometric family (both coordinates Beta)."""
     m = n - n0
-    pstar = rng.beta(n0 + 0.5, m + 1 - 0.5 * prior.kind._prior.k, B)
+    pstar = rng.beta(n0 + 0.5, m + 1 - 0.5 * prior._prior.k, B)
     theta = rng.beta(s - m + 0.5, m, B)
     ind = pstar > 1.0 - theta
     value = float(np.mean(ind))
@@ -403,13 +398,10 @@ def _posterior_prob_geometric(n: int, n0: int, s: int, prior: PriorSpec,
 
 
 def posterior_prob_positive(family: Family, sample: CountSample,
-                            prior: PriorSpec | None = None,
+                            prior: PriorKind = _DEFAULT_PRIOR,
                             B: int = DEFAULT_DRAWS,
                             seed: int = 0) -> PosteriorProbability:
     """Monte Carlo estimate of the test statistic T(Y) = P(p > 0 | Y)."""
-    prior = prior or default_prior(family)
-    if prior.family is not family:
-        raise ValueError("prior family does not match the model family")
     n, n0, s = sample.n, sample.n0, sample.s
     if s == 0 or n0 == n:
         raise DegenerateSampleError("all counts zero: T(Y) undefined")
@@ -431,7 +423,7 @@ def posterior_prob_positive(family: Family, sample: CountSample,
 # quadrature oracle and posterior normalization
 
 
-def _log_kernel_in_p(family: Family, sample: CountSample, prior: PriorSpec,
+def _log_kernel_in_p(family: Family, sample: CountSample, prior: PriorKind,
                      theta: float):
     """``log likelihood + log prior`` at fixed theta, as a function of p.
 
@@ -441,7 +433,7 @@ def _log_kernel_in_p(family: Family, sample: CountSample, prior: PriorSpec,
     Valid inside the quadrature's p window, which stays clear of the
     endpoints; returned with the lower endpoint ``-f0 / (1 - f0)``.
     """
-    series, kind = family._series, prior.kind._prior
+    series, kind = family._series, prior._prior
     n0, m = sample.n0, sample.n - sample.n0
     f0 = series.f0(theta)
     log_c = series.log_c(theta)
@@ -452,7 +444,7 @@ def _log_kernel_in_p(family: Family, sample: CountSample, prior: PriorSpec,
                                 + (m - 0.5 * kind.k) * math.log1p(-p) + const)
 
 
-def _log_wedge_integral(family: Family, sample: CountSample, prior: PriorSpec,
+def _log_wedge_integral(family: Family, sample: CountSample, prior: PriorKind,
                         positive_only: bool) -> tuple[float, float]:
     """Log of the posterior-kernel integral over the parameter wedge.
 
@@ -569,13 +561,12 @@ def posterior_prob_positive_factorized(family: Family,
 
 
 def posterior_prob_positive_quadrature(family: Family, sample: CountSample,
-                                       prior: PriorSpec | None = None) -> float:
+                                       prior: PriorKind = _DEFAULT_PRIOR) -> float:
     """Deterministic T(Y) by the ratio of two-dimensional quadratures.
 
     Absolute accuracy target 1e-6; raises when far off and warns with the
     achieved accuracy when moderately off.
     """
-    prior = prior or default_prior(family)
     if sample.s == 0 or sample.n0 == sample.n:
         raise DegenerateSampleError("all counts zero: T(Y) undefined")
     log_num, err_num = _log_wedge_integral(family, sample, prior, positive_only=True)
@@ -905,17 +896,23 @@ def hpd_interval(draws: PosteriorDraws, sample: CountSample,
         lower, upper = float(grid[idx[0]]), float(grid[idx[-1]])
         note = "multimodal density estimate; hull of super-level set"
     else:
-        f = lambda q: float(evaluate(q)[0]) - threshold
+        def crossing(a: float, b: float, side: float) -> float:
+            """Where the density meets the threshold in the cell ``[a, b]``, by
+            bisection on ``side * (density - threshold)``, which ``_newton``
+            needs falling: ``side`` is -1 on the rising flank, 1 on the other."""
+            fun = lambda q: (side * (float(evaluate(q)[0]) - threshold), math.nan)
+            return float(_newton(fun, 0.5 * (a + b), 1e-10, a, b))
+
         below_left = np.where(~above[:mode_idx + 1])[0]
         if below_left.size:
             i = below_left[-1]
-            lower = float(scipy.optimize.brentq(f, grid[i], grid[i + 1], xtol=1e-10))
+            lower = crossing(grid[i], grid[i + 1], -1.0)
         else:
             lower = lo
         below_right = np.where(~above[mode_idx:])[0]
         if below_right.size:
             j = mode_idx + below_right[0]
-            upper = float(scipy.optimize.brentq(f, grid[j - 1], grid[j], xtol=1e-10))
+            upper = crossing(grid[j - 1], grid[j], 1.0)
         else:
             upper = hi
     return IntervalEstimate(lower, upper, level, IntervalKind.HPD,
@@ -956,12 +953,12 @@ def density_curve(draws: PosteriorDraws, sample: CountSample,
 # posterior-odds Bayes factor
 
 
-def _prior_prob_positive(prior: PriorSpec,
+def _prior_prob_positive(family: Family, prior: PriorKind,
                          theta_window: tuple[float, float]) -> tuple[float, tuple[float, float]]:
     """Prior probability of positive weight, theta averaged over a window.
 
     Both theta integrals use one 241-node tanh-sinh rule in ``log theta``."""
-    series = prior.family._series
+    series, prior = family._series, prior._prior
     lo, hi = theta_window
     hi = min(hi, series.theta_max - 1e-6)
     lo = max(lo, 1e-12)
@@ -972,20 +969,22 @@ def _prior_prob_positive(prior: PriorSpec,
     arg = 0.5 * math.pi * np.sinh(tau)
     theta = np.exp(0.5 * (a + b) + 0.5 * (b - a) * np.tanh(arg))
     # the prior's theta marginal g times dtheta/dtau
-    weight = (np.exp(prior.kind._prior.log_g(series, theta))
+    weight = (np.exp(prior.log_g(series, theta))
               * theta * np.cosh(tau) / np.cosh(arg) ** 2)
     # mass above zero is the tail beyond f0 of pstar's Beta(1/2, 1 - k/2) law, in
     # closed form: (2/pi) acos(sqrt(f0)) for k = 1 and 1 - sqrt(f0) for k = 0
     om, root_f0 = -np.expm1(-series.log_c(theta)), np.sqrt(series.f0(theta))
-    positive = (2.0 / math.pi * np.arctan2(np.sqrt(om), root_f0) if prior.kind._prior.k
+    positive = (2.0 / math.pi * np.arctan2(np.sqrt(om), root_f0) if prior.k
                 else om / (1.0 + root_f0))
     return float(weight @ positive / weight.sum()), (lo, hi)
 
 
-def _bayes_factor_from(est: PosteriorProbability, prior: PriorSpec,
-                       theta_window: tuple[float, float]) -> BayesFactorResult:
+def _bayes_factor_from(est: PosteriorProbability, family: Family,
+                       prior: PriorKind = _DEFAULT_PRIOR,
+                       theta_window: tuple[float, float] = DEFAULT_THETA_WINDOW
+                       ) -> BayesFactorResult:
     """The posterior-odds factor for an estimate of T already drawn."""
-    q, window = _prior_prob_positive(prior, theta_window)
+    q, window = _prior_prob_positive(family, prior, theta_window)
     floor = max(est.mc_se, 1.0 / est.draws)
     lower_bound = est.value > 1.0 - floor
     t_eff = min(est.value, 1.0 - floor)
@@ -996,7 +995,7 @@ def _bayes_factor_from(est: PosteriorProbability, prior: PriorSpec,
 
 
 def bayes_factor_positive(family: Family, sample: CountSample,
-                          prior: PriorSpec | None = None,
+                          prior: PriorKind = _DEFAULT_PRIOR,
                           B: int = DEFAULT_DRAWS, seed: int = 0,
                           theta_window: tuple[float, float] = DEFAULT_THETA_WINDOW
                           ) -> BayesFactorResult:
@@ -1005,6 +1004,5 @@ def bayes_factor_positive(family: Family, sample: CountSample,
     When the posterior probability is within Monte Carlo error of one, the
     returned value is a lower bound (flagged on the result).
     """
-    prior = prior or default_prior(family)
     est = posterior_prob_positive(family, sample, prior, B, seed)
-    return _bayes_factor_from(est, prior, theta_window)
+    return _bayes_factor_from(est, family, prior, theta_window)

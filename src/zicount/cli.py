@@ -20,8 +20,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .bayes import (DEFAULT_THETA_WINDOW, IntervalKind, _bayes_factor_from,
-                    default_prior, exact_marginal, posterior_prob_positive)
+from .bayes import (IntervalKind, _bayes_factor_from, exact_marginal,
+                    posterior_prob_positive)
 # unused here; kept only because perfbench/tracing.py wraps this module's names
 from .bayes import (bayes_factor_positive, credible_interval, density_curve,
                     draw_posterior, hpd_interval)
@@ -95,21 +95,14 @@ def validate_report(report: dict) -> None:
 
 
 def _test_entry(report_obj) -> dict:
-    entry = {
+    return {
         "statistic": report_obj.statistic,
         "alpha": report_obj.alpha,
         "reject": report_obj.reject,
         "sidedness": report_obj.sidedness.value,
+        "signed_root": report_obj.signed_root,
+        "p_value": report_obj.p_value,
     }
-    if report_obj.signed_root is not None:
-        entry["signed_root"] = report_obj.signed_root
-    if report_obj.p_value is not None:
-        entry["p_value"] = report_obj.p_value
-    if report_obj.posterior_prob is not None:
-        entry["posterior_prob"] = report_obj.posterior_prob
-    if report_obj.mc_se is not None:
-        entry["mc_se"] = report_obj.mc_se
-    return entry
 
 
 def _mle_entry(fit) -> dict:
@@ -181,7 +174,7 @@ def _cmd_test(args) -> int:
             "mc_se": est.mc_se, "ess": est.ess, "alpha": args.alpha,
             "reject": est.value > 1.0 - args.alpha, "sidedness": "one",
         }
-        bf = _bayes_factor_from(est, default_prior(family), DEFAULT_THETA_WINDOW)
+        bf = _bayes_factor_from(est, family)
         results["bayes_factor"] = {
             "value": bf.value, "posterior_prob": bf.posterior_prob,
             "prior_prob": bf.prior_prob, "theta_window": list(bf.theta_window),

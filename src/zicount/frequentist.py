@@ -32,7 +32,6 @@ class TestMethod(Enum):
 
     SCORE = "score"
     LR = "lr"
-    BAYES = "bayes"
 
 
 @dataclass(frozen=True)
@@ -61,13 +60,11 @@ class TestReport:
 
     method: TestMethod
     statistic: float
-    signed_root: float | None
-    p_value: float | None
-    posterior_prob: float | None
+    signed_root: float
+    p_value: float
     alpha: float
     reject: bool
     sidedness: Sidedness
-    mc_se: float | None = None
 
 
 def mle_null(family: Family, sample: CountSample) -> MleResult:
@@ -239,7 +236,7 @@ def _build_report(method: TestMethod, stat: float, sign: float,
         p_value = float(special.chdtrc(1, stat))
         reject = stat > chi_cut
     return TestReport(method=method, statistic=stat, signed_root=signed_root,
-                      p_value=p_value, posterior_prob=None, alpha=alpha,
+                      p_value=p_value, alpha=alpha,
                       reject=bool(reject), sidedness=sidedness)
 
 

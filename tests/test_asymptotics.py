@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from zicount import (CountSample, DegenerateSampleError, ExpansionInputs,
-                     Family, PriorKind, PriorSpec, ZipsModel, beta_calibration,
+                     Family, PriorKind, ZicountError, ZipsModel, beta_calibration,
                      expansion_inputs, loglik_derivatives,
                      posterior_prob_positive_factorized,
                      posterior_tail_expansion, sample_values, uniformity_check)
@@ -91,8 +91,7 @@ class TestExpansionInputs:
 
     def test_prior_kinds_accepted(self, uti):
         for kind in PriorKind:
-            inputs = expansion_inputs(Family.POISSON, uti,
-                                      PriorSpec(kind, Family.POISSON))
+            inputs = expansion_inputs(Family.POISSON, uti, kind)
             assert inputs.prior_value > 0
             assert np.all(np.isfinite(inputs.prior_grad))
 
@@ -164,6 +163,32 @@ class TestPosteriorTailExpansion:
             if abs(approx - exact) < abs(leading - exact):
                 better += 1
         assert better / total >= 0.70
+
+    @pytest.mark.parametrize("family, theta", [(Family.POISSON, 1.5), (Family.GEOMETRIC, 0.5)],
+                             ids=["poisson", "geometric"])
+    def test_error_order_against_factorized_t(self, family, theta):
+        # the expansion is of order 1/sqrt(n), so its error falls as 1/n and
+        # that of its normal term as 1/sqrt(n): log-log slopes of the median
+        # error over null samples, against 1 - T from factorized T
+        ns = (50, 200, 800, 3200, 12_800)
+        errors = []
+        for n in ns:
+            expansion, normal = [], []
+            for values, _, _, _ in _replications(family, 0.0, theta, n, 100, seed=1):
+                cs = CountSample.from_values(values)
+                try:
+                    inputs = expansion_inputs(family, cs)
+                    exact = 1.0 - posterior_prob_positive_factorized(family, cs)
+                except ZicountError:
+                    continue
+                w = math.sqrt(n / inputs.info_inv[0, 0]) * (0.0 - inputs.eta_hat[0])
+                expansion.append(abs(posterior_tail_expansion(inputs, 0.0, n) - exact))
+                normal.append(abs(stats.norm.cdf(w) - exact))
+            assert len(expansion) >= 90
+            errors.append([np.median(expansion), np.median(normal)])
+        slopes = np.polyfit(np.log(ns), np.log(errors), 1)[0]
+        assert -1.15 <= slopes[0] <= -0.85
+        assert -0.6 <= slopes[1] <= -0.4
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -23,8 +23,8 @@ import warnings
 import numpy as np
 
 from zicount import (CountSample, Family, Method, PowerConfig, PriorKind,
-                     PriorSpec, Sidedness, ZipsModel, expansion_inputs,
-                     fisher_info, fisher_info_orthogonal, grad_log_prior,
+                     Sidedness, ZipsModel, expansion_inputs, fisher_info,
+                     fisher_info_orthogonal, grad_log_prior,
                      load_dataset, log_likelihood, log_pmf, log_prior,
                      loglik_derivatives, lr_test, mle_full, mle_null, p_lower,
                      posterior_prob_positive, posterior_prob_positive_factorized,
@@ -81,6 +81,14 @@ def _call(fn, *args, **kwargs):
         return {"error": type(err).__name__}
 
 
+def _test_call(fn, *args, **kwargs):
+    """``_call`` of a score or LR test.  The fixture was recorded while
+    ``TestReport`` still had the fields ``posterior_prob`` and ``mc_se``,
+    which no constructor ever set, so they are added back here as None."""
+    out = _call(fn, *args, **kwargs)
+    return out if "error" in out else {**out, "posterior_prob": None, "mc_se": None}
+
+
 def _power_entry(grid) -> dict:
     return {
         "cells": {f"{m.value}/{t}/{p}/{n}": _plain(cell)
@@ -104,11 +112,10 @@ def compute_outputs() -> dict:
         close[f"fisher_info_orthogonal/{key}"] = _call(
             fisher_info_orthogonal, model.family, pstar, model.theta)
         for kind in PriorKind:
-            spec = PriorSpec(kind, model.family)
             close[f"log_prior/{kind.value}/{key}"] = _call(
-                log_prior, spec, model.p, model.theta)
+                log_prior, model.family, model.p, model.theta, kind)
             close[f"grad_log_prior/{kind.value}/{key}"] = _call(
-                grad_log_prior, spec, model.p, model.theta)
+                grad_log_prior, model.family, model.p, model.theta, kind)
         for name, sample in SAMPLES.items():
             close[f"log_likelihood/{name}/{key}"] = _call(log_likelihood, model, sample)
             close[f"loglik_derivatives/{name}/{key}"] = _call(
@@ -123,18 +130,17 @@ def compute_outputs() -> dict:
             close[f"mle_null/{key}"] = _call(mle_null, family, sample)
             close[f"mle_full/{key}"] = _call(mle_full, family, sample)
             for sided in Sidedness:
-                close[f"score_test/{sided.value}/{key}"] = _call(
+                close[f"score_test/{sided.value}/{key}"] = _test_call(
                     score_test, family, sample, sidedness=sided)
-                close[f"lr_test/{sided.value}/{key}"] = _call(
+                close[f"lr_test/{sided.value}/{key}"] = _test_call(
                     lr_test, family, sample, sidedness=sided)
             close[f"factorized/{key}"] = _call(
                 posterior_prob_positive_factorized, family, sample)
             close[f"expansion_inputs/{key}"] = _call(expansion_inputs, family, sample)
             for kind in PriorKind:
-                spec = PriorSpec(kind, family)
                 bucket = exact if kind is PriorKind.CONDITIONAL_JEFFREYS else close
                 bucket[f"posterior_prob_positive/{kind.value}/{key}"] = _call(
-                    posterior_prob_positive, family, sample, spec, B=2000, seed=3)
+                    posterior_prob_positive, family, sample, kind, B=2000, seed=3)
 
         config = PowerConfig(thetas=(THETAS[family][1],), ps=(0.3,), ns=(30,),
                              methods=tuple(Method), family=family, reps=100,

@@ -87,3 +87,13 @@ def test_factorized_t_loads_no_linear_algebra():
             "posterior_prob_positive_factorized(Family.POISSON, load_dataset('terror'))\n"
             "print('scipy.linalg' in sys.modules)")
     assert _run(code).strip() == "False"
+
+
+def test_draw_based_hpd_loads_no_root_finder():
+    # the endpoints bisect inside a grid cell with the package's own Newton
+    code = ("import sys\n"
+            "from zicount import Family, draw_posterior, hpd_interval, load_dataset\n"
+            "sample = load_dataset('uti')\n"
+            "draws = draw_posterior(Family.POISSON, sample, B=2000, seed=1)\n"
+            "print(hpd_interval(draws, sample, 0.95).note, 'scipy.optimize' in sys.modules)")
+    assert _run(code).strip() == "None False"
