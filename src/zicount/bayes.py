@@ -1,17 +1,17 @@
 """Objective-prior Bayesian inference for the zero-inflation weight.
 
-The working prior is the conditional Jeffreys prior for the weight p at fixed
-theta (proper over the extended weight range, where it is a Beta(1/2, 1/2)
-law on the zero-probability scale) times the Jeffreys prior for theta from
-the non-inflated family.  Under the orthogonal coordinates
+Each ``PriorKind`` carries a prior record ``(k, log Z, g)``; the default is
+the conditional Jeffreys prior for the weight p at fixed theta times the
+family's Jeffreys prior for theta.  In the orthogonal coordinates
 ``pstar = p + (1 - p) * f0(theta)`` the posterior factorizes into
-``pstar | y ~ Beta(n0 + 1/2, n - n0 + 1/2)`` and a theta law with density
-proportional to ``theta**s / (c(theta) - 1)**(n - n0)`` times the theta
-prior.  One rule, ``_ThetaPosterior``, handles the theta law for both
-families and serves factorized T, posterior draws, the 2-D oracle and the
-exact marginal posterior of the weight (``exact_marginal``: density, CDF,
-equal-tail and HPD intervals), which the CLI uses.  The draw-based density
-and intervals (``draw_posterior`` onwards) are the paper's route.
+``pstar | y ~ Beta(n0 + 1/2, n - n0 + 1 - k/2)`` and a theta law with density
+proportional to ``theta**s / (c(theta) - 1)**(n - n0)`` times the record's
+``g(theta)``.  One rule, ``_ThetaPosterior``, owns both laws under the
+default record for both families and serves factorized T, posterior draws,
+the 2-D oracle and the exact marginal posterior of the weight
+(``exact_marginal``: density, CDF, equal-tail and HPD intervals), which the
+CLI uses.  The draw-based density and intervals (``draw_posterior``
+onwards) are the paper's route.
 
 The test statistic is the posterior probability of positive weight,
 ``T(Y) = P(p > 0 | Y)``, estimated either by a self-normalized importance
@@ -49,6 +49,11 @@ class _Prior:
     log_z: float
     log_g: Callable
     dlog_g: Callable
+
+    def pstar_shapes(self, n0, m):
+        """Shapes ``(n0 + 1/2, m + 1 - k/2)`` of pstar's posterior Beta law
+        given ``n0`` zeros and ``m`` positive counts."""
+        return n0 + 0.5, m + 1.0 - 0.5 * self.k
 
 
 class PriorKind(Enum):
@@ -224,12 +229,13 @@ def _distinct_cuts(cuts: np.ndarray):
 
 
 class _ThetaPosterior:
-    """Posterior law of ``u = log(theta)`` under the conditional Jeffreys prior,
-    for rows of ``(m, s)``: arrays over rows, a scalar pair being one row.
-
-    With ``pstar`` integrated out, ``m`` positive counts summing to ``s``
-    leave the kernel ``theta**s / (c(theta) - 1)**m`` times the Jeffreys
-    prior, times ``theta`` in u, where it is log-concave for both families:
+    """The factorized posterior of rows of ``(n0, m, s)`` (arrays over rows,
+    scalars one row) under the default prior's record ``prior``.  ``pstar``
+    is ``Beta(a, b)`` by the record's ``pstar_shapes``; ``window`` holds the
+    1e-17 and 1 - 1e-17 quantiles of ``1 - pstar``.  With pstar integrated
+    out, ``m`` positive counts summing to ``s`` leave the kernel
+    ``theta**s / (c(theta) - 1)**m`` times the record's ``g(theta)``, times
+    ``theta`` in ``u = log(theta)``, where it is log-concave for both families:
     the all-ones pole ``theta**(-1/2)`` becomes an exponential tail and
     geometric mass at ``theta = 1`` a finite end ``top``.  Each row has its
     own ``mode``, ``peak`` (the log density there) and ``[lo, hi]``, which
@@ -239,10 +245,12 @@ class _ThetaPosterior:
     density has no interior peak (``_distinct_cuts`` drops the repeat).
     """
 
-    def __init__(self, family: Family, m, s):
-        self.series = family._series
-        self.m = np.atleast_1d(np.asarray(m, dtype=float))
-        self.s = np.atleast_1d(np.asarray(s, dtype=float))
+    def __init__(self, family: Family, n0, m, s):
+        self.series, self.prior = family._series, _DEFAULT_PRIOR._prior
+        self.n0, self.m, self.s = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (n0, m, s))
+        self.a, self.b = self.prior.pstar_shapes(self.n0, self.m)
+        self.window = np.stack([special.betaincinv(self.b, self.a, 1e-17),
+                                special.betainccinv(self.b, self.a, 1e-17)], axis=1)
         self.top = top = math.log(self.series.theta_max)
         # one scalar Newton per row: an array-valued Newton is far slower per solve
         mode, sd = np.array([self._mode(m_row, s_row) for m_row, s_row in
@@ -274,7 +282,7 @@ class _ThetaPosterior:
         theta = np.exp(u)
         log_c = self.series.log_c(theta)
         return ((s + 1.0) * u - m * (log_c + np.log(-np.expm1(-log_c)))
-                + self.series.log_jeffreys(theta)), log_c
+                + self.prior.log_g(self.series, theta)), log_c
 
     def _log_density_at(self, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Log density of each of ``rows`` at its own point of ``u``."""
@@ -283,11 +291,11 @@ class _ThetaPosterior:
     def _mode(self, m: float, s: float) -> tuple[float, float]:
         """Mode of u for one row and its Laplace standard deviation (NaN at
         ``top``), by ``_newton`` on the score with a central-difference slope."""
-        series, top = self.series, self.top
+        series, top, dlog_g = self.series, self.top, self.prior.dlog_g
 
         def score(u):
             theta = math.exp(u)
-            return (s + 1.0 + theta * series.dlog_jeffreys(theta) - m * theta
+            return (s + 1.0 + theta * dlog_g(series, theta) - m * theta
                     * series.log_c_derivs(theta)[0] / -math.expm1(-series.log_c(theta)))
 
         if math.isfinite(top) and score(top - 1e-12) >= 0.0:
@@ -330,16 +338,24 @@ class _ThetaPosterior:
         edges = np.linspace(self.lo.item(), self.hi.item(), 4097)
         log_d, _ = self.log_density(0.5 * (edges[1:] + edges[:-1]))
         cdf = np.concatenate(([0.0], np.cumsum(np.exp(log_d - self.peak.item()))))
+        self.require_weight(cdf[-1:])
         return np.exp(np.interp(r, cdf / cdf[-1], edges))
+
+    def require_weight(self, total) -> None:
+        """Raise ``QuadratureError`` naming ``(n0, s)`` of the first row whose
+        weight ``total`` is not finite and positive, as at a geometric top."""
+        bad = np.flatnonzero(~(np.isfinite(total) & (total > 0.0)))
+        if bad.size:
+            raise QuadratureError(f"theta posterior has no weight on its nodes at (n0, s) = "
+                                  f"({self.n0[bad[0]]:.17g}, {self.s[bad[0]]:.17g})")
 
 
 def draw_posterior(family: Family, sample: CountSample, B: int = DEFAULT_DRAWS,
                    seed: int = 0) -> PosteriorDraws:
-    """Exact joint posterior draws under the conditional Jeffreys prior.
+    """Exact joint posterior draws under the default prior.
 
-    ``pstar`` is Beta-distributed for both families; ``theta`` is drawn by
-    tabulated inverse CDF from the same stream.  The weight draws are
-    recovered as ``p = (pstar - f0) / (1 - f0)``.
+    ``pstar`` from the theta rule's Beta law, ``theta`` by its tabulated
+    inverse CDF from the same stream; ``p = (pstar - f0) / (1 - f0)``.
     """
     if B <= 0:
         raise ValueError("B must be positive")
@@ -347,9 +363,10 @@ def draw_posterior(family: Family, sample: CountSample, B: int = DEFAULT_DRAWS,
     if n0 == 0 or m == 0:
         raise DegenerateSampleError(
             "posterior sampling needs both zero and positive counts")
+    rule = _ThetaPosterior(family, n0, m, sample.s)
     rng = np.random.default_rng(seed)
-    pstar = rng.beta(n0 + 0.5, m + 0.5, B)
-    theta = _ThetaPosterior(family, m, sample.s).inverse_cdf(rng.random(B))
+    pstar = rng.beta(rule.a.item(), rule.b.item(), B)
+    theta = rule.inverse_cdf(rng.random(B))
     p = (pstar - family.f0(theta)) / -np.expm1(-family._series.log_c(theta))
     return PosteriorDraws(family=family, pstar=pstar, theta=theta, p=p,
                           weights=np.ones(B), seed=seed, B=B)
@@ -389,7 +406,7 @@ def _posterior_prob_geometric(n: int, n0: int, s: int, prior: PriorKind,
                               B: int, rng: np.random.Generator):
     """Exact posterior draws for the geometric family (both coordinates Beta)."""
     m = n - n0
-    pstar = rng.beta(n0 + 0.5, m + 1 - 0.5 * prior._prior.k, B)
+    pstar = rng.beta(*prior._prior.pstar_shapes(n0, m), B)
     theta = rng.beta(s - m + 0.5, m, B)
     ind = pstar > 1.0 - theta
     value = float(np.mean(ind))
@@ -427,21 +444,31 @@ def _log_kernel_in_p(family: Family, sample: CountSample, prior: PriorKind,
                      theta: float):
     """``log likelihood + log prior`` at fixed theta, as a function of p.
 
-    ``(n0 - 1/2) log(f0 + p (1 - f0)) + (m - k/2) log(1 - p)`` plus terms in
-    theta alone (``log c``, ``s log theta``, ``sum log a_y`` and the prior's
+    ``(a - 1) log(f0 + p (1 - f0)) + (b - 1) log(1 - p)``, with pstar's Beta
+    shapes ``(a, b)`` from the prior record, plus terms in theta alone
+    (``log c``, ``s log theta``, ``sum log a_y`` and the prior's
     ``(1 - k/2) log(1 - f0) + log g - log Z``), which are summed here once.
     Valid inside the quadrature's p window, which stays clear of the
     endpoints; returned with the lower endpoint ``-f0 / (1 - f0)``.
     """
     series, kind = family._series, prior._prior
-    n0, m = sample.n0, sample.n - sample.n0
+    m = sample.n - sample.n0
+    a, b = kind.pstar_shapes(sample.n0, m)
     f0 = series.f0(theta)
     log_c = series.log_c(theta)
     log_om = math.log(om := -math.expm1(-log_c))
     const = -m * log_c + sample.s * math.log(theta) + _log_a_sum(family, sample)
     const += (1.0 - 0.5 * kind.k) * log_om + kind.log_g(series, theta) - kind.log_z
-    return -f0 / om, lambda p: ((n0 - 0.5) * math.log(f0 + p * om)
-                                + (m - 0.5 * kind.k) * math.log1p(-p) + const)
+    return -f0 / om, lambda p: ((a - 1.0) * math.log(f0 + p * om)
+                                + (b - 1.0) * math.log1p(-p) + const)
+
+
+def _quad(fun, a: float, b: float) -> tuple[float, float, bool]:
+    """``quad`` at the oracle's tolerances: value, error and whether QUADPACK
+    flagged them (``full_output`` returns it in place of a warning)."""
+    value, err, _, *flag = scipy.integrate.quad(fun, a, b, epsabs=1e-13, epsrel=1e-10,
+                                                limit=200, full_output=1)
+    return value, err, bool(flag)
 
 
 def _log_wedge_integral(family: Family, sample: CountSample, prior: PriorKind,
@@ -450,11 +477,12 @@ def _log_wedge_integral(family: Family, sample: CountSample, prior: PriorKind,
 
     Integrates ``exp(log likelihood + log prior)`` over theta and, inside,
     over p from the extended lower endpoint (or zero) to one, by nested
-    adaptive quadrature.  Returns the log value and a relative error bound.
-    """
+    adaptive quadrature.  Returns the log value and a relative error bound,
+    which adds the largest error of a flagged inner integral, per unit of
+    ``u = log(theta)``, times the width in u."""
     theta_max = family._series.theta_max
     edge = theta_max * (1.0 - 1e-12)
-    rule = _ThetaPosterior(family, sample.n - sample.n0, sample.s)
+    rule = _ThetaPosterior(family, sample.n0, sample.n - sample.n0, sample.s)
     t_lo, t_hi = math.exp(rule.lo[0]), min(math.exp(rule.hi[0]), edge)
 
     def window(theta: float):
@@ -472,12 +500,16 @@ def _log_wedge_integral(family: Family, sample: CountSample, prior: PriorKind,
     if not math.isfinite(big):
         raise QuadratureError("posterior kernel vanished on the search mesh")
 
+    flagged = 0.0  # largest error of a flagged inner integral, per unit of u
+
     def inner(theta: float) -> float:
+        nonlocal flagged
         a, b, log_k = window(theta)
         if a >= b:
             return 0.0
-        val, _ = scipy.integrate.quad(lambda q: math.exp(log_k(q) - big), a, b,
-                                      epsabs=1e-13, epsrel=1e-10, limit=200)
+        val, err, bad = _quad(lambda q: math.exp(log_k(q) - big), a, b)
+        if bad:
+            flagged = max(flagged, theta * err)
         return val
 
     # widen toward 0 and theta_max until the profile per unit of u = log(theta),
@@ -492,38 +524,35 @@ def _log_wedge_integral(family: Family, sample: CountSample, prior: PriorKind,
             u_hi = math.log(t_hi)
         else:
             break
-    value, err = scipy.integrate.quad(profile, u_lo, u_hi,
-                                      epsabs=1e-13, epsrel=1e-10, limit=200)
+    value, err, _ = _quad(profile, u_lo, u_hi)
     if value <= 0.0:
         raise QuadratureError("posterior integral evaluated to zero")
-    return math.log(value) + big, err / value
+    return math.log(value) + big, (err + (u_hi - u_lo) * flagged) / value
 
 
 def _factorized_t(family: Family, n0, m, s) -> np.ndarray:
     """Factorized T for rows of ``(n0, m, s)`` on one batched theta rule.
 
-    Rows are grouped by their number of cuts, so that each row sums the same
-    nodes in the same order as it would alone.  A row whose weights vanish
-    or whose T is not finite raises ``QuadratureError`` naming its
-    ``(n0, s)``.
+    ``T = E[P(pstar > f0(theta))]``, both laws the rule's, under its prior
+    record.  Rows are grouped by their number of cuts, so that each row sums
+    the same nodes in the same order as it would alone.  A row whose weights
+    vanish raises the rule's ``QuadratureError`` naming its ``(n0, s)``.
     """
-    rule = _ThetaPosterior(family, m, s)
-    n0 = np.atleast_1d(n0)
-    a, b = n0 + 0.5, rule.m + 0.5
-    # P(pstar > f0) rises across the Beta bulk of pstar: a narrow rise gets a panel
-    rise_f0 = special.betainccinv(a, b, 1e-17), special.betaincinv(a, b, 1e-17)
+    rule = _ThetaPosterior(family, n0, m, s)
     num, den = np.empty(rule.m.size), np.empty(rule.m.size)
 
     def add(rows, w, f0):
-        num[rows] = np.sum(w * (1.0 - special.betainc(a[rows, None], b[rows, None], f0)), axis=1)
+        tail = 1.0 - special.betainc(rule.a[rows, None], rule.b[rows, None], f0)
+        num[rows] = np.sum(w * tail, axis=1)
         den[rows] = np.sum(w, axis=1)
 
     for rows, cuts in _distinct_cuts(rule.cuts):
         u, w, log_c = rule.nodes(cuts, rows=rows)
-        f0 = np.exp(-log_c)
+        f0, om = np.exp(-log_c), -np.expm1(-log_c)
         lo, hi = rule.lo[rows], rule.hi[rows]
-        rise_lo = np.max(np.where(f0 >= rise_f0[0][rows, None], u, lo[:, None]), axis=1)
-        rise_hi = np.min(np.where(f0 <= rise_f0[1][rows, None], u, hi[:, None]), axis=1)
+        # P(pstar > f0) rises where 1 - f0 crosses the window: a narrow rise gets a panel
+        rise_lo = np.max(np.where(om <= rule.window[rows, :1], u, lo[:, None]), axis=1)
+        rise_hi = np.min(np.where(om >= rule.window[rows, 1:], u, hi[:, None]), axis=1)
         narrow = rise_hi - rise_lo < 0.5 * (hi - lo)
         add(rows[~narrow], w[~narrow], f0[~narrow])
         refined = np.column_stack([cuts[narrow], rise_lo[narrow], rise_hi[narrow]])
@@ -531,28 +560,23 @@ def _factorized_t(family: Family, n0, m, s) -> np.ndarray:
             sub = rows[narrow][sub]
             _, w, log_c = rule.nodes(finer, rows=sub)
             add(sub, w, np.exp(-log_c))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = num / den
-    bad = np.flatnonzero(~(np.isfinite(t) & (den > 0.0)))
-    if bad.size:
-        raise QuadratureError(f"factorized T has no finite value at (n0, s) = "
-                              f"({n0[bad[0]]}, {rule.s[bad[0]]:.17g})")
-    return t
+    rule.require_weight(den)
+    return num / den
 
 
 def posterior_prob_positive_factorized(family: Family,
                                        sample: CountSample) -> float:
     """Deterministic T(Y) from the factorized posterior, by 1-D quadrature.
 
-    Under the conditional Jeffreys prior, ``T = E[SF(f0(theta))]`` where the
-    survival function is that of the Beta posterior of the zero probability
-    and the expectation runs over the theta posterior, in Gauss-Legendre
-    panels of ``u = log(theta)`` that meet at its mode.  Much faster than the
+    Under the default prior, ``T = E[SF(f0(theta))]`` where the survival
+    function is that of the Beta posterior of the zero probability and the
+    expectation runs over the theta posterior, in Gauss-Legendre panels of
+    ``u = log(theta)`` that meet at its mode.  Much faster than the
     two-dimensional oracle and far more accurate than the importance sampler
     for large samples, where the sampler's proposal drifts away from the
     posterior.  The one-row case of ``_factorized_t``, which null
     calibration calls on all distinct ``(n0, s)`` at once; raises
-    ``QuadratureError`` where the rule finds no finite T.
+    ``QuadratureError`` where the rule's weights vanish.
     """
     n0, m = sample.n0, sample.n - sample.n0
     if sample.s == 0 or m == 0:
@@ -616,23 +640,18 @@ def _log_beta_pdf(x, y, a: float, b: float):
 
 @dataclass(frozen=True)
 class ExactMarginal:
-    """Exact marginal posterior of the weight under the conditional Jeffreys prior.
-
-    Given theta, ``pstar = f0 + p * (1 - f0)`` is ``Beta(a, b)`` with
-    ``a = n0 + 1/2`` and ``b = m + 1/2``, so the density and CDF of p are
-    theta-posterior averages of that law mapped back to p.  Each point gets
-    its own Gauss-Legendre nodes: the theta rule's panels plus one over
-    ``window``, the 1e-17 and 1 - 1e-17 quantiles of ``1 - pstar``, mapped to
-    ``u = log(theta)`` through ``1 - pstar = (1 - p)(1 - f0)``.  Root
-    searches run in ``t = log(1 - p)``, where the heavy left tail of an
-    all-ones sample (theta near zero sends ``-f0 / (1 - f0)`` to minus
-    infinity) becomes an exponential one.  Built by ``exact_marginal``.
+    """Exact marginal posterior of the weight under the prior record of its
+    one-row theta ``rule``, whose Beta law for ``pstar = f0 + p * (1 - f0)``
+    given theta, averaged over theta and mapped back to p, gives the density
+    and CDF.  Each point gets its own Gauss-Legendre nodes: the rule's panels
+    plus one over its ``window`` of ``1 - pstar``, mapped to ``u = log(theta)``
+    through ``1 - pstar = (1 - p)(1 - f0)``.  Root searches run in
+    ``t = log(1 - p)``, where the heavy left tail of an all-ones sample
+    (theta near zero sends ``-f0 / (1 - f0)`` to minus infinity) becomes an
+    exponential one.  Built by ``exact_marginal``.
     """
 
     rule: _ThetaPosterior
-    a: float
-    b: float
-    window: tuple[float, float]
 
     def _nodes_at(self, p):
         """``pstar``, ``1 - pstar``, ``1 - f0`` and normalized node weights,
@@ -640,7 +659,7 @@ class ExactMarginal:
         rule = self.rule
         p = np.asarray(p, dtype=float)[..., None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            om = np.asarray(self.window) / (1.0 - p)
+            om = rule.window[0] / (1.0 - p)
             edges = np.log(rule.series.theta_from_log_c(-np.log1p(-om)))
         # an edge outside the bracket leaves an empty panel at its lower end
         edges = np.where((edges > rule.lo[0]) & (edges < rule.hi[0]), edges, rule.lo[0])
@@ -656,23 +675,25 @@ class ExactMarginal:
     def _pdf(self, x, y, om):
         """Density of p given theta at each node."""
         inside = (x > 0.0) & (y > 0.0)
-        return np.where(inside, np.exp(_log_beta_pdf(x, y, self.a, self.b)) * om, 0.0)
+        a, b = self.rule.a[0], self.rule.b[0]
+        return np.where(inside, np.exp(_log_beta_pdf(x, y, a, b)) * om, 0.0)
 
     def _below(self, x, y):
         """``P(pstar <= x)`` at each node: 0 or 1 to within 1e-17 outside
         the window, so ``betainc`` runs only inside it."""
-        out = (y < self.window[0]).astype(float)
-        inside = (y >= self.window[0]) & (y <= self.window[1])
-        out[inside] = special.betainc(self.a, self.b, x[inside])
+        out = (y < self.rule.window[0, 0]).astype(float)
+        inside = (y >= self.rule.window[0, 0]) & (y <= self.rule.window[0, 1])
+        out[inside] = special.betainc(self.rule.a[0], self.rule.b[0], x[inside])
         return out
 
     def _local(self, p, cdf: bool = False):
         """Density, its derivative in p and, with ``cdf``, the CDF at ``p``."""
         x, y, om, w = self._nodes_at(p)
         pdf = self._pdf(x, y, om) * w
+        a, b = self.rule.a[0], self.rule.b[0]
         # the slope is infinite where pstar**(a - 1) meets zero with a < 2
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            rate = np.where(pdf > 0.0, (self.a - 1.0) / x - (self.b - 1.0) / y, 0.0)
+            rate = np.where(pdf > 0.0, (a - 1.0) / x - (b - 1.0) / y, 0.0)
             out = (pdf.sum(axis=-1), np.sum(pdf * rate * om, axis=-1))
         return out + (np.sum(self._below(x, y) * w, axis=-1),) if cdf else out
 
@@ -693,7 +714,7 @@ class ExactMarginal:
             dens, _, cdf = self._local(-math.expm1(t), cdf=True)
             return float(cdf) - q, -float(dens) * math.exp(t)
 
-        t = math.log(special.betaincinv(self.b, self.a, 1.0 - q) / om)  # 1 - pstar
+        t = math.log(special.betaincinv(self.rule.b[0], self.rule.a[0], 1.0 - q) / om)  # 1 - pstar
         return _newton(fun, t, 1e-9 * max(1.0, abs(t)))
 
     def _flank_t(self, log_c: float, t: float, side: float, bound: float) -> float:
@@ -726,11 +747,11 @@ class ExactMarginal:
 
     def _scan(self, num: int = 129):
         """``t``, p and the density on ``num`` points even in ``t`` across
-        the range that ``window`` reaches over the theta bracket; ascending
-        in p."""
+        the range that the rule's ``window`` reaches over its theta bracket;
+        ascending in p."""
         with np.errstate(divide="ignore"):  # geometric hi may be theta = 1
             log_c = self.rule.series.log_c(np.exp([self.rule.lo[0], self.rule.hi[0]]))
-        t = np.linspace(*np.log(np.asarray(self.window)[::-1] / -np.expm1(-log_c)), num)
+        t = np.linspace(*np.log(self.rule.window[0, ::-1] / -np.expm1(-log_c)), num)
         p = -np.expm1(t)
         return t, p, self.density(p)
 
@@ -794,16 +815,15 @@ class ExactMarginal:
 
 
 def exact_marginal(family: Family, sample: CountSample) -> ExactMarginal:
-    """The exact marginal posterior of the weight under the default prior,
-    on the nodes of the theta-posterior rule."""
+    """The exact marginal posterior of the weight under the default prior on
+    the theta rule, which raises ``QuadratureError`` where its weights vanish."""
     n0, m = sample.n0, sample.n - sample.n0
     if n0 == 0 or m == 0:
         raise DegenerateSampleError(
             "the posterior of the weight needs both zero and positive counts")
-    a, b = n0 + 0.5, m + 0.5
-    # 1 - pstar is Beta(b, a)
-    window = (float(special.betaincinv(b, a, 1e-17)), float(special.betainccinv(b, a, 1e-17)))
-    return ExactMarginal(_ThetaPosterior(family, m, sample.s), a, b, window)
+    rule = _ThetaPosterior(family, n0, m, sample.s)
+    rule.require_weight(np.sum(rule.nodes(np.unique(rule.cuts[0]))[1]))
+    return ExactMarginal(rule)
 
 
 # ---------------------------------------------------------------------------
@@ -818,24 +838,19 @@ def _marginal_density_evaluator(draws: PosteriorDraws, sample: CountSample):
     better than a histogram of the p draws and integrates to one by
     construction.
     """
-    n0, m = sample.n0, sample.n - sample.n0
-    a_beta, b_beta = n0 + 0.5, m + 0.5
+    a_beta, b_beta = _DEFAULT_PRIOR._prior.pstar_shapes(sample.n0, sample.n - sample.n0)
     f0 = draws.family.f0(draws.theta)
     scale = 1.0 - f0  # Jacobian of p -> pstar at fixed theta
     log_norm = float(special.betaln(a_beta, b_beta))
 
     def evaluate(p_values) -> np.ndarray:
         p_values = np.atleast_1d(np.asarray(p_values, dtype=float))
-        out = np.empty(p_values.shape)
+        out = np.zeros(p_values.shape)
         for idx, pj in enumerate(p_values):
             if pj >= 1.0:
-                out[idx] = 0.0
                 continue
             pstar = f0 + pj * scale
             valid = pstar > 0.0
-            if not np.any(valid):
-                out[idx] = 0.0
-                continue
             logpdf = ((a_beta - 1.0) * np.log(pstar[valid])
                       + (b_beta - 1.0) * (math.log1p(-pj) + np.log(scale[valid]))
                       + np.log(scale[valid]) - log_norm)
@@ -853,8 +868,7 @@ def marginal_posterior_density(draws: PosteriorDraws, sample: CountSample,
     to Monte Carlo error; points below the weight range at every drawn theta
     get density zero.
     """
-    evaluate = _marginal_density_evaluator(draws, sample)
-    return evaluate(at_p)
+    return _marginal_density_evaluator(draws, sample)(at_p)
 
 
 def credible_interval(draws: PosteriorDraws, level: float) -> IntervalEstimate:

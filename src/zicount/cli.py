@@ -28,7 +28,7 @@ from .bayes import (bayes_factor_positive, credible_interval, density_curve,
 from .datasets import (dataset_names, dataset_table, format_freq_csv,
                        load_counts, load_dataset)
 from .distributions import CountSample, Family
-from .errors import DegenerateSampleError, ParameterRangeError, ZicountError
+from .errors import ZicountError
 from .frequentist import Sidedness, lr_test, mle_full, mle_null, score_test
 from .power import (Method, PowerConfig, REFERENCE_POWER_ONE_SIDED,
                     REFERENCE_POWER_TWO_SIDED, compare_tables, run_power_study)
@@ -245,29 +245,23 @@ def _parse_grid_values(text: str, cast):
 
 
 def _cmd_power(args) -> int:
-    seed = _auto_seed(args.seed)
+    raw = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-        methods = tuple(Method(m) for m in raw.get(
-            "methods", ["score1", "bayes", "lr1"]))
-        config = PowerConfig(
-            thetas=tuple(raw["thetas"]), ps=tuple(raw["ps"]), ns=tuple(raw["ns"]),
-            methods=methods, family=Family(raw.get("family", "poisson")),
-            reps=int(raw.get("reps", args.reps)),
-            draws=int(raw.get("draws", args.draws)),
-            alpha=float(raw.get("alpha", args.alpha)),
-            seed=int(raw.get("seed", seed)))
-    else:
-        if not (args.thetas and args.ps and args.ns):
-            raise ValueError("give --config or all of --thetas, --ps, --ns")
-        config = PowerConfig(
-            thetas=_parse_grid_values(args.thetas, float),
-            ps=_parse_grid_values(args.ps, float),
-            ns=_parse_grid_values(args.ns, int),
-            methods=tuple(Method(m) for m in args.methods.split(",")),
-            family=Family(args.model), reps=args.reps, draws=args.draws,
-            alpha=args.alpha, seed=seed)
+    # flags supply every key the configuration file omits
+    for key, cast in (("thetas", float), ("ps", float), ("ns", int), ("methods", str)):
+        if key not in raw and getattr(args, key) is not None:
+            raw[key] = _parse_grid_values(getattr(args, key), cast)
+    if not all(key in raw for key in ("thetas", "ps", "ns")):
+        raise ValueError("give --config or all of --thetas, --ps, --ns")
+    config = PowerConfig(
+        thetas=tuple(raw["thetas"]), ps=tuple(raw["ps"]), ns=tuple(raw["ns"]),
+        methods=tuple(Method(m) for m in raw["methods"]),
+        family=Family(raw.get("family", args.model)),
+        reps=int(raw.get("reps", args.reps)), draws=int(raw.get("draws", args.draws)),
+        alpha=float(raw.get("alpha", args.alpha)),
+        seed=int(raw.get("seed", _auto_seed(args.seed))))
 
     print(f"zicount {__version__}  seed={config.seed}  reps={config.reps} "
           f"draws={config.draws} alpha={config.alpha}", flush=True)
@@ -359,9 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_options(p_int)
     p_int.add_argument("--kind", choices=("equal", "hpd"), default="equal")
     p_int.add_argument("--level", type=_probability, default=0.95)
-    p_int.add_argument("--draws", type=int, default=50_000,
-                       help="accepted for compatibility; no effect, the "
-                            "interval is exact")
     p_int.add_argument("--seed", type=int, default=None)
     p_int.add_argument("--out", choices=("json", "text"), default="text")
     p_int.set_defaults(func=_cmd_interval)
@@ -369,9 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_post = sub.add_parser("posterior", help="export the posterior density curve")
     _add_data_options(p_post)
     p_post.add_argument("--grid-points", type=int, default=512)
-    p_post.add_argument("--draws", type=int, default=50_000,
-                        help="accepted for compatibility; no effect, the "
-                             "density is exact")
     p_post.add_argument("--seed", type=int, default=None)
     p_post.add_argument("--out", required=True, help="output CSV path")
     p_post.set_defaults(func=_cmd_posterior)
@@ -409,9 +397,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DegenerateSampleError, ParameterRangeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    # bad input; DegenerateSampleError and ParameterRangeError are ValueErrors
     except (ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

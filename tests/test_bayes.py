@@ -17,6 +17,7 @@ from zicount import (CountSample, DegenerateSampleError, ExactMarginal, Family,
                      prior_density, sample_values, score_test)
 
 from zicount.asymptotics import FACTORIZED_BLOCK
+from zicount.datasets import dataset_names, load_dataset
 from zicount.bayes import (_distinct_cuts, _factorized_t, _prior_prob_positive,
                            _ThetaPosterior)
 from zicount.errors import QuadratureError
@@ -197,11 +198,23 @@ class TestPosteriorProbPositive:
         cs = CountSample(counts)
         prior = PriorKind.JEFFREYS_JOINT
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("error")
             exact = posterior_prob_positive_quadrature(Family.POISSON, cs, prior)
         assert exact == pytest.approx(expected, rel=1e-4)
         est = posterior_prob_positive(Family.POISSON, cs, prior, B=200_000, seed=1)
         assert abs(est.value - exact) < 4.0 * est.mc_se
+
+    def test_oracle_keeps_quadpack_flags_in_its_accuracy(self):
+        # no zeros: the inner p integrals start at the pstar**(-1/2) pole,
+        # where QUADPACK flags roundoff; the flag enters the oracle's own
+        # accuracy bound, which stays within target, and no warning leaks
+        # (the joint prior's case is in the test above)
+        cs = CountSample({1: 3, 2: 2})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact = posterior_prob_positive_quadrature(Family.POISSON, cs)
+        assert exact == pytest.approx(posterior_prob_positive_factorized(Family.POISSON, cs),
+                                      abs=1e-8)
 
     @pytest.mark.parametrize("counts", [{0: 22, 1: 9, 2: 4, 4: 1}, {0: 4, 1: 6, 3: 2}],
                              ids=str)
@@ -311,7 +324,7 @@ class TestThetaPosterior:
     @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
     def test_batched_nodes_equal_nodes_per_row(self, family):
         cs = CountSample({0: 12, 1: 5, 2: 2, 4: 1})
-        rule = _ThetaPosterior(family, cs.n - cs.n0, cs.s)
+        rule = _ThetaPosterior(family, cs.n0, cs.n - cs.n0, cs.s)
         rng = np.random.default_rng(7)
         extra = rng.uniform(rule.lo, rule.hi, (5, 2))
         base = np.unique(rule.cuts[0])
@@ -357,7 +370,8 @@ class TestThetaPosterior:
                                        {0: 1, 1: 1, 199_999_999_999: 1},
                                        {0: 2, 1: 1, 10**12: 1}], ids=str)
     def test_factorized_t_raises_where_not_finite(self, table):
-        # the geometric rule's weights vanish beside a mode at the top
+        # the geometric rule's weights vanish beside a mode at the top, for
+        # factorized T, the exact marginal and the draws alike
         cs = CountSample(table)
         named = re.escape(f"({cs.n0}, {cs.s})")
         with warnings.catch_warnings():
@@ -367,6 +381,10 @@ class TestThetaPosterior:
             with pytest.raises(QuadratureError, match=named):
                 _factorized_t(Family.GEOMETRIC, np.array([3, cs.n0]),
                               np.array([4, cs.n - cs.n0]), np.array([9, cs.s]))
+            with pytest.raises(QuadratureError, match=named):
+                exact_marginal(Family.GEOMETRIC, cs)
+            with pytest.raises(QuadratureError, match=named):
+                draw_posterior(Family.GEOMETRIC, cs, B=100, seed=1)
 
     @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
     def test_all_ones_draws_match_oracle_quantiles(self, family):
@@ -535,6 +553,15 @@ class TestExactMarginal:
             assert abs(exact.cdf(x) - cdf) <= 1e-8
             assert q is None or abs(cdf - q) <= 1e-8
 
+    @pytest.mark.parametrize("case", MARGINAL_CASES + tuple(dataset_names()), ids=str)
+    @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
+    def test_factorized_t_is_the_marginal_tail(self, family, case):
+        # two exact routes to T = P(p > 0 | Y) on the one rule: the factorized
+        # average of pstar's Beta tail and one minus the marginal CDF at zero
+        cs = load_dataset(case) if isinstance(case, str) else _marginal_sample(family, case)
+        tail = 1.0 - exact_marginal(family, cs).cdf(0.0)
+        assert abs(posterior_prob_positive_factorized(family, cs) - tail) <= 1e-14
+
     @pytest.mark.parametrize("level", (0.5, 0.95))
     @pytest.mark.parametrize("case", MARGINAL_CASES, ids=str)
     @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
@@ -567,7 +594,7 @@ class TestExactMarginal:
                         + np.exp(-0.5 * ((p - 0.7) / 0.05) ** 2))
 
         base = exact_marginal(Family.POISSON, uti)
-        bumps = TwoBumps(base.rule, base.a, base.b, base.window)
+        bumps = TwoBumps(base.rule)
         with pytest.warns(UserWarning, match="unimodal"):
             est = bumps.interval(0.95, IntervalKind.HPD)
         assert est.note is not None

@@ -1,10 +1,11 @@
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from zicount import (CountSample, dataset_names, dataset_table,
+from zicount import (CountSample, Family, Method, dataset_names, dataset_table,
                      format_freq_csv, load_counts, load_dataset,
                      parse_counts_text)
 from zicount.cli import main, validate_report
@@ -151,8 +152,7 @@ class TestCli:
 
     def test_interval_command(self, capsys):
         code = main(["interval", "--dataset", "cholera", "--kind", "hpd",
-                     "--level", "0.95", "--seed", "4", "--draws", "20000",
-                     "--out", "json"])
+                     "--level", "0.95", "--seed", "4", "--out", "json"])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         entry = report["intervals"][0]
@@ -182,8 +182,7 @@ class TestCli:
     def test_posterior_curve_export(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"
         code = main(["posterior", "--dataset", "uti", "--seed", "5",
-                     "--draws", "20000", "--grid-points", "200",
-                     "--out", str(out)])
+                     "--grid-points", "200", "--out", str(out)])
         assert code == 0
         data = np.loadtxt(out, delimiter=",", skiprows=1)
         assert data.shape == (200, 2)
@@ -222,6 +221,23 @@ class TestCli:
             "thetas": [1.0], "ps": [0.0], "ns": [40], "reps": 150,
             "draws": 200, "seed": 9, "methods": ["score1"]}))
         assert main(["power", "--config", str(config)]) == 0
+
+    def test_power_flags_supply_keys_the_config_omits(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({"thetas": [0.5], "ps": [0.0], "ns": [40], "seed": 9}))
+        built = []
+
+        def capture(config, n_jobs, progress):
+            built.append(config)
+            return SimpleNamespace(format_table=lambda: "", redraws={})
+
+        monkeypatch.setattr("zicount.cli.run_power_study", capture)
+        assert main(["power", "--config", str(config), "--model", "geometric",
+                     "--methods", "score1,lr1", "--reps", "150"]) == 0
+        (got,) = built
+        assert got.family is Family.GEOMETRIC
+        assert got.methods == (Method.SCORE_ONE, Method.LR_ONE)
+        assert (got.thetas, got.ps, got.ns, got.reps, got.seed) == ((0.5,), (0.0,), (40,), 150, 9)
 
     def test_power_config_misspelled_family_exits_2(self, tmp_path, capsys):
         config = tmp_path / "grid.json"
