@@ -38,8 +38,7 @@ from .distributions import (CountSample, Family, FisherInfo, Parametrization,
                             loglik_derivatives, p_lower, pmf, sample,
                             sample_values, to_pstar)
 from .errors import (DegenerateSampleError, MissingCellError,
-                     ParameterRangeError, QuadratureError, SamplerError,
-                     ZicountError)
+                     ParameterRangeError, QuadratureError, ZicountError)
 from .frequentist import (MleResult, Sidedness, TestMethod, TestReport,
                           lr_test, mle_full, mle_null, score_test)
 from .power import (CellResult, ComparisonReport, Method, PowerConfig,
@@ -57,7 +56,7 @@ __all__ = [
     "MissingCellError", "MleResult", "Parametrization", "ParameterRangeError",
     "PosteriorDraws", "PosteriorProbability", "PowerConfig", "PowerGrid",
     "PriorKind", "QuadratureError", "REFERENCE_POWER_ONE_SIDED",
-    "REFERENCE_POWER_TWO_SIDED", "SamplerError", "Sidedness", "TestMethod",
+    "REFERENCE_POWER_TWO_SIDED", "Sidedness", "TestMethod",
     "TestReport", "UniformityReport", "ZicountError", "ZipsModel",
     "bayes_factor_positive", "beta_calibration", "compare_tables",
     "credible_interval", "dataset_names", "dataset_table",

@@ -28,7 +28,7 @@ from .distributions import (CountSample, Family, loglik_derivatives,
                             sample_values)
 from .errors import DegenerateSampleError
 from .frequentist import mle_full
-from .power import _bayes_seed, _replications
+from .power import _rep_rngs, _replications
 
 # distinct (n0, s) rows per batched factorized-T call, which bounds the size
 # of its node arrays
@@ -154,8 +154,8 @@ def _simulate_null_ts(family: Family, theta_null: float, n: int, reps: int,
     stream = _replications(family, 0.0, theta_null, n, reps, seed)
     if B > 0:
         return np.array([posterior_prob_positive(family, CountSample.from_values(values), B=B,
-                                                 seed=_bayes_seed(seed, (), rep)).value
-                         for values, _, rep, _ in stream])
+                                                 seed=rng).value
+                         for (values, *_), rng in zip(stream, _rep_rngs(seed, (), reps, 1))])
     stats = np.array([(n0, values.sum()) for values, n0, _, _ in stream])
     distinct, inverse = np.unique(stats, axis=0, return_inverse=True)
     blocks = (distinct[i:i + FACTORIZED_BLOCK] for i in range(0, len(distinct), FACTORIZED_BLOCK))

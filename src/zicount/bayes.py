@@ -122,7 +122,7 @@ class PosteriorProbability:
     mc_se: float
     ess: float
     draws: int
-    seed: int
+    seed: int | None
 
     def __float__(self):
         return self.value
@@ -390,15 +390,26 @@ def _posterior_prob_poisson(n: int, n0: int, s: int, prior: PriorKind,
     m = n - n0
     pstar = rng.beta(n0 + 1.0, m + 1.0, B)
     theta = rng.gamma(s - m + 1.0, 1.0 / m, B)
-    logw = (_log_prior_pstar(Family.POISSON, prior, pstar, theta)
-            + m * (np.log(theta) - np.log(-np.expm1(-theta))))
-    w = np.exp(logw - logw.max())
+    neg_theta = -theta
+    # log w = log prior + m * (log theta - log(1 - exp(-theta))), in place
+    logw = np.expm1(neg_theta)
+    np.negative(logw, out=logw)
+    np.log(logw, out=logw)
+    np.subtract(np.log(theta), logw, out=logw)
+    logw *= m
+    logw += _log_prior_pstar(Family.POISSON, prior, pstar, theta)
+    logw -= logw.max()
+    w = np.exp(logw, out=logw)
     wsum = w.sum()
-    wn = w / wsum
-    ind = pstar > np.exp(-theta)
-    value = float(wn[ind].sum())
-    mc_se = float(np.sqrt(np.sum(wn ** 2 * (ind - value) ** 2)))
     ess = float(wsum ** 2 / np.sum(w ** 2))
+    wn = np.divide(w, wsum, out=w)
+    ind = pstar > np.exp(neg_theta, out=neg_theta)
+    value = float(wn[ind].sum())
+    # (ind - value)**2 takes two values
+    hit, miss = 1.0 - value, -value
+    np.square(wn, out=wn)
+    wn *= np.where(ind, hit * hit, miss * miss)
+    mc_se = float(np.sqrt(np.sum(wn)))
     return value, mc_se, ess
 
 
@@ -417,8 +428,11 @@ def _posterior_prob_geometric(n: int, n0: int, s: int, prior: PriorKind,
 def posterior_prob_positive(family: Family, sample: CountSample,
                             prior: PriorKind = _DEFAULT_PRIOR,
                             B: int = DEFAULT_DRAWS,
-                            seed: int = 0) -> PosteriorProbability:
-    """Monte Carlo estimate of the test statistic T(Y) = P(p > 0 | Y)."""
+                            seed: int | np.random.Generator = 0) -> PosteriorProbability:
+    """Monte Carlo estimate of the test statistic T(Y) = P(p > 0 | Y).
+
+    ``seed`` is an int or a ``Generator``, whose draws it advances; the
+    result's ``seed`` is then None."""
     n, n0, s = sample.n, sample.n0, sample.s
     if s == 0 or n0 == n:
         raise DegenerateSampleError("all counts zero: T(Y) undefined")
@@ -432,8 +446,8 @@ def posterior_prob_positive(family: Family, sample: CountSample,
                           stacklevel=2)
     else:
         value, mc_se, ess = _posterior_prob_geometric(n, n0, s, prior, B, rng)
-    return PosteriorProbability(value=value, mc_se=mc_se, ess=ess,
-                                draws=B, seed=seed)
+    return PosteriorProbability(value=value, mc_se=mc_se, ess=ess, draws=B,
+                                seed=None if isinstance(seed, np.random.Generator) else seed)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,6 @@ class DegenerateSampleError(ZicountError, ValueError):
     """Sample cannot identify the requested quantity (e.g. no positive counts)."""
 
 
-class SamplerError(ZicountError, RuntimeError):
-    """A random variate sampler failed its acceptance or accuracy diagnostics."""
-
-
 class QuadratureError(ZicountError, RuntimeError):
     """Numerical integration did not reach the requested accuracy."""
 

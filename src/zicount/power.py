@@ -11,6 +11,7 @@ automated regression comparison.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -95,6 +96,91 @@ class PowerGrid:
         return "\n".join(lines)
 
 
+# numpy's SeedSequence hash constants (``numpy/random/bit_generator.pyx``) and
+# PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# replications whose generator states are hashed in one set of array operations
+SEED_BLOCK = 1024
+
+
+def _hash(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's ``hashmix`` (``mult = _MULT_A``) or ``generate_state``
+    step (``_MULT_B``) of the uint32 array ``value`` under the hash constant
+    ``const``: the hashed words and the next constant."""
+    const_next = const * mult & 0xFFFFFFFF
+    value = (value ^ const) * const_next
+    return value ^ value >> 16, const_next
+
+
+def _mix(pool: list, dst: int, word: np.ndarray, const: int) -> int:
+    """SeedSequence's ``mix`` of the hashed ``word`` into ``pool[dst]``; the
+    next hash constant."""
+    hashed, const = _hash(word, const, _MULT_A)
+    mixed = pool[dst] * _MIX_L - hashed * _MIX_R
+    pool[dst] = mixed ^ mixed >> 16
+    return const
+
+
+def _pcg64_states(pool: list):
+    """PCG64's ``(state, inc)`` when seeded from ``pool``: numpy's
+    ``generate_state(4, np.uint64)`` (eight uint32 words, paired low word
+    first) and the set-seq seeding step, two LCG steps in 128-bit ints."""
+    const, words = _INIT_B, []
+    for i in range(8):
+        word, const = _hash(pool[i % 4], const, _MULT_B)
+        words.append(word.astype(np.uint64))
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        (words[i] | words[i + 1] << 32).tolist() for i in range(0, 8, 2))
+    mask = (1 << 128) - 1
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & mask
+        yield (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & mask, inc
+
+
+def _rep_rngs(seed, key: tuple, reps: int, child: int):
+    """One reused ``Generator``, set for replication ``rep`` in turn to the
+    state of ``default_rng(SeedSequence(seed, spawn_key=key + (rep, 0)))``
+    for the data child 0, and of ``default_rng(int(SeedSequence(seed,
+    spawn_key=key + (rep, 1)).generate_state(1)[0]))`` for the Bayes child 1.
+
+    The states equal numpy's bit for bit and are hashed ``SEED_BLOCK`` rep
+    numbers at a time over uint32 arrays.  ``SeedSequence(seed,
+    spawn_key=key)`` is built once: it rejects a bad seed or key as the
+    per-replication sequences would, and its pool is theirs before the words
+    ``(rep, child)`` are mixed in, after ``4 * (max(4, seed words) + key
+    words)`` hashes.
+    """
+    root = np.random.SeedSequence(seed, spawn_key=key)
+    coerce = np.random.bit_generator._coerce_to_uint32_array
+    prefix = max(len(coerce(root.entropy)), 4) + len(coerce(root.spawn_key))
+    prefix_const = _INIT_A * pow(_MULT_A, 4 * prefix, 1 << 32) & 0xFFFFFFFF
+    child_word = np.array([child], dtype=np.uint32)
+    rng = np.random.default_rng(0)
+    for start in range(0, reps, SEED_BLOCK):
+        pool = list(root.pool.reshape(4, 1))
+        rep_words = np.arange(start, min(start + SEED_BLOCK, reps), dtype=np.uint32)
+        const = prefix_const
+        for word in (rep_words, child_word):
+            for dst in range(4):
+                const = _mix(pool, dst, word, const)
+        if child == 1:
+            # default_rng(int) seeds a fresh SeedSequence from the word
+            # generate_state(1)[0]: its pool hashes that word and three
+            # zeros, then mixes every ordered pair of pool words
+            word = _hash(pool[0], _INIT_B, _MULT_B)[0]
+            pool, const = [word, *[np.zeros(1, np.uint32)] * 3], _INIT_A
+            for dst in range(4):
+                pool[dst], const = _hash(pool[dst], const, _MULT_A)
+            for src, dst in itertools.permutations(range(4), 2):
+                const = _mix(pool, dst, pool[src], const)
+        for pcg_state, inc in _pcg64_states(pool):
+            rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                       "state": {"state": pcg_state, "inc": inc}}
+            yield rng
+
+
 def _replications(family: Family, p: float, theta: float, n: int, reps: int,
                   seed: int, key: tuple = ()):
     """Seeded ZIP(p, theta) samples of size n, one per replication.
@@ -102,13 +188,11 @@ def _replications(family: Family, p: float, theta: float, n: int, reps: int,
     Replication ``rep`` draws its data from the child ``key + (rep, 0)`` of
     ``seed``, which is ``spawn(2)[0]`` of ``key + (rep,)``, and an all-zero
     sample is redrawn at most ``MAX_REDRAWS`` times.  Yields
-    ``(values, n0, rep, redraws)``; ``_bayes_seed`` gives the replication's
-    Bayes seed to the callers that need one.
+    ``(values, n0, rep, redraws)``; ``_rep_rngs(seed, key, reps, 1)`` gives
+    the replications' Bayes generators to the callers that need them.
     """
     model = ZipsModel(family, p if p != 0.0 else 1e-14, theta)
-    for rep in range(reps):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=key + (rep, 0)))
+    for rep, rng in enumerate(_rep_rngs(seed, key, reps, 0)):
         for redraws in range(MAX_REDRAWS):
             values = sample_values(model, n, rng)
             n0 = int(np.count_nonzero(values == 0))
@@ -119,11 +203,6 @@ def _replications(family: Family, p: float, theta: float, n: int, reps: int,
                 f"all-zero samples persisted for {MAX_REDRAWS} redraws at "
                 f"theta={theta}, p={p}, n={n}")
         yield values, n0, rep, redraws
-
-
-def _bayes_seed(seed: int, key: tuple, rep: int) -> int:
-    """Seed of replication ``rep``'s Bayes draws: the child ``key + (rep, 1)``."""
-    return int(np.random.SeedSequence(seed, spawn_key=key + (rep, 1)).generate_state(1)[0])
 
 
 def _run_combo(config: PowerConfig, combo_index: int):
@@ -139,23 +218,32 @@ def _run_combo(config: PowerConfig, combo_index: int):
         if one in methods or two in methods]
     rejections = {m: 0 for m in methods}
     redraws, key = 0, (combo_index,)
+    bayes = _rep_rngs(config.seed, key, config.reps, 1) if Method.BAYES in methods else None
+    # the score and LR methods rejecting at each (n0, s), which repeat
+    # across replications
+    rejecting = {}
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for values, n0, rep, redrawn in _replications(
+        for values, n0, _, redrawn in _replications(
                 family, p, theta, n, config.reps, config.seed, key):
             redraws += redrawn
             s = int(values.sum())
-            for statistic, one, two in tests:
-                stat, sign = statistic(family, n, n0, s)
-                if one in methods and sign * math.sqrt(stat) > z_cut:
-                    rejections[one] += 1
-                if two in methods and stat > chi_cut:
-                    rejections[two] += 1
-            if Method.BAYES in methods:
+            if (n0, s) not in rejecting:
+                found = []
+                for statistic, one, two in tests:
+                    stat, sign = statistic(family, n, n0, s)
+                    if one in methods and sign * math.sqrt(stat) > z_cut:
+                        found.append(one)
+                    if two in methods and stat > chi_cut:
+                        found.append(two)
+                rejecting[n0, s] = tuple(found)
+            for method in rejecting[n0, s]:
+                rejections[method] += 1
+            if bayes is not None:
                 est = posterior_prob_positive(
                     family, CountSample.from_values(values), B=config.draws,
-                    seed=_bayes_seed(config.seed, key, rep))
+                    seed=next(bayes))
                 if est.value > 1.0 - config.alpha:
                     rejections[Method.BAYES] += 1
 

@@ -11,7 +11,11 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
 
-from zicount import CountSample, Family, SamplerError
+from zicount import CountSample, Family
+
+
+class SamplerError(RuntimeError):
+    """The rejection oracle failed its acceptance or accuracy diagnostics."""
 
 
 @pytest.fixture(scope="session")

@@ -253,6 +253,16 @@ class TestPosteriorProbPositive:
         b = posterior_prob_positive(Family.POISSON, terror, B=2000, seed=11)
         assert a == b
 
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("prior", list(PriorKind))
+    def test_generator_seed_draws_as_its_int(self, terror, family, prior):
+        by_int = posterior_prob_positive(family, terror, prior, B=2000, seed=11)
+        by_rng = posterior_prob_positive(family, terror, prior, B=2000,
+                                         seed=np.random.default_rng(11))
+        assert (by_rng.value, by_rng.mc_se, by_rng.ess) == (by_int.value, by_int.mc_se,
+                                                            by_int.ess)
+        assert (by_int.seed, by_rng.seed) == (11, None)
+
     def test_degenerate(self):
         with pytest.raises(DegenerateSampleError):
             posterior_prob_positive(Family.POISSON, CountSample({0: 3}), B=100, seed=0)

@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from zicount import (CellResult, DegenerateSampleError, Family, Method,
+from zicount import (CellResult, CountSample, DegenerateSampleError, Family, Method,
                      MissingCellError, PowerConfig, PowerGrid,
                      REFERENCE_POWER_ONE_SIDED, REFERENCE_POWER_TWO_SIDED,
-                     compare_tables, run_power_study, uniformity_check)
+                     compare_tables, posterior_prob_positive, run_power_study,
+                     uniformity_check)
 from zicount.distributions import ZipsModel, sample_values
-from zicount.power import _bayes_seed, _replications
+from zicount.frequentist import _alpha_cutoffs, _lr_statistic_stats, _score_statistic
+from zicount.power import SEED_BLOCK, _rep_rngs, _replications
 
 ALL_METHODS = (Method.SCORE_ONE, Method.SCORE_TWO, Method.BAYES,
                Method.LR_ONE, Method.LR_TWO)
@@ -195,22 +199,79 @@ class TestSeedLayout:
         model = ZipsModel(Family.POISSON, 0.6, 0.5)
         stream = _replications(Family.POISSON, 0.6, 0.5, 10, 20, seed, key)
         total_redraws = 0
-        for values, n0, rep, redraws in stream:
+        for (values, n0, rep, redraws), bayes_rng in zip(stream, _rep_rngs(seed, key, 20, 1)):
             data, bayes = np.random.SeedSequence(seed, spawn_key=key + (rep,)).spawn(2)
             rng = np.random.default_rng(data)
             for _ in range(redraws + 1):
                 expected = sample_values(model, 10, rng)
             assert np.array_equal(values, expected)
             assert n0 == int(np.count_nonzero(expected == 0)) < 10
-            assert _bayes_seed(seed, key, rep) == int(bayes.generate_state(1)[0])
+            assert bayes_rng.bit_generator.state == np.random.default_rng(
+                int(bayes.generate_state(1)[0])).bit_generator.state
             total_redraws += redraws
         assert total_redraws > 0
 
-    def test_score_and_lr_grid_draws_no_bayes_seed(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("Bayes seed derived for a grid without the Bayes test")
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**64 - 1])
+    @pytest.mark.parametrize("key", [(), (3,), (7, 2**33 + 1)])
+    def test_bulk_states_are_seed_sequence_states(self, seed, key):
+        # the rep numbers cross the first block boundary
+        reps = SEED_BLOCK + 5
+        checked = sorted({0, 1, 2, SEED_BLOCK - 1, SEED_BLOCK, reps - 1, *range(0, reps, 97)})
+        for child in (0, 1):
+            states = [rng.bit_generator.state for rng in _rep_rngs(seed, key, reps, child)]
+            assert len(states) == reps
+            for rep in checked:
+                sequence = np.random.SeedSequence(seed, spawn_key=key + (rep, child))
+                rng = np.random.default_rng(
+                    sequence if child == 0 else int(sequence.generate_state(1)[0]))
+                assert states[rep] == rng.bit_generator.state
 
-        monkeypatch.setattr("zicount.power._bayes_seed", forbidden)
+    @pytest.mark.parametrize("seed, key", [(-1, ()), (3, (-2,)), (3, (1, -1))])
+    def test_bad_seed_or_key_raises_as_seed_sequence(self, seed, key):
+        with pytest.raises(Exception) as expected:
+            np.random.SeedSequence(seed, spawn_key=key + (0, 0))
+        for child in (0, 1):
+            with pytest.raises(expected.type):
+                next(_rep_rngs(seed, key, 10, child))
+
+    def test_all_methods_cell_matches_per_replication_seeding(self):
+        # 1500 replications span two seed blocks; an all-zero sample has
+        # probability about 0.04, so some replications are redrawn
+        config = PowerConfig(thetas=(0.5,), ps=(0.3,), ns=(10,), reps=1500, draws=200,
+                             seed=21, methods=ALL_METHODS)
+        grid = run_power_study(config)
+        model = ZipsModel(Family.POISSON, 0.3, 0.5)
+        z_cut, chi_cut = _alpha_cutoffs(config.alpha)
+        rejections, redraws = dict.fromkeys(ALL_METHODS, 0), 0
+        for rep in range(config.reps):
+            rng = np.random.default_rng(np.random.SeedSequence(21, spawn_key=(0, rep, 0)))
+            values = sample_values(model, 10, rng)
+            while not values.any():
+                redraws += 1
+                values = sample_values(model, 10, rng)
+            n0, s = int(np.count_nonzero(values == 0)), int(values.sum())
+            for statistic, one, two in ((_score_statistic, Method.SCORE_ONE, Method.SCORE_TWO),
+                                        (_lr_statistic_stats, Method.LR_ONE, Method.LR_TWO)):
+                stat, sign = statistic(Family.POISSON, 10, n0, s)
+                rejections[one] += sign * np.sqrt(stat) > z_cut
+                rejections[two] += stat > chi_cut
+            bayes_seed = np.random.SeedSequence(21, spawn_key=(0, rep, 1)).generate_state(1)[0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                est = posterior_prob_positive(Family.POISSON, CountSample.from_values(values),
+                                              B=config.draws, seed=int(bayes_seed))
+            rejections[Method.BAYES] += est.value > 1.0 - config.alpha
+        assert grid.redraws[(0.5, 0.3, 10)] == redraws > 0
+        for method in ALL_METHODS:
+            assert grid.cells[(method, 0.5, 0.3, 10)].power == rejections[method] / config.reps
+
+    def test_score_and_lr_grid_draws_no_bayes_seed(self, monkeypatch):
+        def data_only(seed, key, reps, child):
+            if child != 0:
+                raise AssertionError("Bayes seed derived for a grid without the Bayes test")
+            return _rep_rngs(seed, key, reps, child)
+
+        monkeypatch.setattr("zicount.power._rep_rngs", data_only)
         config = small_grid(methods=(Method.SCORE_ONE, Method.SCORE_TWO,
                                      Method.LR_ONE, Method.LR_TWO), reps=100)
         grid = run_power_study(config)
