@@ -62,14 +62,14 @@ class PriorKind(Enum):
     Both priors are ``pstar**(-1/2) * (1 - pstar)**(-k/2) * g(theta) / Z`` in
     the orthogonal coordinates: ``(k, Z, g)`` is ``(0, 1, sqrt(i_trunc))`` for
     the joint Jeffreys prior and ``(1, pi, sqrt(i))`` for the conditional one.
-    ``log_g`` and its derivative take the family's ``_PowerSeries`` and theta.
+    ``log_g`` and its derivative take the family's ``_PowerSeries``, theta, ``log c``.
     """
 
     JEFFREYS_JOINT = "jeffreys_joint", _Prior(
-        0, 0.0, lambda s, t: 0.5 * np.log(s.trunc_info(t)),
-        lambda s, t: 0.5 * s.dlog_trunc_info(t))
+        0, 0.0, lambda s, *a: 0.5 * np.log(s.trunc_info(*a)),
+        lambda s, *a: 0.5 * s.dlog_trunc_info(*a))
     CONDITIONAL_JEFFREYS = "conditional_jeffreys_times_marginal", _Prior(
-        1, math.log(math.pi), lambda s, t: s.log_jeffreys(t), lambda s, t: s.dlog_jeffreys(t))
+        1, math.log(math.pi), lambda s, *a: s.log_jeffreys(*a), lambda s, *a: s.dlog_jeffreys(*a))
 
     def __new__(cls, value: str, prior: _Prior):
         member = object.__new__(cls)
@@ -162,12 +162,12 @@ def log_prior(family: Family, p: float, theta: float,
     lo = p_lower(family, theta)
     if not (lo < p < 1.0):
         raise ParameterRangeError(f"p={p!r} outside extended range ({lo!r}, 1)")
-    f0 = series.f0(theta)
+    f0, log_c = series.f0(theta), series.log_c(theta)
     a = f0 + p * (1.0 - f0)
-    log_om = math.log(-math.expm1(-series.log_c(theta)))
+    log_om = math.log(-math.expm1(-log_c))
     # log(1 - pstar) as log1p(-p) + log(1 - f0), so that a p near one keeps its digits
     return float(-prior.log_z - 0.5 * (math.log(a) + prior.k * (math.log1p(-p) + log_om))
-                 + prior.log_g(series, theta) + log_om)
+                 + prior.log_g(series, theta, log_c) + log_om)
 
 
 def prior_density(family: Family, p: float, theta: float,
@@ -183,11 +183,11 @@ def grad_log_prior(family: Family, p: float, theta: float,
     family.require_theta(theta)
     f0 = series.f0(theta)
     d1 = series.f0_derivs(theta)[0]
-    om = -math.expm1(-series.log_c(theta))
+    om = -math.expm1(-(log_c := series.log_c(theta)))
     a = f0 + p * (1.0 - f0)
     a_p, a_t = 1.0 - f0, (1.0 - p) * d1
     gp = 0.5 * prior.k / (1.0 - p) - 0.5 * a_p / a
-    gt = -(1.0 - 0.5 * prior.k) * d1 / om - 0.5 * a_t / a + prior.dlog_g(series, theta)
+    gt = -(1.0 - 0.5 * prior.k) * d1 / om - 0.5 * a_t / a + prior.dlog_g(series, theta, log_c)
     return np.array([gp, gt])
 
 
@@ -199,7 +199,7 @@ def _log_prior_pstar(family: Family, prior: PriorKind, pstar, theta):
     # k = 0 takes no log(1 - pstar), which is -inf at a draw rounded to one
     log_1m = prior.k * np.log1p(-pstar) if prior.k else 0.0
     return (-prior.log_z - 0.5 * (np.log(pstar) + log_1m)
-            + prior.log_g(family._series, theta))
+            + prior.log_g(family._series, theta, family._series.log_c(theta)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +235,14 @@ class _ThetaPosterior:
     1e-17 and 1 - 1e-17 quantiles of ``1 - pstar``.  With pstar integrated
     out, ``m`` positive counts summing to ``s`` leave the kernel
     ``theta**s / (c(theta) - 1)**m`` times the record's ``g(theta)``, times
-    ``theta`` in ``u = log(theta)``, where it is log-concave for both families:
-    the all-ones pole ``theta**(-1/2)`` becomes an exponential tail and
-    geometric mass at ``theta = 1`` a finite end ``top``.  Each row has its
-    own ``mode``, ``peak`` (the log density there) and ``[lo, hi]``, which
-    widens from the Laplace 1e-16 points until the density is below 1e-16
-    of its peak, clipped at ``top``.  A row of ``cuts`` is ``lo``, the mode
-    and ``hi``, with ``hi`` again in place of a mode at ``top``, where the
-    density has no interior peak (``_distinct_cuts`` drops the repeat).
+    the Jacobian of the family's unbounded coordinate ``x``: ``u = log(theta)``
+    for Poisson, where the all-ones pole ``theta**(-1/2)`` becomes an
+    exponential tail, and ``v = logit(theta)`` for geometric, where it is
+    ``theta**(s - m + 1/2) * (1 - theta)**m``.  Both are log-concave in x.
+    Each row has its own ``mode``, ``peak`` (the log density there) and
+    ``[lo, hi]``, which widens from the Laplace 1e-16 points until the
+    density is below 1e-16 of its peak; a row of ``cuts`` is ``lo``, the
+    mode and ``hi``.
     """
 
     def __init__(self, family: Family, n0, m, s):
@@ -251,99 +251,79 @@ class _ThetaPosterior:
         self.a, self.b = self.prior.pstar_shapes(self.n0, self.m)
         self.window = np.stack([special.betaincinv(self.b, self.a, 1e-17),
                                 special.betainccinv(self.b, self.a, 1e-17)], axis=1)
-        self.top = top = math.log(self.series.theta_max)
         # one scalar Newton per row: an array-valued Newton is far slower per solve
-        mode, sd = np.array([self._mode(m_row, s_row) for m_row, s_row in
-                             zip(self.m.tolist(), self.s.tolist())]).T
-        rows = np.arange(mode.size)
-        self.mode, self.peak = mode, self._log_density_at(mode, rows)
+        self.mode, sd = np.array([self._mode(m_row, s_row) for m_row, s_row in
+                                  zip(self.m.tolist(), self.s.tolist())]).T
+        mode, rows = self.mode, np.arange(sd.size)
+        self.peak = self.log_density(mode[:, None], rows)[0][:, 0]
         floor = self.peak + math.log(1e-16)
-        below = math.sqrt(-2.0 * math.log(1e-16)) * np.where(np.isnan(sd), 1.0, sd)
+        below = math.sqrt(-2.0 * math.log(1e-16)) * sd
         above = below.copy()
         # every row widens by the same 1.25 ladder until it is below its floor
-        grow = rows
-        while grow.size:
-            grow = grow[self._log_density_at(mode[grow] - below[grow], grow) > floor[grow]]
-            below[grow] *= 1.25
-        grow = rows[mode + above < top]
-        while grow.size:
-            grow = grow[self._log_density_at(mode[grow] + above[grow], grow) > floor[grow]]
-            above[grow] *= 1.25
-            grow = grow[mode[grow] + above[grow] < top]
-        self.lo, self.hi = mode - below, np.minimum(mode + above, top)
-        self.cuts = np.stack([self.lo, np.where(np.isnan(sd), self.hi, mode), self.hi], axis=1)
+        for side, width in ((-1.0, below), (1.0, above)):
+            grow = rows
+            while grow.size:
+                x = (mode[grow] + side * width[grow])[:, None]
+                grow = grow[self.log_density(x, grow)[0][:, 0] > floor[grow]]
+                width[grow] *= 1.25
+        self.lo, self.hi = mode - below, mode + above
+        self.cuts = np.stack([self.lo, mode, self.hi], axis=1)
 
-    def log_density(self, u, rows=None):
-        """Log density of u up to a constant, and ``log c`` at ``exp(u)``: of
-        the one row at every element of ``u``, or, given ``rows``, of those
-        rows along the first axis of ``u``."""
-        m, s = ((self.m.item(), self.s.item()) if rows is None
-                else (self.m[rows, None], self.s[rows, None]))
-        theta = np.exp(u)
-        log_c = self.series.log_c(theta)
-        return ((s + 1.0) * u - m * (log_c + np.log(-np.expm1(-log_c)))
-                + self.prior.log_g(self.series, theta)), log_c
-
-    def _log_density_at(self, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Log density of each of ``rows`` at its own point of ``u``."""
-        return self.log_density(u[:, None], rows)[0][:, 0]
+    def log_density(self, x, rows=None):
+        """Log density of x up to a constant, and ``log c`` there: of the one
+        row at every element of ``x``, or, given ``rows``, of those rows
+        along the first axis of ``x``."""
+        m, s, mode = ((self.m.item(), self.s.item(), self.mode.item()) if rows is None
+                      else (self.m[rows, None], self.s[rows, None], self.mode[rows, None]))
+        theta, log_theta, log_c, log_cm1, log_dudx = self.series.coord(x, mode)
+        return ((s + 1.0) * log_theta - m * log_cm1
+                + (self.prior.log_g(self.series, theta, log_c) + log_dudx)), log_c
 
     def _mode(self, m: float, s: float) -> tuple[float, float]:
-        """Mode of u for one row and its Laplace standard deviation (NaN at
-        ``top``), by ``_newton`` on the score with a central-difference slope."""
-        series, top, dlog_g = self.series, self.top, self.prior.dlog_g
-
-        def score(u):
-            theta = math.exp(u)
-            return (s + 1.0 + theta * dlog_g(series, theta) - m * theta
-                    * series.log_c_derivs(theta)[0] / -math.expm1(-series.log_c(theta)))
-
-        if math.isfinite(top) and score(top - 1e-12) >= 0.0:
-            return top - 1e-12, math.nan
+        """Mode of x for one row and its Laplace standard deviation, by
+        ``_newton`` on the score with a central-difference slope, from the log
+        of the mean ``(s + 1/2) / m - 1`` (geometric's exact mode)."""
+        point, score, h = self.series.coord_point, self.series.coord_score, 1e-6
+        dlog_g = functools.partial(self.prior.dlog_g, self.series)
         slope = math.nan
 
-        def fun(u):
+        def fun(x):
             nonlocal slope
-            h = 1e-6 * min(1.0, top - u)
-            g_up, g_down = score(u + h), score(u - h)
+            g_up, g_down = (score(*point(x + d), m, s, dlog_g) for d in (h, -h))
             slope = (g_up - g_down) / (2.0 * h)
             return 0.5 * (g_up + g_down), slope
 
-        start = math.log(series.theta_from_mean((s + 0.5) / m - 1.0))
-        # near top the mode's scale is its distance from top
-        mode = _newton(fun, start, 1e-6 * min(1.0, top - start), hi=top)
-        return mode, (1.0 / math.sqrt(-slope) if slope < 0.0 else math.nan)
+        mode = _newton(fun, math.log((s + 0.5) / m - 1.0), 1e-6)
+        return mode, 1.0 / math.sqrt(-slope)
 
     def nodes(self, cuts, squared=False, rows=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """64 Gauss-Legendre nodes u per panel between ``cuts``, weights times
+        """64 Gauss-Legendre nodes x per panel between ``cuts``, weights times
         the density relative to the mode, and ``log c``.  The leading axes of
         ``cuts`` run over sets of cuts of the one row or, given ``rows``, over
-        those rows.  A panel ending at ``top``, or flagged in ``squared``, maps
-        ``u = b - (b - a) t**2`` first: half-integer powers of ``b - u`` (a
-        Beta tail) become polynomials."""
+        those rows.  A panel flagged in ``squared`` maps ``x = b - (b - a)
+        t**2`` first: half-integer powers of ``b - x`` (a Beta tail) become
+        polynomials."""
         cuts = np.asarray(cuts, dtype=float)
         b = cuts[..., 1:, None]
         width = b - cuts[..., :-1, None]
-        rule = _gauss_legendre()[((b[..., 0] >= self.top) | squared).astype(int)]
-        # a node within rounding of top would sit at theta_max itself
-        u = np.minimum((b - width * rule[..., 0, :]).reshape(cuts.shape[:-1] + (-1,)),
-                       math.log(math.nextafter(self.series.theta_max, 0.0)))
-        log_d, log_c = self.log_density(u, rows)
+        rule = _gauss_legendre()[np.asarray(squared, dtype=int)]
+        x = (b - width * rule[..., 0, :]).reshape(cuts.shape[:-1] + (-1,))
+        log_d, log_c = self.log_density(x, rows)
         peak = self.peak.item() if rows is None else self.peak[rows, None]
-        return u, (width * rule[..., 1, :]).reshape(u.shape) * np.exp(log_d - peak), log_c
+        return x, (width * rule[..., 1, :]).reshape(x.shape) * np.exp(log_d - peak), log_c
 
     def inverse_cdf(self, r: np.ndarray) -> np.ndarray:
-        """Theta of the one row at CDF levels ``r``, by linear interpolation in
-        u of a midpoint-rule CDF over 4096 cells of the bracket."""
+        """x of the one row at CDF levels ``r``, by linear interpolation of a
+        midpoint-rule CDF over 4096 cells of the bracket."""
         edges = np.linspace(self.lo.item(), self.hi.item(), 4097)
         log_d, _ = self.log_density(0.5 * (edges[1:] + edges[:-1]))
         cdf = np.concatenate(([0.0], np.cumsum(np.exp(log_d - self.peak.item()))))
         self.require_weight(cdf[-1:])
-        return np.exp(np.interp(r, cdf / cdf[-1], edges))
+        return np.interp(r, cdf / cdf[-1], edges)
 
     def require_weight(self, total) -> None:
         """Raise ``QuadratureError`` naming ``(n0, s)`` of the first row whose
-        weight ``total`` is not finite and positive, as at a geometric top."""
+        weight ``total`` is not finite and positive."""
         bad = np.flatnonzero(~(np.isfinite(total) & (total > 0.0)))
         if bad.size:
             raise QuadratureError(f"theta posterior has no weight on its nodes at (n0, s) = "
@@ -366,8 +346,8 @@ def draw_posterior(family: Family, sample: CountSample, B: int = DEFAULT_DRAWS,
     rule = _ThetaPosterior(family, n0, m, sample.s)
     rng = np.random.default_rng(seed)
     pstar = rng.beta(rule.a.item(), rule.b.item(), B)
-    theta = rule.inverse_cdf(rng.random(B))
-    p = (pstar - family.f0(theta)) / -np.expm1(-family._series.log_c(theta))
+    theta, _, log_c, _, _ = rule.series.coord(rule.inverse_cdf(rng.random(B)), rule.mode)
+    p = (pstar - np.exp(-log_c)) / -np.expm1(-log_c)
     return PosteriorDraws(family=family, pstar=pstar, theta=theta, p=p,
                           weights=np.ones(B), seed=seed, B=B)
 
@@ -472,7 +452,7 @@ def _log_kernel_in_p(family: Family, sample: CountSample, prior: PriorKind,
     log_c = series.log_c(theta)
     log_om = math.log(om := -math.expm1(-log_c))
     const = -m * log_c + sample.s * math.log(theta) + _log_a_sum(family, sample)
-    const += (1.0 - 0.5 * kind.k) * log_om + kind.log_g(series, theta) - kind.log_z
+    const += (1.0 - 0.5 * kind.k) * log_om + kind.log_g(series, theta, log_c) - kind.log_z
     return -f0 / om, lambda p: ((a - 1.0) * math.log(f0 + p * om)
                                 + (b - 1.0) * math.log1p(-p) + const)
 
@@ -497,7 +477,7 @@ def _log_wedge_integral(family: Family, sample: CountSample, prior: PriorKind,
     theta_max = family._series.theta_max
     edge = theta_max * (1.0 - 1e-12)
     rule = _ThetaPosterior(family, sample.n0, sample.n - sample.n0, sample.s)
-    t_lo, t_hi = math.exp(rule.lo[0]), min(math.exp(rule.hi[0]), edge)
+    t_lo, t_mode, t_hi = (min(family._series.coord_point(x)[0], edge) for x in rule.cuts[0])
 
     def window(theta: float):
         lo, log_k = _log_kernel_in_p(family, sample, prior, theta)
@@ -529,7 +509,7 @@ def _log_wedge_integral(family: Family, sample: CountSample, prior: PriorKind,
     # widen toward 0 and theta_max until the profile per unit of u = log(theta),
     # where a theta**(-1/2) pole is a smooth tail, is negligible at both ends
     profile = lambda u: math.exp(u) * inner(math.exp(u))
-    u_lo, u_hi, peak = rule.lo[0], math.log(t_hi), profile(min(rule.mode[0], math.log(edge)))
+    u_lo, u_hi, peak = math.log(t_lo), math.log(t_hi), profile(math.log(t_mode))
     for _ in range(60):
         if profile(u_lo) >= 1e-14 * peak:
             u_lo -= 1.0
@@ -549,8 +529,7 @@ def _factorized_t(family: Family, n0, m, s) -> np.ndarray:
 
     ``T = E[P(pstar > f0(theta))]``, both laws the rule's, under its prior
     record.  Rows are grouped by their number of cuts, so that each row sums
-    the same nodes in the same order as it would alone.  A row whose weights
-    vanish raises the rule's ``QuadratureError`` naming its ``(n0, s)``.
+    the same nodes in the same order as it would alone.
     """
     rule = _ThetaPosterior(family, n0, m, s)
     num, den = np.empty(rule.m.size), np.empty(rule.m.size)
@@ -561,12 +540,12 @@ def _factorized_t(family: Family, n0, m, s) -> np.ndarray:
         den[rows] = np.sum(w, axis=1)
 
     for rows, cuts in _distinct_cuts(rule.cuts):
-        u, w, log_c = rule.nodes(cuts, rows=rows)
+        x, w, log_c = rule.nodes(cuts, rows=rows)
         f0, om = np.exp(-log_c), -np.expm1(-log_c)
         lo, hi = rule.lo[rows], rule.hi[rows]
         # P(pstar > f0) rises where 1 - f0 crosses the window: a narrow rise gets a panel
-        rise_lo = np.max(np.where(om <= rule.window[rows, :1], u, lo[:, None]), axis=1)
-        rise_hi = np.min(np.where(om >= rule.window[rows, 1:], u, hi[:, None]), axis=1)
+        rise_lo = np.max(np.where(om <= rule.window[rows, :1], x, lo[:, None]), axis=1)
+        rise_hi = np.min(np.where(om >= rule.window[rows, 1:], x, hi[:, None]), axis=1)
         narrow = rise_hi - rise_lo < 0.5 * (hi - lo)
         add(rows[~narrow], w[~narrow], f0[~narrow])
         refined = np.column_stack([cuts[narrow], rise_lo[narrow], rise_hi[narrow]])
@@ -585,12 +564,11 @@ def posterior_prob_positive_factorized(family: Family,
     Under the default prior, ``T = E[SF(f0(theta))]`` where the survival
     function is that of the Beta posterior of the zero probability and the
     expectation runs over the theta posterior, in Gauss-Legendre panels of
-    ``u = log(theta)`` that meet at its mode.  Much faster than the
+    the family's coordinate that meet at its mode.  Much faster than the
     two-dimensional oracle and far more accurate than the importance sampler
     for large samples, where the sampler's proposal drifts away from the
     posterior.  The one-row case of ``_factorized_t``, which null
-    calibration calls on all distinct ``(n0, s)`` at once; raises
-    ``QuadratureError`` where the rule's weights vanish.
+    calibration calls on all distinct ``(n0, s)`` at once.
     """
     n0, m = sample.n0, sample.n - sample.n0
     if sample.s == 0 or m == 0:
@@ -658,8 +636,8 @@ class ExactMarginal:
     one-row theta ``rule``, whose Beta law for ``pstar = f0 + p * (1 - f0)``
     given theta, averaged over theta and mapped back to p, gives the density
     and CDF.  Each point gets its own Gauss-Legendre nodes: the rule's panels
-    plus one over its ``window`` of ``1 - pstar``, mapped to ``u = log(theta)``
-    through ``1 - pstar = (1 - p)(1 - f0)``.  Root searches run in
+    plus one over its ``window`` of ``1 - pstar``, mapped to the rule's
+    coordinate through ``1 - pstar = (1 - p)(1 - f0)``.  Root searches run in
     ``t = log(1 - p)``, where the heavy left tail of an all-ones sample
     (theta near zero sends ``-f0 / (1 - f0)`` to minus infinity) becomes an
     exponential one.  Built by ``exact_marginal``.
@@ -674,7 +652,7 @@ class ExactMarginal:
         p = np.asarray(p, dtype=float)[..., None]
         with np.errstate(divide="ignore", invalid="ignore"):
             om = rule.window[0] / (1.0 - p)
-            edges = np.log(rule.series.theta_from_log_c(-np.log1p(-om)))
+            edges = rule.series.coord_from_log_c(-np.log1p(-om))
         # an edge outside the bracket leaves an empty panel at its lower end
         edges = np.where((edges > rule.lo[0]) & (edges < rule.hi[0]), edges, rule.lo[0])
         base = np.unique(rule.cuts[0])
@@ -722,7 +700,7 @@ class ExactMarginal:
     def _quantile_t(self, q: float) -> float:
         """``t = log(1 - p)`` where the CDF is ``q``, by Newton steps from
         the conditional quantile at the theta mode."""
-        om = -math.expm1(-self.rule.series.log_c(math.exp(self.rule.mode[0])))
+        om = -math.expm1(-self.rule.series.coord_point(self.rule.mode[0])[1])
 
         def fun(t):
             dens, _, cdf = self._local(-math.expm1(t), cdf=True)
@@ -763,8 +741,7 @@ class ExactMarginal:
         """``t``, p and the density on ``num`` points even in ``t`` across
         the range that the rule's ``window`` reaches over its theta bracket;
         ascending in p."""
-        with np.errstate(divide="ignore"):  # geometric hi may be theta = 1
-            log_c = self.rule.series.log_c(np.exp([self.rule.lo[0], self.rule.hi[0]]))
+        log_c = self.rule.log_density(self.rule.cuts[0, ::2])[1]
         t = np.linspace(*np.log(self.rule.window[0, ::-1] / -np.expm1(-log_c)), num)
         p = -np.expm1(t)
         return t, p, self.density(p)
@@ -830,7 +807,7 @@ class ExactMarginal:
 
 def exact_marginal(family: Family, sample: CountSample) -> ExactMarginal:
     """The exact marginal posterior of the weight under the default prior on
-    the theta rule, which raises ``QuadratureError`` where its weights vanish."""
+    the theta rule."""
     n0, m = sample.n0, sample.n - sample.n0
     if n0 == 0 or m == 0:
         raise DegenerateSampleError(
@@ -852,10 +829,9 @@ def _marginal_density_evaluator(draws: PosteriorDraws, sample: CountSample):
     better than a histogram of the p draws and integrates to one by
     construction.
     """
-    a_beta, b_beta = _DEFAULT_PRIOR._prior.pstar_shapes(sample.n0, sample.n - sample.n0)
+    a, b = _DEFAULT_PRIOR._prior.pstar_shapes(sample.n0, sample.n - sample.n0)
     f0 = draws.family.f0(draws.theta)
     scale = 1.0 - f0  # Jacobian of p -> pstar at fixed theta
-    log_norm = float(special.betaln(a_beta, b_beta))
 
     def evaluate(p_values) -> np.ndarray:
         p_values = np.atleast_1d(np.asarray(p_values, dtype=float))
@@ -865,10 +841,8 @@ def _marginal_density_evaluator(draws: PosteriorDraws, sample: CountSample):
                 continue
             pstar = f0 + pj * scale
             valid = pstar > 0.0
-            logpdf = ((a_beta - 1.0) * np.log(pstar[valid])
-                      + (b_beta - 1.0) * (math.log1p(-pj) + np.log(scale[valid]))
-                      + np.log(scale[valid]) - log_norm)
-            out[idx] = np.exp(logpdf).sum() / draws.B
+            log_pdf = _log_beta_pdf(pstar[valid], (1.0 - pj) * scale[valid], a, b)
+            out[idx] = np.sum(np.exp(log_pdf) * scale[valid]) / draws.B
         return out
 
     return evaluate
@@ -996,12 +970,13 @@ def _prior_prob_positive(family: Family, prior: PriorKind,
     tau = np.linspace(-4.0, 4.0, 241)
     arg = 0.5 * math.pi * np.sinh(tau)
     theta = np.exp(0.5 * (a + b) + 0.5 * (b - a) * np.tanh(arg))
+    log_c = series.log_c(theta)
     # the prior's theta marginal g times dtheta/dtau
-    weight = (np.exp(prior.log_g(series, theta))
+    weight = (np.exp(prior.log_g(series, theta, log_c))
               * theta * np.cosh(tau) / np.cosh(arg) ** 2)
     # mass above zero is the tail beyond f0 of pstar's Beta(1/2, 1 - k/2) law, in
     # closed form: (2/pi) acos(sqrt(f0)) for k = 1 and 1 - sqrt(f0) for k = 0
-    om, root_f0 = -np.expm1(-series.log_c(theta)), np.sqrt(series.f0(theta))
+    om, root_f0 = -np.expm1(-log_c), np.sqrt(series.f0(theta))
     positive = (2.0 / math.pi * np.arctan2(np.sqrt(om), root_f0) if prior.k
                 else om / (1.0 + root_f0))
     return float(weight @ positive / weight.sum()), (lo, hi)

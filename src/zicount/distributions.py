@@ -44,7 +44,10 @@ class _PowerSeries:
     log_a: Callable
     mean: Callable
     theta_from_mean: Callable
-    theta_from_log_c: Callable
+    coord: Callable
+    coord_point: Callable
+    coord_score: Callable
+    coord_from_log_c: Callable
     draws: Callable
     tail_bound: Callable
     trunc_info: Callable
@@ -74,10 +77,17 @@ def _poisson_tail_bound(theta: float, eps: float) -> int:
     return bound
 
 
-def _poisson_dlog_trunc_info(theta: float) -> float:
+def _poisson_dlog_trunc_info(theta: float, log_c: float) -> float:
     e = math.exp(-theta)
     om = -math.expm1(-theta)
     return theta * e / float(special.gammainc(2.0, theta)) - 1.0 / theta - 2.0 * e / om
+
+
+def _geometric_coord(v, v0):
+    # log theta and log(c - 1) = v less their values at v0, with all their digits
+    log_c, d = np.logaddexp(0.0, v), v - v0
+    log_theta = -np.log1p(np.exp(-np.logaddexp(0.0, v0)) * np.expm1(-d))
+    return -np.expm1(-log_c), log_theta, log_c, d, -log_c
 
 
 # c(theta) = exp(theta), a_y = 1 / y!
@@ -90,14 +100,18 @@ _POISSON = _PowerSeries(
     log_a=lambda y: -special.gammaln(y + 1.0),
     mean=lambda t: t,
     theta_from_mean=lambda mean: mean,
-    theta_from_log_c=lambda log_c: log_c,
+    coord=lambda u, u0: (t := np.exp(u), u, t, t + np.log(-np.expm1(-t)), 0.0),
+    coord_point=lambda u: (math.exp(u),) * 2,
+    coord_score=lambda t, log_c, m, s, dlog_g: (s + 1.0 + t * dlog_g(t, log_c)
+                                                - m * t / -math.expm1(-log_c)),
+    coord_from_log_c=np.log,
     draws=lambda rng, t, n: rng.poisson(t, n),
     tail_bound=_poisson_tail_bound,
     # 1 - e^-t - t e^-t, without its cancellation at small t
-    trunc_info=lambda t: special.gammainc(2.0, t) / (t * np.expm1(-t) ** 2),
+    trunc_info=lambda t, log_c: special.gammainc(2.0, t) / (t * np.expm1(-t) ** 2),
     dlog_trunc_info=_poisson_dlog_trunc_info,
-    log_jeffreys=lambda t: -0.5 * np.log(t),
-    dlog_jeffreys=lambda t: -0.5 / t,
+    log_jeffreys=lambda t, log_c: -0.5 * np.log(t),
+    dlog_jeffreys=lambda t, log_c: -0.5 / t,
 )
 
 # c(theta) = 1 / (1 - theta), a_y = 1
@@ -111,15 +125,20 @@ _GEOMETRIC = _PowerSeries(
     log_a=lambda y: 0.0,
     mean=lambda t: t / (1.0 - t),
     theta_from_mean=lambda mean: mean / (1.0 + mean),
-    theta_from_log_c=lambda log_c: -np.expm1(-log_c),
+    coord=_geometric_coord,  # v = logit(theta)
+    # log c = log1p(e^v) without overflow
+    coord_point=lambda v: (-math.expm1(-(c := max(v, 0.0) + math.log1p(math.exp(-abs(v))))), c),
+    coord_score=lambda t, log_c, m, s, dlog_g: (math.exp(-log_c) * (s + 1.0 + t * dlog_g(t, log_c))
+                                                - m - t),
+    coord_from_log_c=lambda log_c: np.log(np.expm1(log_c)),
     # numpy's geometric counts trials >= 1 with success probability 1 - theta
     draws=lambda rng, t, n: rng.geometric(1.0 - t, n) - 1,
     # P(Y > y) = theta**(y + 1)
     tail_bound=lambda t, eps: int(math.ceil(math.log(eps) / math.log(t))) + 2,
-    trunc_info=lambda t: 1.0 / (t * (1.0 - t) ** 2),
-    dlog_trunc_info=lambda t: -1.0 / t + 2.0 / (1.0 - t),
-    log_jeffreys=lambda t: -0.5 * np.log(t) - np.log1p(-t),
-    dlog_jeffreys=lambda t: -0.5 / t + 1.0 / (1.0 - t),
+    trunc_info=lambda t, log_c: np.exp(2.0 * log_c) / t,
+    dlog_trunc_info=lambda t, log_c: -1.0 / t + 2.0 * math.exp(log_c),
+    log_jeffreys=lambda t, log_c: -0.5 * np.log(t) + log_c,
+    dlog_jeffreys=lambda t, log_c: -0.5 / t + math.exp(log_c),
 )
 
 
@@ -139,7 +158,11 @@ class Family(Enum):
       derivatives;
     * ``log_a``: ``log a_y``, vectorized over ``y``;
     * ``mean`` and ``theta_from_mean``: the family mean and its inverse;
-    * ``theta_from_log_c``: the inverse of ``log_c``;
+    * ``coord(x, x0)``: the Bayes theta rule's terms ``(theta, log theta, log c,
+      log(c - 1), log(du/dx))`` at an unbounded coordinate ``x`` of theta, the
+      2nd and 4th maybe less their value at ``x0``; ``coord_point(x)``: ``(theta,
+      log c)`` in floats; ``coord_score(theta, log c, m, s, dlog_g)``: the
+      rule's score in x given ``d log g / d theta``; ``coord_from_log_c``;
     * ``draws``: the base sampler;
     * ``tail_bound``: a ``y`` with tail mass beyond it below ``eps``;
     * ``trunc_info`` and ``dlog_trunc_info``: the Fisher information of the
@@ -147,8 +170,8 @@ class Family(Enum):
     * ``log_jeffreys`` and ``dlog_jeffreys``: the log of the family's
       Jeffreys prior for theta, ``sqrt(i(theta))``, and its derivative.
 
-    ``f0``, ``log_c``, ``theta_from_log_c``, ``trunc_info`` and
-    ``log_jeffreys`` take arrays too.
+    The last four take ``log c`` after theta, so as not to round ``1 - theta``.
+    ``f0``, ``log_c``, ``coord``, ``trunc_info`` and ``log_jeffreys`` take arrays too.
     """
 
     POISSON = "poisson", _POISSON
@@ -472,7 +495,8 @@ def fisher_info(model: ZipsModel) -> FisherInfo:
     om = 1.0 - f0
     i11 = om / ((1.0 - p) * a)
     i12 = d1 / a
-    i22 = (1.0 - p) * (d1 * d1 / (a * om) + om * float(series.trunc_info(theta)))
+    info = float(series.trunc_info(theta, series.log_c(theta)))
+    i22 = (1.0 - p) * (d1 * d1 / (a * om) + om * info)
     return FisherInfo(i11, i12, i22, Parametrization.P_THETA)
 
 
@@ -507,7 +531,7 @@ def fisher_info_orthogonal(family: Family, pstar: float, theta: float) -> Fisher
     if not (0.0 < pstar < 1.0):
         raise ParameterRangeError(f"pstar={pstar!r} outside open (0, 1)")
     i11 = 1.0 / (pstar * (1.0 - pstar))
-    i22 = (1.0 - pstar) * float(family._series.trunc_info(theta))
+    i22 = (1.0 - pstar) * float(family._series.trunc_info(theta, family._series.log_c(theta)))
     return FisherInfo(i11, 0.0, i22, Parametrization.PSTAR_THETA)
 
 

@@ -108,7 +108,7 @@ def _truncated_mean_root(family: Family, m: int, s: float) -> tuple[float, int]:
         steps += 1
         theta = math.exp(u)
         mean = series.mean(theta) / -math.expm1(-series.log_c(theta))
-        return target - mean, -theta * theta * float(series.trunc_info(theta))
+        return target - mean, -theta * theta * float(series.trunc_info(theta, series.log_c(theta)))
 
     u = _newton(fun, math.log(series.theta_from_mean((s - m) / m)), 1e-6,
                 hi=math.log(series.theta_max), ftol=4.0 * math.ulp(target))

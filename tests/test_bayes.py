@@ -1,10 +1,9 @@
 import math
-import re
 import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from zicount import (CountSample, DegenerateSampleError, ExactMarginal, Family,
                      IntervalKind, PriorKind, ZicountError, ZipsModel,
@@ -20,7 +19,6 @@ from zicount.asymptotics import FACTORIZED_BLOCK
 from zicount.datasets import dataset_names, load_dataset
 from zicount.bayes import (_distinct_cuts, _factorized_t, _prior_prob_positive,
                            _ThetaPosterior)
-from zicount.errors import QuadratureError
 
 from conftest import PosteriorOracle, fd_gradient, zip_theta_rejection_draws
 
@@ -348,8 +346,8 @@ class TestThetaPosterior:
 
     @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
     def test_batched_t_equals_t_per_sample(self, monkeypatch, family):
-        # one-row calls against one shuffled batch: the geometric top (two cuts),
-        # refined rises (four and five cuts), m = 1 and n from 2 to 1e6
+        # one-row calls against one shuffled batch: three cuts, refined rises
+        # (four and five cuts), m = 1 and n from 2 to 1e6
         rng = np.random.default_rng(3 if family is Family.POISSON else 4)
         rows = [(1, 1, 1), (0, 1, 1), (1, 1, 7), (10, 1, 40), (0, 2, 3), (3, 2, 2),
                 (4, 6, 6), (999_995, 5, 9), (999_000, 1000, 1500)]
@@ -374,27 +372,48 @@ class TestThetaPosterior:
                                s[i:i + FACTORIZED_BLOCK])
                  for i in range(0, len(rows), FACTORIZED_BLOCK)]
         assert len(split) > 1 and np.array_equal(np.concatenate(split), single)
-        assert cut_counts >= ({3, 4, 5} if family is Family.POISSON else {2, 3, 4, 5})
+        assert cut_counts >= {3, 4, 5}
 
-    @pytest.mark.parametrize("table", [{0: 1, 1: 1, 10**14: 1},
-                                       {0: 1, 1: 1, 199_999_999_999: 1},
-                                       {0: 2, 1: 1, 10**12: 1}], ids=str)
-    def test_factorized_t_raises_where_not_finite(self, table):
-        # the geometric rule's weights vanish beside a mode at the top, for
-        # factorized T, the exact marginal and the draws alike
+    @pytest.mark.parametrize("table, lower_tail", [
+        ({0: 1, 1: 1, 10**14: 1}, 1.128379167095447e-20),
+        ({0: 2, 1: 1, 10**12: 1}, 6.31892333566886e-29),
+        ({0: 1, 1: 1, 199_999_999_999: 1}, 1.261566260983114e-16),
+        ({0: 1, 1: 1, 10**6: 1}, 1.12837265073524e-8),
+    ], ids=str)
+    def test_geometric_near_theta_one(self, table, lower_tail):
+        # theta modes up to about 1e-11 below one, which v = logit(theta)
+        # resolves: every route returns numbers, and the lower tail
+        # P(p <= 0 | y) over the rule's nodes matches a 40-digit mpmath integral
         cs = CountSample(table)
-        named = re.escape(f"({cs.n0}, {cs.s})")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(QuadratureError, match=named):
-                posterior_prob_positive_factorized(Family.GEOMETRIC, cs)
-            with pytest.raises(QuadratureError, match=named):
-                _factorized_t(Family.GEOMETRIC, np.array([3, cs.n0]),
+            t = _factorized_t(Family.GEOMETRIC, np.array([3, cs.n0]),
                               np.array([4, cs.n - cs.n0]), np.array([9, cs.s]))
-            with pytest.raises(QuadratureError, match=named):
-                exact_marginal(Family.GEOMETRIC, cs)
-            with pytest.raises(QuadratureError, match=named):
-                draw_posterior(Family.GEOMETRIC, cs, B=100, seed=1)
+            exact = exact_marginal(Family.GEOMETRIC, cs)
+            ends = [getattr(exact.interval(0.95, kind), end)
+                    for kind in IntervalKind for end in ("lower", "upper")]
+            draws = draw_posterior(Family.GEOMETRIC, cs, B=100, seed=1)
+        assert np.all(np.isfinite(t)) and 0.0 <= t[1] <= 1.0
+        assert all(math.isfinite(end) for end in ends)
+        assert all(np.all(np.isfinite(v)) for v in (draws.pstar, draws.theta, draws.p))
+        rule = exact.rule
+        _, w, log_c = rule.nodes(np.unique(rule.cuts[0]))
+        tail = np.sum(w * special.betainc(rule.a[0], rule.b[0], np.exp(-log_c))) / np.sum(w)
+        assert tail == pytest.approx(lower_tail, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("row", [(4, 1, 1), (5, 1, 1), (6, 1, 1), (306, 1, 1),
+                                     (7200, 10596, 26368), (16778, 25658, 64418),
+                                     (34762, 61741, 171695)], ids=str)
+    def test_geometric_t_matches_beta_integral(self, row):
+        # T = E[betaincc(n0 + 1/2, m + 1/2, phi)] with phi = 1 - theta ~
+        # Beta(m, s - m + 1/2), by quad on 40 panels between phi's 1e-18 quantiles
+        n0, m, s = row
+        law = stats.beta(m, s - m + 0.5)
+        edges = np.linspace(law.ppf(1e-18), law.isf(1e-18), 41)
+        integrand = lambda phi: law.pdf(phi) * special.betaincc(n0 + 0.5, m + 0.5, phi)
+        reference = sum(integrate.quad(integrand, a, b, epsabs=1e-17, epsrel=1e-13,
+                                       limit=200)[0] for a, b in zip(edges[:-1], edges[1:]))
+        assert abs(_factorized_t(Family.GEOMETRIC, [n0], [m], [s])[0] - reference) <= 2e-13
 
     @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
     def test_all_ones_draws_match_oracle_quantiles(self, family):
@@ -620,13 +639,15 @@ class TestExactMarginal:
 
 
 # (n0, positive counts): n from 2 to 1e6, with no zeros, no positives, all
-# positives one, a single large count, and a Poisson mean above 700
+# positives one, a single large count, a Poisson mean above 700, and a
+# geometric theta within about 1e-11 of one
 SWEEP_TABLES = (
     {0: 1, 1: 1}, {0: 1, 7: 1}, {1: 3, 2: 2}, {0: 5}, {0: 4, 1: 6},
     {0: 12, 1: 5, 2: 2, 4: 1}, {0: 9, 50: 1}, {0: 99, 1000: 1}, {0: 1, 5000: 1},
     {0: 3, 800: 2, 900: 3}, {0: 400_000, 1: 600_000}, {0: 999_999, 1: 1},
     {0: 1, 1: 999_999}, {0: 1, 2: 999_999}, {0: 5, 1: 9_999, 2: 1},
     {0: 1, 1: 999_999, 2: 1}, {0: 600_000, 1: 250_000, 2: 100_000, 3: 50_000},
+    {0: 1, 1: 1, 10**14: 1}, {0: 2, 1: 1, 10**12: 1},
 )
 
 
@@ -771,10 +792,10 @@ class TestBayesFactor:
         # the prior's theta marginal: the family's Jeffreys prior under the
         # conditional prior, sqrt(i_trunc) under the joint one
         if kind is PriorKind.CONDITIONAL_JEFFREYS:
-            log_g = series.log_jeffreys
+            log_g = lambda t: series.log_jeffreys(t, series.log_c(t))
             positive = lambda t: stats.beta.sf(family.f0(t), 0.5, 0.5)
         else:
-            log_g = lambda t: 0.5 * math.log(series.trunc_info(t))
+            log_g = lambda t: 0.5 * math.log(series.trunc_info(t, series.log_c(t)))
             positive = lambda t: 1.0 - math.sqrt(family.f0(t))
         weight = lambda u: math.exp(log_g(math.exp(u)) + u)
         a, b = math.log(lo), math.log(hi)

@@ -203,7 +203,7 @@ class TestFisherInformation:
         num = sum(sign(k) * (k - 1) * theta ** k / math.factorial(k)
                   for k in range(2, 14))
         om = sum(-sign(k) * theta ** k / math.factorial(k) for k in range(1, 14))
-        got = float(Family.POISSON._series.trunc_info(theta))
+        got = float(Family.POISSON._series.trunc_info(theta, theta))  # log c = theta
         assert got == pytest.approx(num / (theta * om * om), rel=1e-12)
 
     def test_positive_definite_in_the_interior(self):
