@@ -17,34 +17,13 @@ sits in the interior of the parameter space.  It provides:
   (``power``);
 * bundled classic datasets and file ingestion (``datasets``) plus a CLI
   (``zicount``).
+
+The public names load lazily (PEP 562): ``import zicount`` imports neither
+numpy nor SciPy, and the first access to a name imports the submodule that
+defines it.  SciPy itself loads on the first call that needs it.
 """
 
-from .asymptotics import (BetaCalibration, ExpansionInputs, UniformityReport,
-                          beta_calibration, expansion_inputs,
-                          posterior_tail_expansion, uniformity_check)
-from .bayes import (BayesFactorResult, ExactMarginal, IntervalEstimate,
-                    IntervalKind, PosteriorDraws, PosteriorProbability,
-                    PriorKind, bayes_factor_positive, credible_interval,
-                    density_curve, draw_posterior, exact_marginal,
-                    grad_log_prior, hpd_interval, log_prior,
-                    marginal_posterior_density,
-                    posterior_prob_positive, posterior_prob_positive_factorized,
-                    posterior_prob_positive_quadrature, prior_density)
-from .datasets import (dataset_names, dataset_table, format_freq_csv,
-                       load_counts, load_dataset, parse_counts_text)
-from .distributions import (CountSample, Family, FisherInfo, Parametrization,
-                            ZipsModel, fisher_info, fisher_info_orthogonal,
-                            from_pstar, log_likelihood, log_pmf,
-                            loglik_derivatives, p_lower, pmf, sample,
-                            sample_values, to_pstar)
-from .errors import (DegenerateSampleError, MissingCellError,
-                     ParameterRangeError, QuadratureError, ZicountError)
-from .frequentist import (MleResult, Sidedness, TestMethod, TestReport,
-                          lr_test, mle_full, mle_null, score_test)
-from .power import (CellResult, ComparisonReport, Method, PowerConfig,
-                    PowerGrid, REFERENCE_POWER_ONE_SIDED,
-                    REFERENCE_POWER_TWO_SIDED, compare_tables,
-                    run_power_study)
+import importlib
 
 __version__ = "0.1.0"
 
@@ -72,3 +51,48 @@ __all__ = [
     "prior_density", "run_power_study", "sample", "sample_values",
     "score_test", "to_pstar", "uniformity_check",
 ]
+
+# the submodule that defines each name in __all__
+_EXPORTS = {name: module for module, names in {
+    "asymptotics": ("BetaCalibration", "ExpansionInputs", "UniformityReport",
+                    "beta_calibration", "expansion_inputs",
+                    "posterior_tail_expansion", "uniformity_check"),
+    "bayes": ("BayesFactorResult", "ExactMarginal", "IntervalEstimate",
+              "IntervalKind", "PosteriorDraws", "PosteriorProbability",
+              "PriorKind", "bayes_factor_positive", "credible_interval",
+              "density_curve", "draw_posterior", "exact_marginal",
+              "grad_log_prior", "hpd_interval", "log_prior",
+              "marginal_posterior_density", "posterior_prob_positive",
+              "posterior_prob_positive_factorized",
+              "posterior_prob_positive_quadrature", "prior_density"),
+    "datasets": ("dataset_names", "dataset_table", "format_freq_csv",
+                 "load_counts", "load_dataset", "parse_counts_text"),
+    "distributions": ("CountSample", "Family", "FisherInfo", "Parametrization",
+                      "ZipsModel", "fisher_info", "fisher_info_orthogonal",
+                      "from_pstar", "log_likelihood", "log_pmf",
+                      "loglik_derivatives", "p_lower", "pmf", "sample",
+                      "sample_values", "to_pstar"),
+    "errors": ("DegenerateSampleError", "MissingCellError",
+               "ParameterRangeError", "QuadratureError", "ZicountError"),
+    "frequentist": ("MleResult", "Sidedness", "TestMethod", "TestReport",
+                    "lr_test", "mle_full", "mle_null", "score_test"),
+    "power": ("CellResult", "ComparisonReport", "Method", "PowerConfig",
+              "PowerGrid", "REFERENCE_POWER_ONE_SIDED",
+              "REFERENCE_POWER_TWO_SIDED", "compare_tables", "run_power_study"),
+}.items() for name in names}
+# resolved as attributes too, as when this module imported them all
+_SUBMODULES = frozenset(_EXPORTS.values()) | {"cli"}
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -16,9 +16,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
-from scipy import special
 
+from ._lazy import LazyModule
 # posterior_prob_positive_factorized and sample_values are unused here;
 # perfbench/tracing.py wraps this module's names
 from .bayes import (_DEFAULT_PRIOR, PriorKind, _factorized_t, grad_log_prior,
@@ -29,6 +28,9 @@ from .distributions import (CountSample, Family, loglik_derivatives,
 from .errors import DegenerateSampleError
 from .frequentist import mle_full
 from .power import _rep_rngs, _replications
+
+special = LazyModule("scipy.special", globals())
+stats = LazyModule("scipy.stats", globals())
 
 # distinct (n0, s) rows per batched factorized-T call, which bounds the size
 # of its node arrays
@@ -156,8 +158,8 @@ def _simulate_null_ts(family: Family, theta_null: float, n: int, reps: int,
         return np.array([posterior_prob_positive(family, CountSample.from_values(values), B=B,
                                                  seed=rng).value
                          for (values, *_), rng in zip(stream, _rep_rngs(seed, (), reps, 1))])
-    stats = np.array([(n0, values.sum()) for values, n0, _, _ in stream])
-    distinct, inverse = np.unique(stats, axis=0, return_inverse=True)
+    rows = np.array([(n0, values.sum()) for values, n0, _, _ in stream])
+    distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
     blocks = (distinct[i:i + FACTORIZED_BLOCK] for i in range(0, len(distinct), FACTORIZED_BLOCK))
     t = np.concatenate([_factorized_t(family, block[:, 0], n - block[:, 0], block[:, 1])
                         for block in blocks])
@@ -177,7 +179,7 @@ def uniformity_check(family: Family, theta_null: float, n: int, reps: int,
     if n < 2:
         raise ValueError("n too small")
     ts = _simulate_null_ts(family, theta_null, n, reps, B, seed)
-    ks = scipy.stats.kstest(ts, "uniform")
+    ks = stats.kstest(ts, "uniform")
     return UniformityReport(ks_distance=float(ks.statistic),
                             ks_pvalue=float(ks.pvalue),
                             moment1=float(ts.mean()),

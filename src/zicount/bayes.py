@@ -30,13 +30,17 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-import scipy
-from scipy import special
 
+from ._lazy import LazyModule
 from .distributions import CountSample, Family, _log_a_sum, _newton, p_lower
 from .errors import DegenerateSampleError, ParameterRangeError, QuadratureError
 
+special = LazyModule("scipy.special", globals())
+integrate = LazyModule("scipy.integrate", globals())
+
 DEFAULT_DRAWS = 10_000
+# fewest points of a density curve
+MIN_CURVE_POINTS = 16
 # theta window over which the Bayes factor averages its prior odds
 DEFAULT_THETA_WINDOW = (0.0, 50.0)
 
@@ -460,8 +464,8 @@ def _log_kernel_in_p(family: Family, sample: CountSample, prior: PriorKind,
 def _quad(fun, a: float, b: float) -> tuple[float, float, bool]:
     """``quad`` at the oracle's tolerances: value, error and whether QUADPACK
     flagged them (``full_output`` returns it in place of a warning)."""
-    value, err, _, *flag = scipy.integrate.quad(fun, a, b, epsabs=1e-13, epsrel=1e-10,
-                                                limit=200, full_output=1)
+    value, err, _, *flag = integrate.quad(fun, a, b, epsabs=1e-13, epsrel=1e-10,
+                                          limit=200, full_output=1)
     return value, err, bool(flag)
 
 
@@ -797,8 +801,8 @@ class ExactMarginal:
     def curve(self, num: int = 512) -> tuple[np.ndarray, np.ndarray]:
         """Density on ``num`` even points spanning where it is at least a
         thousandth of its peak, each end one scan step beyond."""
-        if num < 16:
-            raise ValueError("num must be at least 16")
+        if num < MIN_CURVE_POINTS:
+            raise ValueError(f"num must be at least {MIN_CURVE_POINTS}")
         _, p, dens = self._scan()
         keep = np.flatnonzero(dens >= 1e-3 * dens.max())
         grid = np.linspace(p[max(keep[0] - 1, 0)], p[min(keep[-1] + 1, p.size - 1)], num)
@@ -929,8 +933,8 @@ def density_curve(draws: PosteriorDraws, sample: CountSample,
     densities fall below a thousandth of the peak (or the support edge),
     so the curve spans the visible mass of the extended weight range.
     """
-    if num < 16:
-        raise ValueError("num must be at least 16")
+    if num < MIN_CURVE_POINTS:
+        raise ValueError(f"num must be at least {MIN_CURVE_POINTS}")
     evaluate = _marginal_density_evaluator(draws, sample)
     f0 = draws.family.f0(draws.theta)
     support_lo = float(np.min(-f0 / (1.0 - f0)))

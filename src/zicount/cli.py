@@ -20,8 +20,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .bayes import (IntervalKind, _bayes_factor_from, exact_marginal,
-                    posterior_prob_positive)
+from .bayes import (MIN_CURVE_POINTS, IntervalKind, _bayes_factor_from,
+                    exact_marginal, posterior_prob_positive)
 # unused here; kept only because perfbench/tracing.py wraps this module's names
 from .bayes import (bayes_factor_positive, credible_interval, density_curve,
                     draw_posterior, hpd_interval)
@@ -30,7 +30,7 @@ from .datasets import (dataset_names, dataset_table, format_freq_csv,
 from .distributions import CountSample, Family
 from .errors import ZicountError
 from .frequentist import Sidedness, lr_test, mle_full, mle_null, score_test
-from .power import (Method, PowerConfig, REFERENCE_POWER_ONE_SIDED,
+from .power import (MIN_REPS, Method, PowerConfig, REFERENCE_POWER_ONE_SIDED,
                     REFERENCE_POWER_TWO_SIDED, compare_tables, run_power_study)
 
 SCHEMA_VERSION = 1
@@ -320,6 +320,21 @@ def _probability(text: str) -> float:
     return value
 
 
+def _at_least(low: int):
+    """argparse type: an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} must be at least {low}")
+        return value
+
+    return parse
+
+
 def _add_data_options(parser):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--data", help="path to a count file")
@@ -343,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="all")
     p_test.add_argument("--alpha", type=_probability, default=0.05)
     p_test.add_argument("--sided", choices=("one", "two"), default="one")
-    p_test.add_argument("--draws", type=int, default=10_000,
+    p_test.add_argument("--draws", type=_at_least(1), default=10_000,
                         help="Monte Carlo draws for the Bayes test")
     p_test.add_argument("--seed", type=int, default=None)
     p_test.add_argument("--out", choices=("json", "text"), default="text")
@@ -359,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_post = sub.add_parser("posterior", help="export the posterior density curve")
     _add_data_options(p_post)
-    p_post.add_argument("--grid-points", type=int, default=512)
+    p_post.add_argument("--grid-points", type=_at_least(MIN_CURVE_POINTS), default=512)
     p_post.add_argument("--seed", type=int, default=None)
     p_post.add_argument("--out", required=True, help="output CSV path")
     p_post.set_defaults(func=_cmd_posterior)
@@ -373,11 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma separated subset of score1,score2,lr1,lr2,bayes")
     p_pow.add_argument("--model", choices=("poisson", "geometric"),
                        default="poisson")
-    p_pow.add_argument("--reps", type=int, default=2000)
-    p_pow.add_argument("--draws", type=int, default=2000)
+    p_pow.add_argument("--reps", type=_at_least(MIN_REPS), default=2000)
+    p_pow.add_argument("--draws", type=_at_least(1), default=2000)
     p_pow.add_argument("--alpha", type=_probability, default=0.05)
     p_pow.add_argument("--seed", type=int, default=None)
-    p_pow.add_argument("--jobs", type=int, default=1)
+    p_pow.add_argument("--jobs", type=_at_least(1), default=1)
     p_pow.add_argument("--out", help="CSV output path")
     p_pow.add_argument("--compare-reference", "--compare-paper",
                        dest="compare_reference", action="store_true",

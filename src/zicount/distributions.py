@@ -24,9 +24,11 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
+from ._lazy import LazyModule
 from .errors import ParameterRangeError, QuadratureError
+
+special = LazyModule("scipy.special", globals())
 
 # Open endpoints are rejected within this relative margin to keep logs finite.
 BOUNDARY_MARGIN = 1e-12

@@ -15,11 +15,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import special
 
+from ._lazy import LazyModule
 from .distributions import (CountSample, Family, _log_a_sum, _newton,
                             loglik_derivatives)
 from .errors import DegenerateSampleError
+
+special = LazyModule("scipy.special", globals())
 
 
 class Sidedness(Enum):

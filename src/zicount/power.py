@@ -25,6 +25,8 @@ from .errors import DegenerateSampleError, MissingCellError
 from .frequentist import _alpha_cutoffs, _lr_statistic_stats, _score_statistic
 
 MAX_REDRAWS = 100
+# fewest replications per cell of a power study
+MIN_REPS = 100
 
 
 class Method(Enum):
@@ -48,6 +50,14 @@ class PowerConfig:
     draws: int = 2000
     alpha: float = 0.05
     seed: int = 0
+
+    def __post_init__(self):
+        if self.reps < MIN_REPS:
+            raise ValueError(f"reps must be at least {MIN_REPS}")
+        if self.draws < 1:
+            raise ValueError("draws must be positive")
+        if not self.combos():
+            raise ValueError("empty grid")
 
     def combos(self):
         return [(theta, p, n) for theta in self.thetas
@@ -257,10 +267,6 @@ def run_power_study(config: PowerConfig, n_jobs: int = 1,
     Deterministic for a given config seed regardless of ``n_jobs`` or cell
     evaluation order.
     """
-    if config.reps < 100:
-        raise ValueError("reps must be at least 100")
-    if not config.combos():
-        raise ValueError("empty grid")
     combos = config.combos()
 
     def finished():

@@ -250,6 +250,30 @@ class TestCli:
     def test_power_empty_grid_exits_2(self, capsys):
         assert main(["power", "--reps", "200"]) == 2
 
+    @pytest.mark.parametrize("argv, flag, low", [
+        (["test", "--dataset", "uti", "--draws", "0"], "--draws", 1),
+        (["posterior", "--dataset", "uti", "--out", "unused.csv", "--grid-points", "15"],
+         "--grid-points", 16),
+        (["power", "--thetas", "1", "--ps", "0", "--ns", "20", "--reps", "50"], "--reps", 100),
+        (["power", "--thetas", "1", "--ps", "0", "--ns", "20", "--draws", "-1"], "--draws", 1),
+        (["power", "--thetas", "1", "--ps", "0", "--ns", "20", "--jobs", "0"], "--jobs", 1),
+    ], ids=["test-draws", "posterior-grid-points", "power-reps", "power-draws", "power-jobs"])
+    def test_bad_count_flag_exits_2_naming_the_flag(self, capsys, argv, flag, low):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: {argv[-1]!r} must be at least {low}" in captured.err
+
+    def test_power_config_values_are_checked_before_the_header(self, tmp_path, capsys):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({"thetas": [1.0], "ps": [0.0], "ns": [20], "reps": 50}))
+        assert main(["power", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "reps must be at least 100" in captured.err
+
     def test_datasets_show_matches_tables(self, capsys):
         assert main(["datasets", "show", "uti"]) == 0
         out = capsys.readouterr().out

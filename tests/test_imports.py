@@ -1,7 +1,9 @@
 """Import weight of the package and of the light CLI commands.
 
-``tests/conftest.py`` imports ``scipy.stats`` into the test process, so each
-check runs in a fresh interpreter and reports what that interpreter loaded.
+``tests/conftest.py`` imports ``scipy.stats`` into the test process, and one
+command's imports would be charged to every later command in a shared
+interpreter, so each check runs in a fresh interpreter and reports what that
+interpreter loaded.
 """
 
 import json
@@ -29,20 +31,18 @@ LIGHT_COMMANDS = (
     ["posterior", "--dataset", "cholera", "--out", "{tmp}/density.csv"],
 )
 
-PROBE = """
+# commands that load no SciPy at all
+SCIPY_FREE_COMMANDS = (["--version"], ["datasets", "list"])
+
+COMMAND = """
 import contextlib, io, json, sys
-heavy = json.loads(sys.argv[1])
-loaded = lambda: [name for name in heavy if name in sys.modules]
 from zicount.cli import main
-found = {"import": loaded()}
-for argv in json.loads(sys.argv[2]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # --version exits from argparse
-            code = exc.code
-    found[" ".join(argv)] = [code, loaded()]
-print(json.dumps(found))
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = main(json.loads(sys.argv[1]))
+    except SystemExit as exc:  # --version exits from argparse
+        code = exc.code
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
@@ -55,29 +55,94 @@ def _run(code: str, *args: str) -> str:
     return proc.stdout
 
 
-def _probe(commands) -> dict:
-    return json.loads(_run(PROBE, json.dumps(HEAVY), json.dumps(commands)))
+def _loaded(code: str) -> list[str]:
+    """Modules loaded by a fresh interpreter that runs ``code``."""
+    return json.loads(_run(code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"))
 
 
-@pytest.fixture(scope="module")
-def probed(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("probe")
-    commands = [[arg.format(tmp=tmp) for arg in argv] for argv in LIGHT_COMMANDS]
-    found = _probe(commands)
-    found.update({" ".join(argv): found[" ".join(command)]
-                  for argv, command in zip(LIGHT_COMMANDS, commands)})
-    return found
+def _command(argv: list[str]) -> tuple[int, list[str]]:
+    """Exit code of ``zicount argv`` and the modules its interpreter loaded."""
+    code, modules = json.loads(_run(COMMAND, json.dumps(argv)))
+    return code, modules
 
 
-def test_package_import_loads_no_heavy_module(probed):
-    assert probed["import"] == []
+def _scipy(modules) -> list[str]:
+    return [name for name in modules if name == "scipy" or name.startswith("scipy.")]
+
+
+def test_package_import_loads_neither_numpy_nor_scipy():
+    modules = _loaded("import zicount")
+    assert [name for name in modules if name.split(".")[0] in ("numpy", "scipy")] == []
+
+
+def test_cli_import_loads_no_scipy_and_no_asymptotics():
+    modules = _loaded("from zicount.cli import main")
+    assert _scipy(modules) == []
+    assert "zicount.asymptotics" not in modules
+
+
+@pytest.mark.parametrize("argv", SCIPY_FREE_COMMANDS, ids=" ".join)
+def test_light_command_loads_no_scipy(argv):
+    code, modules = _command(argv)
+    assert code == 0
+    assert _scipy(modules) == []
 
 
 @pytest.mark.parametrize("argv", LIGHT_COMMANDS, ids=" ".join)
-def test_light_command_loads_no_heavy_module(probed, argv):
-    code, loaded = probed[" ".join(argv)]
+def test_light_command_loads_no_heavy_module(tmp_path, argv):
+    code, modules = _command([arg.format(tmp=tmp_path) for arg in argv])
     assert code == 0
-    assert loaded == []
+    assert [name for name in HEAVY if name in modules] == []
+
+
+def test_special_functions_are_called_on_scipy_special_itself():
+    # after the first call the stand-in has swapped the module into the
+    # caller's globals, so no call goes through a wrapper
+    code = ("import scipy.special, zicount\n"
+            "zicount.score_test(zicount.Family.POISSON, zicount.load_dataset('uti'))\n"
+            "print(zicount.frequentist.special is scipy.special)")
+    assert _run(code).strip() == "True"
+
+
+def test_every_export_is_its_submodules_own_object():
+    code = ("import importlib, json, zicount\n"
+            "found = {}\n"
+            "for name in zicount.__all__:\n"
+            "    value = getattr(zicount, name)\n"
+            "    module = importlib.import_module('zicount.' + zicount._EXPORTS[name])\n"
+            "    home = getattr(value, '__module__', module.__name__)\n"
+            "    found[name] = value is getattr(module, name) and home == module.__name__\n"
+            "print(json.dumps(found))")
+    found = json.loads(_run(code))
+    assert [name for name, ok in found.items() if not ok] == []
+
+
+def test_dir_and_star_import_cover_all():
+    code = ("import json, zicount\n"
+            "listed = dir(zicount)\n"
+            "namespace = {}\n"
+            "exec('from zicount import *', namespace)\n"
+            "print(json.dumps([[n for n in zicount.__all__ if n not in listed],\n"
+            "                  [n for n in zicount.__all__ if n not in namespace],\n"
+            "                  sorted(zicount._EXPORTS) == sorted(zicount.__all__)]))")
+    assert json.loads(_run(code)) == [[], [], True]
+
+
+def test_unknown_name_raises_attribute_error():
+    code = ("import zicount\n"
+            "try:\n"
+            "    zicount.no_such_name\n"
+            "except AttributeError as err:\n"
+            "    print(err)\n"
+            "print(hasattr(zicount, 'no_such_name'))")
+    assert _run(code).splitlines() == [
+        "module 'zicount' has no attribute 'no_such_name'", "False"]
+
+
+def test_submodules_resolve_as_attributes():
+    code = ("import sys, zicount\n"
+            "print(zicount.power.MIN_REPS, 'zicount.asymptotics' in sys.modules)")
+    assert _run(code).strip() == "100 False"
 
 
 def test_factorized_t_loads_no_linear_algebra():
