@@ -27,32 +27,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BayesFactorResult", "BetaCalibration", "CellResult", "ComparisonReport",
-    "CountSample", "DegenerateSampleError", "ExactMarginal", "ExpansionInputs",
-    "Family",
-    "FisherInfo", "IntervalEstimate", "IntervalKind", "Method",
-    "MissingCellError", "MleResult", "Parametrization", "ParameterRangeError",
-    "PosteriorDraws", "PosteriorProbability", "PowerConfig", "PowerGrid",
-    "PriorKind", "QuadratureError", "REFERENCE_POWER_ONE_SIDED",
-    "REFERENCE_POWER_TWO_SIDED", "Sidedness", "TestMethod",
-    "TestReport", "UniformityReport", "ZicountError", "ZipsModel",
-    "bayes_factor_positive", "beta_calibration", "compare_tables",
-    "credible_interval", "dataset_names", "dataset_table",
-    "density_curve", "draw_posterior", "exact_marginal", "expansion_inputs",
-    "fisher_info",
-    "fisher_info_orthogonal", "format_freq_csv", "from_pstar",
-    "grad_log_prior", "hpd_interval", "load_counts", "load_dataset",
-    "log_likelihood", "log_pmf", "log_prior", "loglik_derivatives", "lr_test",
-    "marginal_posterior_density", "mle_full", "mle_null", "p_lower",
-    "parse_counts_text", "pmf", "posterior_prob_positive",
-    "posterior_prob_positive_factorized",
-    "posterior_prob_positive_quadrature", "posterior_tail_expansion",
-    "prior_density", "run_power_study", "sample", "sample_values",
-    "score_test", "to_pstar", "uniformity_check",
-]
-
-# the submodule that defines each name in __all__
+# the submodule that defines each public name
 _EXPORTS = {name: module for module, names in {
     "asymptotics": ("BetaCalibration", "ExpansionInputs", "UniformityReport",
                     "beta_calibration", "expansion_inputs",
@@ -80,6 +55,7 @@ _EXPORTS = {name: module for module, names in {
               "PowerGrid", "REFERENCE_POWER_ONE_SIDED",
               "REFERENCE_POWER_TWO_SIDED", "compare_tables", "run_power_study"),
 }.items() for name in names}
+__all__ = sorted(_EXPORTS)
 # resolved as attributes too, as when this module imported them all
 _SUBMODULES = frozenset(_EXPORTS.values()) | {"cli"}
 

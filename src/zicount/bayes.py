@@ -236,7 +236,8 @@ class _ThetaPosterior:
     """The factorized posterior of rows of ``(n0, m, s)`` (arrays over rows,
     scalars one row) under the default prior's record ``prior``.  ``pstar``
     is ``Beta(a, b)`` by the record's ``pstar_shapes``; ``window`` holds the
-    1e-17 and 1 - 1e-17 quantiles of ``1 - pstar``.  With pstar integrated
+    1e-17 and 1 - 1e-17 quantiles of ``1 - pstar``, which ``coord_at`` maps
+    into x and on which ``pstar_cdf`` is the Beta CDF.  With pstar integrated
     out, ``m`` positive counts summing to ``s`` leave the kernel
     ``theta**s / (c(theta) - 1)**m`` times the record's ``g(theta)``, times
     the Jacobian of the family's unbounded coordinate ``x``: ``u = log(theta)``
@@ -315,6 +316,26 @@ class _ThetaPosterior:
         log_d, log_c = self.log_density(x, rows)
         peak = self.peak.item() if rows is None else self.peak[rows, None]
         return x, (width * rule[..., 1, :]).reshape(x.shape) * np.exp(log_d - peak), log_c
+
+    def coord_at(self, om):
+        """x where ``1 - f0`` is ``om``, so where ``1 - pstar`` reaches ``om``
+        at p = 0: minus or plus infinity at ``om`` 0 or 1, NaN beyond."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.series.coord_from_log_c(-np.log1p(-om))
+
+    def pstar_cdf(self, x, y, rows=None):
+        """``P(pstar <= x)``, with ``y = 1 - x`` given, of the one row at every
+        element of ``x`` or, given ``rows``, of those rows along its first
+        axis: exactly 1 or 0 where ``y`` is below or above the ``window``, so
+        ``betainc`` runs only inside it."""
+        a, b, lo, hi = ((self.a.item(), self.b.item(), *self.window[0]) if rows is None
+                        else (self.a[rows, None], self.b[rows, None],
+                              self.window[rows, :1], self.window[rows, 1:]))
+        out = (y < lo).astype(float)
+        inside = (y >= lo) & (y <= hi)
+        out[inside] = special.betainc(np.broadcast_to(a, x.shape)[inside],
+                                      np.broadcast_to(b, x.shape)[inside], x[inside])
+        return out
 
     def inverse_cdf(self, r: np.ndarray) -> np.ndarray:
         """x of the one row at CDF levels ``r``, by linear interpolation of a
@@ -532,31 +553,22 @@ def _factorized_t(family: Family, n0, m, s) -> np.ndarray:
     """Factorized T for rows of ``(n0, m, s)`` on one batched theta rule.
 
     ``T = E[P(pstar > f0(theta))]``, both laws the rule's, under its prior
-    record.  Rows are grouped by their number of cuts, so that each row sums
-    the same nodes in the same order as it would alone.
+    record.  ``P(pstar > f0)`` rises where ``1 - f0`` crosses the window,
+    between two edges in closed form; a rise narrower than half the bracket
+    gets its own panel.  Rows are grouped by their number of cuts, so that
+    each row sums the same nodes in the same order as it would alone.
     """
     rule = _ThetaPosterior(family, n0, m, s)
+    lo, hi = rule.lo[:, None], rule.hi[:, None]
+    rise = np.clip(rule.coord_at(rule.window), lo, hi)
+    narrow = rise[:, 1:] - rise[:, :1] < 0.5 * (hi - lo)
     num, den = np.empty(rule.m.size), np.empty(rule.m.size)
-
-    def add(rows, w, f0):
-        tail = 1.0 - special.betainc(rule.a[rows, None], rule.b[rows, None], f0)
-        num[rows] = np.sum(w * tail, axis=1)
+    # a wide rise adds lo twice, which _distinct_cuts drops
+    for rows, cuts in _distinct_cuts(np.hstack([rule.cuts, np.where(narrow, rise, lo)])):
+        _, w, log_c = rule.nodes(cuts, rows=rows)
+        below = rule.pstar_cdf(np.exp(-log_c), -np.expm1(-log_c), rows)
+        num[rows] = np.sum(w * (1.0 - below), axis=1)
         den[rows] = np.sum(w, axis=1)
-
-    for rows, cuts in _distinct_cuts(rule.cuts):
-        x, w, log_c = rule.nodes(cuts, rows=rows)
-        f0, om = np.exp(-log_c), -np.expm1(-log_c)
-        lo, hi = rule.lo[rows], rule.hi[rows]
-        # P(pstar > f0) rises where 1 - f0 crosses the window: a narrow rise gets a panel
-        rise_lo = np.max(np.where(om <= rule.window[rows, :1], x, lo[:, None]), axis=1)
-        rise_hi = np.min(np.where(om >= rule.window[rows, 1:], x, hi[:, None]), axis=1)
-        narrow = rise_hi - rise_lo < 0.5 * (hi - lo)
-        add(rows[~narrow], w[~narrow], f0[~narrow])
-        refined = np.column_stack([cuts[narrow], rise_lo[narrow], rise_hi[narrow]])
-        for sub, finer in _distinct_cuts(refined):
-            sub = rows[narrow][sub]
-            _, w, log_c = rule.nodes(finer, rows=sub)
-            add(sub, w, np.exp(-log_c))
     rule.require_weight(den)
     return num / den
 
@@ -634,6 +646,26 @@ def _log_beta_pdf(x, y, a: float, b: float):
             - _stirling_rest(a) - _stirling_rest(b) + _stirling_rest(s))
 
 
+def _scan(density, t_range, num: int = 129):
+    """``t``, p and ``density`` on ``num`` points even in ``t = log(1 - p)``,
+    from ``t_range[0]`` down to ``t_range[1]``; ascending in p."""
+    t = np.linspace(*t_range, num)
+    p = -np.expm1(t)
+    return t, p, density(p)
+
+
+def _curve(density, t_range, num: int) -> tuple[np.ndarray, np.ndarray]:
+    """``density`` on ``num`` even points in p spanning where a scan of
+    ``t_range`` finds it at least a thousandth of its peak, each end one scan
+    step beyond."""
+    if num < MIN_CURVE_POINTS:
+        raise ValueError(f"num must be at least {MIN_CURVE_POINTS}")
+    _, p, dens = _scan(density, t_range)
+    keep = np.flatnonzero(dens >= 1e-3 * dens.max())
+    grid = np.linspace(p[max(keep[0] - 1, 0)], p[min(keep[-1] + 1, p.size - 1)], num)
+    return grid, density(grid)
+
+
 @dataclass(frozen=True)
 class ExactMarginal:
     """Exact marginal posterior of the weight under the prior record of its
@@ -655,8 +687,7 @@ class ExactMarginal:
         rule = self.rule
         p = np.asarray(p, dtype=float)[..., None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            om = rule.window[0] / (1.0 - p)
-            edges = rule.series.coord_from_log_c(-np.log1p(-om))
+            edges = rule.coord_at(rule.window[0] / (1.0 - p))
         # an edge outside the bracket leaves an empty panel at its lower end
         edges = np.where((edges > rule.lo[0]) & (edges < rule.hi[0]), edges, rule.lo[0])
         base = np.unique(rule.cuts[0])
@@ -674,14 +705,6 @@ class ExactMarginal:
         a, b = self.rule.a[0], self.rule.b[0]
         return np.where(inside, np.exp(_log_beta_pdf(x, y, a, b)) * om, 0.0)
 
-    def _below(self, x, y):
-        """``P(pstar <= x)`` at each node: 0 or 1 to within 1e-17 outside
-        the window, so ``betainc`` runs only inside it."""
-        out = (y < self.rule.window[0, 0]).astype(float)
-        inside = (y >= self.rule.window[0, 0]) & (y <= self.rule.window[0, 1])
-        out[inside] = special.betainc(self.rule.a[0], self.rule.b[0], x[inside])
-        return out
-
     def _local(self, p, cdf: bool = False):
         """Density, its derivative in p and, with ``cdf``, the CDF at ``p``."""
         x, y, om, w = self._nodes_at(p)
@@ -691,7 +714,7 @@ class ExactMarginal:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             rate = np.where(pdf > 0.0, (a - 1.0) / x - (b - 1.0) / y, 0.0)
             out = (pdf.sum(axis=-1), np.sum(pdf * rate * om, axis=-1))
-        return out + (np.sum(self._below(x, y) * w, axis=-1),) if cdf else out
+        return out + (np.sum(self.rule.pstar_cdf(x, y) * w, axis=-1),) if cdf else out
 
     def density(self, p) -> np.ndarray:
         """Marginal posterior density of the weight at ``p``."""
@@ -741,14 +764,11 @@ class ExactMarginal:
 
         return _newton(fun, 0.5 * (lo + hi), 1e-12 * max(1.0, abs(lo)), lo, hi)
 
-    def _scan(self, num: int = 129):
-        """``t``, p and the density on ``num`` points even in ``t`` across
-        the range that the rule's ``window`` reaches over its theta bracket;
-        ascending in p."""
+    def _t_range(self) -> np.ndarray:
+        """The range of ``t`` that the rule's ``window`` reaches over its
+        theta bracket, from its top down."""
         log_c = self.rule.log_density(self.rule.cuts[0, ::2])[1]
-        t = np.linspace(*np.log(self.rule.window[0, ::-1] / -np.expm1(-log_c)), num)
-        p = -np.expm1(t)
-        return t, p, self.density(p)
+        return np.log(self.rule.window[0, ::-1] / -np.expm1(-log_c))
 
     def interval(self, level: float, kind: IntervalKind) -> IntervalEstimate:
         """Equal-tail interval (two CDF roots) or HPD interval (the level set
@@ -767,7 +787,7 @@ class ExactMarginal:
             half = 0.5 * (1.0 - level)
             return IntervalEstimate(*(-math.expm1(self._quantile_t(q))
                                       for q in (half, 1.0 - half)), level, kind)
-        t, p, dens = self._scan()
+        t, p, dens = _scan(self.density, self._t_range())
         cell = 0.5 * (dens[1:] + dens[:-1])
         mass = cell * np.diff(p)
         order = np.argsort(-cell)
@@ -801,12 +821,7 @@ class ExactMarginal:
     def curve(self, num: int = 512) -> tuple[np.ndarray, np.ndarray]:
         """Density on ``num`` even points spanning where it is at least a
         thousandth of its peak, each end one scan step beyond."""
-        if num < MIN_CURVE_POINTS:
-            raise ValueError(f"num must be at least {MIN_CURVE_POINTS}")
-        _, p, dens = self._scan()
-        keep = np.flatnonzero(dens >= 1e-3 * dens.max())
-        grid = np.linspace(p[max(keep[0] - 1, 0)], p[min(keep[-1] + 1, p.size - 1)], num)
-        return grid, self.density(grid)
+        return _curve(self.density, self._t_range(), num)
 
 
 def exact_marginal(family: Family, sample: CountSample) -> ExactMarginal:
@@ -927,32 +942,15 @@ def hpd_interval(draws: PosteriorDraws, sample: CountSample,
 
 def density_curve(draws: PosteriorDraws, sample: CountSample,
                   num: int = 512) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal posterior density of the weight on an adaptive grid.
+    """Marginal posterior density of the weight on ``num`` even points.
 
-    The grid starts at the hull of the draws and widens until the endpoint
-    densities fall below a thousandth of the peak (or the support edge),
-    so the curve spans the visible mass of the extended weight range.
+    Laid as the exact marginal's curve is: a scan even in ``t = log(1 - p)``
+    across the hull of the draws, its top at most ``1 - 1e-9``, finds where
+    the density is at least a thousandth of its peak, so that the long left
+    tail of an all-ones sample does not swallow the grid.
     """
-    if num < MIN_CURVE_POINTS:
-        raise ValueError(f"num must be at least {MIN_CURVE_POINTS}")
-    evaluate = _marginal_density_evaluator(draws, sample)
-    f0 = draws.family.f0(draws.theta)
-    support_lo = float(np.min(-f0 / (1.0 - f0)))
-    lo, hi = float(draws.p.min()), float(draws.p.max())
-    span = hi - lo
-    peak = float(evaluate(np.linspace(lo, hi, 64)).max())
-    for _ in range(40):
-        moved = False
-        if lo > support_lo + 1e-12 and evaluate(lo)[0] >= 1e-3 * peak:
-            lo = max(lo - 0.1 * span, support_lo + 1e-12)
-            moved = True
-        if hi < 1.0 - 1e-9 and evaluate(hi)[0] >= 1e-3 * peak:
-            hi = min(hi + 0.1 * span, 1.0 - 1e-9)
-            moved = True
-        if not moved:
-            break
-    grid = np.linspace(lo, hi, num)
-    return grid, evaluate(grid)
+    p = np.array([draws.p.min(), min(draws.p.max(), 1.0 - 1e-9)])
+    return _curve(_marginal_density_evaluator(draws, sample), np.log1p(-p), num)
 
 
 # ---------------------------------------------------------------------------

@@ -402,8 +402,8 @@ class TestThetaPosterior:
         assert tail == pytest.approx(lower_tail, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("row", [(4, 1, 1), (5, 1, 1), (6, 1, 1), (306, 1, 1),
-                                     (7200, 10596, 26368), (16778, 25658, 64418),
-                                     (34762, 61741, 171695)], ids=str)
+                                     (999_999, 1, 1), (7200, 10596, 26368),
+                                     (16778, 25658, 64418), (34762, 61741, 171695)], ids=str)
     def test_geometric_t_matches_beta_integral(self, row):
         # T = E[betaincc(n0 + 1/2, m + 1/2, phi)] with phi = 1 - theta ~
         # Beta(m, s - m + 1/2), by quad on 40 panels between phi's 1e-18 quantiles
@@ -413,7 +413,19 @@ class TestThetaPosterior:
         integrand = lambda phi: law.pdf(phi) * special.betaincc(n0 + 0.5, m + 0.5, phi)
         reference = sum(integrate.quad(integrand, a, b, epsabs=1e-17, epsrel=1e-13,
                                        limit=200)[0] for a, b in zip(edges[:-1], edges[1:]))
-        assert abs(_factorized_t(Family.GEOMETRIC, [n0], [m], [s])[0] - reference) <= 2e-13
+        assert abs(_factorized_t(Family.GEOMETRIC, [n0], [m], [s])[0] - reference) <= 3e-14
+
+    @pytest.mark.parametrize("row, reference", [
+        ((4, 1, 1), 0.5814438776698703468),
+        ((20, 1, 1), 0.78937497516041357198),
+        ((306, 1, 1), 0.94440435900386573456),
+        ((3, 2, 2), 0.29437913126353730874),
+    ], ids=str)
+    def test_poisson_t_matches_30_digit_integral(self, row, reference):
+        # T = E[betaincc(n0 + 1/2, m + 1/2, exp(-theta))] over the theta law,
+        # by 30-digit mpmath quadrature; m = 1 rows have a rise over many decades
+        n0, m, s = row
+        assert abs(_factorized_t(Family.POISSON, [n0], [m], [s])[0] - reference) <= 2e-14
 
     @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
     def test_all_ones_draws_match_oracle_quantiles(self, family):
@@ -467,6 +479,15 @@ class TestMarginalDensity:
         assert dens[0] < 1e-3 * dens.max()
         assert dens[-1] < 1e-3 * dens.max()
         assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=0.01)
+
+    @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
+    def test_all_ones_curve_holds_the_exact_mass(self, family):
+        # the draws of an all-ones sample reach p of about -5e9, far beyond
+        # the visible mass; the curve still spans the bulk of the exact one
+        cs = CountSample({0: 4, 1: 6})
+        grid, dens = density_curve(draw_posterior(family, cs, B=20_000, seed=16), cs)
+        exact_grid, exact = exact_marginal(family, cs).curve()
+        assert abs(np.trapezoid(dens, grid) - np.trapezoid(exact, exact_grid)) <= 0.05
 
 
 class TestIntervals:
