@@ -153,12 +153,18 @@ def _simulate_null_ts(family: Family, theta_null: float, n: int, reps: int,
     the stream's ``(n0, s)`` are collected and ``_factorized_t`` runs once
     on the distinct rows, in blocks of ``FACTORIZED_BLOCK``.
     """
+    if reps <= 0:
+        raise ValueError("reps must be positive")
+    if n < 2:
+        raise ValueError("n too small")
     stream = _replications(family, 0.0, theta_null, n, reps, seed)
     if B > 0:
         return np.array([posterior_prob_positive(family, CountSample.from_values(values), B=B,
                                                  seed=rng).value
                          for (values, *_), rng in zip(stream, _rep_rngs(seed, (), reps, 1))])
-    rows = np.array([(n0, values.sum()) for values, n0, _, _ in stream])
+    rows = np.empty((reps, 2), dtype=np.int64)
+    for values, n0, rep, _ in stream:
+        rows[rep] = n0, values.sum()
     distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
     blocks = (distinct[i:i + FACTORIZED_BLOCK] for i in range(0, len(distinct), FACTORIZED_BLOCK))
     t = np.concatenate([_factorized_t(family, block[:, 0], n - block[:, 0], block[:, 1])
@@ -174,10 +180,6 @@ def uniformity_check(family: Family, theta_null: float, n: int, reps: int,
     sample moments (mean and central second moment), whose limits are 1/2
     and 1/12.
     """
-    if reps <= 0:
-        raise ValueError("reps must be positive")
-    if n < 2:
-        raise ValueError("n too small")
     ts = _simulate_null_ts(family, theta_null, n, reps, B, seed)
     ks = stats.kstest(ts, "uniform")
     return UniformityReport(ks_distance=float(ks.statistic),

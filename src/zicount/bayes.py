@@ -254,11 +254,25 @@ class _ThetaPosterior:
         self.series, self.prior = family._series, _DEFAULT_PRIOR._prior
         self.n0, self.m, self.s = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (n0, m, s))
         self.a, self.b = self.prior.pstar_shapes(self.n0, self.m)
-        self.window = np.stack([special.betaincinv(self.b, self.a, 1e-17),
-                                special.betainccinv(self.b, self.a, 1e-17)], axis=1)
-        # one scalar Newton per row: an array-valued Newton is far slower per solve
-        self.mode, sd = np.array([self._mode(m_row, s_row) for m_row, s_row in
-                                  zip(self.m.tolist(), self.s.tolist())]).T
+        # the window once per distinct shape pair, which rows share
+        (a, b), pair = np.unique(np.stack([self.a, self.b]), axis=1, return_inverse=True)
+        self.window = np.stack([special.betaincinv(b, a, 1e-17),
+                                special.betainccinv(b, a, 1e-17)], axis=1)[pair.reshape(-1)]
+        # every row's mode of x and its Laplace sd, by one row-wise Newton on
+        # the score with a central-difference slope, from the log of the mean
+        # (s + 1/2) / m - 1 (geometric's exact mode)
+        point, score, h = self.series.coord_point, self.series.coord_score, 1e-6
+        dlog_g = functools.partial(self.prior.dlog_g, self.series)
+        slope = np.empty(self.m.size)
+
+        def fun(x, rows):
+            m_rows, s_rows = self.m[rows], self.s[rows]
+            g_up, g_down = (score(*point(x + d), m_rows, s_rows, dlog_g) for d in (h, -h))
+            slope[rows] = (g_up - g_down) / (2.0 * h)
+            return 0.5 * (g_up + g_down), slope[rows]
+
+        self.mode = _newton(fun, np.log((self.s + 0.5) / self.m - 1.0), 1e-6)
+        sd = 1.0 / np.sqrt(-slope)
         mode, rows = self.mode, np.arange(sd.size)
         self.peak = self.log_density(mode[:, None], rows)[0][:, 0]
         floor = self.peak + math.log(1e-16)
@@ -283,23 +297,6 @@ class _ThetaPosterior:
         theta, log_theta, log_c, log_cm1, log_dudx = self.series.coord(x, mode)
         return ((s + 1.0) * log_theta - m * log_cm1
                 + (self.prior.log_g(self.series, theta, log_c) + log_dudx)), log_c
-
-    def _mode(self, m: float, s: float) -> tuple[float, float]:
-        """Mode of x for one row and its Laplace standard deviation, by
-        ``_newton`` on the score with a central-difference slope, from the log
-        of the mean ``(s + 1/2) / m - 1`` (geometric's exact mode)."""
-        point, score, h = self.series.coord_point, self.series.coord_score, 1e-6
-        dlog_g = functools.partial(self.prior.dlog_g, self.series)
-        slope = math.nan
-
-        def fun(x):
-            nonlocal slope
-            g_up, g_down = (score(*point(x + d), m, s, dlog_g) for d in (h, -h))
-            slope = (g_up - g_down) / (2.0 * h)
-            return 0.5 * (g_up + g_down), slope
-
-        mode = _newton(fun, math.log((s + 0.5) / m - 1.0), 1e-6)
-        return mode, 1.0 / math.sqrt(-slope)
 
     def nodes(self, cuts, squared=False, rows=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """64 Gauss-Legendre nodes x per panel between ``cuts``, weights times

@@ -79,10 +79,10 @@ def _poisson_tail_bound(theta: float, eps: float) -> int:
     return bound
 
 
-def _poisson_dlog_trunc_info(theta: float, log_c: float) -> float:
-    e = math.exp(-theta)
-    om = -math.expm1(-theta)
-    return theta * e / float(special.gammainc(2.0, theta)) - 1.0 / theta - 2.0 * e / om
+def _poisson_dlog_trunc_info(theta, log_c):
+    e = np.exp(-theta)
+    om = -np.expm1(-theta)
+    return theta * e / special.gammainc(2.0, theta) - 1.0 / theta - 2.0 * e / om
 
 
 def _geometric_coord(v, v0):
@@ -103,9 +103,9 @@ _POISSON = _PowerSeries(
     mean=lambda t: t,
     theta_from_mean=lambda mean: mean,
     coord=lambda u, u0: (t := np.exp(u), u, t, t + np.log(-np.expm1(-t)), 0.0),
-    coord_point=lambda u: (math.exp(u),) * 2,
+    coord_point=lambda u: (np.exp(u),) * 2,
     coord_score=lambda t, log_c, m, s, dlog_g: (s + 1.0 + t * dlog_g(t, log_c)
-                                                - m * t / -math.expm1(-log_c)),
+                                                - m * t / -np.expm1(-log_c)),
     coord_from_log_c=np.log,
     draws=lambda rng, t, n: rng.poisson(t, n),
     tail_bound=_poisson_tail_bound,
@@ -129,8 +129,8 @@ _GEOMETRIC = _PowerSeries(
     theta_from_mean=lambda mean: mean / (1.0 + mean),
     coord=_geometric_coord,  # v = logit(theta)
     # log c = log1p(e^v) without overflow
-    coord_point=lambda v: (-math.expm1(-(c := max(v, 0.0) + math.log1p(math.exp(-abs(v))))), c),
-    coord_score=lambda t, log_c, m, s, dlog_g: (math.exp(-log_c) * (s + 1.0 + t * dlog_g(t, log_c))
+    coord_point=lambda v: (-np.expm1(-(c := np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v))))), c),
+    coord_score=lambda t, log_c, m, s, dlog_g: (np.exp(-log_c) * (s + 1.0 + t * dlog_g(t, log_c))
                                                 - m - t),
     coord_from_log_c=lambda log_c: np.log(np.expm1(log_c)),
     # numpy's geometric counts trials >= 1 with success probability 1 - theta
@@ -138,9 +138,9 @@ _GEOMETRIC = _PowerSeries(
     # P(Y > y) = theta**(y + 1)
     tail_bound=lambda t, eps: int(math.ceil(math.log(eps) / math.log(t))) + 2,
     trunc_info=lambda t, log_c: np.exp(2.0 * log_c) / t,
-    dlog_trunc_info=lambda t, log_c: -1.0 / t + 2.0 * math.exp(log_c),
+    dlog_trunc_info=lambda t, log_c: -1.0 / t + 2.0 * np.exp(log_c),
     log_jeffreys=lambda t, log_c: -0.5 * np.log(t) + log_c,
-    dlog_jeffreys=lambda t, log_c: -0.5 / t + math.exp(log_c),
+    dlog_jeffreys=lambda t, log_c: -0.5 / t + np.exp(log_c),
 )
 
 
@@ -163,7 +163,7 @@ class Family(Enum):
     * ``coord(x, x0)``: the Bayes theta rule's terms ``(theta, log theta, log c,
       log(c - 1), log(du/dx))`` at an unbounded coordinate ``x`` of theta, the
       2nd and 4th maybe less their value at ``x0``; ``coord_point(x)``: ``(theta,
-      log c)`` in floats; ``coord_score(theta, log c, m, s, dlog_g)``: the
+      log c)``; ``coord_score(theta, log c, m, s, dlog_g)``: the
       rule's score in x given ``d log g / d theta``; ``coord_from_log_c``;
     * ``draws``: the base sampler;
     * ``tail_bound``: a ``y`` with tail mass beyond it below ``eps``;
@@ -173,7 +173,7 @@ class Family(Enum):
       Jeffreys prior for theta, ``sqrt(i(theta))``, and its derivative.
 
     The last four take ``log c`` after theta, so as not to round ``1 - theta``.
-    ``f0``, ``log_c``, ``coord``, ``trunc_info`` and ``log_jeffreys`` take arrays too.
+    All but ``f0_derivs``, ``draws`` and ``tail_bound`` are elementwise over arrays.
     """
 
     POISSON = "poisson", _POISSON
@@ -203,31 +203,50 @@ def _log_a_sum(family: Family, sample: CountSample) -> float:
     return sum(count * log_a(value) for value, count in sample.freq.items() if value)
 
 
-def _newton(fun, x: float, tol: float, lo: float = -math.inf,
-            hi: float = math.inf, ftol: float = 0.0) -> float:
-    """Root of a decreasing ``fun`` (returning value and slope) by Newton
-    steps from ``x``.  Returns once a step is below ``tol`` (after a Newton
-    step the error is of order ``tol**2``) or at a point where ``|fun|`` is
-    at most ``ftol``.  ``lo`` and ``hi`` bracket the root and shrink as it
-    goes; a step that leaves them bisects them, or, while a side is still
-    open, steps outward from the other by a doubling length."""
-    step = 0.5
+def _newton(fun, x, tol, lo=-math.inf, hi=math.inf, ftol=0.0):
+    """Roots of a decreasing ``fun`` (returning value and slope) by Newton
+    steps from ``x``, row by row.  ``x``, ``tol``, ``lo``, ``hi`` and
+    ``ftol`` are scalars or arrays over rows, broadcast together.  A row
+    stops once a step is below its ``tol`` (after a Newton step the error is
+    of order ``tol**2``) or at a point where ``|fun|`` is at most its
+    ``ftol``.  Its ``lo`` and ``hi`` bracket the root and shrink as it goes;
+    a step that leaves them bisects them, or, while a side is still open,
+    steps outward from the other by a doubling length.  Every row takes the
+    steps, and the calls of ``fun``, that it would take alone.  All scalars
+    make a scalar call: ``fun(x)`` on floats, and a float back.  Otherwise
+    ``fun(x, rows)`` gets the rows still searching, by flat index, and the
+    roots come back in the broadcast shape."""
+    shape = np.broadcast_shapes(*map(np.shape, (x, tol, lo, hi, ftol)))
+    x, tol, lo, hi, ftol = (np.array(np.broadcast_to(v, shape), dtype=float).ravel()
+                            for v in (x, tol, lo, hi, ftol))
+    step, root, rows = np.full(x.size, 0.5), np.empty(x.size), np.arange(x.size)
     for _ in range(200):
-        val, slope = fun(x)
-        if abs(val) <= ftol:
-            return x
-        lo, hi = (x, hi) if val > 0.0 else (lo, x)
-        new = x - val / slope if -math.inf < slope < 0.0 else math.nan
-        if not (lo < new < hi or abs(new - x) <= tol):
-            if math.isinf(hi) or math.isinf(lo):
-                new = lo + step if math.isinf(hi) else hi - step
-                step *= 2.0
-            else:
-                new = 0.5 * (lo + hi)
-        if abs(new - x) <= tol:
-            return new
-        x = new
-    raise QuadratureError("root search did not converge in 200 steps")
+        if not rows.size:
+            break
+        at, near = x[rows], tol[rows]
+        val, slope = (np.asarray(v, dtype=float)
+                      for v in (fun(at, rows) if shape else fun(float(at[0]))))
+        found = np.abs(val) <= ftol[rows]
+        rising = val > 0.0
+        lo[rows] = low = np.where(rising, at, lo[rows])
+        hi[rows] = high = np.where(rising, hi[rows], at)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = np.where((-math.inf < slope) & (slope < 0.0), at - val / slope, math.nan)
+        stray = ~((low < new) & (new < high) | (np.abs(new - at) <= near))
+        if stray.any():
+            open_side = np.isinf(high) | np.isinf(low)
+            length = step[rows]
+            new = np.where(stray, np.where(open_side, np.where(np.isinf(high), low + length,
+                                                               high - length),
+                                           0.5 * (low + high)), new)
+            step[rows] = np.where(stray & open_side, 2.0 * length, length)
+        root[rows] = np.where(found, at, new)
+        x[rows] = new
+        rows = rows[~(found | (np.abs(new - at) <= near))]
+    if rows.size:
+        raise QuadratureError(f"root search did not converge in 200 steps on {rows.size} "
+                              f"of {x.size} rows")
+    return root.reshape(shape) if shape else float(root[0])
 
 
 class Parametrization(Enum):

@@ -5,7 +5,9 @@ one-sided alternative p > 0, with two-sided variants.  The score statistic
 has a closed form in the sufficient statistics (n, n0, ybar); the likelihood
 ratio statistic needs the full-model MLE, ``pstar = n0 / n`` and theta
 solving the zero-truncated mean equation by Newton steps, one solver for every
-family; both are computed from the sufficient statistics (n, n0, s) alone.
+family; both are computed from the sufficient statistics (n, n0, s) alone,
+elementwise over arrays of (n0, s), so that a power cell takes one call on
+its distinct pairs.
 """
 
 from __future__ import annotations
@@ -79,20 +81,22 @@ def mle_null(family: Family, sample: CountSample) -> MleResult:
         raise DegenerateSampleError(
             "no positive counts: null MLE sits at the boundary of the base family")
     theta0, ll0 = _null_fit(family, sample.n, sample.s)
-    return MleResult(0.0, theta0, ll0 + _log_a_sum(family, sample),
+    return MleResult(0.0, float(theta0), float(ll0 + _log_a_sum(family, sample)),
                      converged=True, iterations=0)
 
 
-def _null_fit(family: Family, n: int, s: float) -> tuple[float, float]:
+def _null_fit(family: Family, n: int, s):
     """Null fit ``theta0`` (mean ``s / n``) and its log likelihood without the
-    log a_y constants, ``s log theta0 - n log c``, finite where ``1 / c`` underflows."""
-    theta0 = family._series.theta_from_mean(s / n)
-    return theta0, s * math.log(theta0) - n * family._series.log_c(theta0)
+    log a_y constants, ``s log theta0 - n log c``, finite where ``1 / c``
+    underflows; elementwise over an array ``s``."""
+    theta0 = np.asarray(family._series.theta_from_mean(s / n))
+    return theta0, s * np.log(theta0) - n * family._series.log_c(theta0)
 
 
-def _truncated_mean_root(family: Family, m: int, s: float) -> tuple[float, int]:
+def _truncated_mean_root(family: Family, m: np.ndarray, s: np.ndarray):
     """Theta solving the zero-truncated mean equation
-    ``mean(theta) / (1 - f0(theta)) = s / m``, and its Newton steps.
+    ``mean(theta) / (1 - f0(theta)) = s / m`` for rows of arrays ``m`` and
+    ``s``, and each row's Newton steps.
 
     The steps run in ``u = log(theta)``, where the truncated mean rises with
     slope ``theta**2 * trunc_info(theta)`` (the truncated variance), from
@@ -103,44 +107,47 @@ def _truncated_mean_root(family: Family, m: int, s: float) -> tuple[float, int]:
     ``s = m``, to about ``4e-16 * m / (s - m)`` relative for Poisson.
     """
     series, target = family._series, s / m
-    steps = 0
+    steps = np.zeros(target.shape, dtype=int)
 
-    def fun(u):
-        nonlocal steps
-        steps += 1
-        theta = math.exp(u)
-        mean = series.mean(theta) / -math.expm1(-series.log_c(theta))
-        return target - mean, -theta * theta * float(series.trunc_info(theta, series.log_c(theta)))
+    def fun(u, rows):
+        steps[rows] += 1
+        theta = np.exp(u)
+        log_c = series.log_c(theta)
+        mean = series.mean(theta) / -np.expm1(-log_c)
+        return target[rows] - mean, -theta * theta * series.trunc_info(theta, log_c)
 
-    u = _newton(fun, math.log(series.theta_from_mean((s - m) / m)), 1e-6,
-                hi=math.log(series.theta_max), ftol=4.0 * math.ulp(target))
-    return math.exp(u), steps
+    u = _newton(fun, np.log(series.theta_from_mean((s - m) / m)), 1e-6,
+                hi=math.log(series.theta_max), ftol=4.0 * np.spacing(target))
+    return np.exp(u), steps
 
 
-def _mle_full_stats(family: Family, n: int, n0: int, s: int):
-    """Full-model MLE from sufficient statistics.
+def _mle_full_stats(family: Family, n: int, n0, s):
+    """Full-model MLE from sufficient statistics, elementwise over arrays
+    ``n0`` and ``s``.
 
     Returns ``(p_hat, theta_hat, iterations, boundary)`` without
     evaluating the likelihood; ``_sup_loglik`` gives its maximum.
     """
-    if n0 == n:
+    n0, s = np.asarray(n0, dtype=float), np.asarray(s, dtype=float)
+    if np.any(n0 == n):
         raise DegenerateSampleError("all counts are zero: (p, theta) not identifiable")
     m = n - n0
-    if s == m:
-        # every positive count equals one; the likelihood supremum is only
-        # approached as theta tends to zero, with p running off to the
-        # lower endpoint along pstar = n0/n
-        return math.nan, 0.0, 0, True
-    theta, iters = _truncated_mean_root(family, m, s)
+    # where every positive count equals one, the likelihood supremum is only
+    # approached as theta tends to zero, with p running off to the lower
+    # endpoint along pstar = n0/n
+    ones = s == m
+    theta, iters = np.zeros(m.shape), np.zeros(m.shape, dtype=int)
+    theta[~ones], iters[~ones] = _truncated_mean_root(family, m[~ones], s[~ones])
     # the fitted zero probability p + (1 - p) * f0 equals n0 / n
     f0 = family.f0(theta)
-    p_hat = (n0 / n - f0) / (1.0 - f0)
-    return p_hat, theta, iters, n0 == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_hat = np.where(ones, math.nan, (n0 / n - f0) / (1.0 - f0))
+    return p_hat[()], theta[()], iters[()], (ones | (n0 == 0))[()]
 
 
-def _sup_loglik(family: Family, n: int, n0: int, s: float,
-                theta_hat: float) -> float:
-    """Full-model maximum of the log likelihood, without the log a_y constants.
+def _sup_loglik(family: Family, n: int, n0, s, theta_hat):
+    """Full-model maximum of the log likelihood, without the log a_y
+    constants; elementwise over arrays.
 
     In the orthogonal coordinates the likelihood splits into a binomial part
     in pstar, maximized at n0 / n, and the zero-truncated family in theta,
@@ -148,15 +155,13 @@ def _sup_loglik(family: Family, n: int, n0: int, s: float,
     ``theta_hat`` does, which is the supremum for samples whose positive
     counts all equal one.
     """
-    m = n - n0
-    ll = m * math.log(m / n)
-    if n0 > 0:
-        ll += n0 * math.log(n0 / n)
-    if theta_hat > 0.0:
+    m, theta_hat = n - n0, np.asarray(theta_hat)
+    with np.errstate(divide="ignore", invalid="ignore"):
         log_c = family._series.log_c(theta_hat)
         # log(c - 1) = log c + log(1 - f0), stable for large and small c
-        ll += s * math.log(theta_hat) - m * (log_c + math.log(-math.expm1(-log_c)))
-    return ll
+        fit = s * np.log(theta_hat) - m * (log_c + np.log(-np.expm1(-log_c)))
+        return (m * np.log(m / n) + np.where(n0 > 0, n0 * np.log(n0 / n), 0.0)
+                + np.where(theta_hat > 0.0, fit, 0.0))
 
 
 def mle_full(family: Family, sample: CountSample) -> MleResult:
@@ -170,7 +175,7 @@ def mle_full(family: Family, sample: CountSample) -> MleResult:
         family, sample.n, sample.n0, sample.s)
     ll = (_sup_loglik(family, sample.n, sample.n0, sample.s, theta_hat)
           + _log_a_sum(family, sample))
-    return MleResult(p_hat, theta_hat, ll, True, iters, boundary)
+    return MleResult(float(p_hat), float(theta_hat), float(ll), True, int(iters), bool(boundary))
 
 
 def gradient_norm_at(family: Family, result: MleResult, sample: CountSample) -> float:
@@ -181,8 +186,9 @@ def gradient_norm_at(family: Family, result: MleResult, sample: CountSample) -> 
     return float(np.linalg.norm(grad))
 
 
-def _score_statistic(family: Family, n: int, n0: int, s: int) -> tuple[float, float]:
-    """Score statistic and its sign from sufficient statistics.
+def _score_statistic(family: Family, n: int, n0, s):
+    """Score statistic and its sign from sufficient statistics, elementwise
+    over arrays ``n0`` and ``s``.
 
     At the null fit ``theta0`` the score for p is ``n0 / f0 - n``.  Its
     variance is n times the efficient information for p, ``v / f0`` with
@@ -192,19 +198,20 @@ def _score_statistic(family: Family, n: int, n0: int, s: int) -> tuple[float, fl
     ``f0`` underflows to zero, any zero in the sample is infinite evidence.
     """
     series = family._series
-    theta0 = series.theta_from_mean(s / n)
+    theta0 = series.theta_from_mean(np.asarray(s / n, dtype=float))
     f0 = series.f0(theta0)
-    if f0 == 0.0:
-        return (math.inf, 1.0) if n0 > 0 else (0.0, 0.0)
     c1, c2, _ = series.log_c_derivs(theta0)
-    v = 1.0 - f0 - f0 * theta0 * c1 * c1 / (c1 + theta0 * c2)
     excess = n0 - n * f0
-    stat = excess * excess / (n * f0 * v)
-    return stat, math.copysign(1.0, excess) if excess != 0.0 else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = 1.0 - f0 - f0 * theta0 * c1 * c1 / (c1 + theta0 * c2)
+        stat = np.where(f0 == 0.0, math.inf, excess * excess / (n * f0 * v))
+    # with f0 zero, the excess is n0
+    return np.where(excess == 0.0, 0.0, stat)[()], np.sign(excess)[()]
 
 
-def _lr_statistic_stats(family: Family, n: int, n0: int, s: float) -> tuple[float, float]:
-    """Likelihood ratio statistic and sign from sufficient statistics.
+def _lr_statistic_stats(family: Family, n: int, n0, s):
+    """Likelihood ratio statistic and sign from sufficient statistics,
+    elementwise over arrays ``n0`` and ``s``.
 
     The log a_y constants cancel.  The statistic is clamped at zero against
     rounding in the Newton solve.  When the full-model weight estimate is
@@ -212,13 +219,10 @@ def _lr_statistic_stats(family: Family, n: int, n0: int, s: float) -> tuple[floa
     the score direction ``n0/n - f0(theta0)``.
     """
     p_hat, theta_hat, _, _ = _mle_full_stats(family, n, n0, s)
-    stat = max(2.0 * (_sup_loglik(family, n, n0, s, theta_hat)
-                      - _null_fit(family, n, s)[1]), 0.0)
-    if math.isnan(p_hat):
-        _, sign = _score_statistic(family, n, n0, s)
-    else:
-        sign = math.copysign(1.0, p_hat) if p_hat != 0.0 else 0.0
-    return stat, sign
+    stat = np.maximum(2.0 * (_sup_loglik(family, n, n0, s, theta_hat)
+                             - _null_fit(family, n, s)[1]), 0.0)
+    sign = np.where(np.isnan(p_hat), _score_statistic(family, n, n0, s)[1], np.sign(p_hat))
+    return stat[()], sign[()]
 
 
 def _alpha_cutoffs(alpha: float) -> tuple[float, float]:
@@ -229,6 +233,7 @@ def _alpha_cutoffs(alpha: float) -> tuple[float, float]:
 
 def _build_report(method: TestMethod, stat: float, sign: float,
                   alpha: float, sidedness: Sidedness) -> TestReport:
+    stat, sign = float(stat), float(sign)
     signed_root = sign * math.sqrt(max(stat, 0.0))
     z_cut, chi_cut = _alpha_cutoffs(alpha)
     if sidedness is Sidedness.ONE_SIDED:

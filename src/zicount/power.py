@@ -197,15 +197,16 @@ def _replications(family: Family, p: float, theta: float, n: int, reps: int,
 
     Replication ``rep`` draws its data from the child ``key + (rep, 0)`` of
     ``seed``, which is ``spawn(2)[0]`` of ``key + (rep,)``, and an all-zero
-    sample is redrawn at most ``MAX_REDRAWS`` times.  Yields
+    sample is redrawn at most ``MAX_REDRAWS`` times.  At ``p = 0`` the draws
+    are the base family's alone, with no uniforms for the zero mask.  Yields
     ``(values, n0, rep, redraws)``; ``_rep_rngs(seed, key, reps, 1)`` gives
     the replications' Bayes generators to the callers that need them.
     """
-    model = ZipsModel(family, p if p != 0.0 else 1e-14, theta)
+    model = ZipsModel(family, p, theta)
     for rep, rng in enumerate(_rep_rngs(seed, key, reps, 0)):
         for redraws in range(MAX_REDRAWS):
             values = sample_values(model, n, rng)
-            n0 = int(np.count_nonzero(values == 0))
+            n0 = n - int(np.count_nonzero(values))
             if n0 < n:
                 break
         else:
@@ -229,33 +230,30 @@ def _run_combo(config: PowerConfig, combo_index: int):
     rejections = {m: 0 for m in methods}
     redraws, key = 0, (combo_index,)
     bayes = _rep_rngs(config.seed, key, config.reps, 1) if Method.BAYES in methods else None
-    # the score and LR methods rejecting at each (n0, s), which repeat
-    # across replications
-    rejecting = {}
+    rows = np.empty((config.reps, 2), dtype=np.int64)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for values, n0, _, redrawn in _replications(
+        for values, n0, rep, redrawn in _replications(
                 family, p, theta, n, config.reps, config.seed, key):
             redraws += redrawn
-            s = int(values.sum())
-            if (n0, s) not in rejecting:
-                found = []
-                for statistic, one, two in tests:
-                    stat, sign = statistic(family, n, n0, s)
-                    if one in methods and sign * math.sqrt(stat) > z_cut:
-                        found.append(one)
-                    if two in methods and stat > chi_cut:
-                        found.append(two)
-                rejecting[n0, s] = tuple(found)
-            for method in rejecting[n0, s]:
-                rejections[method] += 1
+            rows[rep] = n0, values.sum()
             if bayes is not None:
                 est = posterior_prob_positive(
                     family, CountSample.from_values(values), B=config.draws,
                     seed=next(bayes))
                 if est.value > 1.0 - config.alpha:
                     rejections[Method.BAYES] += 1
+        # score and LR once on the distinct (n0, s), which repeat across
+        # replications, each rejecting row counted as often as it occurred
+        distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+        counts = np.bincount(inverse.reshape(-1))
+        for statistic, one, two in tests:
+            stat, sign = statistic(family, n, distinct[:, 0], distinct[:, 1])
+            if one in methods:
+                rejections[one] = int(counts[sign * np.sqrt(stat) > z_cut].sum())
+            if two in methods:
+                rejections[two] = int(counts[stat > chi_cut].sum())
 
     return combo_index, rejections, redraws
 

@@ -286,6 +286,15 @@ class TestBetaCalibration:
         with pytest.raises(ValueError):
             beta_calibration(Family.POISSON, 1.0, 50, reps=100)
 
+    def test_sample_size_validation(self):
+        # uniformity_check and beta_calibration share the null simulation,
+        # and with it its checks
+        for n in (1, 0):
+            with pytest.raises(ValueError, match="n too small"):
+                beta_calibration(Family.POISSON, 1.0, n, 500, seed=1)
+            with pytest.raises(ValueError, match="n too small"):
+                uniformity_check(Family.POISSON, 1.0, n, 500, seed=1)
+
     def test_calibrated_cutoff_holds_level(self):
         # null rejection rates with the calibrated cutoff stay near alpha
         # across the (theta, n) grid

@@ -8,7 +8,8 @@ from zicount import (CountSample, Family, Parametrization, ParameterRangeError,
                      ZipsModel, fisher_info, fisher_info_orthogonal, from_pstar,
                      log_likelihood, log_pmf, loglik_derivatives, p_lower, pmf,
                      sample, to_pstar)
-from zicount.distributions import _log_likelihood, _poisson_tail_bound
+from zicount.distributions import _log_likelihood, _newton, _poisson_tail_bound
+from zicount.errors import QuadratureError
 
 from conftest import fd_hessian
 
@@ -355,3 +356,70 @@ class TestCountSample:
         a = CountSample({0: 2, 1: 1})
         b = CountSample({1: 1, 0: 2})
         assert a == b and hash(a) == hash(b)
+
+
+def _newton_rows(root, kind):
+    """A decreasing ``fun(x, rows)`` for ``_newton`` over rows with roots
+    ``root``, counting its calls per row in ``calls``.  Kind 0 is the line
+    ``root - x`` (one Newton step), kind 1 is ``tanh(root - x)``, whose first
+    Newton step from three units off overshoots by about a hundred and the
+    next leaves the bracket (bisection), and kind 2 is the line with no
+    slope, so that an open side is stepped by doubling lengths."""
+    calls = np.zeros(root.size, dtype=int)
+
+    def fun(x, rows):
+        calls[rows] += 1
+        r, k = root[rows], kind[rows]
+        val = np.where(k == 1, np.tanh(r - x), r - x)
+        slope = np.where(k == 0, -1.0, np.where(k == 1, np.tanh(r - x) ** 2 - 1.0, math.nan))
+        return val, slope
+
+    return fun, calls
+
+
+class TestNewton:
+    rng = np.random.default_rng(11)
+    kind = np.tile([0, 1, 2], 7)
+    root = rng.uniform(-4.0, 4.0, kind.size)
+    start = root - np.where(kind == 1, 3.0, rng.uniform(-6.0, 6.0, kind.size))
+    tol = np.where(kind == 2, 1e-9, 1e-6)
+
+    def test_rows_equal_one_row_solves(self):
+        fun, calls = _newton_rows(self.root, self.kind)
+        roots = _newton(fun, self.start, self.tol)
+        assert np.abs(roots - self.root).max() < 1e-8
+        # every kind takes several calls, and kind 2 the doubling steps
+        assert calls.min() >= 2 and calls[self.kind == 2].min() >= 6
+        for i in range(self.root.size):
+            one, one_calls = _newton_rows(self.root[i:i + 1], self.kind[i:i + 1])
+            assert _newton(one, self.start[i:i + 1], self.tol[i:i + 1])[0] == roots[i]
+            assert one_calls[0] == calls[i]
+            # a scalar call gives the same float
+            scalar = lambda x, f=one: tuple(float(v[0]) for v in f(np.array([x]), [0]))
+            assert _newton(scalar, float(self.start[i]), float(self.tol[i])) == roots[i]
+
+    def test_bounds_and_ftol_per_row(self):
+        root, kind = np.array([1.0, 1.0, 1.1, 2.3]), np.array([0, 0, 2, 2])
+        fun, calls = _newton_rows(root, kind)
+        ftol = np.array([0.0, 0.75, 0.0, 0.0])
+        roots = _newton(fun, np.array([0.5, 0.5, 0.5, 3.0]), 1e-10,
+                        lo=np.array([-np.inf, -np.inf, 0.0, 2.0]),
+                        hi=np.array([np.inf, np.inf, 1.5, 4.0]), ftol=ftol)
+        # |fun| at the start is 0.5, within the second row's ftol only
+        assert roots[1] == 0.5 and calls[1] == 1
+        assert roots[0] == 1.0 and calls[0] == 2
+        # bisection of the given brackets
+        assert abs(roots[2] - 1.1) < 1e-9 and abs(roots[3] - 2.3) < 1e-9
+        assert calls[2] > 20 and calls[3] > 20
+
+    def test_a_row_that_does_not_converge_raises(self):
+        root, kind = np.array([0.0, 1.0, math.nan]), np.array([0, 1, 0])
+        fun, _ = _newton_rows(root, kind)
+        with pytest.raises(QuadratureError, match="1 of 3 rows"):
+            _newton(fun, np.zeros(3), 1e-8)
+
+    def test_shape_and_empty(self):
+        fun, _ = _newton_rows(np.arange(6.0), np.zeros(6, dtype=int))
+        roots = _newton(fun, np.zeros((2, 3)), 1e-8)
+        assert roots.shape == (2, 3) and np.array_equal(roots.ravel(), np.arange(6.0))
+        assert _newton(fun, np.empty(0), 1e-8).shape == (0,)

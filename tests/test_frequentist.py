@@ -253,6 +253,21 @@ class TestScoreTest:
                 assert two.reject == bool(stat > chi_cut)
 
 
+@pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
+@pytest.mark.parametrize("statistic", [_score_statistic, _lr_statistic_stats],
+                         ids=["score", "lr"])
+def test_statistics_over_rows_equal_one_row_calls(family, statistic):
+    # all-ones rows (s = m) and rows without zeros included
+    rng = np.random.default_rng(6)
+    n = 60
+    n0 = np.concatenate([[0, 0, 5, 59], rng.integers(0, n, 300)])
+    m = n - n0
+    s = np.concatenate([[60, 75, 55, 1], m[4:] + rng.poisson(m[4:] * rng.uniform(0.0, 3.0, 300))])
+    stat, sign = statistic(family, n, n0, s)
+    rows = np.array([statistic(family, n, int(a), int(b)) for a, b in zip(n0, s)])
+    assert np.array_equal(stat, rows[:, 0]) and np.array_equal(sign, rows[:, 1])
+
+
 class TestLrTest:
     def test_zero_when_sample_is_poisson_shaped(self):
         theta_star = math.log(4.0)

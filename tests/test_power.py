@@ -211,6 +211,23 @@ class TestSeedLayout:
             total_redraws += redraws
         assert total_redraws > 0
 
+    @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
+    def test_null_stream_draws_the_base_family_alone(self, family):
+        # theta = 0.1 at n = 5: about 1.5 all-zero redraws per replication;
+        # at p = 0 a redraw follows the last draw on the same generator, with
+        # no uniforms for a zero mask in between
+        theta, n, reps, seed = 0.1, 5, 200, 8
+        total_redraws = 0
+        for values, n0, rep, redraws in _replications(family, 0.0, theta, n, reps, seed):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep, 0)))
+            expected, redrawn = family._series.draws(rng, theta, n), 0
+            while not expected.any():
+                expected, redrawn = family._series.draws(rng, theta, n), redrawn + 1
+            assert np.array_equal(values, expected)
+            assert (n0, redraws) == (n - np.count_nonzero(expected), redrawn)
+            total_redraws += redraws
+        assert 1.2 * reps < total_redraws < 1.8 * reps
+
     @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**64 - 1])
     @pytest.mark.parametrize("key", [(), (3,), (7, 2**33 + 1)])
     def test_bulk_states_are_seed_sequence_states(self, seed, key):
