@@ -34,13 +34,12 @@ import numpy as np
 from ._lazy import LazyModule
 from .distributions import CountSample, Family, _log_a_sum, _newton, p_lower
 from .errors import DegenerateSampleError, ParameterRangeError, QuadratureError
+from .limits import MIN_CURVE_POINTS
 
 special = LazyModule("scipy.special", globals())
 integrate = LazyModule("scipy.integrate", globals())
 
 DEFAULT_DRAWS = 10_000
-# fewest points of a density curve
-MIN_CURVE_POINTS = 16
 # theta window over which the Bayes factor averages its prior odds
 DEFAULT_THETA_WINDOW = (0.0, 50.0)
 

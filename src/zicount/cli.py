@@ -8,30 +8,59 @@ randomness is governed by an explicit or auto-generated seed that is always
 echoed in the report.
 
 Exit codes: 0 success, 1 internal error, 2 bad input or degenerate data.
+
+At import this module loads only the standard library and the numpy-free
+modules ``errors``, ``datasets`` and ``limits``, so ``--version``,
+``--help`` and usage errors load no numpy.
+The names it takes from the model modules resolve on first use (PEP 562):
+each command binds those of the modules it runs, and a name already bound,
+such as a timing wrapper or a test double set on this module, stays bound.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
-from .bayes import (MIN_CURVE_POINTS, IntervalKind, _bayes_factor_from,
-                    exact_marginal, posterior_prob_positive)
-# unused here; kept only because perfbench/tracing.py wraps this module's names
-from .bayes import (bayes_factor_positive, credible_interval, density_curve,
-                    draw_posterior, hpd_interval)
 from .datasets import (dataset_names, dataset_table, format_freq_csv,
                        load_counts, load_dataset)
-from .distributions import CountSample, Family
 from .errors import ZicountError
-from .frequentist import Sidedness, lr_test, mle_full, mle_null, score_test
-from .power import (MIN_REPS, Method, PowerConfig, REFERENCE_POWER_ONE_SIDED,
-                    REFERENCE_POWER_TWO_SIDED, compare_tables, run_power_study)
+from .limits import MIN_CURVE_POINTS, MIN_REPS
+
+# the submodule that defines each name this module takes from the package;
+# bayes_factor_positive, credible_interval, density_curve, draw_posterior and
+# hpd_interval are unused here, kept only because perfbench/tracing.py wraps
+# this module's names
+_LAZY = {name: module for module, names in {
+    "bayes": ("IntervalKind", "_bayes_factor_from", "bayes_factor_positive",
+              "credible_interval", "density_curve", "draw_posterior",
+              "exact_marginal", "hpd_interval", "posterior_prob_positive"),
+    "distributions": ("CountSample", "Family"),
+    "frequentist": ("Sidedness", "lr_test", "mle_full", "mle_null", "score_test"),
+    "power": ("Method", "PowerConfig", "REFERENCE_POWER_ONE_SIDED",
+              "REFERENCE_POWER_TWO_SIDED", "compare_tables", "run_power_study"),
+}.items() for name in names}
+
+
+def _bind(*modules: str) -> None:
+    """Bind in this module the names it takes from ``modules``, except those
+    already bound."""
+    namespace = globals()
+    for name, module in _LAZY.items():
+        if module in modules and name not in namespace:
+            namespace[name] = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_LAZY[name])
+    return globals()[name]
+
 
 SCHEMA_VERSION = 1
 
@@ -49,7 +78,10 @@ def _fmt(x) -> str:
 def _auto_seed(value) -> int:
     if value is not None:
         return int(value)
-    return int(np.random.SeedSequence().entropy % (2 ** 31))
+    import secrets
+
+    # 128 bits, the entropy numpy's SeedSequence() draws, reduced to a seed
+    return secrets.randbits(128) % (2 ** 31)
 
 
 def _load_sample(args) -> tuple[CountSample, str]:
@@ -153,6 +185,7 @@ def _emit(report: dict, out_format: str) -> None:
 
 
 def _cmd_test(args) -> int:
+    _bind("bayes", "distributions", "frequentist")
     family = Family(args.model)
     sample, name = _load_sample(args)
     seed = _auto_seed(args.seed)
@@ -189,6 +222,7 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_interval(args) -> int:
+    _bind("bayes", "distributions")
     family = Family(args.model)
     sample, name = _load_sample(args)
     seed = _auto_seed(args.seed)
@@ -220,6 +254,7 @@ def _cmd_interval(args) -> int:
 
 
 def _cmd_posterior(args) -> int:
+    _bind("bayes", "distributions")
     family = Family(args.model)
     sample, name = _load_sample(args)
     seed = _auto_seed(args.seed)
@@ -245,6 +280,7 @@ def _parse_grid_values(text: str, cast):
 
 
 def _cmd_power(args) -> int:
+    _bind("distributions", "power")
     raw = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:

@@ -23,10 +23,9 @@ from .bayes import posterior_prob_positive
 from .distributions import CountSample, Family, ZipsModel, sample_values
 from .errors import DegenerateSampleError, MissingCellError
 from .frequentist import _alpha_cutoffs, _lr_statistic_stats, _score_statistic
+from .limits import MIN_REPS
 
 MAX_REDRAWS = 100
-# fewest replications per cell of a power study
-MIN_REPS = 100
 
 
 class Method(Enum):

@@ -14,6 +14,7 @@ import warnings
 import pytest
 
 from zicount import Family, Method, PowerConfig, run_power_study, uniformity_check
+from zicount.cli import main
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -51,3 +52,15 @@ def test_simulation_layers_are_traced():
     assert null_names == {"distributions.sample_values"}
     assert names == {target[2] for target in tracing.SIMULATION_TARGETS} - {
         "bayes.factorized"} | {"distributions.from_values"}
+
+
+def test_cli_layers_are_traced(capsys):
+    # the command binds its model names on first use; that binding must not
+    # replace the wrappers installed on zicount.cli
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer, tracing.CLI_TARGETS), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["test", "--dataset", "uti", "--method", "all", "--seed", "1"]) == 0
+    names = {span[1] for span in tracer.spans}
+    assert {"datasets.load_dataset", "frequentist.score_test", "frequentist.lr_test",
+            "bayes.posterior_prob_positive"} <= names

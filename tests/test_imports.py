@@ -34,6 +34,15 @@ LIGHT_COMMANDS = (
 # commands that load no SciPy at all
 SCIPY_FREE_COMMANDS = (["--version"], ["datasets", "list"])
 
+# commands that the parser answers before any model module loads, with
+# their exit codes
+NUMPY_FREE_COMMANDS = (
+    (["--version"], 0),
+    (["--help"], 0),
+    (["test", "--help"], 0),
+    (["test", "--dataset", "uti", "--alpha", "2"], 2),
+)
+
 COMMAND = """
 import contextlib, io, json, sys
 from zicount.cli import main
@@ -70,9 +79,41 @@ def _scipy(modules) -> list[str]:
     return [name for name in modules if name == "scipy" or name.startswith("scipy.")]
 
 
+def _numpy_or_scipy(modules) -> list[str]:
+    return [name for name in modules if name.split(".")[0] in ("numpy", "scipy")]
+
+
 def test_package_import_loads_neither_numpy_nor_scipy():
     modules = _loaded("import zicount")
     assert [name for name in modules if name.split(".")[0] in ("numpy", "scipy")] == []
+
+
+def test_cli_import_loads_neither_numpy_nor_model_modules():
+    modules = _loaded("from zicount.cli import main")
+    assert _numpy_or_scipy(modules) == []
+    assert sorted(name for name in modules if name.startswith("zicount.")) == [
+        "zicount.cli", "zicount.datasets", "zicount.errors", "zicount.limits"]
+
+
+@pytest.mark.parametrize("argv, exit_code", NUMPY_FREE_COMMANDS,
+                         ids=[" ".join(argv) for argv, _ in NUMPY_FREE_COMMANDS])
+def test_parser_answers_without_numpy(argv, exit_code):
+    code, modules = _command(argv)
+    assert code == exit_code
+    assert _numpy_or_scipy(modules) == []
+
+
+def test_module_entry_point_runs_main_without_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "zicount", "--version"],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    # -X importtime writes "import time: self | cumulative | module" lines
+    modules = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+               if line.startswith("import time:")]
+    assert proc.stdout.startswith("zicount ")
+    assert "zicount.cli" in modules
+    assert _numpy_or_scipy(modules) == []
 
 
 def test_cli_import_loads_no_scipy_and_no_asymptotics():
