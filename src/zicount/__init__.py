@@ -15,8 +15,8 @@ sits in the interior of the parameter space.  It provides:
   the Bayes test (``asymptotics``);
 * a Monte Carlo power-study harness with bundled reference tables
   (``power``);
-* bundled classic datasets and file ingestion (``datasets``) plus a CLI
-  (``zicount``).
+* the frequency table of a sample (``counts``), bundled classic datasets
+  and file ingestion (``datasets``) plus a CLI (``zicount``).
 
 The public names load lazily (PEP 562): ``import zicount`` imports neither
 numpy nor SciPy, and the first access to a name imports the submodule that
@@ -40,9 +40,10 @@ _EXPORTS = {name: module for module, names in {
               "marginal_posterior_density", "posterior_prob_positive",
               "posterior_prob_positive_factorized",
               "posterior_prob_positive_quadrature", "prior_density"),
+    "counts": ("CountSample",),
     "datasets": ("dataset_names", "dataset_table", "format_freq_csv",
                  "load_counts", "load_dataset", "parse_counts_text"),
-    "distributions": ("CountSample", "Family", "FisherInfo", "Parametrization",
+    "distributions": ("Family", "FisherInfo", "Parametrization",
                       "ZipsModel", "fisher_info", "fisher_info_orthogonal",
                       "from_pstar", "log_likelihood", "log_pmf",
                       "loglik_derivatives", "p_lower", "pmf", "sample",

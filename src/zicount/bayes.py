@@ -287,30 +287,29 @@ class _ThetaPosterior:
         self.lo, self.hi = mode - below, mode + above
         self.cuts = np.stack([self.lo, mode, self.hi], axis=1)
 
-    def log_density(self, x, rows=None):
-        """Log density of x up to a constant, and ``log c`` there: of the one
-        row at every element of ``x``, or, given ``rows``, of those rows
-        along the first axis of ``x``."""
-        m, s, mode = ((self.m.item(), self.s.item(), self.mode.item()) if rows is None
-                      else (self.m[rows, None], self.s[rows, None], self.mode[rows, None]))
+    def log_density(self, x, rows=0):
+        """Log density of x up to a constant, and ``log c`` there.  ``rows``
+        is one row index, whose row is taken at every element of ``x``, or
+        an index array, one row per entry along the first axis of ``x``."""
+        m, s, mode = self.m[rows, None], self.s[rows, None], self.mode[rows, None]
         theta, log_theta, log_c, log_cm1, log_dudx = self.series.coord(x, mode)
         return ((s + 1.0) * log_theta - m * log_cm1
                 + (self.prior.log_g(self.series, theta, log_c) + log_dudx)), log_c
 
-    def nodes(self, cuts, squared=False, rows=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def nodes(self, cuts, squared=False, rows=0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """64 Gauss-Legendre nodes x per panel between ``cuts``, weights times
         the density relative to the mode, and ``log c``.  The leading axes of
-        ``cuts`` run over sets of cuts of the one row or, given ``rows``, over
-        those rows.  A panel flagged in ``squared`` maps ``x = b - (b - a)
-        t**2`` first: half-integer powers of ``b - x`` (a Beta tail) become
-        polynomials."""
+        ``cuts`` run over sets of cuts of the one row index ``rows`` or, for
+        an index array, over those rows.  A panel flagged in ``squared`` maps
+        ``x = b - (b - a) t**2`` first: half-integer powers of ``b - x`` (a
+        Beta tail) become polynomials."""
         cuts = np.asarray(cuts, dtype=float)
         b = cuts[..., 1:, None]
         width = b - cuts[..., :-1, None]
         rule = _gauss_legendre()[np.asarray(squared, dtype=int)]
         x = (b - width * rule[..., 0, :]).reshape(cuts.shape[:-1] + (-1,))
         log_d, log_c = self.log_density(x, rows)
-        peak = self.peak.item() if rows is None else self.peak[rows, None]
+        peak = self.peak[rows, None]
         return x, (width * rule[..., 1, :]).reshape(x.shape) * np.exp(log_d - peak), log_c
 
     def coord_at(self, om):
@@ -319,14 +318,13 @@ class _ThetaPosterior:
         with np.errstate(divide="ignore", invalid="ignore"):
             return self.series.coord_from_log_c(-np.log1p(-om))
 
-    def pstar_cdf(self, x, y, rows=None):
-        """``P(pstar <= x)``, with ``y = 1 - x`` given, of the one row at every
-        element of ``x`` or, given ``rows``, of those rows along its first
-        axis: exactly 1 or 0 where ``y`` is below or above the ``window``, so
-        ``betainc`` runs only inside it."""
-        a, b, lo, hi = ((self.a.item(), self.b.item(), *self.window[0]) if rows is None
-                        else (self.a[rows, None], self.b[rows, None],
-                              self.window[rows, :1], self.window[rows, 1:]))
+    def pstar_cdf(self, x, y, rows=0):
+        """``P(pstar <= x)``, with ``y = 1 - x`` given, of the one row index
+        ``rows`` at every element of ``x`` or, for an index array, of those
+        rows along its first axis: exactly 1 or 0 where ``y`` is below or
+        above the ``window``, so ``betainc`` runs only inside it."""
+        a, b = self.a[rows, None], self.b[rows, None]
+        lo, hi = self.window[rows, :1], self.window[rows, 1:]
         out = (y < lo).astype(float)
         inside = (y >= lo) & (y <= hi)
         out[inside] = special.betainc(np.broadcast_to(a, x.shape)[inside],

@@ -11,7 +11,7 @@ Exit codes: 0 success, 1 internal error, 2 bad input or degenerate data.
 
 At import this module loads only the standard library and the numpy-free
 modules ``errors``, ``datasets`` and ``limits``, so ``--version``,
-``--help`` and usage errors load no numpy.
+``--help``, usage errors and the ``datasets`` command load no numpy.
 The names it takes from the model modules resolve on first use (PEP 562):
 each command binds those of the modules it runs, and a name already bound,
 such as a timing wrapper or a test double set on this module, stays bound.

@@ -18,8 +18,9 @@ where that fails, so a 10**6-line file takes a fraction of the line
 parser's time and every error message is the line parser's.  A file with
 a ``#`` goes to the line parser alone.
 
-The module loads numpy only where it reads or builds a sample, so the
-command line parser reads the dataset names without it.
+The module loads numpy only where it reads or tabulates raw counts, so the
+command line parser reads the dataset names, and the ``datasets`` command
+serves the bundled tables, without it.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def load_dataset(name: str) -> CountSample:
     """Return a bundled dataset by name, verifying its checksum."""
     import hashlib
 
-    from .distributions import CountSample
+    from .counts import CountSample
 
     key = name.lower()
     if key not in DATASETS:
@@ -101,7 +102,7 @@ def parse_counts_text(text: str, name: str = "<input>") -> CountSample:
     The form is decided by the first data line; mixing forms is an error.
     Errors carry the offending line number and content.
     """
-    from .distributions import CountSample
+    from .counts import CountSample
 
     values = _raw_counts(text)
     if values is not None:

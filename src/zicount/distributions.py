@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from ._lazy import LazyModule
+from .counts import CountSample
 from .errors import ParameterRangeError, QuadratureError
 
 special = LazyModule("scipy.special", globals())
@@ -56,11 +57,6 @@ class _PowerSeries:
     dlog_trunc_info: Callable
     log_jeffreys: Callable
     dlog_jeffreys: Callable
-
-
-def _poisson_f0(theta):
-    # numpy for arrays of posterior draws, math for the scalar hot paths
-    return np.exp(-theta) if isinstance(theta, np.ndarray) else math.exp(-theta)
 
 
 def _poisson_tail_bound(theta: float, eps: float) -> int:
@@ -95,8 +91,8 @@ def _geometric_coord(v, v0):
 # c(theta) = exp(theta), a_y = 1 / y!
 _POISSON = _PowerSeries(
     theta_max=math.inf,
-    f0=_poisson_f0,
-    f0_derivs=lambda t: (-math.exp(-t), math.exp(-t), -math.exp(-t)),
+    f0=lambda t: np.exp(-t),
+    f0_derivs=lambda t: (-(e := np.exp(-t)), e, -e),
     log_c=lambda t: t,
     log_c_derivs=lambda t: (1.0, 0.0, 0.0),
     log_a=lambda y: -special.gammaln(y + 1.0),
@@ -110,7 +106,7 @@ _POISSON = _PowerSeries(
     draws=lambda rng, t, n: rng.poisson(t, n),
     tail_bound=_poisson_tail_bound,
     # 1 - e^-t - t e^-t, without its cancellation at small t
-    trunc_info=lambda t, log_c: special.gammainc(2.0, t) / (t * np.expm1(-t) ** 2),
+    trunc_info=lambda t, log_c: special.gammainc(2.0, t) / (t * np.square(np.expm1(-t))),
     dlog_trunc_info=_poisson_dlog_trunc_info,
     log_jeffreys=lambda t, log_c: -0.5 * np.log(t),
     dlog_jeffreys=lambda t, log_c: -0.5 / t,
@@ -121,9 +117,9 @@ _GEOMETRIC = _PowerSeries(
     theta_max=1.0,
     f0=lambda t: 1.0 - t,
     f0_derivs=lambda t: (-1.0, 0.0, 0.0),
-    log_c=lambda t: -np.log1p(-t) if isinstance(t, np.ndarray) else -math.log1p(-t),
-    log_c_derivs=lambda t: (1.0 / (1.0 - t), 1.0 / (1.0 - t) ** 2,
-                            2.0 / (1.0 - t) ** 3),
+    log_c=lambda t: -np.log1p(-t),
+    log_c_derivs=lambda t: (1.0 / (1.0 - t), 1.0 / np.square(1.0 - t),
+                            2.0 / np.power(1.0 - t, 3)),
     log_a=lambda y: 0.0,
     mean=lambda t: t / (1.0 - t),
     theta_from_mean=lambda mean: mean / (1.0 + mean),
@@ -173,7 +169,7 @@ class Family(Enum):
       Jeffreys prior for theta, ``sqrt(i(theta))``, and its derivative.
 
     The last four take ``log c`` after theta, so as not to round ``1 - theta``.
-    All but ``f0_derivs``, ``draws`` and ``tail_bound`` are elementwise over arrays.
+    All but ``draws`` and ``tail_bound`` are elementwise over arrays.
     """
 
     POISSON = "poisson", _POISSON
@@ -263,7 +259,7 @@ def p_lower(family: Family, theta: float) -> float:
     always negative and approaching 0 from below as ``f0`` shrinks.
     """
     family.require_theta(theta)
-    f0 = family.f0(theta)
+    f0 = float(family.f0(theta))
     return -f0 / (1.0 - f0)
 
 
@@ -299,7 +295,7 @@ class ZipsModel:
     @property
     def pzero(self) -> float:
         """Total probability of zero, ``p + (1 - p) * f0``."""
-        f0 = self.family.f0(self.theta)
+        f0 = float(self.family.f0(self.theta))
         return f0 + self.p * (1.0 - f0)
 
     def mean(self) -> float:
@@ -310,68 +306,6 @@ class ZipsModel:
         """Smallest y with model tail mass beyond y below ``eps``."""
         scale = max(1.0 - self.p, 1e-300)
         return max(self.family._series.tail_bound(self.theta, eps / scale), 10)
-
-
-@dataclass(frozen=True)
-class CountSample:
-    """A frequency table of nonnegative counts with cached sufficient stats.
-
-    Attributes
-    ----------
-    freq : dict
-        Map from count value to positive frequency.
-    n : int
-        Total sample size.
-    n0 : int
-        Number of zeros.
-    s : int
-        Sum of all counts.
-    ybar : float
-        Sample mean ``s / n``.
-    """
-
-    freq: dict
-
-    def __post_init__(self):
-        clean = {}
-        for value, count in self.freq.items():
-            v, c = int(value), int(count)
-            if v != value or c != count:
-                raise ValueError(f"non-integer entry {value!r}: {count!r}")
-            if v < 0:
-                raise ValueError(f"negative count value {v}")
-            if c <= 0:
-                raise ValueError(f"frequency for value {v} must be positive, got {c}")
-            clean[v] = clean.get(v, 0) + c
-        if not clean:
-            raise ValueError("empty sample")
-        object.__setattr__(self, "freq", clean)
-        object.__setattr__(self, "n", sum(clean.values()))
-        object.__setattr__(self, "n0", clean.get(0, 0))
-        object.__setattr__(self, "s", sum(v * c for v, c in clean.items()))
-        object.__setattr__(self, "ybar", self.s / self.n)
-
-    @classmethod
-    def from_values(cls, values) -> "CountSample":
-        values = np.asarray(values)
-        if values.size == 0:
-            raise ValueError("empty sample")
-        if not np.issubdtype(values.dtype, np.integer):
-            fractional = values[np.mod(values, 1) != 0]
-            if fractional.size:
-                raise ValueError(f"non-integer entry {fractional[0]!r}")
-        counts = np.bincount(values.astype(np.int64))
-        return cls({int(v): int(c) for v, c in enumerate(counts) if c > 0})
-
-    def items(self):
-        """Frequency table entries in increasing count order."""
-        return sorted(self.freq.items())
-
-    def __eq__(self, other):
-        return isinstance(other, CountSample) and self.items() == other.items()
-
-    def __hash__(self):
-        return hash(tuple(self.items()))
 
 
 @dataclass(frozen=True)
@@ -399,15 +333,12 @@ def log_pmf(model: ZipsModel, y):
         arr = arr.astype(np.int64)
     series = model.family._series
     base = -series.log_c(model.theta) + arr * math.log(model.theta) + series.log_a(arr)
-    out = np.where(arr == 0,
-                   math.log(model.pzero),
-                   math.log1p(-model.p) + base)
-    return out if isinstance(y, np.ndarray) else float(out)
+    return np.where(arr == 0, math.log(model.pzero), math.log1p(-model.p) + base)[()]
 
 
 def pmf(model: ZipsModel, y):
     """Probability mass at ``y``; handles negative weights in range."""
-    return np.exp(log_pmf(model, y)) if isinstance(y, np.ndarray) else math.exp(log_pmf(model, y))
+    return np.exp(log_pmf(model, y))
 
 
 def _log_likelihood(family: Family, p: float, theta: float, sample: CountSample,
@@ -439,7 +370,7 @@ def _log_likelihood(family: Family, p: float, theta: float, sample: CountSample,
         ll += m * math.log1p(-p)
         ll += -m * family._series.log_c(theta) + sample.s * math.log(theta)
         ll += _log_a_sum(family, sample)
-    return ll
+    return float(ll)
 
 
 def log_likelihood(model: ZipsModel, sample: CountSample) -> float:
@@ -510,8 +441,8 @@ def fisher_info(model: ZipsModel) -> FisherInfo:
     """
     p, theta = model.p, model.theta
     series = model.family._series
-    f0 = series.f0(theta)
-    d1 = series.f0_derivs(theta)[0]
+    f0 = float(series.f0(theta))
+    d1 = float(series.f0_derivs(theta)[0])
     a = f0 + p * (1.0 - f0)
     om = 1.0 - f0
     i11 = om / ((1.0 - p) * a)
@@ -535,7 +466,7 @@ def from_pstar(family: Family, pstar: float, theta: float) -> ZipsModel:
     family.require_theta(theta)
     if not (BOUNDARY_MARGIN < pstar < 1.0 - BOUNDARY_MARGIN):
         raise ParameterRangeError(f"pstar={pstar!r} outside open (0, 1)")
-    f0 = family.f0(theta)
+    f0 = float(family.f0(theta))
     p = (pstar - f0) / (1.0 - f0)
     return ZipsModel(family, p, theta)
 

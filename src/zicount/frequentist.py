@@ -89,7 +89,7 @@ def _null_fit(family: Family, n: int, s):
     """Null fit ``theta0`` (mean ``s / n``) and its log likelihood without the
     log a_y constants, ``s log theta0 - n log c``, finite where ``1 / c``
     underflows; elementwise over an array ``s``."""
-    theta0 = np.asarray(family._series.theta_from_mean(s / n))
+    theta0 = family._series.theta_from_mean(s / n)
     return theta0, s * np.log(theta0) - n * family._series.log_c(theta0)
 
 
@@ -155,7 +155,7 @@ def _sup_loglik(family: Family, n: int, n0, s, theta_hat):
     ``theta_hat`` does, which is the supremum for samples whose positive
     counts all equal one.
     """
-    m, theta_hat = n - n0, np.asarray(theta_hat)
+    m = n - n0
     with np.errstate(divide="ignore", invalid="ignore"):
         log_c = family._series.log_c(theta_hat)
         # log(c - 1) = log c + log(1 - f0), stable for large and small c

@@ -147,6 +147,21 @@ class TestCli:
         assert main(["test", "--data", str(path)]) == 2
         assert ":2:" in capsys.readouterr().err
 
+    def test_count_beyond_int64_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("1\n99999999999999999999\n")
+        assert main(["test", "--data", str(path)]) == 2
+        assert "count value 99999999999999999999 " in capsys.readouterr().err
+
+    def test_count_of_three_billion_gives_a_report(self, tmp_path, capsys):
+        # a bincount over 3e9 + 1 slots would take 22 GiB
+        path = tmp_path / "large.txt"
+        path.write_text("1\n3000000000\n")
+        assert main(["test", "--data", str(path), "--draws", "500", "--seed", "1",
+                     "--out", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["dataset"]["n"], report["dataset"]["sum"]) == (2, 3_000_000_001)
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["test", "--data", "/no/such/file.csv"]) == 2
 

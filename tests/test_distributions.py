@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -342,6 +344,42 @@ class TestCountSample:
         cs = CountSample.from_values(np.array([0.0, 2.0, 2.0]))
         assert cs.freq == {0: 1, 2: 2}
 
+    def test_from_values_tabulates_dense_and_sparse_counts_alike(self):
+        # the dict comes in increasing order however far apart the counts are
+        rng = np.random.default_rng(4)
+        for size, top in ((50, 10), (50, 199), (50, 201), (5, 10**12)):
+            values = rng.integers(0, top + 1, size)
+            freq = CountSample.from_values(values).freq
+            assert list(freq.items()) == sorted(Counter(values.tolist()).items())
+        for values in ([3, -1, 2], [3, -1, 100]):
+            with pytest.raises(ValueError, match="^negative count value -1$"):
+                CountSample.from_values(values)
+        for values in ([[0, 1], [2, 3]], [[0, 1], [2, 10**12]], 3):
+            with pytest.raises(ValueError, match="^raw counts must be 1-d"):
+                CountSample.from_values(values)
+
+    def test_counts_beyond_int64_are_rejected_naming_the_count(self):
+        assert CountSample.from_values([0, 2**63 - 1]).s == 2**63 - 1
+        assert CountSample({2**63 - 1: 1}).s == 2**63 - 1
+        for big in (2**63, 10**20):
+            for make in (lambda: CountSample({1: 1, big: 1}),
+                         lambda: CountSample.from_values([1, big]),
+                         lambda: CountSample.from_values(np.array([1, big], dtype=object))):
+                with pytest.raises(ValueError, match=f"count value {big} "):
+                    make()
+        with pytest.raises(ValueError, match="count value 9223372036854775808 "):
+            CountSample.from_values(np.array([1.0, 2.0**63]))
+
+    def test_from_values_memory_does_not_grow_with_the_largest_count(self):
+        tracemalloc.start()
+        try:
+            sample = CountSample.from_values([1, 3_000_000_000])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample.freq == {1: 1, 3_000_000_000: 1}
+        assert peak < 1 << 20
+
     def test_validation(self):
         with pytest.raises(ValueError):
             CountSample({})
@@ -356,6 +394,38 @@ class TestCountSample:
         a = CountSample({0: 2, 1: 1})
         b = CountSample({1: 1, 0: 2})
         assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_record_entries_give_one_value_per_element(family):
+    """Every elementwise entry of the family record gives the same bits for
+    a float, a 0-d array and the same value inside an array, so a row
+    computed alone equals that row in a batch."""
+    series, size = family._series, 2000
+    rng = np.random.default_rng(23)
+    theta = (np.exp(rng.uniform(-12.0, 7.0, size)) if family is Family.POISSON
+             else rng.uniform(1e-6, 1.0 - 1e-6, size))
+    log_c = series.log_c(theta)
+    args = {"f0": (theta,), "f0_derivs": (theta,), "log_c": (theta,),
+            "log_c_derivs": (theta,), "mean": (theta,),
+            "theta_from_mean": (series.mean(theta),),
+            "trunc_info": (theta, log_c), "dlog_trunc_info": (theta, log_c),
+            "log_jeffreys": (theta, log_c), "dlog_jeffreys": (theta, log_c),
+            "coord_point": (rng.uniform(-30.0, 30.0, size),),
+            "coord_from_log_c": (log_c,)}
+
+    def parts(out):  # each output, as float64 over the batch's elements
+        return [np.broadcast_to(np.asarray(part, dtype=float), (size,))
+                for part in (out if isinstance(out, tuple) else (out,))]
+
+    for name, arrays in args.items():
+        entry = getattr(series, name)
+        whole = np.stack(parts(entry(*arrays)))
+        for convert in (float, np.array):
+            alone = np.array([np.stack(parts(entry(*(convert(a[i]) for a in arrays))))[:, 0]
+                              for i in range(size)]).T
+            mismatch = np.flatnonzero((alone.view(np.int64) != whole.view(np.int64)).any(axis=0))
+            assert mismatch.size == 0, (name, convert.__name__, theta[mismatch[:3]])
 
 
 def _newton_rows(root, kind):

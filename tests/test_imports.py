@@ -34,13 +34,16 @@ LIGHT_COMMANDS = (
 # commands that load no SciPy at all
 SCIPY_FREE_COMMANDS = (["--version"], ["datasets", "list"])
 
-# commands that the parser answers before any model module loads, with
-# their exit codes
+# commands that the parser, or the bundled frequency tables, answer before
+# any model module loads, with their exit codes
 NUMPY_FREE_COMMANDS = (
     (["--version"], 0),
     (["--help"], 0),
     (["test", "--help"], 0),
     (["test", "--dataset", "uti", "--alpha", "2"], 2),
+    (["datasets", "list"], 0),
+    (["datasets", "show"], 0),
+    (["datasets", "export"], 0),
 )
 
 COMMAND = """
