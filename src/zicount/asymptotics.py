@@ -21,13 +21,12 @@ from ._lazy import LazyModule
 # posterior_prob_positive_factorized and sample_values are unused here;
 # perfbench/tracing.py wraps this module's names
 from .bayes import (_DEFAULT_PRIOR, PriorKind, _factorized_t, grad_log_prior,
-                    posterior_prob_positive, posterior_prob_positive_factorized,
-                    prior_density)
+                    posterior_prob_positive_factorized, prior_density)
 from .distributions import (CountSample, Family, loglik_derivatives,
                             sample_values)
 from .errors import DegenerateSampleError
 from .frequentist import mle_full
-from .power import _rep_rngs, _replications
+from .power import _replication_table
 
 special = LazyModule("scipy.special", globals())
 stats = LazyModule("scipy.stats", globals())
@@ -144,32 +143,24 @@ def posterior_tail_expansion(inputs: ExpansionInputs, eta10: float,
 
 def _simulate_null_ts(family: Family, theta_null: float, n: int, reps: int,
                       B: int, seed: int) -> np.ndarray:
-    """Null-model T values over the replications of ``power._replications``.
+    """Null-model T values over the replication table of ``power``.
 
-    ``B > 0`` uses the Monte Carlo estimator with B draws per replication;
-    ``B = 0`` computes T by the factorized quadrature, which stays accurate
+    ``B > 0`` returns the table's Monte Carlo T, B draws per replication;
+    ``B <= 0`` computes T by the factorized quadrature, which stays accurate
     at sample sizes where the importance sampler's proposal breaks down.
-    Factorized T depends on a sample only through ``(n0, s)`` at fixed n, so
-    the stream's ``(n0, s)`` are collected and ``_factorized_t`` runs once
-    on the distinct rows, in blocks of ``FACTORIZED_BLOCK``.
+    Factorized T depends on a sample only through ``(n0, s)`` at fixed n, so it
+    runs once per distinct row of the table, in blocks of ``FACTORIZED_BLOCK``.
     """
     if reps <= 0:
         raise ValueError("reps must be positive")
     if n < 2:
         raise ValueError("n too small")
-    stream = _replications(family, 0.0, theta_null, n, reps, seed)
-    if B > 0:
-        return np.array([posterior_prob_positive(family, CountSample.from_values(values), B=B,
-                                                 seed=rng).value
-                         for (values, *_), rng in zip(stream, _rep_rngs(seed, (), reps, 1))])
-    rows = np.empty((reps, 2), dtype=np.int64)
-    for values, n0, rep, _ in stream:
-        rows[rep] = n0, values.sum()
-    distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+    distinct, inverse, t, _ = _replication_table(family, 0.0, theta_null, n, reps, seed, draws=B)
+    if t is not None:
+        return t
     blocks = (distinct[i:i + FACTORIZED_BLOCK] for i in range(0, len(distinct), FACTORIZED_BLOCK))
-    t = np.concatenate([_factorized_t(family, block[:, 0], n - block[:, 0], block[:, 1])
-                        for block in blocks])
-    return t[inverse.reshape(-1)]
+    return np.concatenate([_factorized_t(family, block[:, 0], n - block[:, 0], block[:, 1])
+                           for block in blocks])[inverse]
 
 
 def uniformity_check(family: Family, theta_null: float, n: int, reps: int,

@@ -272,11 +272,28 @@ def _cmd_posterior(args) -> int:
 def _parse_grid_values(text: str, cast):
     try:
         values = tuple(cast(piece) for piece in text.split(",") if piece.strip())
-    except ValueError:
-        raise ValueError(f"bad grid list {text!r}") from None
+    except ValueError as err:
+        raise ValueError(f"bad grid list {text!r}: {err}") from None
     if not values:
         raise ValueError(f"empty grid list {text!r}")
     return values
+
+
+def _whole(value) -> int:
+    """``int(value)`` of a decimal string, or of a number only when it is
+    integral."""
+    whole = int(value)
+    if not isinstance(value, str) and whole != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return whole
+
+
+def _config_value(key: str, value, cast):
+    """A configuration file's ``value`` for ``key``, cast as its flag is."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValueError(f"config key {key!r}: {err}") from None
 
 
 def _cmd_power(args) -> int:
@@ -285,19 +302,38 @@ def _cmd_power(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-    # flags supply every key the configuration file omits
-    for key, cast in (("thetas", float), ("ps", float), ("ns", int), ("methods", str)):
-        if key not in raw and getattr(args, key) is not None:
-            raw[key] = _parse_grid_values(getattr(args, key), cast)
-    if not all(key in raw for key in ("thetas", "ps", "ns")):
+        if not isinstance(raw, dict):
+            raise ValueError(f"{args.config} must hold a JSON object, "
+                             f"not a {type(raw).__name__}")
+    # flags supply every key the configuration file omits; each value is cast
+    # as its flag is
+    fields = {}
+    for key, cast in (("thetas", float), ("ps", float), ("ns", _whole), ("methods", Method)):
+        if key in raw:
+            if not isinstance(raw[key], list):
+                raise ValueError(f"config key {key!r} must be a JSON list, got {raw[key]!r}")
+            fields[key] = tuple(_config_value(key, value, cast) for value in raw[key])
+        elif getattr(args, key) is not None:
+            fields[key] = _parse_grid_values(getattr(args, key), cast)
+    if not all(key in fields for key in ("thetas", "ps", "ns")):
         raise ValueError("give --config or all of --thetas, --ps, --ns")
-    config = PowerConfig(
-        thetas=tuple(raw["thetas"]), ps=tuple(raw["ps"]), ns=tuple(raw["ns"]),
-        methods=tuple(Method(m) for m in raw["methods"]),
-        family=Family(raw.get("family", args.model)),
-        reps=int(raw.get("reps", args.reps)), draws=int(raw.get("draws", args.draws)),
-        alpha=float(raw.get("alpha", args.alpha)),
-        seed=int(raw.get("seed", _auto_seed(args.seed))))
+    for key, cast, default in (("family", Family, args.model), ("reps", _whole, args.reps),
+                               ("draws", _whole, args.draws), ("alpha", float, args.alpha),
+                               ("seed", _whole, _auto_seed(args.seed))):
+        fields[key] = _config_value(key, raw[key], cast) if key in raw else cast(default)
+    config = PowerConfig(**fields)
+    if args.compare_reference:
+        if config.family is not Family.POISSON or config.alpha != 0.05:
+            raise ValueError("--compare-reference: the bundled reference tables "
+                             "cover the Poisson family at alpha = 0.05 only")
+        reference = dict(REFERENCE_POWER_ONE_SIDED)
+        reference.update({k: v for k, v in REFERENCE_POWER_TWO_SIDED.items()
+                          if k[0] is not Method.BAYES})
+        combos = set(config.combos())
+        covered = {k: v for k, v in reference.items()
+                   if k[0] in config.methods and k[1:] in combos}
+        if not covered:
+            raise ValueError("grid does not cover any bundled reference cells")
 
     print(f"zicount {__version__}  seed={config.seed}  reps={config.reps} "
           f"draws={config.draws} alpha={config.alpha}", flush=True)
@@ -311,13 +347,6 @@ def _cmd_power(args) -> int:
     if total_redraws:
         print(f"redrew {total_redraws} all-zero replications")
     if args.compare_reference:
-        reference = dict(REFERENCE_POWER_ONE_SIDED)
-        reference.update({k: v for k, v in REFERENCE_POWER_TWO_SIDED.items()
-                          if k[0] is not Method.BAYES})
-        covered = {k: v for k, v in reference.items()
-                   if k in grid.cells and k[0] in config.methods}
-        if not covered:
-            raise ValueError("grid does not cover any bundled reference cells")
         report = compare_tables(grid, covered)
         print(report.summary())
         for row in report.rows:

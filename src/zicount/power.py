@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -55,6 +56,12 @@ class PowerConfig:
             raise ValueError(f"reps must be at least {MIN_REPS}")
         if self.draws < 1:
             raise ValueError("draws must be positive")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie strictly between 0 and 1, got {self.alpha!r}")
+        # the bound that null calibration applies ("n too small")
+        for n in self.ns:
+            if not isinstance(n, numbers.Integral) or n < 2:
+                raise ValueError(f"ns entries must be integers of at least 2, got {n!r}")
         if not self.combos():
             raise ValueError("empty grid")
 
@@ -198,8 +205,8 @@ def _replications(family: Family, p: float, theta: float, n: int, reps: int,
     ``seed``, which is ``spawn(2)[0]`` of ``key + (rep,)``, and an all-zero
     sample is redrawn at most ``MAX_REDRAWS`` times.  At ``p = 0`` the draws
     are the base family's alone, with no uniforms for the zero mask.  Yields
-    ``(values, n0, rep, redraws)``; ``_rep_rngs(seed, key, reps, 1)`` gives
-    the replications' Bayes generators to the callers that need them.
+    ``(values, n0, rep, redraws)`` to ``_replication_table``, which alone
+    derives the Bayes generators ``_rep_rngs(seed, key, reps, 1)``.
     """
     model = ZipsModel(family, p, theta)
     for rep, rng in enumerate(_rep_rngs(seed, key, reps, 0)):
@@ -215,6 +222,25 @@ def _replications(family: Family, p: float, theta: float, n: int, reps: int,
         yield values, n0, rep, redraws
 
 
+def _replication_table(family: Family, p: float, theta: float, n: int, reps: int,
+                       seed: int, key: tuple = (), draws: int = 0):
+    """Each replication of ``_replications`` as its ``(n0, s)`` and, when
+    ``draws > 0``, its Monte Carlo T from ``draws`` draws on its Bayes child 1:
+    the distinct rows, each replication's index into them, the T values
+    (``None`` when ``draws <= 0``) and the total redraw count."""
+    rows, t, redraws = np.empty((reps, 2), dtype=np.int64), None, 0
+    if draws > 0:
+        t, bayes = np.empty(reps), _rep_rngs(seed, key, reps, 1)
+    for values, n0, rep, redrawn in _replications(family, p, theta, n, reps, seed, key):
+        redraws += redrawn
+        rows[rep] = n0, values.sum()
+        if t is not None:
+            t[rep] = posterior_prob_positive(family, CountSample.from_values(values),
+                                             B=draws, seed=next(bayes)).value
+    distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+    return distinct, inverse.reshape(-1), t, redraws
+
+
 def _run_combo(config: PowerConfig, combo_index: int):
     """All replications for one (theta, p, n) grid point, with its redraw count."""
     theta, p, n = config.combos()[combo_index]
@@ -227,26 +253,16 @@ def _run_combo(config: PowerConfig, combo_index: int):
         (_lr_statistic_stats, Method.LR_ONE, Method.LR_TWO))
         if one in methods or two in methods]
     rejections = {m: 0 for m in methods}
-    redraws, key = 0, (combo_index,)
-    bayes = _rep_rngs(config.seed, key, config.reps, 1) if Method.BAYES in methods else None
-    rows = np.empty((config.reps, 2), dtype=np.int64)
+    draws = config.draws if Method.BAYES in methods else 0
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for values, n0, rep, redrawn in _replications(
-                family, p, theta, n, config.reps, config.seed, key):
-            redraws += redrawn
-            rows[rep] = n0, values.sum()
-            if bayes is not None:
-                est = posterior_prob_positive(
-                    family, CountSample.from_values(values), B=config.draws,
-                    seed=next(bayes))
-                if est.value > 1.0 - config.alpha:
-                    rejections[Method.BAYES] += 1
-        # score and LR once on the distinct (n0, s), which repeat across
-        # replications, each rejecting row counted as often as it occurred
-        distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
-        counts = np.bincount(inverse.reshape(-1))
+        distinct, inverse, t, redraws = _replication_table(
+            family, p, theta, n, config.reps, config.seed, (combo_index,), draws)
+        if t is not None:
+            rejections[Method.BAYES] = int(np.count_nonzero(t > 1.0 - config.alpha))
+        # each rejecting distinct (n0, s) counted as often as it occurred
+        counts = np.bincount(inverse)
         for statistic, one, two in tests:
             stat, sign = statistic(family, n, distinct[:, 0], distinct[:, 1])
             if one in methods:

@@ -7,7 +7,7 @@ from scipy import stats
 from zicount import (CountSample, DegenerateSampleError, ExpansionInputs,
                      Family, PriorKind, ZicountError, ZipsModel, beta_calibration,
                      expansion_inputs, loglik_derivatives,
-                     posterior_prob_positive_factorized,
+                     posterior_prob_positive, posterior_prob_positive_factorized,
                      posterior_tail_expansion, sample_values, uniformity_check)
 from zicount.asymptotics import (BetaCalibration, _correction_terms,
                                  beta_moment_fit)
@@ -249,6 +249,19 @@ class TestUniformityCheck:
         again = uniformity_check(family, theta, n, reps=reps, B=0, seed=seed)
         assert len(keys) == 2 * len(distinct)
         assert np.array_equal(again.t_values, expected)
+
+    @pytest.mark.parametrize("family, theta", [(Family.POISSON, 0.5), (Family.GEOMETRIC, 0.5)],
+                             ids=["poisson", "geometric"])
+    def test_mc_mode_seeds_each_replication_from_its_bayes_child(self, family, theta):
+        # replication rep draws its data from child (rep, 0) and its Monte
+        # Carlo T from child (rep, 1) of the seed, as a power cell does
+        report = uniformity_check(family, theta, 30, reps=60, B=300, seed=4)
+        expected = []
+        for values, _, rep, _ in _replications(family, 0.0, theta, 30, 60, 4):
+            bayes_seed = np.random.SeedSequence(4, spawn_key=(rep, 1)).generate_state(1)[0]
+            expected.append(posterior_prob_positive(family, CountSample.from_values(values),
+                                                    B=300, seed=int(bayes_seed)).value)
+        assert np.array_equal(report.t_values, expected)
 
 
 class TestBetaCalibration:

@@ -289,6 +289,45 @@ class TestCli:
         assert captured.out == ""
         assert "reps must be at least 100" in captured.err
 
+    @pytest.mark.parametrize("config, argv, message", [
+        ({"thetas": 0.5, "ps": [0.3], "ns": [20]}, [],
+         "config key 'thetas' must be a JSON list, got 0.5"),
+        ({"thetas": ["a"], "ps": [0.3], "ns": [20]}, [],
+         "config key 'thetas': could not convert string to float: 'a'"),
+        ([1, 2], [], "must hold a JSON object, not a list"),
+        ({"thetas": [0.5], "ps": [0.3], "ns": [20.5]}, [],
+         "config key 'ns': 20.5 is not an integer"),
+        ({"thetas": [0.5], "ps": [0.3], "ns": [20], "methods": "score1"}, [],
+         "config key 'methods' must be a JSON list, got 'score1'"),
+        (None, ["--thetas", "0.5", "--ps", "0.3", "--ns", "0"],
+         "ns entries must be integers of at least 2, got 0"),
+        (None, ["--thetas", "0.5", "--ps", "0.3", "--ns=-3"],
+         "ns entries must be integers of at least 2, got -3"),
+    ], ids=["thetas-scalar", "thetas-string", "top-level-list", "ns-fraction",
+            "methods-string", "ns-zero", "ns-negative"])
+    def test_malformed_power_grid_exits_2_before_the_header(self, tmp_path, capsys,
+                                                            config, argv, message):
+        if config is not None:
+            path = tmp_path / "grid.json"
+            path.write_text(json.dumps(config))
+            argv = ["--config", str(path)]
+        assert main(["power", "--reps", "100", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--model", "geometric"], "tables cover the Poisson family at alpha = 0.05 only"),
+        (["--alpha", "0.2"], "tables cover the Poisson family at alpha = 0.05 only"),
+        (["--ns", "30"], "grid does not cover any bundled reference cells"),
+    ], ids=["geometric", "alpha-0.2", "uncovered-n"])
+    def test_compare_reference_outside_its_tables_exits_2(self, capsys, argv, message):
+        assert main(["power", "--thetas", "0.5", "--ps", "0.3", "--ns", "20", "--reps", "200",
+                     "--methods", "score1,lr1", "--compare-reference", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_datasets_show_matches_tables(self, capsys):
         assert main(["datasets", "show", "uti"]) == 0
         out = capsys.readouterr().out

@@ -71,6 +71,19 @@ class TestRunPowerStudy:
         with pytest.raises(ValueError):
             run_power_study(PowerConfig(thetas=(), ps=(0.1,), ns=(50,)))
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(ns=(50, 1)), "ns entries must be integers of at least 2, got 1"),
+        (dict(ns=(20.0,)), "ns entries must be integers of at least 2, got 20.0"),
+        (dict(alpha=0.0), "alpha must lie strictly between 0 and 1, got 0.0"),
+        (dict(alpha=1.5), "alpha must lie strictly between 0 and 1, got 1.5"),
+    ], ids=["n-one", "n-float", "alpha-zero", "alpha-above-one"])
+    def test_config_rejects_bad_sample_size_and_level(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            small_grid(**overrides)
+
+    def test_config_takes_numpy_integer_sample_sizes(self):
+        assert small_grid(ns=(np.int64(20),)).ns == (20,)
+
     def test_mc_se_formula(self):
         grid = run_power_study(small_grid())
         for cell in grid.cells.values():
