@@ -32,8 +32,9 @@ from typing import Callable
 import numpy as np
 
 from ._lazy import LazyModule
-from .distributions import CountSample, Family, _log_a_sum, _newton, p_lower
-from .errors import DegenerateSampleError, ParameterRangeError, QuadratureError
+from .distributions import (CountSample, Family, ZipsModel, _log_a_sum, _newton,
+                            _require_counts)
+from .errors import QuadratureError
 from .limits import MIN_CURVE_POINTS
 
 special = LazyModule("scipy.special", globals())
@@ -161,12 +162,9 @@ def log_prior(family: Family, p: float, theta: float,
     times the family's Jeffreys prior for the conditional kind, and
     ``(1 - f0) * sqrt(i_trunc(theta) / pstar)`` for the joint one.
     """
+    a = ZipsModel(family, p, theta).pzero
     series, prior = family._series, prior._prior
-    lo = p_lower(family, theta)
-    if not (lo < p < 1.0):
-        raise ParameterRangeError(f"p={p!r} outside extended range ({lo!r}, 1)")
-    f0, log_c = series.f0(theta), series.log_c(theta)
-    a = f0 + p * (1.0 - f0)
+    log_c = series.log_c(theta)
     log_om = math.log(-math.expm1(-log_c))
     # log(1 - pstar) as log1p(-p) + log(1 - f0), so that a p near one keeps its digits
     return float(-prior.log_z - 0.5 * (math.log(a) + prior.k * (math.log1p(-p) + log_om))
@@ -182,12 +180,11 @@ def prior_density(family: Family, p: float, theta: float,
 def grad_log_prior(family: Family, p: float, theta: float,
                    prior: PriorKind = _DEFAULT_PRIOR) -> np.ndarray:
     """Gradient of log prior in (p, theta), in closed form."""
+    a = ZipsModel(family, p, theta).pzero
     series, prior = family._series, prior._prior
-    family.require_theta(theta)
     f0 = series.f0(theta)
     d1 = series.f0_derivs(theta)[0]
     om = -math.expm1(-(log_c := series.log_c(theta)))
-    a = f0 + p * (1.0 - f0)
     a_p, a_t = 1.0 - f0, (1.0 - p) * d1
     gp = 0.5 * prior.k / (1.0 - p) - 0.5 * a_p / a
     gt = -(1.0 - 0.5 * prior.k) * d1 / om - 0.5 * a_t / a + prior.dlog_g(series, theta, log_c)
@@ -358,11 +355,8 @@ def draw_posterior(family: Family, sample: CountSample, B: int = DEFAULT_DRAWS,
     """
     if B <= 0:
         raise ValueError("B must be positive")
-    n0, m = sample.n0, sample.n - sample.n0
-    if n0 == 0 or m == 0:
-        raise DegenerateSampleError(
-            "posterior sampling needs both zero and positive counts")
-    rule = _ThetaPosterior(family, n0, m, sample.s)
+    _require_counts(sample, zero=True)
+    rule = _ThetaPosterior(family, sample.n0, sample.n - sample.n0, sample.s)
     rng = np.random.default_rng(seed)
     pstar = rng.beta(rule.a.item(), rule.b.item(), B)
     theta, _, log_c, _, _ = rule.series.coord(rule.inverse_cdf(rng.random(B)), rule.mode)
@@ -432,9 +426,8 @@ def posterior_prob_positive(family: Family, sample: CountSample,
 
     ``seed`` is an int or a ``Generator``, whose draws it advances; the
     result's ``seed`` is then None."""
+    _require_counts(sample)
     n, n0, s = sample.n, sample.n0, sample.s
-    if s == 0 or n0 == n:
-        raise DegenerateSampleError("all counts zero: T(Y) undefined")
     if B <= 0:
         raise ValueError("B must be positive")
     rng = np.random.default_rng(seed)
@@ -580,10 +573,8 @@ def posterior_prob_positive_factorized(family: Family,
     posterior.  The one-row case of ``_factorized_t``, which null
     calibration calls on all distinct ``(n0, s)`` at once.
     """
-    n0, m = sample.n0, sample.n - sample.n0
-    if sample.s == 0 or m == 0:
-        raise DegenerateSampleError("all counts zero: T(Y) undefined")
-    return float(_factorized_t(family, [n0], [m], [sample.s])[0])
+    _require_counts(sample)
+    return float(_factorized_t(family, [sample.n0], [sample.n - sample.n0], [sample.s])[0])
 
 
 def posterior_prob_positive_quadrature(family: Family, sample: CountSample,
@@ -593,8 +584,7 @@ def posterior_prob_positive_quadrature(family: Family, sample: CountSample,
     Absolute accuracy target 1e-6; raises when far off and warns with the
     achieved accuracy when moderately off.
     """
-    if sample.s == 0 or sample.n0 == sample.n:
-        raise DegenerateSampleError("all counts zero: T(Y) undefined")
+    _require_counts(sample)
     log_num, err_num = _log_wedge_integral(family, sample, prior, positive_only=True)
     log_den, err_den = _log_wedge_integral(family, sample, prior, positive_only=False)
     value = math.exp(log_num - log_den)
@@ -821,11 +811,8 @@ class ExactMarginal:
 def exact_marginal(family: Family, sample: CountSample) -> ExactMarginal:
     """The exact marginal posterior of the weight under the default prior on
     the theta rule."""
-    n0, m = sample.n0, sample.n - sample.n0
-    if n0 == 0 or m == 0:
-        raise DegenerateSampleError(
-            "the posterior of the weight needs both zero and positive counts")
-    rule = _ThetaPosterior(family, n0, m, sample.s)
+    _require_counts(sample, zero=True)
+    rule = _ThetaPosterior(family, sample.n0, sample.n - sample.n0, sample.s)
     rule.require_weight(np.sum(rule.nodes(np.unique(rule.cuts[0]))[1]))
     return ExactMarginal(rule)
 

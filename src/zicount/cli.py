@@ -321,6 +321,10 @@ def _cmd_power(args) -> int:
                                ("draws", _whole, args.draws), ("alpha", float, args.alpha),
                                ("seed", _whole, _auto_seed(args.seed))):
         fields[key] = _config_value(key, raw[key], cast) if key in raw else cast(default)
+    # every key read above is in fields by now
+    unknown = sorted(set(raw) - set(fields))
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config key {', '.join(map(repr, unknown))}")
     config = PowerConfig(**fields)
     if args.compare_reference:
         if config.family is not Family.POISSON or config.alpha != 0.05:

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._lazy import LazyModule
 from .counts import CountSample
-from .errors import ParameterRangeError, QuadratureError
+from .errors import DegenerateSampleError, ParameterRangeError, QuadratureError
 
 special = LazyModule("scipy.special", globals())
 
@@ -169,7 +169,8 @@ class Family(Enum):
       Jeffreys prior for theta, ``sqrt(i(theta))``, and its derivative.
 
     The last four take ``log c`` after theta, so as not to round ``1 - theta``.
-    All but ``draws`` and ``tail_bound`` are elementwise over arrays.
+    All but ``draws`` and ``tail_bound`` are elementwise over arrays, and
+    none checks theta: ``ZipsModel`` does, through ``require_theta``.
     """
 
     POISSON = "poisson", _POISSON
@@ -197,6 +198,14 @@ def _log_a_sum(family: Family, sample: CountSample) -> float:
     """Data constant ``sum_i log a_{y_i}`` of the log likelihood."""
     log_a = family._series.log_a
     return sum(count * log_a(value) for value, count in sample.freq.items() if value)
+
+
+def _require_counts(sample: CountSample, *, zero: bool = False) -> None:
+    """Raise ``DegenerateSampleError`` unless the sample has a positive count
+    and, with ``zero``, a zero as well."""
+    if sample.n0 == sample.n or zero and sample.n0 == 0:
+        raise DegenerateSampleError("the sample needs both a zero and a positive count"
+                                    if zero else "the sample needs a positive count")
 
 
 def _newton(fun, x, tol, lo=-math.inf, hi=math.inf, ftol=0.0):
@@ -267,6 +276,13 @@ def p_lower(family: Family, theta: float) -> float:
 class ZipsModel:
     """A zero-inflated power series model on the extended weight range.
 
+    Constructing it is the one range check of a (p, theta) pair: theta must
+    lie in ``(0, theta_max)`` and p in ``(p_lower(family, theta), 1)``, both
+    open and shrunk by ``BOUNDARY_MARGIN`` (relative to ``|p_lower|`` at the
+    lower end of p), or ``ParameterRangeError`` is raised.  Every function
+    taking (p, theta), or pstar and theta, builds one and so accepts exactly
+    this range.
+
     Parameters
     ----------
     family : Family
@@ -303,8 +319,13 @@ class ZipsModel:
         return (1.0 - self.p) * self.family._series.mean(self.theta)
 
     def support_bound(self, eps: float) -> int:
-        """Smallest y with model tail mass beyond y below ``eps``."""
+        """Smallest y with model tail mass beyond y below ``eps``, for
+        ``0 < eps < 1``."""
+        if not 0.0 < eps < 1.0:
+            raise ParameterRangeError(f"tail mass must lie in (0, 1), got eps={eps!r}")
         scale = max(1.0 - self.p, 1e-300)
+        if scale <= eps:  # all the mass above zero is below eps
+            return 10
         return max(self.family._series.tail_bound(self.theta, eps / scale), 10)
 
 
@@ -328,8 +349,9 @@ def log_pmf(model: ZipsModel, y):
     """Log probability mass at ``y`` (scalar or integer array)."""
     arr = np.asarray(y)
     if np.any(arr < 0) or not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(np.equal(np.mod(arr, 1), 0)) or np.any(arr < 0):
-            raise ValueError("y must contain nonnegative integers")
+        if (np.any(arr < 0) or np.any(arr >= 2.0 ** 63)
+                or not np.all(np.equal(np.mod(arr, 1), 0))):
+            raise ValueError("y must contain nonnegative integers below 2**63")
         arr = arr.astype(np.int64)
     series = model.family._series
     base = -series.log_c(model.theta) + arr * math.log(model.theta) + series.log_a(arr)
@@ -347,19 +369,16 @@ def _log_likelihood(family: Family, p: float, theta: float, sample: CountSample,
 
     With ``allow_boundary`` the weight may sit at the exact lower endpoint,
     where the zero-probability term is dropped when the sample has no zeros
-    and -inf is returned when it does.
+    and -inf is returned when it does; otherwise ``ZipsModel`` checks (p, theta).
     """
-    lo = p_lower(family, theta)
     if allow_boundary:
+        lo = p_lower(family, theta)
         if not (lo - 1e-9 <= p < 1.0):
             raise ParameterRangeError(f"p={p!r} outside closed range [{lo!r}, 1)")
+        f0 = float(family.f0(theta))
+        pzero = f0 + p * (1.0 - f0)
     else:
-        margin = BOUNDARY_MARGIN * abs(lo)
-        if not (lo + margin < p < 1.0 - BOUNDARY_MARGIN):
-            raise ParameterRangeError(f"p={p!r} outside open range ({lo!r}, 1)")
-
-    f0 = family.f0(theta)
-    pzero = f0 + p * (1.0 - f0)
+        pzero = ZipsModel(family, p, theta).pzero
     m = sample.n - sample.n0
     ll = 0.0
     if sample.n0 > 0:
@@ -390,12 +409,9 @@ def loglik_derivatives(family: Family, p: float, theta: float,
     Returns ``(grad, hess, third)`` with shapes (2,), (2, 2) and (2, 2, 2),
     in (p, theta) order.  The third-order tensor is symmetric in its indices.
     """
-    family.require_theta(theta)
+    a = ZipsModel(family, p, theta).pzero
     series = family._series
     f0 = series.f0(theta)
-    a = f0 + p * (1.0 - f0)
-    if a <= 0.0 or p >= 1.0:
-        raise ParameterRangeError("parameters outside the extended range")
     n0, m, s = sample.n0, sample.n - sample.n0, sample.s
 
     # a = f0 + p * (1 - f0) is linear in p, so its derivatives follow f0's
@@ -462,13 +478,11 @@ def to_pstar(model: ZipsModel) -> tuple[float, float]:
 
 
 def from_pstar(family: Family, pstar: float, theta: float) -> ZipsModel:
-    """Inverse of ``to_pstar``; requires ``0 < pstar < 1``."""
-    family.require_theta(theta)
-    if not (BOUNDARY_MARGIN < pstar < 1.0 - BOUNDARY_MARGIN):
-        raise ParameterRangeError(f"pstar={pstar!r} outside open (0, 1)")
+    """Inverse of ``to_pstar``: the model whose ``p`` puts ``pstar`` at zero,
+    which ``ZipsModel`` checks, so ``pstar`` must lie in (0, 1)."""
     f0 = float(family.f0(theta))
-    p = (pstar - f0) / (1.0 - f0)
-    return ZipsModel(family, p, theta)
+    # 1 - f0 vanishes only at a theta that ZipsModel rejects
+    return ZipsModel(family, (pstar - f0) / (1.0 - f0) if f0 != 1.0 else math.nan, theta)
 
 
 def fisher_info_orthogonal(family: Family, pstar: float, theta: float) -> FisherInfo:
@@ -477,11 +491,9 @@ def fisher_info_orthogonal(family: Family, pstar: float, theta: float) -> Fisher
     The matrix is exactly diagonal: pstar is a Bernoulli zero-probability,
     so its information is ``1 / (pstar * (1 - pstar))`` regardless of family,
     and theta is informed by the ``1 - pstar`` share of positive counts, drawn
-    from the zero-truncated family.
+    from the zero-truncated family.  (pstar, theta) is checked as ``from_pstar``'s.
     """
-    family.require_theta(theta)
-    if not (0.0 < pstar < 1.0):
-        raise ParameterRangeError(f"pstar={pstar!r} outside open (0, 1)")
+    from_pstar(family, pstar, theta)
     i11 = 1.0 / (pstar * (1.0 - pstar))
     i22 = (1.0 - pstar) * float(family._series.trunc_info(theta, family._series.log_c(theta)))
     return FisherInfo(i11, 0.0, i22, Parametrization.PSTAR_THETA)
@@ -495,15 +507,17 @@ def sample(model: ZipsModel, n: int, rng_seed) -> CountSample:
     decomposition is invalid, so draws come from the inverse CDF of the
     zero-inflated pmf directly.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     values = sample_values(model, n, rng)
     return CountSample.from_values(values)
 
 
 def sample_values(model: ZipsModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Raw count draws as an integer array (back end for ``sample``)."""
+    """Raw count draws as an integer array (back end for ``sample``); ``n``
+    must be a positive integer."""
+    # concrete types, not numbers.Integral: this runs once per replication
+    if not (isinstance(n, (int, np.integer)) and n > 0):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     p, theta = model.p, model.theta
     if p >= 0.0:
         out = model.family._series.draws(rng, theta, n)

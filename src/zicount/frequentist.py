@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from ._lazy import LazyModule
-from .distributions import (CountSample, Family, _log_a_sum, _newton,
+from .distributions import (CountSample, Family, _log_a_sum, _newton, _require_counts,
                             loglik_derivatives)
 from .errors import DegenerateSampleError
 
@@ -77,9 +77,7 @@ def mle_null(family: Family, sample: CountSample) -> MleResult:
     The base parameter is matched to the sample mean: the rate itself for
     Poisson, ``ybar / (1 + ybar)`` for geometric.
     """
-    if sample.s == 0:
-        raise DegenerateSampleError(
-            "no positive counts: null MLE sits at the boundary of the base family")
+    _require_counts(sample)
     theta0, ll0 = _null_fit(family, sample.n, sample.s)
     return MleResult(0.0, float(theta0), float(ll0 + _log_a_sum(family, sample)),
                      converged=True, iterations=0)
@@ -255,8 +253,7 @@ def score_test(family: Family, sample: CountSample, alpha: float = 0.05,
     tests use the signed root against the upper normal quantile; two-sided
     tests refer the statistic to chi-square with one degree of freedom.
     """
-    if sample.s == 0:
-        raise DegenerateSampleError("no positive counts: score test undefined")
+    _require_counts(sample)
     stat, sign = _score_statistic(family, sample.n, sample.n0, sample.s)
     return _build_report(TestMethod.SCORE, stat, sign, alpha, sidedness)
 

@@ -64,6 +64,13 @@ class PowerConfig:
                 raise ValueError(f"ns entries must be integers of at least 2, got {n!r}")
         if not self.combos():
             raise ValueError("empty grid")
+        # every cell's model and the seed, checked before any cell runs
+        for theta, p in itertools.product(self.thetas, self.ps):
+            ZipsModel(self.family, p, theta)
+        try:
+            np.random.SeedSequence(self.seed)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"seed={self.seed!r}: {err}") from None
 
     def combos(self):
         return [(theta, p, n) for theta in self.thetas

@@ -303,8 +303,16 @@ class TestCli:
          "ns entries must be integers of at least 2, got 0"),
         (None, ["--thetas", "0.5", "--ps", "0.3", "--ns=-3"],
          "ns entries must be integers of at least 2, got -3"),
+        ({"thetas": [0.5], "ps": [0.3], "ns": [20], "rep": 150, "methods": ["score1"]}, [],
+         "unknown config key 'rep'"),
+        (None, ["--thetas", "0.5", "--ps", "1.5", "--ns", "20"], "p=1.5 outside open range"),
+        (None, ["--thetas", "0.5", "--ps", "0.3", "--ns", "20", "--seed=-1"], "seed=-1"),
+        (None, ["--thetas", "0.5,-5", "--ps", "0.3", "--ns", "20"], "theta=-5.0"),
+        (None, ["--model", "geometric", "--thetas", "1.5", "--ps", "0.3", "--ns", "20"],
+         "theta=1.5"),
     ], ids=["thetas-scalar", "thetas-string", "top-level-list", "ns-fraction",
-            "methods-string", "ns-zero", "ns-negative"])
+            "methods-string", "ns-zero", "ns-negative", "unknown-key", "p-above-one",
+            "negative-seed", "negative-theta", "geometric-theta-above-one"])
     def test_malformed_power_grid_exits_2_before_the_header(self, tmp_path, capsys,
                                                             config, argv, message):
         if config is not None:

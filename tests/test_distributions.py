@@ -8,8 +8,9 @@ from scipy import stats
 
 from zicount import (CountSample, Family, Parametrization, ParameterRangeError,
                      ZipsModel, fisher_info, fisher_info_orthogonal, from_pstar,
-                     log_likelihood, log_pmf, loglik_derivatives, p_lower, pmf,
-                     sample, to_pstar)
+                     grad_log_prior, log_likelihood, log_pmf, log_prior,
+                     loglik_derivatives, p_lower, pmf, prior_density, sample,
+                     sample_values, to_pstar)
 from zicount.distributions import _log_likelihood, _newton, _poisson_tail_bound
 from zicount.errors import QuadratureError
 
@@ -73,6 +74,63 @@ class TestPmf:
         with pytest.raises(ValueError):
             pmf(model, -1)
 
+    @pytest.mark.parametrize("y", [10**30, [1, 2**63], 2.0**63, math.inf],
+                             ids=["int-1e30", "list-2**63", "float-2**63", "inf"])
+    def test_y_beyond_int64_rejected(self, y):
+        model = ZipsModel(Family.POISSON, 0.1, 1.0)
+        with pytest.raises(ValueError, match="below 2\\*\\*63"):
+            log_pmf(model, y)
+        assert np.isfinite(log_pmf(model, 2**63 - 1))
+
+
+# every function that takes (p, theta), or pstar and theta, as a list of the
+# numbers it returns at p, theta, their pstar and a sample
+_DOMAIN_ROUTES = {
+    "log_prior": lambda fam, p, theta, pstar, cs: [log_prior(fam, p, theta)],
+    "prior_density": lambda fam, p, theta, pstar, cs: [prior_density(fam, p, theta)],
+    "grad_log_prior": lambda fam, p, theta, pstar, cs: grad_log_prior(fam, p, theta),
+    "loglik_derivatives": lambda fam, p, theta, pstar, cs: np.concatenate(
+        [np.ravel(d) for d in loglik_derivatives(fam, p, theta, cs)]),
+    "_log_likelihood": lambda fam, p, theta, pstar, cs: [_log_likelihood(fam, p, theta, cs)],
+    "from_pstar": lambda fam, p, theta, pstar, cs: [from_pstar(fam, pstar, theta).p],
+    "fisher_info_orthogonal": lambda fam, p, theta, pstar, cs: np.ravel(
+        fisher_info_orthogonal(fam, pstar, theta).matrix()),
+}
+
+# (p, theta) outside the model's open range and inside it; the weights sit
+# at theta = 0.5
+_OFF_RANGE = {
+    "p=lo": lambda fam: (p_lower(fam, 0.5), 0.5),
+    "p=lo-1": lambda fam: (p_lower(fam, 0.5) - 1.0, 0.5),
+    "p=1": lambda fam: (1.0, 0.5),
+    "p=1.5": lambda fam: (1.5, 0.5),
+    "p=nan": lambda fam: (math.nan, 0.5),
+    "theta=nan": lambda fam: (0.2, math.nan),
+    "theta=-1": lambda fam: (0.2, -1.0),
+    "theta=0": lambda fam: (0.2, 0.0),
+    "theta=max": lambda fam: (0.2, fam._series.theta_max),
+}
+_INTERIOR = {
+    "p=lo/2": lambda fam: (0.5 * p_lower(fam, 0.5), 0.5),
+    "p=0": lambda fam: (0.0, 0.5),
+    "p=0.9": lambda fam: (0.9, 0.5),
+}
+
+
+class TestModelDomain:
+    @pytest.mark.parametrize("point", [*_OFF_RANGE, *_INTERIOR])
+    @pytest.mark.parametrize("route", _DOMAIN_ROUTES)
+    @pytest.mark.parametrize("family", list(Family))
+    def test_accepts_exactly_the_model_range(self, family, route, point):
+        p, theta = {**_OFF_RANGE, **_INTERIOR}[point](family)
+        f0 = float(family.f0(theta))
+        args = family, p, theta, f0 + p * (1.0 - f0), CountSample({0: 3, 1: 2, 4: 1})
+        if point in _INTERIOR:
+            assert np.all(np.isfinite(np.asarray(_DOMAIN_ROUTES[route](*args), dtype=float)))
+        else:
+            with pytest.raises(ParameterRangeError), np.errstate(all="ignore"):
+                _DOMAIN_ROUTES[route](*args)
+
 
 class TestPLower:
     def test_poisson_log2(self):
@@ -135,6 +193,16 @@ class TestNormalizationAndMean:
             upper = model.support_bound(1e-12)
             total = np.exp(log_pmf(model, np.arange(upper + 1))).sum()
             assert total == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, 1.0, 1.5, math.nan])
+    def test_support_bound_rejects_eps_outside_zero_one(self, eps):
+        with pytest.raises(ParameterRangeError, match="eps="):
+            ZipsModel(Family.POISSON, 0.2, 1.0).support_bound(eps)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_support_bound_when_the_positive_mass_is_below_eps(self, family):
+        # 1 - p = 0.01 < eps: no tail beyond zero reaches eps
+        assert ZipsModel(family, 0.99, 0.5).support_bound(0.5) == 10
 
     def test_mean_identity(self):
         for model in random_models(60, seed=7):
@@ -319,6 +387,14 @@ class TestSampling:
         expected[-1] += n - expected.sum()
         result = stats.chisquare(observed, expected)
         assert result.pvalue > 1e-3
+
+    @pytest.mark.parametrize("n", [-1, 0, 2.5, "3"])
+    def test_sample_size_must_be_a_positive_integer(self, n):
+        model = ZipsModel(Family.POISSON, -0.1, 1.0)
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            sample_values(model, n, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            sample(model, n, 0)
 
     def test_seed_determinism(self):
         model = ZipsModel(Family.POISSON, -0.1, 1.0)
