@@ -6,18 +6,19 @@ family's Jeffreys prior for theta.  In the orthogonal coordinates
 ``pstar = p + (1 - p) * f0(theta)`` the posterior factorizes into
 ``pstar | y ~ Beta(n0 + 1/2, n - n0 + 1 - k/2)`` and a theta law with density
 proportional to ``theta**s / (c(theta) - 1)**(n - n0)`` times the record's
-``g(theta)``.  One rule, ``_ThetaPosterior``, owns both laws under the
-default record for both families and serves factorized T, posterior draws,
-the 2-D oracle and the exact marginal posterior of the weight
-(``exact_marginal``: density, CDF, equal-tail and HPD intervals), which the
-CLI uses.  The draw-based density and intervals (``draw_posterior``
-onwards) are the paper's route.
+``g(theta)``.  One rule, ``_ThetaPosterior``, owns both laws under a given
+record for both families.  It serves factorized T under either prior, and,
+under the default record, posterior draws and the exact marginal posterior
+of the weight (``exact_marginal``: density, CDF, equal-tail and HPD
+intervals), which the CLI uses.  The draw-based density and intervals
+(``draw_posterior`` onwards) are the paper's route.
 
 The test statistic is the posterior probability of positive weight,
 ``T(Y) = P(p > 0 | Y)``, estimated either by a self-normalized importance
-sampler (Poisson) or exact posterior draws (geometric), and independently by
-two-dimensional adaptive quadrature over the original (p, theta) coordinates,
-which serves as the deterministic oracle for the Monte Carlo estimate.
+sampler (Poisson) or exact posterior draws (geometric), the paper's route,
+or computed deterministically on the theta rule
+(``posterior_prob_positive_factorized``, also bound as
+``posterior_prob_positive_quadrature``).
 """
 
 from __future__ import annotations
@@ -32,13 +33,11 @@ from typing import Callable
 import numpy as np
 
 from ._lazy import LazyModule
-from .distributions import (CountSample, Family, ZipsModel, _log_a_sum, _newton,
-                            _require_counts)
+from .distributions import CountSample, Family, ZipsModel, _newton, _require_counts
 from .errors import QuadratureError
 from .limits import MIN_CURVE_POINTS
 
 special = LazyModule("scipy.special", globals())
-integrate = LazyModule("scipy.integrate", globals())
 
 DEFAULT_DRAWS = 10_000
 # theta window over which the Bayes factor averages its prior odds
@@ -230,7 +229,7 @@ def _distinct_cuts(cuts: np.ndarray):
 
 class _ThetaPosterior:
     """The factorized posterior of rows of ``(n0, m, s)`` (arrays over rows,
-    scalars one row) under the default prior's record ``prior``.  ``pstar``
+    scalars one row) under the record ``prior`` of a ``PriorKind``.  ``pstar``
     is ``Beta(a, b)`` by the record's ``pstar_shapes``; ``window`` holds the
     1e-17 and 1 - 1e-17 quantiles of ``1 - pstar``, which ``coord_at`` maps
     into x and on which ``pstar_cdf`` is the Beta CDF.  With pstar integrated
@@ -238,16 +237,17 @@ class _ThetaPosterior:
     ``theta**s / (c(theta) - 1)**m`` times the record's ``g(theta)``, times
     the Jacobian of the family's unbounded coordinate ``x``: ``u = log(theta)``
     for Poisson, where the all-ones pole ``theta**(-1/2)`` becomes an
-    exponential tail, and ``v = logit(theta)`` for geometric, where it is
-    ``theta**(s - m + 1/2) * (1 - theta)**m``.  Both are log-concave in x.
+    exponential tail, and ``v = logit(theta)`` for geometric, where under the
+    default record it is ``theta**(s - m + 1/2) * (1 - theta)**m``.  Both are
+    log-concave in x.
     Each row has its own ``mode``, ``peak`` (the log density there) and
     ``[lo, hi]``, which widens from the Laplace 1e-16 points until the
     density is below 1e-16 of its peak; a row of ``cuts`` is ``lo``, the
     mode and ``hi``.
     """
 
-    def __init__(self, family: Family, n0, m, s):
-        self.series, self.prior = family._series, _DEFAULT_PRIOR._prior
+    def __init__(self, family: Family, n0, m, s, prior: PriorKind = _DEFAULT_PRIOR):
+        self.series, self.prior = family._series, prior._prior
         self.n0, self.m, self.s = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (n0, m, s))
         self.a, self.b = self.prior.pstar_shapes(self.n0, self.m)
         # the window once per distinct shape pair, which rows share
@@ -443,109 +443,19 @@ def posterior_prob_positive(family: Family, sample: CountSample,
 
 
 # ---------------------------------------------------------------------------
-# quadrature oracle and posterior normalization
+# exact T on the theta rule
 
 
-def _log_kernel_in_p(family: Family, sample: CountSample, prior: PriorKind,
-                     theta: float):
-    """``log likelihood + log prior`` at fixed theta, as a function of p.
-
-    ``(a - 1) log(f0 + p (1 - f0)) + (b - 1) log(1 - p)``, with pstar's Beta
-    shapes ``(a, b)`` from the prior record, plus terms in theta alone
-    (``log c``, ``s log theta``, ``sum log a_y`` and the prior's
-    ``(1 - k/2) log(1 - f0) + log g - log Z``), which are summed here once.
-    Valid inside the quadrature's p window, which stays clear of the
-    endpoints; returned with the lower endpoint ``-f0 / (1 - f0)``.
-    """
-    series, kind = family._series, prior._prior
-    m = sample.n - sample.n0
-    a, b = kind.pstar_shapes(sample.n0, m)
-    f0 = series.f0(theta)
-    log_c = series.log_c(theta)
-    log_om = math.log(om := -math.expm1(-log_c))
-    const = -m * log_c + sample.s * math.log(theta) + _log_a_sum(family, sample)
-    const += (1.0 - 0.5 * kind.k) * log_om + kind.log_g(series, theta, log_c) - kind.log_z
-    return -f0 / om, lambda p: ((a - 1.0) * math.log(f0 + p * om)
-                                + (b - 1.0) * math.log1p(-p) + const)
-
-
-def _quad(fun, a: float, b: float) -> tuple[float, float, bool]:
-    """``quad`` at the oracle's tolerances: value, error and whether QUADPACK
-    flagged them (``full_output`` returns it in place of a warning)."""
-    value, err, _, *flag = integrate.quad(fun, a, b, epsabs=1e-13, epsrel=1e-10,
-                                          limit=200, full_output=1)
-    return value, err, bool(flag)
-
-
-def _log_wedge_integral(family: Family, sample: CountSample, prior: PriorKind,
-                        positive_only: bool) -> tuple[float, float]:
-    """Log of the posterior-kernel integral over the parameter wedge.
-
-    Integrates ``exp(log likelihood + log prior)`` over theta and, inside,
-    over p from the extended lower endpoint (or zero) to one, by nested
-    adaptive quadrature.  Returns the log value and a relative error bound,
-    which adds the largest error of a flagged inner integral, per unit of
-    ``u = log(theta)``, times the width in u."""
-    theta_max = family._series.theta_max
-    edge = theta_max * (1.0 - 1e-12)
-    rule = _ThetaPosterior(family, sample.n0, sample.n - sample.n0, sample.s)
-    t_lo, t_mode, t_hi = (min(family._series.coord_point(x)[0], edge) for x in rule.cuts[0])
-
-    def window(theta: float):
-        lo, log_k = _log_kernel_in_p(family, sample, prior, theta)
-        eps = 1e-13 * max(1.0, abs(lo))
-        start = 0.0 + 1e-300 if positive_only else lo + eps
-        return max(start, lo + eps), 1.0 - 1e-13, log_k
-
-    # scale constant from a coarse mesh so the integrand stays O(1)
-    big = -math.inf
-    for t in np.linspace(t_lo, t_hi, 48):
-        a, b, log_k = window(float(t))
-        for q in np.linspace(a + 1e-9, b - 1e-9, 32):
-            big = max(big, log_k(float(q)))
-    if not math.isfinite(big):
-        raise QuadratureError("posterior kernel vanished on the search mesh")
-
-    flagged = 0.0  # largest error of a flagged inner integral, per unit of u
-
-    def inner(theta: float) -> float:
-        nonlocal flagged
-        a, b, log_k = window(theta)
-        if a >= b:
-            return 0.0
-        val, err, bad = _quad(lambda q: math.exp(log_k(q) - big), a, b)
-        if bad:
-            flagged = max(flagged, theta * err)
-        return val
-
-    # widen toward 0 and theta_max until the profile per unit of u = log(theta),
-    # where a theta**(-1/2) pole is a smooth tail, is negligible at both ends
-    profile = lambda u: math.exp(u) * inner(math.exp(u))
-    u_lo, u_hi, peak = math.log(t_lo), math.log(t_hi), profile(math.log(t_mode))
-    for _ in range(60):
-        if profile(u_lo) >= 1e-14 * peak:
-            u_lo -= 1.0
-        elif t_hi < edge and profile(u_hi) >= 1e-14 * peak:
-            t_hi = min(1.5 * t_hi, 0.5 * (t_hi + theta_max), edge)
-            u_hi = math.log(t_hi)
-        else:
-            break
-    value, err, _ = _quad(profile, u_lo, u_hi)
-    if value <= 0.0:
-        raise QuadratureError("posterior integral evaluated to zero")
-    return math.log(value) + big, (err + (u_hi - u_lo) * flagged) / value
-
-
-def _factorized_t(family: Family, n0, m, s) -> np.ndarray:
+def _factorized_t(family: Family, n0, m, s, prior: PriorKind = _DEFAULT_PRIOR) -> np.ndarray:
     """Factorized T for rows of ``(n0, m, s)`` on one batched theta rule.
 
-    ``T = E[P(pstar > f0(theta))]``, both laws the rule's, under its prior
+    ``T = E[P(pstar > f0(theta))]``, both laws the rule's, under ``prior``'s
     record.  ``P(pstar > f0)`` rises where ``1 - f0`` crosses the window,
     between two edges in closed form; a rise narrower than half the bracket
     gets its own panel.  Rows are grouped by their number of cuts, so that
     each row sums the same nodes in the same order as it would alone.
     """
-    rule = _ThetaPosterior(family, n0, m, s)
+    rule = _ThetaPosterior(family, n0, m, s, prior)
     lo, hi = rule.lo[:, None], rule.hi[:, None]
     rise = np.clip(rule.coord_at(rule.window), lo, hi)
     narrow = rise[:, 1:] - rise[:, :1] < 0.5 * (hi - lo)
@@ -560,41 +470,25 @@ def _factorized_t(family: Family, n0, m, s) -> np.ndarray:
     return num / den
 
 
-def posterior_prob_positive_factorized(family: Family,
-                                       sample: CountSample) -> float:
+def posterior_prob_positive_factorized(family: Family, sample: CountSample,
+                                       prior: PriorKind = _DEFAULT_PRIOR) -> float:
     """Deterministic T(Y) from the factorized posterior, by 1-D quadrature.
 
-    Under the default prior, ``T = E[SF(f0(theta))]`` where the survival
-    function is that of the Beta posterior of the zero probability and the
-    expectation runs over the theta posterior, in Gauss-Legendre panels of
-    the family's coordinate that meet at its mode.  Much faster than the
-    two-dimensional oracle and far more accurate than the importance sampler
-    for large samples, where the sampler's proposal drifts away from the
+    ``T = E[SF(f0(theta))]`` where the survival function is that of pstar's
+    Beta posterior under ``prior`` and the expectation runs over the theta
+    posterior, in Gauss-Legendre panels of the family's coordinate that
+    meet at its mode.  Far more accurate than the importance sampler for
+    large samples, where the sampler's proposal drifts away from the
     posterior.  The one-row case of ``_factorized_t``, which null
-    calibration calls on all distinct ``(n0, s)`` at once.
+    calibration calls on all distinct ``(n0, s)`` at once.  Also bound as
+    ``posterior_prob_positive_quadrature``.
     """
     _require_counts(sample)
-    return float(_factorized_t(family, [sample.n0], [sample.n - sample.n0], [sample.s])[0])
+    return float(_factorized_t(family, [sample.n0], [sample.n - sample.n0], [sample.s],
+                               prior)[0])
 
 
-def posterior_prob_positive_quadrature(family: Family, sample: CountSample,
-                                       prior: PriorKind = _DEFAULT_PRIOR) -> float:
-    """Deterministic T(Y) by the ratio of two-dimensional quadratures.
-
-    Absolute accuracy target 1e-6; raises when far off and warns with the
-    achieved accuracy when moderately off.
-    """
-    _require_counts(sample)
-    log_num, err_num = _log_wedge_integral(family, sample, prior, positive_only=True)
-    log_den, err_den = _log_wedge_integral(family, sample, prior, positive_only=False)
-    value = math.exp(log_num - log_den)
-    accuracy = value * (err_num + err_den)
-    if accuracy > 1e-4:
-        raise QuadratureError(f"quadrature accuracy {accuracy:.2e} exceeds 1e-4")
-    if accuracy > 1e-6:
-        warnings.warn(f"quadrature accuracy {accuracy:.2e} above the 1e-6 target",
-                      stacklevel=2)
-    return min(value, 1.0)
+posterior_prob_positive_quadrature = posterior_prob_positive_factorized
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,9 @@ class PowerConfig:
         # every cell's model and the seed, checked before any cell runs
         for theta, p in itertools.product(self.thetas, self.ps):
             ZipsModel(self.family, p, theta)
+        # None would draw fresh entropy per cell, so no grid could be rerun
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         try:
             np.random.SeedSequence(self.seed)
         except (TypeError, ValueError) as err:

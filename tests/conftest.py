@@ -1,8 +1,8 @@
 """Shared fixtures and independent numerical oracles for the test suite.
 
 The oracles here (finite differences, brute-force summation, adaptive
-quadrature over the factorized posterior) deliberately avoid the code paths
-they are used to check.
+quadrature over the factorized posterior and over the two-dimensional
+parameter wedge) deliberately avoid the code paths they are used to check.
 """
 
 import math
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
 
-from zicount import CountSample, Family
+from zicount import CountSample, Family, PriorKind
 
 
 class SamplerError(RuntimeError):
@@ -209,6 +209,117 @@ class PosteriorOracle:
             return (1.0 - f0) * stats.beta.pdf(f0 + x * (1.0 - f0),
                                                self.n0 + 0.5, self.m + 0.5)
         return self._quad(g, breaks=self._support_edge(x)) / self.norm
+
+
+def _log_kernel_in_p(family: Family, sample: CountSample, prior: PriorKind, theta: float):
+    """``log likelihood + log prior`` at fixed theta, as a function of p,
+    less ``sum log a_y``, which cancels in T.
+
+    ``(n0 - 1/2) log(f0 + p (1 - f0)) + (m - k/2) log(1 - p)`` from the zeros,
+    the positive counts and the prior's ``pstar**(-1/2) (1 - pstar)**(-k/2)``,
+    plus terms in theta alone (``-m log c``, ``s log theta`` and the prior's
+    ``(1 - k/2) log(1 - f0) + log g - log Z``), which are summed here once.
+    Valid inside the quadrature's p window, which stays clear of the
+    endpoints; returned with the lower endpoint ``-f0 / (1 - f0)`` and the p
+    where the kernel peaks (the lower endpoint itself when ``n0 = 0``).
+    """
+    series, kind = family._series, prior._prior
+    m = sample.n - sample.n0
+    alpha, beta = sample.n0 - 0.5, m - 0.5 * kind.k
+    f0 = series.f0(theta)
+    log_c = series.log_c(theta)
+    log_om = math.log(om := -math.expm1(-log_c))
+    const = -m * log_c + sample.s * math.log(theta)
+    const += (1.0 - 0.5 * kind.k) * log_om + kind.log_g(series, theta, log_c) - kind.log_z
+    lo = -f0 / om
+    return lo, lo + max(alpha, 0.0) / (max(alpha, 0.0) + beta) / om, lambda p: (
+        alpha * math.log(f0 + p * om) + beta * math.log1p(-p) + const)
+
+
+def _quad(fun, a: float, b: float, epsabs: float = 1e-13) -> tuple[float, float, bool]:
+    """``quad`` at the wedge oracle's tolerances: value, error and whether
+    QUADPACK flagged them (``full_output`` returns it in place of a warning)."""
+    value, err, _, *flag = integrate.quad(fun, a, b, epsabs=epsabs, epsrel=1e-10,
+                                          limit=200, full_output=1)
+    return value, err, bool(flag)
+
+
+def _log_wedge_integral(family: Family, sample: CountSample, prior: PriorKind,
+                        positive_only: bool) -> tuple[float, float]:
+    """Log of the posterior-kernel integral over the parameter wedge.
+
+    Integrates ``exp(log likelihood + log prior)`` over ``u = log(theta)``,
+    where a ``theta**(-1/2)`` pole is a smooth tail, and, inside, over p from
+    the extended lower endpoint (or zero) to one, by nested adaptive
+    quadrature; each inner integral is scaled by the kernel's largest value
+    on its p window.  The u range starts at the profile's own mode (a
+    bounded scalar search) plus and minus its Laplace 1e-16 width, inside
+    the search range, and widens until the profile is negligible at both ends.
+    Returns the log value and a relative error bound, which adds the largest
+    error of a flagged inner integral, per unit of u, times the width in u."""
+    theta_max = family._series.theta_max
+    edge = theta_max * (1.0 - 1e-12)
+    flagged = 0.0  # largest error of a flagged inner integral, per unit of u
+
+    def log_profile(u: float) -> tuple[float, float]:
+        """Log of theta times the inner integral at theta = exp(u), and the
+        inner integral's relative error where QUADPACK flagged it."""
+        theta = math.exp(u)
+        lo, peak_p, log_k = _log_kernel_in_p(family, sample, prior, theta)
+        eps = 1e-13 * max(1.0, abs(lo))
+        a, b = max(1e-300 if positive_only else -math.inf, lo + eps), 1.0 - 1e-13
+        if a >= b:
+            return -math.inf, 0.0
+        scale = log_k(min(max(peak_p, a), b))
+        # relative accuracy only: a pstar**(-1/2) pole at the lower end sets
+        # the scale far above the bulk of the integral
+        val, err, bad = _quad(lambda q: math.exp(log_k(q) - scale), a, b, epsabs=0.0)
+        if val <= 0.0:
+            return -math.inf, 0.0
+        return scale + u + math.log(val), err / val if bad else 0.0
+
+    # the search range: above the theta mode of either family, below theta_max
+    bottom = math.log(1e-30)
+    top = math.log(min(edge, 10.0 * sample.s / (sample.n - sample.n0) + 10.0))
+    found = optimize.minimize_scalar(lambda u: -log_profile(u)[0], method="bounded",
+                                     bounds=(bottom, top), options={"xatol": 1e-6})
+    mode, log_peak = float(found.x), -float(found.fun)
+
+    def profile(u: float) -> float:
+        nonlocal flagged
+        log_value, rel = log_profile(u)
+        value = math.exp(log_value - log_peak)
+        flagged = max(flagged, value * rel)
+        return value
+
+    h = 1e-3
+    mid = min(mode, top - h)
+    curvature = (log_profile(mid + h)[0] - 2.0 * log_profile(mid)[0]
+                 + log_profile(mid - h)[0]) / h ** 2
+    half = math.sqrt(-2.0 * math.log(1e-16) / -curvature) if curvature < 0.0 else 1.0
+    u_lo, u_hi = max(mode - half, bottom), min(mode + half, top)
+    # widen toward 0 and theta_max until the profile is negligible at both ends
+    for _ in range(60):
+        if profile(u_lo) >= 1e-14:
+            u_lo -= mode - u_lo
+        elif u_hi < math.log(edge) and profile(u_hi) >= 1e-14:
+            u_hi = math.log(min(1.5 * math.exp(u_hi), 0.5 * (math.exp(u_hi) + theta_max), edge))
+        else:
+            break
+    value, err, _ = _quad(profile, u_lo, u_hi)
+    if value <= 0.0:
+        raise ArithmeticError("posterior integral evaluated to zero")
+    return math.log(value) + log_peak, (err + (u_hi - u_lo) * flagged) / value
+
+
+def wedge_prob_positive(family: Family, sample: CountSample,
+                        prior: PriorKind = PriorKind.CONDITIONAL_JEFFREYS) -> tuple[float, float]:
+    """``T = P(p > 0 | y)`` as the ratio of two-dimensional quadratures over
+    the original (p, theta) coordinates, and its absolute error bound."""
+    log_num, err_num = _log_wedge_integral(family, sample, prior, positive_only=True)
+    log_den, err_den = _log_wedge_integral(family, sample, prior, positive_only=False)
+    value = math.exp(log_num - log_den)
+    return min(value, 1.0), value * (err_num + err_den)
 
 
 def zip_theta_rejection_draws(rng: np.random.Generator, m: int, s: float,

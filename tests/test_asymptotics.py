@@ -164,12 +164,14 @@ class TestPosteriorTailExpansion:
                 better += 1
         assert better / total >= 0.70
 
+    @pytest.mark.parametrize("prior", PriorKind, ids=lambda k: k.value)
     @pytest.mark.parametrize("family, theta", [(Family.POISSON, 1.5), (Family.GEOMETRIC, 0.5)],
                              ids=["poisson", "geometric"])
-    def test_error_order_against_factorized_t(self, family, theta):
+    def test_error_order_against_factorized_t(self, family, theta, prior):
         # the expansion is of order 1/sqrt(n), so its error falls as 1/n and
         # that of its normal term as 1/sqrt(n): log-log slopes of the median
-        # error over null samples, against 1 - T from factorized T
+        # error over null samples, against 1 - T from factorized T, both
+        # under the one prior
         ns = (50, 200, 800, 3200, 12_800)
         errors = []
         for n in ns:
@@ -177,8 +179,8 @@ class TestPosteriorTailExpansion:
             for values, _, _, _ in _replications(family, 0.0, theta, n, 100, seed=1):
                 cs = CountSample.from_values(values)
                 try:
-                    inputs = expansion_inputs(family, cs)
-                    exact = 1.0 - posterior_prob_positive_factorized(family, cs)
+                    inputs = expansion_inputs(family, cs, prior)
+                    exact = 1.0 - posterior_prob_positive_factorized(family, cs, prior)
                 except ZicountError:
                     continue
                 w = math.sqrt(n / inputs.info_inv[0, 0]) * (0.0 - inputs.eta_hat[0])

@@ -20,7 +20,8 @@ from zicount.datasets import dataset_names, load_dataset
 from zicount.bayes import (_distinct_cuts, _factorized_t, _prior_prob_positive,
                            _ThetaPosterior)
 
-from conftest import PosteriorOracle, fd_gradient, zip_theta_rejection_draws
+from conftest import (PosteriorOracle, fd_gradient, wedge_prob_positive,
+                      zip_theta_rejection_draws)
 
 
 class TestPriorDensity:
@@ -137,7 +138,7 @@ class TestPosteriorProbPositive:
         for cs in (uti, terror, cholera):
             with pytest.warns(UserWarning) if cs is not uti else _nullcontext():
                 est = posterior_prob_positive(Family.POISSON, cs, B=10_000, seed=1)
-            exact = posterior_prob_positive_quadrature(Family.POISSON, cs)
+            exact, _ = wedge_prob_positive(Family.POISSON, cs)
             assert abs(est.value - exact) < 3.0 * max(est.mc_se, 1e-6) + 1e-4
 
     def test_matches_quadrature_on_simulated_datasets(self):
@@ -165,7 +166,7 @@ class TestPosteriorProbPositive:
                 # error is itself unreliable; the contract is the warning
                 low_ess_warned += sum("ESS" in str(w.message) for w in caught)
                 continue
-            exact = posterior_prob_positive_quadrature(Family.POISSON, cs)
+            exact, _ = wedge_prob_positive(Family.POISSON, cs)
             zs.append((est.value - exact) / max(est.mc_se, 1e-6))
         assert len(zs) == 20
         zs = np.abs(zs)
@@ -176,23 +177,24 @@ class TestPosteriorProbPositive:
     def test_geometric_direct_draws(self):
         cs = CountSample({0: 30, 1: 12, 2: 5, 3: 2, 5: 1})
         est = posterior_prob_positive(Family.GEOMETRIC, cs, B=40_000, seed=2)
-        exact = posterior_prob_positive_quadrature(Family.GEOMETRIC, cs)
+        exact, _ = wedge_prob_positive(Family.GEOMETRIC, cs)
         assert abs(est.value - exact) < 3.0 * est.mc_se
         assert est.ess == est.draws
 
     def test_factorized_agrees_with_2d_quadrature(self, uti, terror):
         for cs in (uti, terror):
             assert posterior_prob_positive_factorized(Family.POISSON, cs) == pytest.approx(
-                posterior_prob_positive_quadrature(Family.POISSON, cs), abs=1e-8)
+                wedge_prob_positive(Family.POISSON, cs)[0], abs=1e-8)
         geo = CountSample({0: 22, 1: 9, 2: 4, 4: 1})
         assert posterior_prob_positive_factorized(Family.GEOMETRIC, geo) == pytest.approx(
-            posterior_prob_positive_quadrature(Family.GEOMETRIC, geo), abs=1e-8)
+            wedge_prob_positive(Family.GEOMETRIC, geo)[0], abs=1e-8)
 
     @pytest.mark.parametrize("counts, expected", [
         ({0: 4, 1: 6}, 0.025219), ({0: 1, 1: 1}, 0.34913), ({1: 3, 2: 2}, 0.033720)])
     def test_joint_prior_oracle_on_small_theta_samples(self, counts, expected):
         # these posteriors put mass at theta near zero, where the joint
-        # prior's 1 - e^-t - t e^-t must not cancel to zero or below
+        # prior's 1 - e^-t - t e^-t must not cancel to zero or below; the
+        # agreement test below checks these values against the 2-D oracle
         cs = CountSample(counts)
         prior = PriorKind.JEFFREYS_JOINT
         with warnings.catch_warnings():
@@ -204,13 +206,14 @@ class TestPosteriorProbPositive:
 
     def test_oracle_keeps_quadpack_flags_in_its_accuracy(self):
         # no zeros: the inner p integrals start at the pstar**(-1/2) pole,
-        # where QUADPACK flags roundoff; the flag enters the oracle's own
-        # accuracy bound, which stays within target, and no warning leaks
-        # (the joint prior's case is in the test above)
+        # where QUADPACK flags roundoff; the flag enters the 2-D oracle's own
+        # accuracy bound, which stays within its 1e-6 target, and no warning
+        # leaks (the joint prior's case is in the agreement test below)
         cs = CountSample({1: 3, 2: 2})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            exact = posterior_prob_positive_quadrature(Family.POISSON, cs)
+            exact, bound = wedge_prob_positive(Family.POISSON, cs)
+        assert bound <= 1e-6
         assert exact == pytest.approx(posterior_prob_positive_factorized(Family.POISSON, cs),
                                       abs=1e-8)
 
@@ -220,7 +223,7 @@ class TestPosteriorProbPositive:
         # the joint prior's pstar draws are Beta(n0 + 1/2, m + 1), not m + 1/2
         cs = CountSample(counts)
         prior = PriorKind.JEFFREYS_JOINT
-        exact = posterior_prob_positive_quadrature(Family.GEOMETRIC, cs, prior)
+        exact, _ = wedge_prob_positive(Family.GEOMETRIC, cs, prior)
         est = posterior_prob_positive(Family.GEOMETRIC, cs, prior, B=200_000, seed=1)
         assert abs(est.value - exact) < 4.0 * est.mc_se
 
@@ -277,13 +280,26 @@ def _null_sample(family, theta, n):
     raise AssertionError("no usable sample")
 
 
+NULL_THETAS = {Family.POISSON: (0.3, 1.0, 8.0), Family.GEOMETRIC: (0.1, 0.5, 0.9)}
 ORACLE_GRID = [(family, theta, n)
-               for family, thetas in ((Family.POISSON, (0.3, 1.0, 8.0)),
-                                      (Family.GEOMETRIC, (0.1, 0.5, 0.9)))
+               for family, thetas in NULL_THETAS.items()
                for theta in thetas
                for n in (2, 5, 20, 100, 1_000, 10_000, 100_000, 1_000_000)]
 # every positive count one (a theta**(-1/2) pole at zero), and m = 1
 SMALL_SAMPLES = ({0: 4, 1: 6}, {0: 18, 1: 2}, {0: 3, 1: 1}, {0: 19, 1: 1})
+# the bundled datasets, the small samples, the joint prior's small-theta
+# tables and, by (index into NULL_THETAS, n), null samples up to n = 1e4
+AGREEMENT_CASES = (*dataset_names(), *SMALL_SAMPLES, {0: 1, 1: 1}, {1: 3, 2: 2},
+                   (0, 20), (1, 10_000), (2, 100))
+
+
+def _agreement_sample(family, case):
+    if isinstance(case, str):
+        return load_dataset(case)
+    if isinstance(case, dict):
+        return CountSample(case)
+    k, n = case
+    return _null_sample(family, NULL_THETAS[family][k], n)
 
 
 def _sample_of(n0, m, s):
@@ -293,8 +309,9 @@ def _sample_of(n0, m, s):
 
 
 class TestThetaPosterior:
-    """The theta-posterior rule behind factorized T, posterior draws and
-    the 2-D oracle's range, against the 1-D quadrature oracle."""
+    """The theta-posterior rule behind factorized T under either prior,
+    posterior draws and the exact marginal, against the 1-D quadrature
+    oracle and the 2-D wedge oracle."""
 
     @pytest.mark.parametrize("family, theta, n", ORACLE_GRID,
                              ids=lambda v: getattr(v, "value", v))
@@ -315,7 +332,18 @@ class TestThetaPosterior:
     def test_quadrature_oracle_matches_1d_oracle(self, family, table):
         cs = CountSample(table)
         exact = PosteriorOracle(cs, family).prob_positive()
-        assert abs(posterior_prob_positive_quadrature(family, cs) - exact) < 1e-8
+        assert abs(wedge_prob_positive(family, cs)[0] - exact) < 1e-8
+
+    @pytest.mark.parametrize("case", AGREEMENT_CASES, ids=str)
+    @pytest.mark.parametrize("prior", PriorKind, ids=lambda k: k.value)
+    @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
+    def test_factorized_matches_2d_oracle_under_both_priors(self, family, prior, case):
+        cs = _agreement_sample(family, case)
+        exact, bound = wedge_prob_positive(family, cs, prior)
+        # with no zeros the oracle's inner integrals start at the
+        # pstar**(-1/2) pole, and its own bound says how close it gets
+        tol = 1e-8 if cs.n0 > 0 else bound + 1e-12
+        assert abs(posterior_prob_positive_factorized(family, cs, prior) - exact) <= tol
 
     @pytest.mark.parametrize("n", (10_000, 100_000, 1_000_000))
     @pytest.mark.parametrize("family, theta", ((Family.POISSON, 1.0),
@@ -700,6 +728,8 @@ def test_exact_marginal_returns_finite_numbers_or_typed_errors(family, table):
 LOW_ESS_TABLES = ({0: 1, 2: 999_999}, {0: 600_000, 1: 250_000, 2: 100_000, 3: 50_000})
 IS_ROUTES = tuple(f"posterior_prob_positive/{kind.value}" for kind in PriorKind) + (
     "bayes_factor_positive",)
+# exact T under each prior, through its second name, posterior_prob_positive_quadrature
+FACTORIZED_ROUTES = tuple(f"factorized/{kind.value}" for kind in PriorKind)
 EXPANSION_ROUTES = tuple(f"expansion_inputs/{kind.value}" for kind in PriorKind)
 DRAW_ROUTES = ("draw_posterior", "credible_interval", "marginal_posterior_density",
                "density_curve", "hpd_interval")
@@ -710,8 +740,8 @@ HPD_HULL_TABLES = ({0: 400_000, 1: 600_000}, {0: 1, 2: 999_999}, {0: 5, 1: 9_999
 
 def _sweep_outputs(route, family, cs):
     """The numbers one route returns on one sweep sample."""
-    if route == "factorized":
-        return [posterior_prob_positive_factorized(family, cs)]
+    if route.startswith("factorized/"):
+        return [posterior_prob_positive_quadrature(family, cs, PriorKind(route.split("/")[1]))]
     if route.startswith("posterior_prob_positive/"):
         est = posterior_prob_positive(family, cs, PriorKind(route.split("/")[1]), B=500)
         return [est.value, est.mc_se, est.ess]
@@ -743,7 +773,7 @@ def _sweep_outputs(route, family, cs):
     return [fit.p_hat, fit.theta_hat, fit.loglik]
 
 
-@pytest.mark.parametrize("route", ["factorized", "score_test", "lr_test", "mle_null",
+@pytest.mark.parametrize("route", [*FACTORIZED_ROUTES, "score_test", "lr_test", "mle_null",
                                    "mle_full", *IS_ROUTES, *EXPANSION_ROUTES, *DRAW_ROUTES])
 @pytest.mark.parametrize("table", SWEEP_TABLES, ids=lambda t: str(t)[:40])
 @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
@@ -770,8 +800,7 @@ def test_routes_return_finite_numbers_or_typed_errors(family, table, route):
         assert math.isnan(values[0])
         values = values[1:]
     assert all(math.isfinite(v) for v in values), values[:3]
-    if route == "factorized" or route.startswith(("posterior_prob_positive/",
-                                                  "expansion_inputs/")):
+    if route.startswith(("factorized/", "posterior_prob_positive/", "expansion_inputs/")):
         assert 0.0 <= values[0] <= 1.0
 
 

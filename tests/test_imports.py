@@ -206,3 +206,17 @@ def test_draw_based_hpd_loads_no_root_finder():
             "draws = draw_posterior(Family.POISSON, sample, B=2000, seed=1)\n"
             "print(hpd_interval(draws, sample, 0.95).note, 'scipy.optimize' in sys.modules)")
     assert _run(code).strip() == "None False"
+
+
+def test_package_loads_no_quadpack():
+    # deterministic T under either prior runs on the theta rule; the 2-D
+    # wedge quadrature is a test oracle, so no submodule needs scipy.integrate
+    code = ("import importlib, pkgutil, sys, zicount\n"
+            "for info in pkgutil.iter_modules(zicount.__path__):\n"
+            "    if info.name != '__main__':\n"
+            "        importlib.import_module('zicount.' + info.name)\n"
+            "sample = zicount.load_dataset('uti')\n"
+            "for prior in zicount.PriorKind:\n"
+            "    zicount.posterior_prob_positive_quadrature(zicount.Family.POISSON, sample, prior)\n"
+            "print('scipy.integrate' in sys.modules)")
+    assert _run(code).strip() == "False"

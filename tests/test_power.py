@@ -84,6 +84,16 @@ class TestRunPowerStudy:
     def test_config_takes_numpy_integer_sample_sizes(self):
         assert small_grid(ns=(np.int64(20),)).ns == (20,)
 
+    @pytest.mark.parametrize("seed", [None, 1.5, True], ids=repr)
+    def test_config_rejects_a_seed_that_is_not_an_integer(self, seed):
+        # None would draw fresh entropy in every cell
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            small_grid(seed=seed)
+
+    def test_numpy_integer_seed_gives_the_grid_of_its_int(self):
+        by_numpy = run_power_study(small_grid(seed=np.int64(3), reps=100))
+        assert by_numpy.cells == run_power_study(small_grid(seed=3, reps=100)).cells
+
     def test_mc_se_formula(self):
         grid = run_power_study(small_grid())
         for cell in grid.cells.values():
