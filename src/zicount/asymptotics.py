@@ -31,10 +31,6 @@ from .power import _replication_table
 special = LazyModule("scipy.special", globals())
 stats = LazyModule("scipy.stats", globals())
 
-# distinct (n0, s) rows per batched factorized-T call, which bounds the size
-# of its node arrays
-FACTORIZED_BLOCK = 64
-
 
 @dataclass(frozen=True)
 class ExpansionInputs:
@@ -149,7 +145,7 @@ def _simulate_null_ts(family: Family, theta_null: float, n: int, reps: int,
     ``B <= 0`` computes T by the factorized quadrature, which stays accurate
     at sample sizes where the importance sampler's proposal breaks down.
     Factorized T depends on a sample only through ``(n0, s)`` at fixed n, so it
-    runs once per distinct row of the table, in blocks of ``FACTORIZED_BLOCK``.
+    runs once per distinct row of the table, in one call.
     """
     if reps <= 0:
         raise ValueError("reps must be positive")
@@ -158,9 +154,8 @@ def _simulate_null_ts(family: Family, theta_null: float, n: int, reps: int,
     distinct, inverse, t, _ = _replication_table(family, 0.0, theta_null, n, reps, seed, draws=B)
     if t is not None:
         return t
-    blocks = (distinct[i:i + FACTORIZED_BLOCK] for i in range(0, len(distinct), FACTORIZED_BLOCK))
-    return np.concatenate([_factorized_t(family, block[:, 0], n - block[:, 0], block[:, 1])
-                           for block in blocks])[inverse]
+    n0, s = distinct.T
+    return _factorized_t(family, n0, n - n0, s)[inverse]
 
 
 def uniformity_check(family: Family, theta_null: float, n: int, reps: int,

@@ -7,11 +7,13 @@ family's Jeffreys prior for theta.  In the orthogonal coordinates
 ``pstar | y ~ Beta(n0 + 1/2, n - n0 + 1 - k/2)`` and a theta law with density
 proportional to ``theta**s / (c(theta) - 1)**(n - n0)`` times the record's
 ``g(theta)``.  One rule, ``_ThetaPosterior``, owns both laws under a given
-record for both families.  It serves factorized T under either prior, and,
-under the default record, posterior draws and the exact marginal posterior
-of the weight (``exact_marginal``: density, CDF, equal-tail and HPD
-intervals), which the CLI uses.  The draw-based density and intervals
-(``draw_posterior`` onwards) are the paper's route.
+record for both families.  It serves factorized T under either prior, in
+rules of ``FACTORIZED_BLOCK`` rows, and, under the default record,
+posterior draws and the exact marginal posterior of the weight
+(``exact_marginal``: density, CDF, equal-tail and HPD intervals), which the
+CLI uses.  The draw-based density and intervals (``draw_posterior``
+onwards) are the paper's route.  Each interval solves both of its ends as
+two rows of one ``_newton`` search.
 
 The test statistic is the posterior probability of positive weight,
 ``T(Y) = P(p > 0 | Y)``, estimated either by a self-normalized importance
@@ -42,6 +44,8 @@ special = LazyModule("scipy.special", globals())
 DEFAULT_DRAWS = 10_000
 # theta window over which the Bayes factor averages its prior odds
 DEFAULT_THETA_WINDOW = (0.0, 50.0)
+# rows per theta rule of a factorized-T call, which bounds its node arrays
+FACTORIZED_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -102,17 +106,12 @@ class IntervalEstimate:
 
 @dataclass(frozen=True)
 class PosteriorDraws:
-    """Joint posterior draws in both coordinate systems.
-
-    ``weights`` are importance weights, all equal to one for the direct
-    posterior draws produced by ``draw_posterior``.
-    """
+    """Joint posterior draws in both coordinate systems."""
 
     family: Family
     pstar: np.ndarray
     theta: np.ndarray
     p: np.ndarray
-    weights: np.ndarray
     seed: int
     B: int
 
@@ -361,8 +360,7 @@ def draw_posterior(family: Family, sample: CountSample, B: int = DEFAULT_DRAWS,
     pstar = rng.beta(rule.a.item(), rule.b.item(), B)
     theta, _, log_c, _, _ = rule.series.coord(rule.inverse_cdf(rng.random(B)), rule.mode)
     p = (pstar - np.exp(-log_c)) / -np.expm1(-log_c)
-    return PosteriorDraws(family=family, pstar=pstar, theta=theta, p=p,
-                          weights=np.ones(B), seed=seed, B=B)
+    return PosteriorDraws(family=family, pstar=pstar, theta=theta, p=p, seed=seed, B=B)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +445,8 @@ def posterior_prob_positive(family: Family, sample: CountSample,
 
 
 def _factorized_t(family: Family, n0, m, s, prior: PriorKind = _DEFAULT_PRIOR) -> np.ndarray:
-    """Factorized T for rows of ``(n0, m, s)`` on one batched theta rule.
+    """Factorized T for rows of ``(n0, m, s)``, on one batched theta rule per
+    ``FACTORIZED_BLOCK`` rows.
 
     ``T = E[P(pstar > f0(theta))]``, both laws the rule's, under ``prior``'s
     record.  ``P(pstar > f0)`` rises where ``1 - f0`` crosses the window,
@@ -455,19 +454,24 @@ def _factorized_t(family: Family, n0, m, s, prior: PriorKind = _DEFAULT_PRIOR) -
     gets its own panel.  Rows are grouped by their number of cuts, so that
     each row sums the same nodes in the same order as it would alone.
     """
-    rule = _ThetaPosterior(family, n0, m, s, prior)
-    lo, hi = rule.lo[:, None], rule.hi[:, None]
-    rise = np.clip(rule.coord_at(rule.window), lo, hi)
-    narrow = rise[:, 1:] - rise[:, :1] < 0.5 * (hi - lo)
-    num, den = np.empty(rule.m.size), np.empty(rule.m.size)
-    # a wide rise adds lo twice, which _distinct_cuts drops
-    for rows, cuts in _distinct_cuts(np.hstack([rule.cuts, np.where(narrow, rise, lo)])):
-        _, w, log_c = rule.nodes(cuts, rows=rows)
-        below = rule.pstar_cdf(np.exp(-log_c), -np.expm1(-log_c), rows)
-        num[rows] = np.sum(w * (1.0 - below), axis=1)
-        den[rows] = np.sum(w, axis=1)
-    rule.require_weight(den)
-    return num / den
+    n0, m, s = map(np.atleast_1d, (n0, m, s))
+    t = np.empty(n0.size)
+    for start in range(0, n0.size, FACTORIZED_BLOCK):
+        block = slice(start, start + FACTORIZED_BLOCK)
+        rule = _ThetaPosterior(family, n0[block], m[block], s[block], prior)
+        lo, hi = rule.lo[:, None], rule.hi[:, None]
+        rise = np.clip(rule.coord_at(rule.window), lo, hi)
+        narrow = rise[:, 1:] - rise[:, :1] < 0.5 * (hi - lo)
+        num, den = np.empty(rule.m.size), np.empty(rule.m.size)
+        # a wide rise adds lo twice, which _distinct_cuts drops
+        for rows, cuts in _distinct_cuts(np.hstack([rule.cuts, np.where(narrow, rise, lo)])):
+            _, w, log_c = rule.nodes(cuts, rows=rows)
+            below = rule.pstar_cdf(np.exp(-log_c), -np.expm1(-log_c), rows)
+            num[rows] = np.sum(w * (1.0 - below), axis=1)
+            den[rows] = np.sum(w, axis=1)
+        rule.require_weight(den)
+        t[block] = num / den
+    return t
 
 
 def posterior_prob_positive_factorized(family: Family, sample: CountSample,
@@ -480,7 +484,7 @@ def posterior_prob_positive_factorized(family: Family, sample: CountSample,
     meet at its mode.  Far more accurate than the importance sampler for
     large samples, where the sampler's proposal drifts away from the
     posterior.  The one-row case of ``_factorized_t``, which null
-    calibration calls on all distinct ``(n0, s)`` at once.  Also bound as
+    calibration calls once on all distinct ``(n0, s)``.  Also bound as
     ``posterior_prob_positive_quadrature``.
     """
     _require_counts(sample)
@@ -602,45 +606,47 @@ class ExactMarginal:
         """Marginal posterior CDF of the weight at ``p``."""
         return np.minimum(self._local(p, cdf=True)[2], 1.0)
 
-    def _quantile_t(self, q: float) -> float:
-        """``t = log(1 - p)`` where the CDF is ``q``, by Newton steps from
-        the conditional quantile at the theta mode."""
+    def _quantile_t(self, q: np.ndarray) -> np.ndarray:
+        """``t = log(1 - p)`` where the CDF is each level of ``q``, a row
+        each, by Newton steps from the conditional quantiles at the theta
+        mode."""
         om = -math.expm1(-self.rule.series.coord_point(self.rule.mode[0])[1])
 
-        def fun(t):
-            dens, _, cdf = self._local(-math.expm1(t), cdf=True)
-            return float(cdf) - q, -float(dens) * math.exp(t)
+        def fun(t, rows):
+            dens, _, cdf = self._local(-np.expm1(t), cdf=True)
+            return cdf - q[rows], -dens * np.exp(t)
 
-        t = math.log(special.betaincinv(self.rule.b[0], self.rule.a[0], 1.0 - q) / om)  # 1 - pstar
-        return _newton(fun, t, 1e-9 * max(1.0, abs(t)))
+        t = np.log(special.betaincinv(self.rule.b[0], self.rule.a[0], 1.0 - q) / om)  # 1 - pstar
+        return _newton(fun, t, 1e-9 * np.maximum(1.0, np.abs(t)))
 
-    def _flank_t(self, log_c: float, t: float, side: float, bound: float) -> float:
-        """``t`` where the log density is ``log_c``: beyond ``bound`` on the
-        lower flank (``side = 1``) or below it on the upper (``side = -1``)."""
-        def fun(t):
-            f, df = self._local(-math.expm1(t))
+    def _flank_t(self, log_c: float, t, split: float) -> np.ndarray:
+        """``t`` where the log density is ``log_c``, from the two starts
+        ``t``: above ``split`` on the lower flank and below it on the upper,
+        two rows of one search."""
+        side = np.array([1.0, -1.0])
+
+        def fun(t, rows):
+            f, df = self._local(-np.expm1(t))
             with np.errstate(divide="ignore", invalid="ignore"):
-                return (side * (float(np.log(f)) - log_c),
-                        -side * float(df / f) * math.exp(t))
+                return side[rows] * (np.log(f) - log_c), -side[rows] * (df / f) * np.exp(t)
 
-        tol = 1e-9 * max(1.0, abs(t))
-        return (_newton(fun, t, tol, lo=bound) if side > 0.0
-                else _newton(fun, t, tol, hi=bound))
+        return _newton(fun, t, 1e-9 * np.maximum(1.0, np.abs(t)),
+                       lo=[split, -math.inf], hi=[math.inf, split])
 
     def _mode_t(self, lo: float, hi: float) -> float:
         """``t`` at the density's mode, between ``lo`` and ``hi``, by secant
         steps on ``d log f / dt``, which falls through zero there."""
-        last = []
+        last = [math.nan, math.nan]  # the first step has no slope: a bisection
 
-        def fun(t):
-            f, df = self._local(-math.expm1(t))
+        def fun(t, rows):
+            f, df = self._local(-np.expm1(t))
             with np.errstate(divide="ignore", invalid="ignore"):
-                d = -float(df / f) * math.exp(t)
-            slope = (d - last[1]) / (t - last[0]) if last else math.nan
+                d = -(df / f) * np.exp(t)
+                slope = (d - last[1]) / (t - last[0])
             last[:] = [t, d]
             return d, slope
 
-        return _newton(fun, 0.5 * (lo + hi), 1e-12 * max(1.0, abs(lo)), lo, hi)
+        return _newton(fun, [0.5 * (lo + hi)], 1e-12 * max(1.0, abs(lo)), lo, hi)[0]
 
     def _t_range(self) -> np.ndarray:
         """The range of ``t`` that the rule's ``window`` reaches over its
@@ -663,8 +669,8 @@ class ExactMarginal:
             raise ValueError("level must be strictly between 0 and 1")
         if kind is IntervalKind.EQUAL_TAIL:
             half = 0.5 * (1.0 - level)
-            return IntervalEstimate(*(-math.expm1(self._quantile_t(q))
-                                      for q in (half, 1.0 - half)), level, kind)
+            ends = self._quantile_t(np.array([half, 1.0 - half]))
+            return IntervalEstimate(*map(float, -np.expm1(ends)), level, kind)
         t, p, dens = _scan(self.density, self._t_range())
         cell = 0.5 * (dens[1:] + dens[:-1])
         mass = cell * np.diff(p)
@@ -682,19 +688,18 @@ class ExactMarginal:
         k = int(np.argmax(dens))
         split = self._mode_t(t[min(k + 1, t.size - 1)], t[max(k - 1, 0)])
         peak = float(self.density(-math.expm1(split)))
-        ends = [float(t[idx[0]]), float(t[idx[-1] + 1])]
+        ends = t[[idx[0], idx[-1] + 1]]
 
-        def fun(log_c):  # mass of {density >= c} less the level, decreasing in c
-            ends[0] = self._flank_t(log_c, ends[0], 1.0, split)
-            ends[1] = self._flank_t(log_c, ends[1], -1.0, split)
+        def fun(log_c, rows):  # mass of {density >= c} less the level, decreasing in c
+            ends[:] = self._flank_t(log_c[0], ends, split)
             _, df, cdf = self._local(-np.expm1(ends), cdf=True)
             with np.errstate(divide="ignore", invalid="ignore"):
-                slope = math.exp(2.0 * log_c) * float(1.0 / df[1] - 1.0 / df[0])
-            return float(cdf[1] - cdf[0]) - level, slope
+                slope = np.exp(2.0 * log_c) * (1.0 / df[1] - 1.0 / df[0])
+            return cdf[1:] - cdf[:1] - level, slope
 
-        log_c = _newton(fun, math.log(threshold), 1e-15, hi=math.log(peak), ftol=1e-12)
-        return IntervalEstimate(-math.expm1(ends[0]), -math.expm1(ends[1]), level,
-                                kind, density_threshold=math.exp(log_c))
+        log_c = _newton(fun, [math.log(threshold)], 1e-15, hi=math.log(peak), ftol=1e-12)[0]
+        return IntervalEstimate(*map(float, -np.expm1(ends)), level, kind,
+                                density_threshold=math.exp(log_c))
 
     def curve(self, num: int = 512) -> tuple[np.ndarray, np.ndarray]:
         """Density on ``num`` even points spanning where it is at least a
@@ -792,25 +797,17 @@ def hpd_interval(draws: PosteriorDraws, sample: CountSample,
         lower, upper = float(grid[idx[0]]), float(grid[idx[-1]])
         note = "multimodal density estimate; hull of super-level set"
     else:
-        def crossing(a: float, b: float, side: float) -> float:
-            """Where the density meets the threshold in the cell ``[a, b]``, by
-            bisection on ``side * (density - threshold)``, which ``_newton``
-            needs falling: ``side`` is -1 on the rising flank, 1 on the other."""
-            fun = lambda q: (side * (float(evaluate(q)[0]) - threshold), math.nan)
-            return float(_newton(fun, 0.5 * (a + b), 1e-10, a, b))
-
-        below_left = np.where(~above[:mode_idx + 1])[0]
-        if below_left.size:
-            i = below_left[-1]
-            lower = crossing(grid[i], grid[i + 1], -1.0)
-        else:
-            lower = lo
-        below_right = np.where(~above[mode_idx:])[0]
-        if below_right.size:
-            j = mode_idx + below_right[0]
-            upper = crossing(grid[j - 1], grid[j], 1.0)
-        else:
-            upper = hi
+        # bisect the cells of the last flip left of the mode and the first at
+        # or right of it, as two rows; an empty cell pads each end of the grid,
+        # where a flank that stays above the threshold ends.  _newton needs
+        # side * (density - threshold) falling: side is -1 on the rising flank
+        cells, inside = np.r_[lo, grid, hi], np.r_[False, above, False]
+        i = np.flatnonzero(~inside[:mode_idx + 2])[-1]
+        j = mode_idx + 1 + np.flatnonzero(~inside[mode_idx + 1:])[0]
+        a, b = cells[[i, j - 1]], cells[[i + 1, j]]
+        side = np.array([-1.0, 1.0])
+        fun = lambda q, rows: (side[rows] * (evaluate(q) - threshold), np.full(rows.size, math.nan))
+        lower, upper = map(float, _newton(fun, 0.5 * (a + b), 1e-10, a, b))
     return IntervalEstimate(lower, upper, level, IntervalKind.HPD,
                             density_threshold=threshold, note=note)
 

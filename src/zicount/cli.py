@@ -63,6 +63,8 @@ def __getattr__(name: str):
 
 
 SCHEMA_VERSION = 1
+# --seed help of interval and posterior, kept because reports carry a seed
+_SEED_ECHOED = "only echoed back: this command draws no random numbers"
 
 
 def _fmt(x) -> str:
@@ -437,14 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_options(p_int)
     p_int.add_argument("--kind", choices=("equal", "hpd"), default="equal")
     p_int.add_argument("--level", type=_probability, default=0.95)
-    p_int.add_argument("--seed", type=int, default=None)
+    p_int.add_argument("--seed", type=int, default=None, help=_SEED_ECHOED)
     p_int.add_argument("--out", choices=("json", "text"), default="text")
     p_int.set_defaults(func=_cmd_interval)
 
     p_post = sub.add_parser("posterior", help="export the posterior density curve")
     _add_data_options(p_post)
     p_post.add_argument("--grid-points", type=_at_least(MIN_CURVE_POINTS), default=512)
-    p_post.add_argument("--seed", type=int, default=None)
+    p_post.add_argument("--seed", type=int, default=None, help=_SEED_ECHOED)
     p_post.add_argument("--out", required=True, help="output CSV path")
     p_post.set_defaults(func=_cmd_posterior)
 

@@ -217,10 +217,9 @@ def _newton(fun, x, tol, lo=-math.inf, hi=math.inf, ftol=0.0):
     ``ftol``.  Its ``lo`` and ``hi`` bracket the root and shrink as it goes;
     a step that leaves them bisects them, or, while a side is still open,
     steps outward from the other by a doubling length.  Every row takes the
-    steps, and the calls of ``fun``, that it would take alone.  All scalars
-    make a scalar call: ``fun(x)`` on floats, and a float back.  Otherwise
-    ``fun(x, rows)`` gets the rows still searching, by flat index, and the
-    roots come back in the broadcast shape."""
+    steps, and the calls of ``fun``, that it would take alone: ``fun(x,
+    rows)`` gets the rows still searching, by flat index, and the roots come
+    back as an array of the broadcast shape."""
     shape = np.broadcast_shapes(*map(np.shape, (x, tol, lo, hi, ftol)))
     x, tol, lo, hi, ftol = (np.array(np.broadcast_to(v, shape), dtype=float).ravel()
                             for v in (x, tol, lo, hi, ftol))
@@ -229,8 +228,7 @@ def _newton(fun, x, tol, lo=-math.inf, hi=math.inf, ftol=0.0):
         if not rows.size:
             break
         at, near = x[rows], tol[rows]
-        val, slope = (np.asarray(v, dtype=float)
-                      for v in (fun(at, rows) if shape else fun(float(at[0]))))
+        val, slope = (np.asarray(v, dtype=float) for v in fun(at, rows))
         found = np.abs(val) <= ftol[rows]
         rising = val > 0.0
         lo[rows] = low = np.where(rising, at, lo[rows])
@@ -251,7 +249,7 @@ def _newton(fun, x, tol, lo=-math.inf, hi=math.inf, ftol=0.0):
     if rows.size:
         raise QuadratureError(f"root search did not converge in 200 steps on {rows.size} "
                               f"of {x.size} rows")
-    return root.reshape(shape) if shape else float(root[0])
+    return root.reshape(shape)
 
 
 class Parametrization(Enum):

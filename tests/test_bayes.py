@@ -15,10 +15,9 @@ from zicount import (CountSample, DegenerateSampleError, ExactMarginal, Family,
                      posterior_prob_positive_quadrature, posterior_tail_expansion,
                      prior_density, sample_values, score_test)
 
-from zicount.asymptotics import FACTORIZED_BLOCK
 from zicount.datasets import dataset_names, load_dataset
-from zicount.bayes import (_distinct_cuts, _factorized_t, _prior_prob_positive,
-                           _ThetaPosterior)
+from zicount.bayes import (FACTORIZED_BLOCK, _distinct_cuts, _factorized_t,
+                           _prior_prob_positive, _ThetaPosterior)
 
 from conftest import (PosteriorOracle, fd_gradient, wedge_prob_positive,
                       zip_theta_rejection_draws)
@@ -115,7 +114,6 @@ class TestDrawPosterior:
         a = draw_posterior(Family.POISSON, uti, B=1000, seed=7)
         b = draw_posterior(Family.POISSON, uti, B=1000, seed=7)
         assert np.array_equal(a.p, b.p) and np.array_equal(a.theta, b.theta)
-        assert np.all(a.weights == 1.0)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateSampleError):
@@ -585,7 +583,7 @@ class TestIntervals:
         f0 = np.exp(-theta)
         p = (pstar - f0) / (1.0 - f0)
         draws = PosteriorDraws(family=Family.POISSON, pstar=pstar, theta=theta,
-                               p=p, weights=np.ones(B), seed=30, B=B)
+                               p=p, seed=30, B=B)
         with pytest.warns(UserWarning, match="unimodal"):
             est = hpd_interval(draws, uti, 0.95)
         assert est.note is not None
@@ -640,7 +638,7 @@ class TestExactMarginal:
         tail = 1.0 - exact_marginal(family, cs).cdf(0.0)
         assert abs(posterior_prob_positive_factorized(family, cs) - tail) <= 1e-14
 
-    @pytest.mark.parametrize("level", (0.5, 0.95))
+    @pytest.mark.parametrize("level", (0.05, 0.5, 0.95, 0.99))
     @pytest.mark.parametrize("case", MARGINAL_CASES, ids=str)
     @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
     def test_hpd_is_the_level_set(self, family, case, level):

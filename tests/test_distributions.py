@@ -540,9 +540,6 @@ class TestNewton:
             one, one_calls = _newton_rows(self.root[i:i + 1], self.kind[i:i + 1])
             assert _newton(one, self.start[i:i + 1], self.tol[i:i + 1])[0] == roots[i]
             assert one_calls[0] == calls[i]
-            # a scalar call gives the same float
-            scalar = lambda x, f=one: tuple(float(v[0]) for v in f(np.array([x]), [0]))
-            assert _newton(scalar, float(self.start[i]), float(self.tol[i])) == roots[i]
 
     def test_bounds_and_ftol_per_row(self):
         root, kind = np.array([1.0, 1.0, 1.1, 2.3]), np.array([0, 0, 2, 2])
