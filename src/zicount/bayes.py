@@ -16,11 +16,10 @@ onwards) are the paper's route.  Each interval solves both of its ends as
 two rows of one ``_newton`` search.
 
 The test statistic is the posterior probability of positive weight,
-``T(Y) = P(p > 0 | Y)``, estimated either by a self-normalized importance
-sampler (Poisson) or exact posterior draws (geometric), the paper's route,
-or computed deterministically on the theta rule
-(``posterior_prob_positive_factorized``, also bound as
-``posterior_prob_positive_quadrature``).
+``T(Y) = P(p > 0 | Y)``.  The CLI computes it on the theta rule
+(``posterior_prob_positive_factorized``, also ``posterior_prob_positive_quadrature``);
+the power study takes the paper's route, ``posterior_prob_positive``: a
+self-normalized importance sampler (Poisson) or exact posterior draws (geometric).
 """
 
 from __future__ import annotations
@@ -46,6 +45,8 @@ DEFAULT_DRAWS = 10_000
 DEFAULT_THETA_WINDOW = (0.0, 50.0)
 # rows per theta rule of a factorized-T call, which bounds its node arrays
 FACTORIZED_BLOCK = 64
+# the tolerance the tests hold factorized T to, so the resolution of 1 - T
+_FACTORIZED_T_ACCURACY = 1e-8
 
 
 @dataclass(frozen=True)
@@ -856,17 +857,16 @@ def _prior_prob_positive(family: Family, prior: PriorKind,
     return float(weight @ positive / weight.sum()), (lo, hi)
 
 
-def _bayes_factor_from(est: PosteriorProbability, family: Family,
+def _bayes_factor_from(value: float, floor: float, family: Family,
                        prior: PriorKind = _DEFAULT_PRIOR,
                        theta_window: tuple[float, float] = DEFAULT_THETA_WINDOW
                        ) -> BayesFactorResult:
-    """The posterior-odds factor for an estimate of T already drawn."""
+    """The posterior-odds factor for T resolved to ``floor``; a lower bound above 1 - floor."""
     q, window = _prior_prob_positive(family, prior, theta_window)
-    floor = max(est.mc_se, 1.0 / est.draws)
-    lower_bound = est.value > 1.0 - floor
-    t_eff = min(est.value, 1.0 - floor)
-    value = (t_eff / (1.0 - t_eff)) / (q / (1.0 - q))
-    return BayesFactorResult(value=value, posterior_prob=est.value,
+    lower_bound = value > 1.0 - floor
+    t_eff = min(value, 1.0 - floor)
+    factor = (t_eff / (1.0 - t_eff)) / (q / (1.0 - q))
+    return BayesFactorResult(value=factor, posterior_prob=value,
                              prior_prob=q, theta_window=window,
                              lower_bound=lower_bound)
 
@@ -882,4 +882,5 @@ def bayes_factor_positive(family: Family, sample: CountSample,
     returned value is a lower bound (flagged on the result).
     """
     est = posterior_prob_positive(family, sample, prior, B, seed)
-    return _bayes_factor_from(est, family, prior, theta_window)
+    return _bayes_factor_from(est.value, max(est.mc_se, 1.0 / est.draws), family,
+                              prior, theta_window)

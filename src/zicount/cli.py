@@ -3,9 +3,9 @@
 Subcommands: ``test`` (score, likelihood ratio, Bayes tests), ``interval``
 (equal-tail or HPD credible interval for the weight), ``posterior`` (density
 curve export as CSV), ``power`` (simulation grid driver) and ``datasets``
-(bundled data).  Reports print as text or JSON with identical numbers; all
-randomness is governed by an explicit or auto-generated seed that is always
-echoed in the report.
+(bundled data).  Reports print as text or JSON with identical numbers.  Only
+``power`` draws random numbers, from an explicit or auto-generated seed;
+every report echoes the seed, which the other commands take only to echo.
 
 Exit codes: 0 success, 1 internal error, 2 bad input or degenerate data.
 
@@ -32,13 +32,14 @@ from .errors import ZicountError
 from .limits import MIN_CURVE_POINTS, MIN_REPS
 
 # the submodule that defines each name this module takes from the package;
-# bayes_factor_positive, credible_interval, density_curve, draw_posterior and
-# hpd_interval are unused here, kept only because perfbench/tracing.py wraps
-# this module's names
+# bayes_factor_positive, credible_interval, density_curve, draw_posterior,
+# hpd_interval and posterior_prob_positive are unused here, kept only because
+# perfbench/tracing.py wraps this module's names
 _LAZY = {name: module for module, names in {
-    "bayes": ("IntervalKind", "_bayes_factor_from", "bayes_factor_positive",
-              "credible_interval", "density_curve", "draw_posterior",
-              "exact_marginal", "hpd_interval", "posterior_prob_positive"),
+    "bayes": ("IntervalKind", "_FACTORIZED_T_ACCURACY", "_bayes_factor_from",
+              "bayes_factor_positive", "credible_interval", "density_curve", "draw_posterior",
+              "exact_marginal", "hpd_interval", "posterior_prob_positive",
+              "posterior_prob_positive_factorized"),
     "distributions": ("CountSample", "Family"),
     "frequentist": ("Sidedness", "lr_test", "mle_full", "mle_null", "score_test"),
     "power": ("Method", "PowerConfig", "REFERENCE_POWER_ONE_SIDED",
@@ -63,7 +64,7 @@ def __getattr__(name: str):
 
 
 SCHEMA_VERSION = 1
-# --seed help of interval and posterior, kept because reports carry a seed
+# --seed help of test, interval and posterior, kept because reports carry a seed
 _SEED_ECHOED = "only echoed back: this command draws no random numbers"
 
 
@@ -165,8 +166,7 @@ def _print_test_text(report: dict) -> None:
         if "p_value" in entry:
             parts.append(f"p-value={_fmt(entry['p_value'])}")
         if "posterior_prob" in entry:
-            parts.append(f"P(p>0|data)={_fmt(entry['posterior_prob'])}"
-                         f" +/- {_fmt(entry.get('mc_se'))}")
+            parts.append(f"P(p>0|data)={_fmt(entry['posterior_prob'])}")
         parts.append(f"reject at alpha={_fmt(entry['alpha'])}: {_fmt(entry['reject'])}")
         print("  ".join(parts))
     if "mle" in report:
@@ -196,20 +196,19 @@ def _cmd_test(args) -> int:
     report = _report_skeleton("test", name, sample, args, seed)
     report["alpha"] = args.alpha
     report["sided"] = args.sided
-    report["draws"] = args.draws
     results: dict = {}
     if args.method in ("score", "all"):
         results["score"] = _test_entry(score_test(family, sample, args.alpha, sided))
     if args.method in ("lr", "all"):
         results["lr"] = _test_entry(lr_test(family, sample, args.alpha, sided))
     if args.method in ("bayes", "all"):
-        est = posterior_prob_positive(family, sample, B=args.draws, seed=seed)
+        t = posterior_prob_positive_factorized(family, sample)
+        # T is exact, so mc_se and ess are 0.0, kept because perfbench/checks.py reads them
         results["bayes"] = {
-            "statistic": est.value, "posterior_prob": est.value,
-            "mc_se": est.mc_se, "ess": est.ess, "alpha": args.alpha,
-            "reject": est.value > 1.0 - args.alpha, "sidedness": "one",
+            "statistic": t, "posterior_prob": t, "mc_se": 0.0, "ess": 0.0, "alpha": args.alpha,
+            "reject": t > 1.0 - args.alpha, "sidedness": "one",
         }
-        bf = _bayes_factor_from(est, family)
+        bf = _bayes_factor_from(t, _FACTORIZED_T_ACCURACY, family)
         results["bayes_factor"] = {
             "value": bf.value, "posterior_prob": bf.posterior_prob,
             "prior_prob": bf.prior_prob, "theta_window": list(bf.theta_window),
@@ -429,9 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="all")
     p_test.add_argument("--alpha", type=_probability, default=0.05)
     p_test.add_argument("--sided", choices=("one", "two"), default="one")
-    p_test.add_argument("--draws", type=_at_least(1), default=10_000,
-                        help="Monte Carlo draws for the Bayes test")
-    p_test.add_argument("--seed", type=int, default=None)
+    p_test.add_argument("--seed", type=int, default=None, help=_SEED_ECHOED)
     p_test.add_argument("--out", choices=("json", "text"), default="text")
     p_test.set_defaults(func=_cmd_test)
 

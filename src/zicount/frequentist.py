@@ -169,6 +169,7 @@ def mle_full(family: Family, sample: CountSample) -> MleResult:
     the lower endpoint (flagged, not an error).  An all-zero sample raises,
     since (p, theta) is then not identifiable.
     """
+    _require_counts(sample)
     p_hat, theta_hat, iters, boundary = _mle_full_stats(
         family, sample.n, sample.n0, sample.s)
     ll = (_sup_loglik(family, sample.n, sample.n0, sample.s, theta_hat)
@@ -263,5 +264,6 @@ def lr_test(family: Family, sample: CountSample, alpha: float = 0.05,
     """Likelihood ratio test of p = 0, with the same rejection rules as
     ``score_test``; the statistic comes from ``_lr_statistic_stats``.
     """
+    _require_counts(sample)
     stat, sign = _lr_statistic_stats(family, sample.n, sample.n0, sample.s)
     return _build_report(TestMethod.LR, stat, sign, alpha, sidedness)

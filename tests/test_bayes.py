@@ -16,8 +16,8 @@ from zicount import (CountSample, DegenerateSampleError, ExactMarginal, Family,
                      prior_density, sample_values, score_test)
 
 from zicount.datasets import dataset_names, load_dataset
-from zicount.bayes import (FACTORIZED_BLOCK, _distinct_cuts, _factorized_t,
-                           _prior_prob_positive, _ThetaPosterior)
+from zicount.bayes import (FACTORIZED_BLOCK, _FACTORIZED_T_ACCURACY, _distinct_cuts,
+                           _factorized_t, _prior_prob_positive, _ThetaPosterior)
 
 from conftest import (PosteriorOracle, fd_gradient, wedge_prob_positive,
                       zip_theta_rejection_draws)
@@ -340,7 +340,7 @@ class TestThetaPosterior:
         exact, bound = wedge_prob_positive(family, cs, prior)
         # with no zeros the oracle's inner integrals start at the
         # pstar**(-1/2) pole, and its own bound says how close it gets
-        tol = 1e-8 if cs.n0 > 0 else bound + 1e-12
+        tol = _FACTORIZED_T_ACCURACY if cs.n0 > 0 else bound + 1e-12
         assert abs(posterior_prob_positive_factorized(family, cs, prior) - exact) <= tol
 
     @pytest.mark.parametrize("n", (10_000, 100_000, 1_000_000))

@@ -62,5 +62,4 @@ def test_cli_layers_are_traced(capsys):
         warnings.simplefilter("ignore")
         assert main(["test", "--dataset", "uti", "--method", "all", "--seed", "1"]) == 0
     names = {span[1] for span in tracer.spans}
-    assert {"datasets.load_dataset", "frequentist.score_test", "frequentist.lr_test",
-            "bayes.posterior_prob_positive"} <= names
+    assert {"datasets.load_dataset", "frequentist.score_test", "frequentist.lr_test"} <= names

@@ -1,5 +1,4 @@
 import json
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +6,8 @@ import pytest
 
 from zicount import (CountSample, Family, Method, dataset_names, dataset_table,
                      format_freq_csv, load_counts, load_dataset,
-                     parse_counts_text)
+                     parse_counts_text, posterior_prob_positive_factorized)
+from zicount.bayes import _FACTORIZED_T_ACCURACY
 from zicount.cli import main, validate_report
 from zicount import datasets as datasets_mod
 
@@ -92,7 +92,7 @@ class TestCli:
 
     def test_json_report_schema_and_values(self, capsys):
         code = main(["test", "--dataset", "uti", "--method", "all",
-                     "--seed", "3", "--draws", "4000", "--out", "json"])
+                     "--seed", "3", "--out", "json"])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         validate_report(report)
@@ -102,13 +102,40 @@ class TestCli:
         assert report["mle"]["full"]["p_hat"] == pytest.approx(0.7116, abs=5e-4)
         assert report["seed"] == 3
 
-    def test_bayes_test_draws_the_importance_sampled_t_once(self, capsys):
-        # the Bayes factor reuses the test's estimate: one low-ESS warning
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["test", "--dataset", "cholera", "--method", "bayes",
-                         "--seed", "1"]) == 0
-        assert sum("ESS low" in str(w.message) for w in caught) == 1
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("name", ["uti", "terror", "cholera"])
+    def test_bayes_test_reports_factorized_t(self, capsys, name, family):
+        # exact T has no Monte Carlo diagnostic: any warning fails the test
+        assert main(["test", "--dataset", name, "--model", family.value,
+                     "--method", "all", "--out", "json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        t = posterior_prob_positive_factorized(family, load_dataset(name))
+        assert results["bayes"]["posterior_prob"] == t
+        assert (results["bayes"]["mc_se"], results["bayes"]["ess"]) == (0.0, 0.0)
+        assert results["bayes_factor"]["posterior_prob"] == t
+        assert results["bayes_factor"]["lower_bound"] is False
+
+    @pytest.mark.parametrize("n, lower_bound, t_is_one", [
+        (2_000, False, False), (4_000, True, False), (1_000_000, True, True)])
+    def test_bayes_test_on_a_count_file(self, tmp_path, capsys, n, lower_bound, t_is_one):
+        # Poisson(1.5) counts with 5% extra zeros, as in the benchmark, where
+        # the importance sampler's proposal collapses and gave T = 0; from
+        # n = 4000 on, 1 - T (8e-11 there) is below what factorized T resolves
+        rng = np.random.default_rng(1)
+        y = rng.poisson(1.5, n)
+        y[rng.random(n) < 0.05] = 0
+        path = tmp_path / "counts.txt"
+        path.write_text("\n".join(map(str, y)) + "\n")
+        assert main(["test", "--data", str(path), "--method", "bayes",
+                     "--seed", "1", "--out", "json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        t = results["bayes"]["posterior_prob"]
+        assert t == posterior_prob_positive_factorized(Family.POISSON, CountSample.from_values(y))
+        assert (t == 1.0) is t_is_one
+        assert results["bayes"]["reject"] is True
+        assert results["bayes_factor"]["lower_bound"] is lower_bound
+        assert (t > 1.0 - _FACTORIZED_T_ACCURACY) is lower_bound
 
     def test_text_and_json_carry_identical_numbers(self, capsys):
         main(["test", "--dataset", "terror", "--method", "score",
@@ -121,10 +148,10 @@ class TestCli:
 
     def test_deterministic_given_seed(self, capsys):
         main(["test", "--dataset", "terror", "--method", "bayes",
-              "--seed", "11", "--draws", "2000", "--out", "json"])
+              "--seed", "11", "--out", "json"])
         first = json.loads(capsys.readouterr().out)
         main(["test", "--dataset", "terror", "--method", "bayes",
-              "--seed", "11", "--draws", "2000", "--out", "json"])
+              "--seed", "11", "--out", "json"])
         second = json.loads(capsys.readouterr().out)
         first.pop("elapsed_seconds"); second.pop("elapsed_seconds")
         assert first == second
@@ -157,8 +184,7 @@ class TestCli:
         # a bincount over 3e9 + 1 slots would take 22 GiB
         path = tmp_path / "large.txt"
         path.write_text("1\n3000000000\n")
-        assert main(["test", "--data", str(path), "--draws", "500", "--seed", "1",
-                     "--out", "json"]) == 0
+        assert main(["test", "--data", str(path), "--seed", "1", "--out", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert (report["dataset"]["n"], report["dataset"]["sum"]) == (2, 3_000_000_001)
 
@@ -266,13 +292,12 @@ class TestCli:
         assert main(["power", "--reps", "200"]) == 2
 
     @pytest.mark.parametrize("argv, flag, low", [
-        (["test", "--dataset", "uti", "--draws", "0"], "--draws", 1),
         (["posterior", "--dataset", "uti", "--out", "unused.csv", "--grid-points", "15"],
          "--grid-points", 16),
         (["power", "--thetas", "1", "--ps", "0", "--ns", "20", "--reps", "50"], "--reps", 100),
         (["power", "--thetas", "1", "--ps", "0", "--ns", "20", "--draws", "-1"], "--draws", 1),
         (["power", "--thetas", "1", "--ps", "0", "--ns", "20", "--jobs", "0"], "--jobs", 1),
-    ], ids=["test-draws", "posterior-grid-points", "power-reps", "power-draws", "power-jobs"])
+    ], ids=["posterior-grid-points", "power-reps", "power-draws", "power-jobs"])
     def test_bad_count_flag_exits_2_naming_the_flag(self, capsys, argv, flag, low):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)

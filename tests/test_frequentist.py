@@ -129,7 +129,7 @@ class TestMleFull:
         assert fit.p_hat == pytest.approx(-e / (1.0 - e), rel=1e-9)
 
     def test_all_zeros_error(self):
-        with pytest.raises(DegenerateSampleError):
+        with pytest.raises(DegenerateSampleError, match="positive count"):
             mle_full(Family.POISSON, CountSample({0: 9}))
 
     def test_all_positive_ones_boundary(self):
@@ -344,7 +344,7 @@ class TestLrTest:
                     assert full.loglik == pytest.approx(direct, abs=1e-9)
 
     def test_all_zero_sample_raises(self):
-        with pytest.raises(DegenerateSampleError):
+        with pytest.raises(DegenerateSampleError, match="positive count"):
             lr_test(Family.POISSON, CountSample({0: 5}))
 
     def test_report_invariants(self, uti, terror):

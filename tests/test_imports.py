@@ -25,6 +25,7 @@ LIGHT_COMMANDS = (
     ["test", "--dataset", "uti"],
     ["test", "--dataset", "uti", "--method", "score"],
     ["test", "--dataset", "uti", "--method", "lr"],
+    ["test", "--dataset", "uti", "--method", "bayes"],
     ["interval", "--dataset", "uti", "--model", "geometric"],
     ["interval", "--dataset", "uti"],
     ["interval", "--dataset", "terror", "--kind", "hpd"],
