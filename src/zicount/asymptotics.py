@@ -141,7 +141,8 @@ def _simulate_null_ts(family: Family, theta_null: float, n: int, reps: int,
                       B: int, seed: int) -> np.ndarray:
     """Null-model T values over the replication table of ``power``.
 
-    ``B > 0`` returns the table's Monte Carlo T, B draws per replication;
+    ``B > 0`` returns the table's Monte Carlo T, B draws per replication, from
+    the paper's sampler with no effective-sample-size check and no warning;
     ``B <= 0`` computes T by the factorized quadrature, which stays accurate
     at sample sizes where the importance sampler's proposal breaks down.
     Factorized T depends on a sample only through ``(n0, s)`` at fixed n, so it
@@ -164,7 +165,10 @@ def uniformity_check(family: Family, theta_null: float, n: int, reps: int,
 
     Returns the Kolmogorov-Smirnov distance and p-value plus the first two
     sample moments (mean and central second moment), whose limits are 1/2
-    and 1/12.
+    and 1/12.  ``B > 0`` takes T from the paper's sampler, B draws per
+    replication, with no effective-sample-size check: at large n the Poisson
+    proposal degenerates without a warning, and ``B = 0`` (factorized T) is
+    the accurate route.
     """
     ts = _simulate_null_ts(family, theta_null, n, reps, B, seed)
     ks = stats.kstest(ts, "uniform")
@@ -189,7 +193,9 @@ def beta_calibration(family: Family, theta_null: float, n: int, reps: int,
 
     The fitted parameters approach (1, 1) as n grows, recovering the uniform
     cutoff; degenerate moment estimates fall back to that limit with a
-    warning.
+    warning.  ``B`` chooses T as in ``uniformity_check``: ``B > 0`` runs the
+    paper's sampler with no effective-sample-size check, and ``B = 0``
+    (factorized T) is the accurate route at large n.
     """
     if reps < 500:
         raise ValueError("need at least 500 replications for a stable fit")

@@ -17,9 +17,13 @@ two rows of one ``_newton`` search.
 
 The test statistic is the posterior probability of positive weight,
 ``T(Y) = P(p > 0 | Y)``.  The CLI computes it on the theta rule
-(``posterior_prob_positive_factorized``, also ``posterior_prob_positive_quadrature``);
-the power study takes the paper's route, ``posterior_prob_positive``: a
-self-normalized importance sampler (Poisson) or exact posterior draws (geometric).
+(``posterior_prob_positive_factorized``, also ``posterior_prob_positive_quadrature``).
+The paper's route is a sampling kernel per family, ``_SAMPLED_T``: a
+self-normalized importance sampler (Poisson) or exact posterior draws
+(geometric), each a function of ``(n, n0, s)`` alone.  The power study runs
+it on each replication's sufficient statistics; ``posterior_prob_positive``
+runs it on a ``CountSample`` and adds the standard error and effective
+sample size.
 """
 
 from __future__ import annotations
@@ -190,17 +194,6 @@ def grad_log_prior(family: Family, p: float, theta: float,
     return np.array([gp, gt])
 
 
-def _log_prior_pstar(family: Family, prior: PriorKind, pstar, theta):
-    """Log prior in (pstar, theta) coordinates (see ``PriorKind``); numpy-broadcastable."""
-    pstar = np.asarray(pstar, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    prior = prior._prior
-    # k = 0 takes no log(1 - pstar), which is -inf at a draw rounded to one
-    log_1m = prior.k * np.log1p(-pstar) if prior.k else 0.0
-    return (-prior.log_z - 0.5 * (np.log(pstar) + log_1m)
-            + prior.log_g(family._series, theta, family._series.log_c(theta)))
-
-
 # ---------------------------------------------------------------------------
 # the theta posterior and posterior sampling
 
@@ -368,75 +361,90 @@ def draw_posterior(family: Family, sample: CountSample, B: int = DEFAULT_DRAWS,
 # the Bayes test statistic T(Y) = P(p > 0 | Y)
 
 
-def _posterior_prob_poisson(n: int, n0: int, s: int, prior: PriorKind,
-                            B: int, rng: np.random.Generator):
-    """Self-normalized importance sampling estimate for the Poisson family.
+def _importance_t(n: int, n0: int, s: int, prior: PriorKind, B: int,
+                  rng: np.random.Generator):
+    """Self-normalized importance sampling estimate of T for the Poisson family.
 
     Proposal: ``pstar ~ Beta(n0 + 1, n - n0 + 1)`` and theta from the gamma
     with shape ``s - (n - n0) + 1`` and rate ``n - n0`` (the shape/rate
     reading that makes the proposal density match the likelihood factor it
     is meant to absorb).  Weights carry the prior times
     ``(theta / (1 - exp(-theta)))**(n - n0)``; the numerator adds the
-    indicator of ``pstar > exp(-theta)``.
+    indicator of ``pstar > exp(-theta)``.  Returns T, the weights relative to
+    the largest and that indicator.
     """
     m = n - n0
     pstar = rng.beta(n0 + 1.0, m + 1.0, B)
     theta = rng.gamma(s - m + 1.0, 1.0 / m, B)
+    series, record = Family.POISSON._series, prior._prior
     neg_theta = -theta
-    # log w = log prior + m * (log theta - log(1 - exp(-theta))), in place
+    # log w = m * (log theta - log(1 - exp(-theta))) + log prior, in place
     logw = np.expm1(neg_theta)
     np.negative(logw, out=logw)
     np.log(logw, out=logw)
     np.subtract(np.log(theta), logw, out=logw)
     logw *= m
-    logw += _log_prior_pstar(Family.POISSON, prior, pstar, theta)
+    # the log prior in (pstar, theta), -log Z - (log pstar + k log(1 - pstar)) / 2
+    # + log g(theta) (see PriorKind); k = 0 takes no log(1 - pstar), which is
+    # -inf at a draw rounded to one
+    log_prior = np.log(pstar)
+    if record.k:
+        log_prior += record.k * np.log1p(-pstar)
+    log_prior *= -0.5
+    log_prior -= record.log_z
+    log_prior += record.log_g(series, theta, series.log_c(theta))
+    logw += log_prior
     logw -= logw.max()
     w = np.exp(logw, out=logw)
-    wsum = w.sum()
-    ess = float(wsum ** 2 / np.sum(w ** 2))
-    wn = np.divide(w, wsum, out=w)
     ind = pstar > np.exp(neg_theta, out=neg_theta)
-    value = float(wn[ind].sum())
-    # (ind - value)**2 takes two values
-    hit, miss = 1.0 - value, -value
-    np.square(wn, out=wn)
-    wn *= np.where(ind, hit * hit, miss * miss)
-    mc_se = float(np.sqrt(np.sum(wn)))
-    return value, mc_se, ess
+    return float((w / w.sum())[ind].sum()), w, ind
 
 
-def _posterior_prob_geometric(n: int, n0: int, s: int, prior: PriorKind,
-                              B: int, rng: np.random.Generator):
-    """Exact posterior draws for the geometric family (both coordinates Beta)."""
+def _exact_draws_t(n: int, n0: int, s: int, prior: PriorKind, B: int,
+                   rng: np.random.Generator):
+    """T from exact posterior draws for the geometric family (both
+    coordinates Beta), each of weight ``1/B``: T, and None for the weights
+    and the indicator."""
     m = n - n0
     pstar = rng.beta(*prior._prior.pstar_shapes(n0, m), B)
     theta = rng.beta(s - m + 0.5, m, B)
-    ind = pstar > 1.0 - theta
-    value = float(np.mean(ind))
-    mc_se = math.sqrt(max(value * (1.0 - value), 1.0 / B) / B)
-    return value, mc_se, float(B)
+    return float(np.mean(pstar > 1.0 - theta)), None, None
+
+
+# each family's sampling kernel of T, the paper's route: ``(n, n0, s, prior,
+# B, rng)`` to T, the draws' weights and their indicator of ``p > 0``
+_SAMPLED_T = {Family.POISSON: _importance_t, Family.GEOMETRIC: _exact_draws_t}
 
 
 def posterior_prob_positive(family: Family, sample: CountSample,
                             prior: PriorKind = _DEFAULT_PRIOR,
                             B: int = DEFAULT_DRAWS,
                             seed: int | np.random.Generator = 0) -> PosteriorProbability:
-    """Monte Carlo estimate of the test statistic T(Y) = P(p > 0 | Y).
+    """Monte Carlo estimate of the test statistic T(Y) = P(p > 0 | Y), by
+    the family's kernel in ``_SAMPLED_T``, with its standard error and
+    effective sample size; warns when the importance sampler's ESS is below
+    1% of ``B``.  The power study calls the kernel itself on each
+    replication's ``(n, n0, s)``, with the same draws and the same T.
 
     ``seed`` is an int or a ``Generator``, whose draws it advances; the
     result's ``seed`` is then None."""
     _require_counts(sample)
-    n, n0, s = sample.n, sample.n0, sample.s
     if B <= 0:
         raise ValueError("B must be positive")
     rng = np.random.default_rng(seed)
-    if family is Family.POISSON:
-        value, mc_se, ess = _posterior_prob_poisson(n, n0, s, prior, B, rng)
-        if ess / B < 0.01:
-            warnings.warn(f"importance sampling ESS low: {ess:.1f} of {B}",
-                          stacklevel=2)
+    value, w, ind = _SAMPLED_T[family](sample.n, sample.n0, sample.s, prior, B, rng)
+    if w is None:  # exact draws: the binomial error, floored at one draw's
+        mc_se, ess = math.sqrt(max(value * (1.0 - value), 1.0 / B) / B), float(B)
     else:
-        value, mc_se, ess = _posterior_prob_geometric(n, n0, s, prior, B, rng)
+        wsum = w.sum()
+        ess = float(wsum ** 2 / np.sum(w ** 2))
+        # (ind - value)**2 takes two values
+        hit, miss = 1.0 - value, -value
+        wn = np.square(np.divide(w, wsum, out=w), out=w)
+        wn *= np.where(ind, hit * hit, miss * miss)
+        mc_se = float(np.sqrt(np.sum(wn)))
+        if ess / B < 0.01:
+            warnings.warn(f"importance sampling ESS low: {ess:.1f} of {B}", stacklevel=2)
     return PosteriorProbability(value=value, mc_se=mc_se, ess=ess, draws=B,
                                 seed=None if isinstance(seed, np.random.Generator) else seed)
 

@@ -14,14 +14,15 @@ import io
 import itertools
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .bayes import posterior_prob_positive
-from .distributions import CountSample, Family, ZipsModel, sample_values
+# posterior_prob_positive is unused here; perfbench/tracing.py wraps this
+# module's name
+from .bayes import _DEFAULT_PRIOR, _SAMPLED_T, posterior_prob_positive
+from .distributions import Family, ZipsModel, sample_values
 from .errors import DegenerateSampleError, MissingCellError
 from .frequentist import _alpha_cutoffs, _lr_statistic_stats, _score_statistic
 from .limits import MIN_REPS
@@ -237,16 +238,22 @@ def _replication_table(family: Family, p: float, theta: float, n: int, reps: int
     """Each replication of ``_replications`` as its ``(n0, s)`` and, when
     ``draws > 0``, its Monte Carlo T from ``draws`` draws on its Bayes child 1:
     the distinct rows, each replication's index into them, the T values
-    (``None`` when ``draws <= 0``) and the total redraw count."""
+    (``None`` when ``draws <= 0``) and the total redraw count.
+
+    T is the paper's sampler run on the sufficient statistics: the family's
+    kernel in ``bayes._SAMPLED_T``, called on ``(n, n0, s)`` under the default
+    prior, which gives ``posterior_prob_positive``'s value bit for bit without
+    its count table, standard error or effective sample size."""
     rows, t, redraws = np.empty((reps, 2), dtype=np.int64), None, 0
     if draws > 0:
         t, bayes = np.empty(reps), _rep_rngs(seed, key, reps, 1)
+        sampled_t = _SAMPLED_T[family]
     for values, n0, rep, redrawn in _replications(family, p, theta, n, reps, seed, key):
         redraws += redrawn
-        rows[rep] = n0, values.sum()
+        s = values.sum()
+        rows[rep] = n0, s
         if t is not None:
-            t[rep] = posterior_prob_positive(family, CountSample.from_values(values),
-                                             B=draws, seed=next(bayes)).value
+            t[rep] = sampled_t(n, n0, s, _DEFAULT_PRIOR, draws, next(bayes))[0]
     distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
     return distinct, inverse.reshape(-1), t, redraws
 
@@ -265,20 +272,18 @@ def _run_combo(config: PowerConfig, combo_index: int):
     rejections = {m: 0 for m in methods}
     draws = config.draws if Method.BAYES in methods else 0
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        distinct, inverse, t, redraws = _replication_table(
-            family, p, theta, n, config.reps, config.seed, (combo_index,), draws)
-        if t is not None:
-            rejections[Method.BAYES] = int(np.count_nonzero(t > 1.0 - config.alpha))
-        # each rejecting distinct (n0, s) counted as often as it occurred
-        counts = np.bincount(inverse)
-        for statistic, one, two in tests:
-            stat, sign = statistic(family, n, distinct[:, 0], distinct[:, 1])
-            if one in methods:
-                rejections[one] = int(counts[sign * np.sqrt(stat) > z_cut].sum())
-            if two in methods:
-                rejections[two] = int(counts[stat > chi_cut].sum())
+    distinct, inverse, t, redraws = _replication_table(
+        family, p, theta, n, config.reps, config.seed, (combo_index,), draws)
+    if t is not None:
+        rejections[Method.BAYES] = int(np.count_nonzero(t > 1.0 - config.alpha))
+    # each rejecting distinct (n0, s) counted as often as it occurred
+    counts = np.bincount(inverse)
+    for statistic, one, two in tests:
+        stat, sign = statistic(family, n, distinct[:, 0], distinct[:, 1])
+        if one in methods:
+            rejections[one] = int(counts[sign * np.sqrt(stat) > z_cut].sum())
+        if two in methods:
+            rejections[two] = int(counts[stat > chi_cut].sum())
 
     return combo_index, rejections, redraws
 

@@ -10,7 +10,7 @@ from zicount import (CellResult, CountSample, DegenerateSampleError, Family, Met
                      uniformity_check)
 from zicount.distributions import ZipsModel, sample_values
 from zicount.frequentist import _alpha_cutoffs, _lr_statistic_stats, _score_statistic
-from zicount.power import SEED_BLOCK, _rep_rngs, _replications
+from zicount.power import SEED_BLOCK, _rep_rngs, _replication_table, _replications
 
 ALL_METHODS = (Method.SCORE_ONE, Method.SCORE_TWO, Method.BAYES,
                Method.LR_ONE, Method.LR_TWO)
@@ -146,6 +146,20 @@ class TestRunPowerStudy:
             alt = grid.cells[(method, 0.5, 0.3, 60)].power
             assert null < 0.12
             assert alt > null
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("family, thetas, ns", [
+        (Family.POISSON, (0.05, 2.0, 8.0), (3, 50)),
+        (Family.GEOMETRIC, (0.1, 0.9), (5, 50)),
+    ], ids=["poisson", "geometric"])
+    def test_power_study_runs_without_warnings(self, family, thetas, ns):
+        # nothing silences a cell's warnings, so the sampling kernel and the
+        # score and LR statistics must run clean, small n and extreme theta
+        # included
+        config = PowerConfig(thetas=thetas, ps=(0.0, 0.3), ns=ns, reps=300, seed=3,
+                             family=family, methods=ALL_METHODS)
+        assert len(run_power_study(config).cells) == len(ALL_METHODS) * len(config.combos())
 
     def test_spot_cell_reproduces_reference(self):
         config = PowerConfig(thetas=(1.0,), ps=(0.3,), ns=(50,), reps=2000,
@@ -304,6 +318,25 @@ class TestSeedLayout:
         assert grid.redraws[(0.5, 0.3, 10)] == redraws > 0
         for method in ALL_METHODS:
             assert grid.cells[(method, 0.5, 0.3, 10)].power == rejections[method] / config.reps
+
+    @pytest.mark.parametrize("family, theta", [(Family.POISSON, 0.5), (Family.GEOMETRIC, 0.3)],
+                             ids=["poisson", "geometric"])
+    def test_bayes_column_is_posterior_prob_positive_value_by_value(self, family, theta):
+        # the table runs the sampling kernel on (n, n0, s); each of its T
+        # values is the public estimate's on the replication's counts and
+        # Bayes seed.  1500 replications span two seed blocks, with redraws
+        seed, key, reps, draws = 23, (4,), 1500, 300
+        _, _, t, redraws = _replication_table(family, 0.3, theta, 10, reps, seed, key, draws)
+        assert reps > SEED_BLOCK and redraws > 0
+        expected = np.empty(reps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the importance sampler's "ESS low"
+            for values, _, rep, _ in _replications(family, 0.3, theta, 10, reps, seed, key):
+                bayes_seed = np.random.SeedSequence(
+                    seed, spawn_key=key + (rep, 1)).generate_state(1)[0]
+                expected[rep] = posterior_prob_positive(
+                    family, CountSample.from_values(values), B=draws, seed=int(bayes_seed)).value
+        assert np.array_equal(t, expected)
 
     def test_score_and_lr_grid_draws_no_bayes_seed(self, monkeypatch):
         def data_only(seed, key, reps, child):
