@@ -26,6 +26,7 @@ from .distributions import (CountSample, Family, loglik_derivatives,
                             sample_values)
 from .errors import DegenerateSampleError
 from .frequentist import mle_full
+from .limits import require_probability
 from .power import _replication_table
 
 special = LazyModule("scipy.special", globals())
@@ -66,6 +67,7 @@ class BetaCalibration:
 
     def cutoff(self, alpha: float) -> float:
         """Upper-alpha rejection cutoff for the Bayes test at this n."""
+        require_probability("alpha", alpha)
         return float(special.betaincinv(self.alpha_hat, self.beta_hat, 1.0 - alpha))
 
 
@@ -122,7 +124,7 @@ def posterior_tail_expansion(inputs: ExpansionInputs, eta10: float,
     Reduces to the normal leading term when the correction ingredients
     vanish; the result is clipped to [0, 1].
     """
-    if n <= 0:
+    if not n > 0:
         raise ValueError("n must be positive")
     i11 = inputs.info_inv[0, 0]
     w = math.sqrt(n / i11) * (eta10 - inputs.eta_hat[0])

@@ -40,7 +40,7 @@ import numpy as np
 from ._lazy import LazyModule
 from .distributions import CountSample, Family, ZipsModel, _newton, _require_counts
 from .errors import QuadratureError
-from .limits import MIN_CURVE_POINTS
+from .limits import MIN_CURVE_POINTS, require_probability
 
 special = LazyModule("scipy.special", globals())
 
@@ -111,7 +111,8 @@ class IntervalEstimate:
 
 @dataclass(frozen=True)
 class PosteriorDraws:
-    """Joint posterior draws in both coordinate systems."""
+    """Joint posterior draws in both coordinate systems, with the sample
+    they came from."""
 
     family: Family
     pstar: np.ndarray
@@ -119,6 +120,7 @@ class PosteriorDraws:
     p: np.ndarray
     seed: int
     B: int
+    sample: CountSample
 
 
 @dataclass(frozen=True)
@@ -354,7 +356,8 @@ def draw_posterior(family: Family, sample: CountSample, B: int = DEFAULT_DRAWS,
     pstar = rng.beta(rule.a.item(), rule.b.item(), B)
     theta, _, log_c, _, _ = rule.series.coord(rule.inverse_cdf(rng.random(B)), rule.mode)
     p = (pstar - np.exp(-log_c)) / -np.expm1(-log_c)
-    return PosteriorDraws(family=family, pstar=pstar, theta=theta, p=p, seed=seed, B=B)
+    return PosteriorDraws(family=family, pstar=pstar, theta=theta, p=p, seed=seed, B=B,
+                          sample=sample)
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +677,7 @@ class ExactMarginal:
         more than twice, the hull of its super-level set is returned with
         a warning.
         """
-        if not (0.0 < level < 1.0):
-            raise ValueError("level must be strictly between 0 and 1")
+        require_probability("level", level)
         if kind is IntervalKind.EQUAL_TAIL:
             half = 0.5 * (1.0 - level)
             ends = self._quantile_t(np.array([half, 1.0 - half]))
@@ -735,8 +737,11 @@ def _marginal_density_evaluator(draws: PosteriorDraws, sample: CountSample):
     Averages the conditional density of p given each drawn theta (a Beta law
     on the zero-probability scale, transformed back to p), which smooths much
     better than a histogram of the p draws and integrates to one by
-    construction.
+    construction.  ``sample`` must be the one the draws came from, whose
+    counts set the Beta law.
     """
+    if sample != draws.sample:
+        raise ValueError("sample is not the one the posterior draws came from")
     a, b = _DEFAULT_PRIOR._prior.pstar_shapes(sample.n0, sample.n - sample.n0)
     f0 = draws.family.f0(draws.theta)
     scale = 1.0 - f0  # Jacobian of p -> pstar at fixed theta
@@ -769,8 +774,7 @@ def marginal_posterior_density(draws: PosteriorDraws, sample: CountSample,
 
 def credible_interval(draws: PosteriorDraws, level: float) -> IntervalEstimate:
     """Equal-tail posterior interval from the weight draws."""
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must be strictly between 0 and 1")
+    require_probability("level", level)
     half = 0.5 * (1.0 - level)
     lo, hi = np.quantile(draws.p, [half, 1.0 - half])
     return IntervalEstimate(float(lo), float(hi), level, IntervalKind.EQUAL_TAIL)
@@ -786,8 +790,7 @@ def hpd_interval(draws: PosteriorDraws, sample: CountSample,
     estimate.  If the estimate crosses the threshold more than twice, the
     hull of the super-level set is returned with a warning.
     """
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must be strictly between 0 and 1")
+    require_probability("level", level)
     evaluate = _marginal_density_evaluator(draws, sample)
     lo, hi = float(draws.p.min()), float(draws.p.max())
     grid = np.linspace(lo, hi, 1025)

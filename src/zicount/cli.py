@@ -12,9 +12,10 @@ Exit codes: 0 success, 1 internal error, 2 bad input or degenerate data.
 At import this module loads only the standard library and the numpy-free
 modules ``errors``, ``datasets`` and ``limits``, so ``--version``,
 ``--help``, usage errors and the ``datasets`` command load no numpy.
-The names it takes from the model modules resolve on first use (PEP 562):
-each command binds those of the modules it runs, and a name already bound,
-such as a timing wrapper or a test double set on this module, stays bound.
+Every name of the package's export table ``zicount._EXPORTS`` resolves here
+on first use (PEP 562): each command binds the exports of the modules it
+runs, and a name already bound, such as a timing wrapper or a test double set
+on this module, stays bound.
 """
 
 from __future__ import annotations
@@ -25,41 +26,25 @@ import json
 import sys
 import time
 
-from . import __version__
+from . import _EXPORTS, __version__
 from .datasets import (dataset_names, dataset_table, format_freq_csv,
                        load_counts, load_dataset)
 from .errors import ZicountError
 from .limits import MIN_CURVE_POINTS, MIN_REPS
 
-# the submodule that defines each name this module takes from the package;
-# bayes_factor_positive, credible_interval, density_curve, draw_posterior,
-# hpd_interval and posterior_prob_positive are unused here, kept only because
-# perfbench/tracing.py wraps this module's names
-_LAZY = {name: module for module, names in {
-    "bayes": ("IntervalKind", "_FACTORIZED_T_ACCURACY", "_bayes_factor_from",
-              "bayes_factor_positive", "credible_interval", "density_curve", "draw_posterior",
-              "exact_marginal", "hpd_interval", "posterior_prob_positive",
-              "posterior_prob_positive_factorized"),
-    "distributions": ("CountSample", "Family"),
-    "frequentist": ("Sidedness", "lr_test", "mle_full", "mle_null", "score_test"),
-    "power": ("Method", "PowerConfig", "REFERENCE_POWER_ONE_SIDED",
-              "REFERENCE_POWER_TWO_SIDED", "compare_tables", "run_power_study"),
-}.items() for name in names}
-
-
 def _bind(*modules: str) -> None:
-    """Bind in this module the names it takes from ``modules``, except those
-    already bound."""
+    """Bind in this module the package's exports defined in ``modules``,
+    except those already bound."""
     namespace = globals()
-    for name, module in _LAZY.items():
+    for name, module in _EXPORTS.items():
         if module in modules and name not in namespace:
             namespace[name] = getattr(importlib.import_module(f"{__package__}.{module}"), name)
 
 
 def __getattr__(name: str):
-    if name not in _LAZY:
+    if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(_LAZY[name])
+    _bind(_EXPORTS[name])
     return globals()[name]
 
 
@@ -202,6 +187,8 @@ def _cmd_test(args) -> int:
     if args.method in ("lr", "all"):
         results["lr"] = _test_entry(lr_test(family, sample, args.alpha, sided))
     if args.method in ("bayes", "all"):
+        from .bayes import _FACTORIZED_T_ACCURACY, _bayes_factor_from
+
         t = posterior_prob_positive_factorized(family, sample)
         # T is exact, so mc_se and ess are 0.0, kept because perfbench/checks.py reads them
         results["bayes"] = {

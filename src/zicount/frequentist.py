@@ -22,6 +22,7 @@ from ._lazy import LazyModule
 from .distributions import (CountSample, Family, _log_a_sum, _newton, _require_counts,
                             loglik_derivatives)
 from .errors import DegenerateSampleError
+from .limits import require_probability
 
 special = LazyModule("scipy.special", globals())
 
@@ -226,6 +227,7 @@ def _lr_statistic_stats(family: Family, n: int, n0, s):
 
 def _alpha_cutoffs(alpha: float) -> tuple[float, float]:
     """Upper-alpha normal and chi-square(1) cutoffs, as scipy.stats computes them."""
+    require_probability("alpha", alpha)
     return (float(special.ndtri(1.0 - alpha)),
             float(2.0 * special.gammaincinv(0.5, 1.0 - alpha)))
 

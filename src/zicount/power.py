@@ -25,7 +25,7 @@ from .bayes import _DEFAULT_PRIOR, _SAMPLED_T, posterior_prob_positive
 from .distributions import Family, ZipsModel, sample_values
 from .errors import DegenerateSampleError, MissingCellError
 from .frequentist import _alpha_cutoffs, _lr_statistic_stats, _score_statistic
-from .limits import MIN_REPS
+from .limits import MIN_REPS, require_probability
 
 MAX_REDRAWS = 100
 
@@ -57,8 +57,7 @@ class PowerConfig:
             raise ValueError(f"reps must be at least {MIN_REPS}")
         if self.draws < 1:
             raise ValueError("draws must be positive")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie strictly between 0 and 1, got {self.alpha!r}")
+        require_probability("alpha", self.alpha)
         # the bound that null calibration applies ("n too small")
         for n in self.ns:
             if not isinstance(n, numbers.Integral) or n < 2:
@@ -440,8 +439,11 @@ def compare_tables(grid: PowerGrid, reference: dict,
     """Per-cell comparison of a computed grid against reference powers.
 
     A cell is flagged when the absolute deviation exceeds
-    ``max(tolerance, 4 * mc_se)``.  Missing cells are an error.
+    ``max(tolerance, 4 * mc_se)``.  Missing cells are an error, and so is
+    an empty reference, which would leave nothing to pass.
     """
+    if not reference:
+        raise ValueError("no reference cells to compare against")
     rows = []
     for key, ref in sorted(reference.items(),
                            key=lambda kv: (kv[0][1], kv[0][2], kv[0][3], kv[0][0].value)):

@@ -193,8 +193,9 @@ class TestPosteriorTailExpansion:
         assert -0.6 <= slopes[1] <= -0.4
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            posterior_tail_expansion(synthetic_inputs(), 0.0, 0)
+        for n in (0, math.nan):
+            with pytest.raises(ValueError, match="n must be positive"):
+                posterior_tail_expansion(synthetic_inputs(), 0.0, n)
 
 
 class TestUniformityCheck:

@@ -570,6 +570,23 @@ class TestIntervals:
             credible_interval(draws, 1.0)
         with pytest.raises(ValueError):
             hpd_interval(draws, uti, 0.0)
+        for level in (math.nan, -0.1):
+            with pytest.raises(ValueError, match="level must lie strictly between 0 and 1"):
+                credible_interval(draws, level)
+            with pytest.raises(ValueError, match="level must lie strictly between 0 and 1"):
+                hpd_interval(draws, uti, level)
+
+    def test_routes_reject_a_sample_the_draws_did_not_come_from(self, uti, terror):
+        # pstar's Beta law comes from the sample, so another one would give
+        # a wrong density with no error
+        draws = draw_posterior(Family.POISSON, uti, B=2000, seed=20)
+        routes = (lambda cs: marginal_posterior_density(draws, cs, [0.5]),
+                  lambda cs: density_curve(draws, cs, 64),
+                  lambda cs: hpd_interval(draws, cs, 0.95))
+        for route in routes:
+            route(CountSample(dict(uti.items())))  # an equal table is the same sample
+            with pytest.raises(ValueError, match="not the one the posterior draws came from"):
+                route(terror)
 
     def test_multimodal_fallback_returns_hull_with_warning(self, uti):
         # synthetic draws with theta split into two distant clumps make the
@@ -583,7 +600,7 @@ class TestIntervals:
         f0 = np.exp(-theta)
         p = (pstar - f0) / (1.0 - f0)
         draws = PosteriorDraws(family=Family.POISSON, pstar=pstar, theta=theta,
-                               p=p, seed=30, B=B)
+                               p=p, seed=30, B=B, sample=uti)
         with pytest.warns(UserWarning, match="unimodal"):
             est = hpd_interval(draws, uti, 0.95)
         assert est.note is not None
@@ -681,6 +698,8 @@ class TestExactMarginal:
         for kind in IntervalKind:
             with pytest.raises(ValueError):
                 exact.interval(1.0, kind)
+            with pytest.raises(ValueError, match="level must lie strictly between 0 and 1, got nan"):
+                exact.interval(math.nan, kind)
         with pytest.raises(ValueError):
             exact.curve(8)
 

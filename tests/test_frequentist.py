@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
-from zicount import (CountSample, DegenerateSampleError, Family, Sidedness,
-                     TestMethod, ZipsModel, log_likelihood, lr_test, mle_full,
-                     mle_null, sample_values, score_test)
+from zicount import (BetaCalibration, CountSample, DegenerateSampleError, Family,
+                     Sidedness, TestMethod, ZipsModel, log_likelihood, lr_test,
+                     mle_full, mle_null, sample_values, score_test)
 from zicount.distributions import _log_likelihood
 from zicount.frequentist import (_alpha_cutoffs, _build_report,
                                  _lr_statistic_stats, _mle_full_stats,
@@ -266,6 +266,22 @@ def test_statistics_over_rows_equal_one_row_calls(family, statistic):
     stat, sign = statistic(family, n, n0, s)
     rows = np.array([statistic(family, n, int(a), int(b)) for a, b in zip(n0, s)])
     assert np.array_equal(stat, rows[:, 0]) and np.array_equal(sign, rows[:, 1])
+
+
+LEVEL_ROUTES = {
+    "score_test": lambda cs, alpha: score_test(Family.POISSON, cs, alpha=alpha),
+    "lr_test": lambda cs, alpha: lr_test(Family.POISSON, cs, alpha=alpha),
+    "cutoff": lambda cs, alpha: BetaCalibration(1.0, 1.0, cs.n, Family.POISSON, 1.0).cutoff(alpha),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, math.nan], ids=repr)
+@pytest.mark.parametrize("route", LEVEL_ROUTES)
+def test_level_outside_the_unit_interval_raises(uti, route, alpha):
+    # unchecked, alpha = 0 gives reject=False beside a one-sided p-value of 4.5e-5
+    with pytest.raises(ValueError,
+                       match=f"alpha must lie strictly between 0 and 1, got {alpha!r}"):
+        LEVEL_ROUTES[route](uti, alpha)
 
 
 class TestLrTest:

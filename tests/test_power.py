@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -76,7 +77,8 @@ class TestRunPowerStudy:
         (dict(ns=(20.0,)), "ns entries must be integers of at least 2, got 20.0"),
         (dict(alpha=0.0), "alpha must lie strictly between 0 and 1, got 0.0"),
         (dict(alpha=1.5), "alpha must lie strictly between 0 and 1, got 1.5"),
-    ], ids=["n-one", "n-float", "alpha-zero", "alpha-above-one"])
+        (dict(alpha=math.nan), "alpha must lie strictly between 0 and 1, got nan"),
+    ], ids=["n-one", "n-float", "alpha-zero", "alpha-above-one", "alpha-nan"])
     def test_config_rejects_bad_sample_size_and_level(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             small_grid(**overrides)
@@ -206,6 +208,12 @@ class TestCompareTables:
         grid = run_power_study(config)
         with pytest.raises(MissingCellError):
             compare_tables(grid, REFERENCE_POWER_ONE_SIDED)
+
+    def test_empty_reference_raises(self):
+        # a report of no cells would read "PASS: 0/0 cells"
+        grid = PowerGrid(config=small_grid(), cells={})
+        with pytest.raises(ValueError, match="no reference cells"):
+            compare_tables(grid, {})
 
     def test_reference_tables_complete(self):
         # 4 thetas x 4 weights x 3 sizes x 3 methods per table
