@@ -126,6 +126,8 @@ def posterior_tail_expansion(inputs: ExpansionInputs, eta10: float,
     """
     if not n > 0:
         raise ValueError("n must be positive")
+    if not math.isfinite(eta10):
+        raise ValueError(f"eta10 must be finite, got {eta10!r}")
     i11 = inputs.info_inv[0, 0]
     w = math.sqrt(n / i11) * (eta10 - inputs.eta_hat[0])
     g1, g3 = _correction_terms(inputs)

@@ -7,13 +7,13 @@ family's Jeffreys prior for theta.  In the orthogonal coordinates
 ``pstar | y ~ Beta(n0 + 1/2, n - n0 + 1 - k/2)`` and a theta law with density
 proportional to ``theta**s / (c(theta) - 1)**(n - n0)`` times the record's
 ``g(theta)``.  One rule, ``_ThetaPosterior``, owns both laws under a given
-record for both families.  It serves factorized T under either prior, in
-rules of ``FACTORIZED_BLOCK`` rows, and, under the default record,
-posterior draws and the exact marginal posterior of the weight
-(``exact_marginal``: density, CDF, equal-tail and HPD intervals), which the
-CLI uses.  The draw-based density and intervals (``draw_posterior``
-onwards) are the paper's route.  Each interval solves both of its ends as
-two rows of one ``_newton`` search.
+record for both families; pstar's Beta law has no other owner.  Factorized
+T under either prior, in rules of ``FACTORIZED_BLOCK`` rows, and, under the
+default record, posterior draws, the exact marginal posterior of the weight
+(``exact_marginal``: density, CDF, equal-tail and HPD intervals, which the
+CLI uses) and the draw-based density all read it.  The draw-based density
+and intervals (``draw_posterior`` onwards) are the paper's route.  Each
+interval solves both of its ends as two rows of one ``_newton`` search.
 
 The test statistic is the posterior probability of positive weight,
 ``T(Y) = P(p > 0 | Y)``.  The CLI computes it on the theta rule
@@ -222,12 +222,23 @@ def _distinct_cuts(cuts: np.ndarray):
         yield rows, cuts[rows][new[rows]].reshape(-1, k)
 
 
+def _stirling_rest(z: float) -> float:
+    """``log Gamma(z)`` less ``(z - 1/2) log z - z + log(2 pi) / 2``; from
+    z = 10 on by its asymptotic series, which avoids the cancellation."""
+    if z < 10.0:
+        return float(special.gammaln(z)) - ((z - 0.5) * math.log(z) - z
+                                           + 0.5 * math.log(2.0 * math.pi))
+    z2 = z * z
+    return (1/12 - (1/360 - (1/1260 - (1/1680 - 1/(1188*z2)) / z2) / z2) / z2) / z
+
+
 class _ThetaPosterior:
     """The factorized posterior of rows of ``(n0, m, s)`` (arrays over rows,
     scalars one row) under the record ``prior`` of a ``PriorKind``.  ``pstar``
-    is ``Beta(a, b)`` by the record's ``pstar_shapes``; ``window`` holds the
-    1e-17 and 1 - 1e-17 quantiles of ``1 - pstar``, which ``coord_at`` maps
-    into x and on which ``pstar_cdf`` is the Beta CDF.  With pstar integrated
+    is ``Beta(a, b)`` by the record's ``pstar_shapes``, and this rule is that
+    law's one owner: ``log_pstar_pdf`` is its log density, and ``pstar_cdf``
+    its CDF on the ``window``, the 1e-17 and 1 - 1e-17 quantiles of
+    ``1 - pstar``, which ``coord_at`` maps into x.  With pstar integrated
     out, ``m`` positive counts summing to ``s`` leave the kernel
     ``theta**s / (c(theta) - 1)**m`` times the record's ``g(theta)``, times
     the Jacobian of the family's unbounded coordinate ``x``: ``u = log(theta)``
@@ -315,13 +326,29 @@ class _ThetaPosterior:
         ``rows`` at every element of ``x`` or, for an index array, of those
         rows along its first axis: exactly 1 or 0 where ``y`` is below or
         above the ``window``, so ``betainc`` runs only inside it."""
-        a, b = self.a[rows, None], self.b[rows, None]
         lo, hi = self.window[rows, :1], self.window[rows, 1:]
-        out = (y < lo).astype(float)
-        inside = (y >= lo) & (y <= hi)
-        out[inside] = special.betainc(np.broadcast_to(a, x.shape)[inside],
-                                      np.broadcast_to(b, x.shape)[inside], x[inside])
-        return out
+        return special.betainc(self.a[rows, None], self.b[rows, None], x,
+                               out=(y < lo).astype(float), where=(y >= lo) & (y <= hi))
+
+    def log_pstar_pdf(self, x, y):
+        """Log of pstar's Beta(a, b) density at ``x`` in (0, 1), with ``y = 1 -
+        x`` given, of the one row.
+
+        Written about the mean ``a / (a + b)`` with a Stirling constant, so that
+        no term is of order ``a + b``: ``x**(a - 1)`` and ``B(a, b)`` taken
+        apart lose about 2e-9 relative at ``a + b = 1e6``.
+        """
+        a, b = self.a.item(), self.b.item()
+        s = a + b
+        mu, nu = a / s, b / s
+        d = x - mu
+        bulk = np.abs(d) < 0.5 * min(mu, nu)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lx = np.where(bulk, np.log1p(d / mu), np.log(x / mu))
+            ly = np.where(bulk, np.log1p(-d / nu), np.log(y / nu))
+        return ((a - 1.0) * lx + (b - 1.0) * ly
+                + 0.5 * (3.0 * math.log(s) - math.log(2.0 * math.pi * a * b))
+                - _stirling_rest(a) - _stirling_rest(b) + _stirling_rest(s))
 
     def inverse_cdf(self, r: np.ndarray) -> np.ndarray:
         """x of the one row at CDF levels ``r``, by linear interpolation of a
@@ -410,6 +437,9 @@ def _exact_draws_t(n: int, n0: int, s: int, prior: PriorKind, B: int,
     and the indicator."""
     m = n - n0
     pstar = rng.beta(*prior._prior.pstar_shapes(n0, m), B)
+    # theta's law is one under either prior: for this family the joint
+    # record's 1/2 log i_trunc = log c - 1/2 log theta is the conditional
+    # record's Jeffreys term, and the two slopes are the same formula
     theta = rng.beta(s - m + 0.5, m, B)
     return float(np.mean(pstar > 1.0 - theta)), None, None
 
@@ -511,35 +541,6 @@ posterior_prob_positive_quadrature = posterior_prob_positive_factorized
 # exact marginal of the weight: density, CDF, equal-tail and HPD intervals
 
 
-def _stirling_rest(z: float) -> float:
-    """``log Gamma(z)`` less ``(z - 1/2) log z - z + log(2 pi) / 2``; from
-    z = 10 on by its asymptotic series, which avoids the cancellation."""
-    if z < 10.0:
-        return float(special.gammaln(z)) - ((z - 0.5) * math.log(z) - z
-                                           + 0.5 * math.log(2.0 * math.pi))
-    z2 = z * z
-    return (1/12 - (1/360 - (1/1260 - (1/1680 - 1/(1188*z2)) / z2) / z2) / z2) / z
-
-
-def _log_beta_pdf(x, y, a: float, b: float):
-    """Log of the Beta(a, b) density at ``x``, with ``y = 1 - x`` given.
-
-    Written about the mean ``a / (a + b)`` with a Stirling constant, so that
-    no term is of order ``a + b``: ``x**(a - 1)`` and ``B(a, b)`` taken
-    apart lose about 2e-9 relative at ``a + b = 1e6``.
-    """
-    s = a + b
-    mu, nu = a / s, b / s
-    d = x - mu
-    bulk = np.abs(d) < 0.5 * min(mu, nu)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lx = np.where(bulk, np.log1p(d / mu), np.log(x / mu))
-        ly = np.where(bulk, np.log1p(-d / nu), np.log(y / nu))
-    return ((a - 1.0) * lx + (b - 1.0) * ly
-            + 0.5 * (3.0 * math.log(s) - math.log(2.0 * math.pi * a * b))
-            - _stirling_rest(a) - _stirling_rest(b) + _stirling_rest(s))
-
-
 def _scan(density, t_range, num: int = 129):
     """``t``, p and ``density`` on ``num`` points even in ``t = log(1 - p)``,
     from ``t_range[0]`` down to ``t_range[1]``; ascending in p."""
@@ -593,16 +594,12 @@ class ExactMarginal:
         return (np.exp(-log_c) + p * om, (1.0 - p) * om, om,
                 w / w.sum(axis=-1, keepdims=True))
 
-    def _pdf(self, x, y, om):
-        """Density of p given theta at each node."""
-        inside = (x > 0.0) & (y > 0.0)
-        a, b = self.rule.a[0], self.rule.b[0]
-        return np.where(inside, np.exp(_log_beta_pdf(x, y, a, b)) * om, 0.0)
-
     def _local(self, p, cdf: bool = False):
         """Density, its derivative in p and, with ``cdf``, the CDF at ``p``."""
         x, y, om, w = self._nodes_at(p)
-        pdf = self._pdf(x, y, om) * w
+        # the density of p given theta at each node, zero outside the weight range
+        inside = (x > 0.0) & (y > 0.0)
+        pdf = np.where(inside, np.exp(self.rule.log_pstar_pdf(x, y)) * om, 0.0) * w
         a, b = self.rule.a[0], self.rule.b[0]
         # the slope is infinite where pstar**(a - 1) meets zero with a < 2
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -734,17 +731,17 @@ def exact_marginal(family: Family, sample: CountSample) -> ExactMarginal:
 def _marginal_density_evaluator(draws: PosteriorDraws, sample: CountSample):
     """Vectorized p -> estimated marginal posterior density of the weight.
 
-    Averages the conditional density of p given each drawn theta (a Beta law
-    on the zero-probability scale, transformed back to p), which smooths much
-    better than a histogram of the p draws and integrates to one by
-    construction.  ``sample`` must be the one the draws came from, whose
-    counts set the Beta law.
+    Averages the conditional density of p given each drawn theta (the theta
+    rule's Beta law of pstar, times the Jacobian ``1 - f0``), which smooths
+    much better than a histogram of the p draws and integrates to one by
+    construction.  ``sample`` must be the one the draws came from, whose rule
+    sets the Beta law; ``f0`` comes from ``log c`` as in ``draw_posterior``.
     """
     if sample != draws.sample:
         raise ValueError("sample is not the one the posterior draws came from")
-    a, b = _DEFAULT_PRIOR._prior.pstar_shapes(sample.n0, sample.n - sample.n0)
-    f0 = draws.family.f0(draws.theta)
-    scale = 1.0 - f0  # Jacobian of p -> pstar at fixed theta
+    rule = _ThetaPosterior(draws.family, sample.n0, sample.n - sample.n0, sample.s)
+    log_c = rule.series.log_c(draws.theta)
+    f0, scale = np.exp(-log_c), -np.expm1(-log_c)  # scale: Jacobian of p -> pstar
 
     def evaluate(p_values) -> np.ndarray:
         p_values = np.atleast_1d(np.asarray(p_values, dtype=float))
@@ -754,7 +751,7 @@ def _marginal_density_evaluator(draws: PosteriorDraws, sample: CountSample):
                 continue
             pstar = f0 + pj * scale
             valid = pstar > 0.0
-            log_pdf = _log_beta_pdf(pstar[valid], (1.0 - pj) * scale[valid], a, b)
+            log_pdf = rule.log_pstar_pdf(pstar[valid], (1.0 - pj) * scale[valid])
             out[idx] = np.sum(np.exp(log_pdf) * scale[valid]) / draws.B
         return out
 

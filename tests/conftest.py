@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize, stats
+from scipy import integrate, optimize, special, stats
 
 from zicount import CountSample, Family, PriorKind
 
@@ -183,13 +183,14 @@ class PosteriorOracle:
         return self._theta(x)
 
     def prob_positive(self):
-        g = lambda t: stats.beta.sf(self._f0(t), self.n0 + 0.5, self.m + 0.5)
+        g = lambda t: special.betaincc(self.n0 + 0.5, self.m + 0.5, self._f0(t))
         return self._quad(g) / self.norm
 
     def p_cdf(self, x):
         def g(t):
             f0 = self._f0(t)
-            return stats.beta.cdf(f0 + x * (1.0 - f0), self.n0 + 0.5, self.m + 0.5)
+            pstar = min(max(f0 + x * (1.0 - f0), 0.0), 1.0)
+            return special.betainc(self.n0 + 0.5, self.m + 0.5, pstar)
         return self._quad(g, breaks=self._support_edge(x)) / self.norm
 
     def p_quantile(self, q):
@@ -204,10 +205,14 @@ class PosteriorOracle:
                                xtol=1e-8)
 
     def p_density(self, x):
+        # the distribution's own _pdf, which scipy.stats.beta.pdf calls on
+        # [0, 1]: a log form on special.betaln loses 1e-9 relative at n = 1e6
         def g(t):
             f0 = self._f0(t)
-            return (1.0 - f0) * stats.beta.pdf(f0 + x * (1.0 - f0),
-                                               self.n0 + 0.5, self.m + 0.5)
+            pstar = f0 + x * (1.0 - f0)
+            if not 0.0 <= pstar <= 1.0:
+                return 0.0
+            return (1.0 - f0) * stats.beta._pdf(pstar, self.n0 + 0.5, self.m + 0.5)
         return self._quad(g, breaks=self._support_edge(x)) / self.norm
 
 

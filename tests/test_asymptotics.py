@@ -196,6 +196,9 @@ class TestPosteriorTailExpansion:
         for n in (0, math.nan):
             with pytest.raises(ValueError, match="n must be positive"):
                 posterior_tail_expansion(synthetic_inputs(), 0.0, n)
+        for eta10 in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="eta10 must be finite"):
+                posterior_tail_expansion(synthetic_inputs(), eta10, 100)
 
 
 class TestUniformityCheck:

@@ -65,6 +65,20 @@ class TestPriorDensity:
         with pytest.raises(Exception):
             log_prior(Family.POISSON, -0.99, 2.0)
 
+    def test_geometric_records_share_their_theta_term(self):
+        # the geometric sampling kernel draws theta from one Beta law under
+        # either prior, because the joint record's 1/2 log i_trunc is the
+        # conditional record's Jeffreys term, and their slopes one formula
+        series = Family.GEOMETRIC._series
+        tail = np.logspace(-12, math.log10(0.5), 2000)
+        theta = np.concatenate([tail, 1.0 - tail])
+        log_c = series.log_c(theta)
+        joint, cond = PriorKind.JEFFREYS_JOINT._prior, PriorKind.CONDITIONAL_JEFFREYS._prior
+        np.testing.assert_allclose(joint.log_g(series, theta, log_c),
+                                   cond.log_g(series, theta, log_c), rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(joint.dlog_g(series, theta, log_c),
+                                      cond.dlog_g(series, theta, log_c))
+
     def test_gradient_matches_finite_differences(self):
         for kind in PriorKind:
             for fam, point in ((Family.POISSON, (0.2, 1.3)),
