@@ -26,7 +26,7 @@ from .distributions import (CountSample, Family, loglik_derivatives,
                             sample_values)
 from .errors import DegenerateSampleError
 from .frequentist import mle_full
-from .limits import require_probability
+from .limits import require_count, require_probability
 from .power import _replication_table
 
 special = LazyModule("scipy.special", globals())
@@ -147,15 +147,13 @@ def _simulate_null_ts(family: Family, theta_null: float, n: int, reps: int,
 
     ``B > 0`` returns the table's Monte Carlo T, B draws per replication, from
     the paper's sampler with no effective-sample-size check and no warning;
-    ``B <= 0`` computes T by the factorized quadrature, which stays accurate
+    any other ``B`` computes T by the factorized quadrature, which stays accurate
     at sample sizes where the importance sampler's proposal breaks down.
     Factorized T depends on a sample only through ``(n0, s)`` at fixed n, so it
     runs once per distinct row of the table, in one call.
     """
-    if reps <= 0:
-        raise ValueError("reps must be positive")
-    if n < 2:
-        raise ValueError("n too small")
+    require_count("reps", reps, 1)
+    require_count("n", n, 2)
     distinct, inverse, t, _ = _replication_table(family, 0.0, theta_null, n, reps, seed, draws=B)
     if t is not None:
         return t
@@ -201,8 +199,8 @@ def beta_calibration(family: Family, theta_null: float, n: int, reps: int,
     paper's sampler with no effective-sample-size check, and ``B = 0``
     (factorized T) is the accurate route at large n.
     """
-    if reps < 500:
-        raise ValueError("need at least 500 replications for a stable fit")
+    # fewer replications give no stable fit
+    require_count("reps", reps, 500)
     ts = _simulate_null_ts(family, theta_null, n, reps, B, seed)
     fit = beta_moment_fit(float(ts.mean()), float(ts.var()))
     if fit is None:

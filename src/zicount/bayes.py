@@ -40,7 +40,7 @@ import numpy as np
 from ._lazy import LazyModule
 from .distributions import CountSample, Family, ZipsModel, _newton, _require_counts
 from .errors import QuadratureError
-from .limits import MIN_CURVE_POINTS, require_probability
+from .limits import MIN_CURVE_POINTS, require_count, require_probability
 
 special = LazyModule("scipy.special", globals())
 
@@ -375,8 +375,7 @@ def draw_posterior(family: Family, sample: CountSample, B: int = DEFAULT_DRAWS,
     ``pstar`` from the theta rule's Beta law, ``theta`` by its tabulated
     inverse CDF from the same stream; ``p = (pstar - f0) / (1 - f0)``.
     """
-    if B <= 0:
-        raise ValueError("B must be positive")
+    require_count("B", B, 1)
     _require_counts(sample, zero=True)
     rule = _ThetaPosterior(family, sample.n0, sample.n - sample.n0, sample.s)
     rng = np.random.default_rng(seed)
@@ -462,8 +461,7 @@ def posterior_prob_positive(family: Family, sample: CountSample,
     ``seed`` is an int or a ``Generator``, whose draws it advances; the
     result's ``seed`` is then None."""
     _require_counts(sample)
-    if B <= 0:
-        raise ValueError("B must be positive")
+    require_count("B", B, 1)
     rng = np.random.default_rng(seed)
     value, w, ind = _SAMPLED_T[family](sample.n, sample.n0, sample.s, prior, B, rng)
     if w is None:  # exact draws: the binomial error, floored at one draw's
@@ -553,8 +551,7 @@ def _curve(density, t_range, num: int) -> tuple[np.ndarray, np.ndarray]:
     """``density`` on ``num`` even points in p spanning where a scan of
     ``t_range`` finds it at least a thousandth of its peak, each end one scan
     step beyond."""
-    if num < MIN_CURVE_POINTS:
-        raise ValueError(f"num must be at least {MIN_CURVE_POINTS}")
+    require_count("num", num, MIN_CURVE_POINTS)
     _, p, dens = _scan(density, t_range)
     keep = np.flatnonzero(dens >= 1e-3 * dens.max())
     grid = np.linspace(p[max(keep[0] - 1, 0)], p[min(keep[-1] + 1, p.size - 1)], num)
@@ -670,11 +667,12 @@ class ExactMarginal:
         The HPD threshold starts from trapezoid cells of a scan of the
         density, taken in decreasing height until they hold ``level``, and
         is refined by Newton steps on ``log c``, each solving
-        ``density = c`` on both flanks.  If the scan crosses the threshold
-        more than twice, the hull of its super-level set is returned with
-        a warning.
+        ``density = c`` on both flanks.  ``kind`` is a member or its value.
+        If the scan's super-level set is not one block of points, its hull
+        is returned with a warning.
         """
         require_probability("level", level)
+        kind = IntervalKind(kind)
         if kind is IntervalKind.EQUAL_TAIL:
             half = 0.5 * (1.0 - level)
             ends = self._quantile_t(np.array([half, 1.0 - half]))
@@ -686,8 +684,8 @@ class ExactMarginal:
         k = int(np.searchsorted(np.cumsum(mass[order]), level * mass.sum()))
         threshold = float(cell[order[min(k, cell.size - 1)]])
         idx = np.flatnonzero(cell >= threshold)
-        above = dens >= threshold
-        if np.count_nonzero(above[1:] != above[:-1]) > 2:
+        above = np.flatnonzero(dens >= threshold)
+        if above[-1] - above[0] + 1 != above.size:
             warnings.warn("exact posterior not unimodal at the HPD threshold; "
                           "returning the hull of the super-level set", stacklevel=2)
             return IntervalEstimate(float(p[idx[0]]), float(p[idx[-1] + 1]), level,
@@ -784,8 +782,8 @@ def hpd_interval(draws: PosteriorDraws, sample: CountSample,
     The density threshold is the ``100 * (1 - level)`` percentile of the
     estimated density at the draws; the interval endpoints solve
     ``density = threshold`` on each monotone flank of the (unimodal)
-    estimate.  If the estimate crosses the threshold more than twice, the
-    hull of the super-level set is returned with a warning.
+    estimate.  If the super-level set on the grid is not one block of
+    points, its hull is returned with a warning.
     """
     require_probability("level", level)
     evaluate = _marginal_density_evaluator(draws, sample)
@@ -795,25 +793,20 @@ def hpd_interval(draws: PosteriorDraws, sample: CountSample,
     dens_at_draws = np.interp(draws.p, grid, dens)
     threshold = float(np.percentile(dens_at_draws, 100.0 * (1.0 - level)))
 
-    above = dens >= threshold
-    flips = int(np.sum(above[1:] != above[:-1]))
-    mode_idx = int(np.argmax(dens))
+    idx = np.flatnonzero(dens >= threshold)
     note = None
-    if flips > 2:
+    if idx[-1] - idx[0] + 1 != idx.size:
         warnings.warn("estimated posterior not unimodal at the HPD threshold; "
                       "returning the hull of the super-level set", stacklevel=2)
-        idx = np.where(above)[0]
         lower, upper = float(grid[idx[0]]), float(grid[idx[-1]])
         note = "multimodal density estimate; hull of super-level set"
     else:
-        # bisect the cells of the last flip left of the mode and the first at
-        # or right of it, as two rows; an empty cell pads each end of the grid,
-        # where a flank that stays above the threshold ends.  _newton needs
+        # bisect the two flank cells of the one super-level block, as two
+        # rows; lo and hi pad the grid with empty cells, where a flank that
+        # stays above the threshold ends.  _newton needs
         # side * (density - threshold) falling: side is -1 on the rising flank
-        cells, inside = np.r_[lo, grid, hi], np.r_[False, above, False]
-        i = np.flatnonzero(~inside[:mode_idx + 2])[-1]
-        j = mode_idx + 1 + np.flatnonzero(~inside[mode_idx + 1:])[0]
-        a, b = cells[[i, j - 1]], cells[[i + 1, j]]
+        cells = np.r_[lo, grid, hi]
+        a, b = cells[[idx[0], idx[-1] + 1]], cells[[idx[0] + 1, idx[-1] + 2]]
         side = np.array([-1.0, 1.0])
         fun = lambda q, rows: (side[rows] * (evaluate(q) - threshold), np.full(rows.size, math.nan))
         lower, upper = map(float, _newton(fun, 0.5 * (a + b), 1e-10, a, b))

@@ -234,6 +234,7 @@ def _alpha_cutoffs(alpha: float) -> tuple[float, float]:
 
 def _build_report(method: TestMethod, stat: float, sign: float,
                   alpha: float, sidedness: Sidedness) -> TestReport:
+    sidedness = Sidedness(sidedness)
     stat, sign = float(stat), float(sign)
     signed_root = sign * math.sqrt(max(stat, 0.0))
     z_cut, chi_cut = _alpha_cutoffs(alpha)

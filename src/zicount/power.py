@@ -13,7 +13,6 @@ from __future__ import annotations
 import io
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -25,7 +24,7 @@ from .bayes import _DEFAULT_PRIOR, _SAMPLED_T, posterior_prob_positive
 from .distributions import Family, ZipsModel, sample_values
 from .errors import DegenerateSampleError, MissingCellError
 from .frequentist import _alpha_cutoffs, _lr_statistic_stats, _score_statistic
-from .limits import MIN_REPS, require_probability
+from .limits import MIN_REPS, require_count, require_probability
 
 MAX_REDRAWS = 100
 
@@ -53,27 +52,21 @@ class PowerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.reps < MIN_REPS:
-            raise ValueError(f"reps must be at least {MIN_REPS}")
-        if self.draws < 1:
-            raise ValueError("draws must be positive")
+        require_count("reps", self.reps, MIN_REPS)
+        require_count("draws", self.draws, 1)
         require_probability("alpha", self.alpha)
-        # the bound that null calibration applies ("n too small")
+        # the bound that null calibration applies to n
         for n in self.ns:
-            if not isinstance(n, numbers.Integral) or n < 2:
-                raise ValueError(f"ns entries must be integers of at least 2, got {n!r}")
+            require_count("ns entry", n, 2)
+        # "score1" as its member: _run_combo finds members by equality
+        object.__setattr__(self, "methods", tuple(map(Method, self.methods)))
         if not self.combos():
             raise ValueError("empty grid")
-        # every cell's model and the seed, checked before any cell runs
+        # every cell's model and the seed, checked before any cell runs;
+        # None would draw fresh entropy per cell, so no grid could be rerun
         for theta, p in itertools.product(self.thetas, self.ps):
             ZipsModel(self.family, p, theta)
-        # None would draw fresh entropy per cell, so no grid could be rerun
-        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        try:
-            np.random.SeedSequence(self.seed)
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"seed={self.seed!r}: {err}") from None
+        require_count("seed", self.seed, 0)
 
     def combos(self):
         return [(theta, p, n) for theta in self.thetas
@@ -237,7 +230,7 @@ def _replication_table(family: Family, p: float, theta: float, n: int, reps: int
     """Each replication of ``_replications`` as its ``(n0, s)`` and, when
     ``draws > 0``, its Monte Carlo T from ``draws`` draws on its Bayes child 1:
     the distinct rows, each replication's index into them, the T values
-    (``None`` when ``draws <= 0``) and the total redraw count.
+    (``None`` without draws) and the total redraw count.
 
     T is the paper's sampler run on the sufficient statistics: the family's
     kernel in ``bayes._SAMPLED_T``, called on ``(n, n0, s)`` under the default

@@ -227,6 +227,8 @@ class TestUniformityCheck:
     def test_validation(self):
         with pytest.raises(ValueError):
             uniformity_check(Family.POISSON, 1.0, 100, reps=0)
+        with pytest.raises(ValueError, match="reps must be an integer, got 2.5"):
+            uniformity_check(Family.POISSON, 1.0, 100, reps=2.5)
 
     @pytest.mark.parametrize("family, theta, n", [
         (Family.POISSON, 1.0, 30), (Family.GEOMETRIC, 0.5, 60)])
@@ -309,10 +311,12 @@ class TestBetaCalibration:
         # uniformity_check and beta_calibration share the null simulation,
         # and with it its checks
         for n in (1, 0):
-            with pytest.raises(ValueError, match="n too small"):
+            with pytest.raises(ValueError, match=f"n must be at least 2, got {n}"):
                 beta_calibration(Family.POISSON, 1.0, n, 500, seed=1)
-            with pytest.raises(ValueError, match="n too small"):
+            with pytest.raises(ValueError, match=f"n must be at least 2, got {n}"):
                 uniformity_check(Family.POISSON, 1.0, n, 500, seed=1)
+        with pytest.raises(ValueError, match="reps must be an integer, got 600.5"):
+            beta_calibration(Family.POISSON, 1.0, 50, reps=600.5, seed=1)
 
     def test_calibrated_cutoff_holds_level(self):
         # null rejection rates with the calibrated cutoff stay near alpha

@@ -589,6 +589,12 @@ class TestIntervals:
                 credible_interval(draws, level)
             with pytest.raises(ValueError, match="level must lie strictly between 0 and 1"):
                 hpd_interval(draws, uti, level)
+        with pytest.raises(ValueError, match="B must be an integer, got 2.5"):
+            draw_posterior(Family.POISSON, uti, B=2.5)
+        with pytest.raises(ValueError, match="B must be an integer, got True"):
+            posterior_prob_positive(Family.POISSON, uti, B=True)
+        with pytest.raises(ValueError, match="num must be an integer, got 16.5"):
+            density_curve(draws, uti, 16.5)
 
     def test_routes_reject_a_sample_the_draws_did_not_come_from(self, uti, terror):
         # pstar's Beta law comes from the sample, so another one would give
@@ -619,6 +625,19 @@ class TestIntervals:
             est = hpd_interval(draws, uti, 0.95)
         assert est.note is not None
         assert est.lower < est.upper
+
+    def test_super_level_blocks_at_both_ends_return_hull_with_warning(self, uti,
+                                                                       monkeypatch):
+        # a density lowest mid-grid crosses any threshold above its floor
+        # only twice, yet its super-level set is two blocks
+        draws = draw_posterior(Family.POISSON, uti, B=2000, seed=20)
+        mid = 0.5 * (draws.p.min() + draws.p.max())
+        monkeypatch.setattr("zicount.bayes._marginal_density_evaluator",
+                            lambda draws, sample: lambda p: (np.asarray(p) - mid) ** 2)
+        with pytest.warns(UserWarning, match="unimodal"):
+            est = hpd_interval(draws, uti, 0.5)
+        assert est.note is not None
+        assert (est.lower, est.upper) == (draws.p.min(), draws.p.max())
 
 
 # sample sizes for samples drawn at p = 0.2, and all-ones samples, whose
@@ -707,6 +726,19 @@ class TestExactMarginal:
         assert est.note is not None
         assert est.lower < 0.2 < 0.7 < est.upper
 
+    def test_super_level_blocks_at_both_ends_return_hull_with_warning(self, uti):
+        base = exact_marginal(Family.POISSON, uti)
+        mid = -np.expm1(base._t_range()).mean()
+
+        class TwoEnds(ExactMarginal):
+            def density(self, p):
+                return (np.asarray(p, dtype=float) - mid) ** 2
+
+        with pytest.warns(UserWarning, match="unimodal"):
+            est = TwoEnds(base.rule).interval(0.5, IntervalKind.HPD)
+        assert est.note is not None
+        assert est.lower < mid < est.upper
+
     def test_level_validation(self, uti):
         exact = exact_marginal(Family.POISSON, uti)
         for kind in IntervalKind:
@@ -716,6 +748,15 @@ class TestExactMarginal:
                 exact.interval(math.nan, kind)
         with pytest.raises(ValueError):
             exact.curve(8)
+        with pytest.raises(ValueError, match="num must be an integer, got 16.5"):
+            exact.curve(16.5)
+
+    def test_interval_takes_a_kind_by_its_value(self, terror):
+        exact = exact_marginal(Family.POISSON, terror)
+        for kind in IntervalKind:
+            assert exact.interval(0.95, kind.value) == exact.interval(0.95, kind)
+        with pytest.raises(ValueError, match="'central' is not a valid IntervalKind"):
+            exact.interval(0.95, "central")
 
 
 # (n0, positive counts): n from 2 to 1e6, with no zeros, no positives, all

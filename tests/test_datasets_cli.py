@@ -325,13 +325,14 @@ class TestCli:
         ({"thetas": [0.5], "ps": [0.3], "ns": [20], "methods": "score1"}, [],
          "config key 'methods' must be a JSON list, got 'score1'"),
         (None, ["--thetas", "0.5", "--ps", "0.3", "--ns", "0"],
-         "ns entries must be integers of at least 2, got 0"),
+         "ns entry must be at least 2, got 0"),
         (None, ["--thetas", "0.5", "--ps", "0.3", "--ns=-3"],
-         "ns entries must be integers of at least 2, got -3"),
+         "ns entry must be at least 2, got -3"),
         ({"thetas": [0.5], "ps": [0.3], "ns": [20], "rep": 150, "methods": ["score1"]}, [],
          "unknown config key 'rep'"),
         (None, ["--thetas", "0.5", "--ps", "1.5", "--ns", "20"], "p=1.5 outside open range"),
-        (None, ["--thetas", "0.5", "--ps", "0.3", "--ns", "20", "--seed=-1"], "seed=-1"),
+        (None, ["--thetas", "0.5", "--ps", "0.3", "--ns", "20", "--seed=-1"],
+         "seed must be at least 0, got -1"),
         (None, ["--thetas", "0.5,-5", "--ps", "0.3", "--ns", "20"], "theta=-5.0"),
         (None, ["--model", "geometric", "--thetas", "1.5", "--ps", "0.3", "--ns", "20"],
          "theta=1.5"),

@@ -378,6 +378,14 @@ class TestLrTest:
                         expected = report.statistic > stats.chi2.ppf(0.95, 1)
                     assert report.reject == expected
 
+    def test_sidedness_by_its_value(self, uti):
+        for sided in Sidedness:
+            for test in (score_test, lr_test):
+                assert (test(Family.POISSON, uti, 0.05, sided.value)
+                        == test(Family.POISSON, uti, 0.05, sided))
+        with pytest.raises(ValueError, match="'both' is not a valid Sidedness"):
+            score_test(Family.POISSON, uti, 0.05, "both")
+
     def test_method_tags(self, uti):
         assert score_test(Family.POISSON, uti).method is TestMethod.SCORE
         assert lr_test(Family.POISSON, uti).method is TestMethod.LR

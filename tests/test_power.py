@@ -73,15 +73,27 @@ class TestRunPowerStudy:
             run_power_study(PowerConfig(thetas=(), ps=(0.1,), ns=(50,)))
 
     @pytest.mark.parametrize("overrides, message", [
-        (dict(ns=(50, 1)), "ns entries must be integers of at least 2, got 1"),
-        (dict(ns=(20.0,)), "ns entries must be integers of at least 2, got 20.0"),
+        (dict(ns=(50, 1)), "ns entry must be at least 2, got 1"),
+        (dict(ns=(20.0,)), "ns entry must be an integer, got 20.0"),
         (dict(alpha=0.0), "alpha must lie strictly between 0 and 1, got 0.0"),
         (dict(alpha=1.5), "alpha must lie strictly between 0 and 1, got 1.5"),
         (dict(alpha=math.nan), "alpha must lie strictly between 0 and 1, got nan"),
-    ], ids=["n-one", "n-float", "alpha-zero", "alpha-above-one", "alpha-nan"])
+        (dict(reps=1000.0), "reps must be an integer, got 1000.0"),
+        (dict(draws=10.5), "draws must be an integer, got 10.5"),
+        (dict(draws=True), "draws must be an integer, got True"),
+    ], ids=["n-one", "n-float", "alpha-zero", "alpha-above-one", "alpha-nan",
+            "reps-float", "draws-float", "draws-bool"])
     def test_config_rejects_bad_sample_size_and_level(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             small_grid(**overrides)
+
+    def test_config_takes_methods_by_their_values(self):
+        by_value = small_grid(methods=("score1", "bayes"))
+        assert by_value.methods == (Method.SCORE_ONE, Method.BAYES)
+        assert run_power_study(by_value).cells == run_power_study(
+            small_grid(methods=(Method.SCORE_ONE, Method.BAYES))).cells
+        with pytest.raises(ValueError, match="'score' is not a valid Method"):
+            small_grid(methods=("score",))
 
     def test_config_takes_numpy_integer_sample_sizes(self):
         assert small_grid(ns=(np.int64(20),)).ns == (20,)
