@@ -147,13 +147,14 @@ def _simulate_null_ts(family: Family, theta_null: float, n: int, reps: int,
 
     ``B > 0`` returns the table's Monte Carlo T, B draws per replication, from
     the paper's sampler with no effective-sample-size check and no warning;
-    any other ``B`` computes T by the factorized quadrature, which stays accurate
-    at sample sizes where the importance sampler's proposal breaks down.
+    ``B = 0`` computes T by the factorized quadrature, which stays accurate at
+    sample sizes where the importance sampler's proposal breaks down.
     Factorized T depends on a sample only through ``(n0, s)`` at fixed n, so it
     runs once per distinct row of the table, in one call.
     """
     require_count("reps", reps, 1)
     require_count("n", n, 2)
+    require_count("B", B, 0)
     distinct, inverse, t, _ = _replication_table(family, 0.0, theta_null, n, reps, seed, draws=B)
     if t is not None:
         return t

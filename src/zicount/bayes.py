@@ -47,8 +47,9 @@ special = LazyModule("scipy.special", globals())
 DEFAULT_DRAWS = 10_000
 # theta window over which the Bayes factor averages its prior odds
 DEFAULT_THETA_WINDOW = (0.0, 50.0)
-# rows per theta rule of a factorized-T call, which bounds its node arrays
-FACTORIZED_BLOCK = 64
+# rows per theta rule of a factorized-T call, which bounds its node arrays: 4.5 MB
+# peak over the benchmark's null-calibration pass
+FACTORIZED_BLOCK = 256
 # the tolerance the tests hold factorized T to, so the resolution of 1 - T
 _FACTORIZED_T_ACCURACY = 1e-8
 
@@ -238,7 +239,7 @@ class _ThetaPosterior:
     is ``Beta(a, b)`` by the record's ``pstar_shapes``, and this rule is that
     law's one owner: ``log_pstar_pdf`` is its log density, and ``pstar_cdf``
     its CDF on the ``window``, the 1e-17 and 1 - 1e-17 quantiles of
-    ``1 - pstar``, which ``coord_at`` maps into x.  With pstar integrated
+    ``1 - pstar``, whose ends ``edges_at`` maps into x.  With pstar integrated
     out, ``m`` positive counts summing to ``s`` leave the kernel
     ``theta**s / (c(theta) - 1)**m`` times the record's ``g(theta)``, times
     the Jacobian of the family's unbounded coordinate ``x``: ``u = log(theta)``
@@ -315,11 +316,15 @@ class _ThetaPosterior:
         peak = self.peak[rows, None]
         return x, (width * rule[..., 1, :]).reshape(x.shape) * np.exp(log_d - peak), log_c
 
-    def coord_at(self, om):
-        """x where ``1 - f0`` is ``om``, so where ``1 - pstar`` reaches ``om``
-        at p = 0: minus or plus infinity at ``om`` 0 or 1, NaN beyond."""
+    def edges_at(self, p, rows=0):
+        """Cuts of factorized T (p = 0) and of the exact marginal: x where ``1 - pstar =
+        (1 - p)(1 - f0)`` reaches each end of the ``window`` (last axis), per ``p`` and
+        row as in ``pstar_cdf``; ``lo`` for an edge outside the bracket (an empty panel)."""
+        lo, hi = self.lo[rows, None], self.hi[rows, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            return self.series.coord_from_log_c(-np.log1p(-om))
+            om = self.window[rows] / (1.0 - np.asarray(p, dtype=float)[..., None])
+            edges = self.series.coord_from_log_c(-np.log1p(-om))
+        return np.where((edges > lo) & (edges < hi), edges, lo)
 
     def pstar_cdf(self, x, y, rows=0):
         """``P(pstar <= x)``, with ``y = 1 - x`` given, of the one row index
@@ -489,23 +494,20 @@ def _factorized_t(family: Family, n0, m, s, prior: PriorKind = _DEFAULT_PRIOR) -
     ``FACTORIZED_BLOCK`` rows.
 
     ``T = E[P(pstar > f0(theta))]``, both laws the rule's, under ``prior``'s
-    record.  ``P(pstar > f0)`` rises where ``1 - f0`` crosses the window,
-    between two edges in closed form; a rise narrower than half the bracket
-    gets its own panel.  Rows are grouped by their number of cuts, so that
-    each row sums the same nodes in the same order as it would alone.
+    record.  ``P(pstar > f0)`` rises where ``1 - f0`` crosses the window, between
+    the two cuts that ``edges_at(0)`` gives every row, the exact marginal's cuts at
+    zero; the panel ending at the upper one is squared.  Rows are grouped by their
+    number of distinct cuts, so each row sums the same nodes in the same order as alone.
     """
     n0, m, s = map(np.atleast_1d, (n0, m, s))
     t = np.empty(n0.size)
     for start in range(0, n0.size, FACTORIZED_BLOCK):
         block = slice(start, start + FACTORIZED_BLOCK)
         rule = _ThetaPosterior(family, n0[block], m[block], s[block], prior)
-        lo, hi = rule.lo[:, None], rule.hi[:, None]
-        rise = np.clip(rule.coord_at(rule.window), lo, hi)
-        narrow = rise[:, 1:] - rise[:, :1] < 0.5 * (hi - lo)
+        edges = rule.edges_at(0.0, np.arange(rule.m.size))
         num, den = np.empty(rule.m.size), np.empty(rule.m.size)
-        # a wide rise adds lo twice, which _distinct_cuts drops
-        for rows, cuts in _distinct_cuts(np.hstack([rule.cuts, np.where(narrow, rise, lo)])):
-            _, w, log_c = rule.nodes(cuts, rows=rows)
+        for rows, cuts in _distinct_cuts(np.hstack([rule.cuts, edges])):
+            _, w, log_c = rule.nodes(cuts, cuts[:, 1:] == edges[rows, 1:], rows)
             below = rule.pstar_cdf(np.exp(-log_c), -np.expm1(-log_c), rows)
             num[rows] = np.sum(w * (1.0 - below), axis=1)
             den[rows] = np.sum(w, axis=1)
@@ -577,11 +579,8 @@ class ExactMarginal:
         """``pstar``, ``1 - pstar``, ``1 - f0`` and normalized node weights,
         per point (leading axes) and node (last axis)."""
         rule = self.rule
+        edges = rule.edges_at(p)
         p = np.asarray(p, dtype=float)[..., None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            edges = rule.coord_at(rule.window[0] / (1.0 - p))
-        # an edge outside the bracket leaves an empty panel at its lower end
-        edges = np.where((edges > rule.lo[0]) & (edges < rule.hi[0]), edges, rule.lo[0])
         base = np.unique(rule.cuts[0])
         cuts = np.broadcast_to(base, edges.shape[:-1] + base.shape)
         cuts = np.sort(np.concatenate([cuts, edges], axis=-1))

@@ -229,6 +229,12 @@ class TestUniformityCheck:
             uniformity_check(Family.POISSON, 1.0, 100, reps=0)
         with pytest.raises(ValueError, match="reps must be an integer, got 2.5"):
             uniformity_check(Family.POISSON, 1.0, 100, reps=2.5)
+        # B = 0 is factorized T and B > 0 the paper's sampler; no other B is a route
+        for B, message in ((2.5, "B must be an integer, got 2.5"),
+                           (True, "B must be an integer, got True"),
+                           (-1, "B must be at least 0, got -1")):
+            with pytest.raises(ValueError, match=message):
+                uniformity_check(Family.POISSON, 1.0, 100, reps=10, B=B)
 
     @pytest.mark.parametrize("family, theta, n", [
         (Family.POISSON, 1.0, 30), (Family.GEOMETRIC, 0.5, 60)])
@@ -317,6 +323,11 @@ class TestBetaCalibration:
                 uniformity_check(Family.POISSON, 1.0, n, 500, seed=1)
         with pytest.raises(ValueError, match="reps must be an integer, got 600.5"):
             beta_calibration(Family.POISSON, 1.0, 50, reps=600.5, seed=1)
+        for B, message in ((2.5, "B must be an integer, got 2.5"),
+                           (True, "B must be an integer, got True"),
+                           (-1, "B must be at least 0, got -1")):
+            with pytest.raises(ValueError, match=message):
+                beta_calibration(Family.POISSON, 1.0, 50, 500, B=B, seed=1)
 
     def test_calibrated_cutoff_holds_level(self):
         # null rejection rates with the calibrated cutoff stay near alpha

@@ -386,11 +386,12 @@ class TestThetaPosterior:
 
     @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
     def test_batched_t_equals_t_per_sample(self, monkeypatch, family):
-        # one-row calls against one shuffled batch: three cuts, refined rises
-        # (four and five cuts), m = 1 and n from 2 to 1e6
+        # one-row calls against one shuffled batch: rises with no edge, one
+        # edge or both in the bracket (three, four and five cuts), m = 1 and n
+        # from 2 to 1e6
         rng = np.random.default_rng(3 if family is Family.POISSON else 4)
         rows = [(1, 1, 1), (0, 1, 1), (1, 1, 7), (10, 1, 40), (0, 2, 3), (3, 2, 2),
-                (4, 6, 6), (999_995, 5, 9), (999_000, 1000, 1500)]
+                (4, 6, 6), (999_995, 5, 9), (999_000, 1000, 1500), (1000, 2, 3)]
         for _ in range(FACTORIZED_BLOCK + 40):
             n = int(np.exp(rng.uniform(math.log(2.0), math.log(1e6))))
             m = int(rng.integers(1, n + 1))
@@ -460,10 +461,16 @@ class TestThetaPosterior:
         ((20, 1, 1), 0.78937497516041357198),
         ((306, 1, 1), 0.94440435900386573456),
         ((3, 2, 2), 0.29437913126353730874),
+        ((40, 1, 2), 0.99682722767425255791),
+        ((40, 2, 3), 0.98497362578373230649),
+        ((60, 2, 3), 0.99153959856901886878),
+        ((1000, 2, 3), 0.99986724424412948103),
     ], ids=str)
     def test_poisson_t_matches_30_digit_integral(self, row, reference):
         # T = E[betaincc(n0 + 1/2, m + 1/2, exp(-theta))] over the theta law,
-        # by 30-digit mpmath quadrature; m = 1 rows have a rise over many decades
+        # by 30-digit mpmath quadrature (40 digits agree within 1e-31); m = 1
+        # rows have a rise over many decades, and the last four a rise over
+        # most of the bracket, which the panels cut at both of its edges
         n0, m, s = row
         assert abs(_factorized_t(Family.POISSON, [n0], [m], [s])[0] - reference) <= 2e-14
 
@@ -679,11 +686,13 @@ class TestExactMarginal:
             assert abs(exact.cdf(x) - cdf) <= 1e-8
             assert q is None or abs(cdf - q) <= 1e-8
 
-    @pytest.mark.parametrize("case", MARGINAL_CASES + tuple(dataset_names()), ids=str)
+    @pytest.mark.parametrize("case", MARGINAL_CASES + tuple(dataset_names()) + (
+        {0: 40, 1: 1, 2: 1}, {0: 60, 1: 1, 2: 1}, {0: 1000, 1: 1, 2: 1}), ids=str)
     @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
     def test_factorized_t_is_the_marginal_tail(self, family, case):
         # two exact routes to T = P(p > 0 | Y) on the one rule: the factorized
-        # average of pstar's Beta tail and one minus the marginal CDF at zero
+        # average of pstar's Beta tail and one minus the marginal CDF at zero;
+        # the last three have a rise over most of the theta bracket
         cs = load_dataset(case) if isinstance(case, str) else _marginal_sample(family, case)
         tail = 1.0 - exact_marginal(family, cs).cdf(0.0)
         assert abs(posterior_prob_positive_factorized(family, cs) - tail) <= 1e-14
