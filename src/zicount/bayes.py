@@ -17,7 +17,10 @@ interval solves both of its ends as two rows of one ``_newton`` search.
 
 The test statistic is the posterior probability of positive weight,
 ``T(Y) = P(p > 0 | Y)``.  The CLI computes it on the theta rule
-(``posterior_prob_positive_factorized``, also ``posterior_prob_positive_quadrature``).
+(``posterior_prob_positive_factorized``, also ``posterior_prob_positive_quadrature``):
+one minus the average over the rule's nodes of pstar's CDF at ``f0(theta)``,
+which the rule gets from ``betainc`` once per panel and from pstar's density,
+integrated on each panel's own nodes, in between.
 The paper's route is a sampling kernel per family, ``_SAMPLED_T``: a
 self-normalized importance sampler (Poisson) or exact posterior draws
 (geometric), each a function of ``(n, n0, s)`` alone.  The power study runs
@@ -47,8 +50,8 @@ special = LazyModule("scipy.special", globals())
 DEFAULT_DRAWS = 10_000
 # theta window over which the Bayes factor averages its prior odds
 DEFAULT_THETA_WINDOW = (0.0, 50.0)
-# rows per theta rule of a factorized-T call, which bounds its node arrays: 4.5 MB
-# peak over the benchmark's null-calibration pass
+# rows per theta rule of a factorized-T call, which bounds its node arrays: a 5.4 MB
+# tracemalloc peak over the benchmark's null-calibration pass
 FACTORIZED_BLOCK = 256
 # the tolerance the tests hold factorized T to, so the resolution of 1 - T
 _FACTORIZED_T_ACCURACY = 1e-8
@@ -75,11 +78,12 @@ class PriorKind(Enum):
     Both priors are ``pstar**(-1/2) * (1 - pstar)**(-k/2) * g(theta) / Z`` in
     the orthogonal coordinates: ``(k, Z, g)`` is ``(0, 1, sqrt(i_trunc))`` for
     the joint Jeffreys prior and ``(1, pi, sqrt(i))`` for the conditional one.
-    ``log_g`` and its derivative take the family's ``_PowerSeries``, theta, ``log c``.
+    ``log_g`` and its derivative take the family's ``_PowerSeries``, theta, ``log c``,
+    and ``log_g`` optionally ``log theta``, which saves a log where a caller has it.
     """
 
     JEFFREYS_JOINT = "jeffreys_joint", _Prior(
-        0, 0.0, lambda s, *a: 0.5 * np.log(s.trunc_info(*a)),
+        0, 0.0, lambda s, t, log_c, log_t=None: 0.5 * np.log(s.trunc_info(t, log_c)),
         lambda s, *a: 0.5 * s.dlog_trunc_info(*a))
     CONDITIONAL_JEFFREYS = "conditional_jeffreys_times_marginal", _Prior(
         1, math.log(math.pi), lambda s, *a: s.log_jeffreys(*a), lambda s, *a: s.dlog_jeffreys(*a))
@@ -210,6 +214,43 @@ def _gauss_legendre() -> np.ndarray:
     return np.array([[0.5 * (1.0 - x), 0.5 * gl], [t * t, t * gl]])
 
 
+@functools.cache
+def _cumulative_legendre() -> np.ndarray:
+    """Spectral integration on ``_gauss_legendre``'s nodes (Greengard 1991): per
+    unit width, the integral of a function over ``[node, b]`` from its values at
+    the nodes, by integrating their degree-63 interpolant: ``f @ this[0]`` on
+    the linear map, ``f @ this[1]`` on the squared one."""
+    x, gl = np.polynomial.legendre.leggauss(64)
+    j = np.arange(64)
+    maps = []
+    # each map's own variable, 0 at b, is (1 + xi) / 2 at the nodes; the
+    # squared map integrates f times its slope 2t = 1 + x
+    for xi, slope in ((-x, 1.0), (x, 1.0 + x)):
+        leg = np.polynomial.legendre.legvander(xi, 64)
+        # the integral of P_j from -1 to each node (xi + 1, then (P_{j+1} -
+        # P_{j-1}) / (2j + 1)), and P_j's interpolation coefficient per node
+        integral = np.hstack([(xi + 1.0)[:, None],
+                              (leg[:, 2:] - leg[:, :-2]) / (2.0 * j[1:] + 1.0)])
+        coef = (j + 0.5) * leg[:, :64] * gl[:, None]
+        maps.append((0.5 * integral @ coef.T * slope).T)
+    return np.array(maps)
+
+
+def _distinct_rows(*columns):
+    """The distinct rows of the equal-length ``columns``, in ascending order, as
+    one array per column, and each row's index into them: ``np.unique(...,
+    axis=0, return_inverse=True)`` by one lexsort and a change mask."""
+    order = np.lexsort(columns[::-1])
+    ranked = [column[order] for column in columns]
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for column in ranked:
+        new[1:] |= column[1:] != column[:-1]
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return [column[new] for column in ranked], inverse
+
+
 def _distinct_cuts(cuts: np.ndarray):
     """Rows of ``cuts`` grouped by their number of distinct values: ``(rows,
     sorted distinct cuts)`` per group.  Each row keeps its own panels, with no
@@ -223,23 +264,23 @@ def _distinct_cuts(cuts: np.ndarray):
         yield rows, cuts[rows][new[rows]].reshape(-1, k)
 
 
-def _stirling_rest(z: float) -> float:
-    """``log Gamma(z)`` less ``(z - 1/2) log z - z + log(2 pi) / 2``; from
-    z = 10 on by its asymptotic series, which avoids the cancellation."""
-    if z < 10.0:
-        return float(special.gammaln(z)) - ((z - 0.5) * math.log(z) - z
-                                           + 0.5 * math.log(2.0 * math.pi))
+def _stirling_rest(z: np.ndarray) -> np.ndarray:
+    """``log Gamma(z)`` less ``(z - 1/2) log z - z + log(2 pi) / 2``, elementwise;
+    from z = 10 on by its asymptotic series, which avoids the cancellation."""
     z2 = z * z
-    return (1/12 - (1/360 - (1/1260 - (1/1680 - 1/(1188*z2)) / z2) / z2) / z2) / z
+    series = (1/12 - (1/360 - (1/1260 - (1/1680 - 1/(1188*z2)) / z2) / z2) / z2) / z
+    return np.where(z < 10.0, special.gammaln(z) - ((z - 0.5) * np.log(z) - z
+                                                   + 0.5 * math.log(2.0 * math.pi)), series)
 
 
 class _ThetaPosterior:
     """The factorized posterior of rows of ``(n0, m, s)`` (arrays over rows,
     scalars one row) under the record ``prior`` of a ``PriorKind``.  ``pstar``
     is ``Beta(a, b)`` by the record's ``pstar_shapes``, and this rule is that
-    law's one owner: ``log_pstar_pdf`` is its log density, and ``pstar_cdf``
-    its CDF on the ``window``, the 1e-17 and 1 - 1e-17 quantiles of
-    ``1 - pstar``, whose ends ``edges_at`` maps into x.  With pstar integrated
+    law's one owner: ``log_pstar_pdf`` is its log density, and ``pstar_nodes``
+    gives that and its CDF at ``pstar = p + (1 - p) f0`` on the rule's nodes;
+    its ``window``, the 1e-17, 1/2 and 1 - 1e-17 quantiles of
+    ``1 - pstar``, are the points that ``edges_at`` maps into x.  With pstar integrated
     out, ``m`` positive counts summing to ``s`` leave the kernel
     ``theta**s / (c(theta) - 1)**m`` times the record's ``g(theta)``, times
     the Jacobian of the family's unbounded coordinate ``x``: ``u = log(theta)``
@@ -248,9 +289,10 @@ class _ThetaPosterior:
     default record it is ``theta**(s - m + 1/2) * (1 - theta)**m``.  Both are
     log-concave in x.
     Each row has its own ``mode``, ``peak`` (the log density there) and
-    ``[lo, hi]``, which widens from the Laplace 1e-16 points until the
-    density is below 1e-16 of its peak; a row of ``cuts`` is ``lo``, the
-    mode and ``hi``.
+    ``[lo, hi]``: on each side the first point of a 1.25 ladder from the
+    Laplace 1e-16 point where the density is below 1e-16 of its peak, so
+    that a tail falling off faster than the Laplace one is not cut far out
+    in its underflow; a row of ``cuts`` is ``lo``, the mode and ``hi``.
     """
 
     def __init__(self, family: Family, n0, m, s, prior: PriorKind = _DEFAULT_PRIOR):
@@ -258,9 +300,9 @@ class _ThetaPosterior:
         self.n0, self.m, self.s = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (n0, m, s))
         self.a, self.b = self.prior.pstar_shapes(self.n0, self.m)
         # the window once per distinct shape pair, which rows share
-        (a, b), pair = np.unique(np.stack([self.a, self.b]), axis=1, return_inverse=True)
-        self.window = np.stack([special.betaincinv(b, a, 1e-17),
-                                special.betainccinv(b, a, 1e-17)], axis=1)[pair.reshape(-1)]
+        (a, b), pair = _distinct_rows(self.a, self.b)
+        self.window = np.stack([special.betaincinv(b, a, 1e-17), special.betaincinv(b, a, 0.5),
+                                special.betainccinv(b, a, 1e-17)], axis=1)[pair]
         # every row's mode of x and its Laplace sd, by one row-wise Newton on
         # the score with a central-difference slope, from the log of the mean
         # (s + 1/2) / m - 1 (geometric's exact mode)
@@ -281,24 +323,45 @@ class _ThetaPosterior:
         floor = self.peak + math.log(1e-16)
         below = math.sqrt(-2.0 * math.log(1e-16)) * sd
         above = below.copy()
-        # every row widens by the same 1.25 ladder until it is below its floor
+        # every row moves along the same 1.25 ladder to its first point below
+        # its floor: out from the Laplace point while above it, and in while
+        # the next point in is below it too (a tail that falls off faster)
         for side, width in ((-1.0, below), (1.0, above)):
-            grow = rows
+            up = self.log_density((mode + side * width)[:, None], rows)[0][:, 0] > floor
+            grow, shrink = rows[up], rows[~up]
             while grow.size:
+                width[grow] *= 1.25
                 x = (mode[grow] + side * width[grow])[:, None]
                 grow = grow[self.log_density(x, grow)[0][:, 0] > floor[grow]]
-                width[grow] *= 1.25
+            while shrink.size:
+                x = (mode[shrink] + side * width[shrink] / 1.25)[:, None]
+                shrink = shrink[~(self.log_density(x, shrink)[0][:, 0] > floor[shrink])]
+                width[shrink] /= 1.25
         self.lo, self.hi = mode - below, mode + above
         self.cuts = np.stack([self.lo, mode, self.hi], axis=1)
 
     def log_density(self, x, rows=0):
-        """Log density of x up to a constant, and ``log c`` there.  ``rows``
-        is one row index, whose row is taken at every element of ``x``, or
-        an index array, one row per entry along the first axis of ``x``."""
+        """Log density of x up to a constant, ``log c`` and ``log(du/dx)`` there.
+        ``rows`` is one row index, whose row is taken at every element of
+        ``x``, or an index array, one row per entry along the first axis of
+        ``x``."""
         m, s, mode = self.m[rows, None], self.s[rows, None], self.mode[rows, None]
         theta, log_theta, log_c, log_cm1, log_dudx = self.series.coord(x, mode)
         return ((s + 1.0) * log_theta - m * log_cm1
-                + (self.prior.log_g(self.series, theta, log_c) + log_dudx)), log_c
+                + (self.prior.log_g(self.series, theta, log_c) + log_dudx)), log_c, log_dudx
+
+    def _nodes(self, cuts, squared, rows):
+        """``nodes`` with its weights in two factors, the rule's and the
+        density relative to the mode; and ``log(du/dx)``."""
+        cuts = np.asarray(cuts, dtype=float)
+        b = cuts[..., 1:, None]
+        width = b - cuts[..., :-1, None]
+        rule = _gauss_legendre()[np.asarray(squared, dtype=int)]
+        x = (b - width * rule[..., 0, :]).reshape(cuts.shape[:-1] + (-1,))
+        quad = (width * rule[..., 1, :]).reshape(x.shape)
+        del rule
+        log_d, log_c, log_dudx = self.log_density(x, rows)
+        return x, quad, np.exp(log_d - self.peak[rows, None]), log_c, log_dudx
 
     def nodes(self, cuts, squared=False, rows=0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """64 Gauss-Legendre nodes x per panel between ``cuts``, weights times
@@ -307,59 +370,104 @@ class _ThetaPosterior:
         an index array, over those rows.  A panel flagged in ``squared`` maps
         ``x = b - (b - a) t**2`` first: half-integer powers of ``b - x`` (a
         Beta tail) become polynomials."""
-        cuts = np.asarray(cuts, dtype=float)
-        b = cuts[..., 1:, None]
-        width = b - cuts[..., :-1, None]
-        rule = _gauss_legendre()[np.asarray(squared, dtype=int)]
-        x = (b - width * rule[..., 0, :]).reshape(cuts.shape[:-1] + (-1,))
-        log_d, log_c = self.log_density(x, rows)
-        peak = self.peak[rows, None]
-        return x, (width * rule[..., 1, :]).reshape(x.shape) * np.exp(log_d - peak), log_c
+        x, quad, density, log_c, _ = self._nodes(cuts, squared, rows)
+        return x, quad * density, log_c
 
     def edges_at(self, p, rows=0):
         """Cuts of factorized T (p = 0) and of the exact marginal: x where ``1 - pstar =
-        (1 - p)(1 - f0)`` reaches each end of the ``window`` (last axis), per ``p`` and
-        row as in ``pstar_cdf``; ``lo`` for an edge outside the bracket (an empty panel)."""
+        (1 - p)(1 - f0)`` reaches each point of the ``window`` (last axis), per ``p`` and
+        row as in ``log_pstar_pdf``; ``lo`` for an edge outside the bracket (an empty panel).
+        Between the outer two pstar's CDF at ``f0`` falls from one to zero, and the
+        middle one splits that fall where a power-law tail makes it long in x."""
         lo, hi = self.lo[rows, None], self.hi[rows, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             om = self.window[rows] / (1.0 - np.asarray(p, dtype=float)[..., None])
             edges = self.series.coord_from_log_c(-np.log1p(-om))
         return np.where((edges > lo) & (edges < hi), edges, lo)
 
-    def pstar_cdf(self, x, y, rows=0):
-        """``P(pstar <= x)``, with ``y = 1 - x`` given, of the one row index
-        ``rows`` at every element of ``x`` or, for an index array, of those
-        rows along its first axis: exactly 1 or 0 where ``y`` is below or
-        above the ``window``, so ``betainc`` runs only inside it."""
-        lo, hi = self.window[rows, :1], self.window[rows, 1:]
-        return special.betainc(self.a[rows, None], self.b[rows, None], x,
-                               out=(y < lo).astype(float), where=(y >= lo) & (y <= hi))
-
-    def log_pstar_pdf(self, x, y):
+    def log_pstar_pdf(self, x, y, rows=0):
         """Log of pstar's Beta(a, b) density at ``x`` in (0, 1), with ``y = 1 -
-        x`` given, of the one row.
+        x`` given, of the one row index ``rows`` at every element of ``x`` or,
+        for an index array, of those rows along its first axis.
 
         Written about the mean ``a / (a + b)`` with a Stirling constant, so that
         no term is of order ``a + b``: ``x**(a - 1)`` and ``B(a, b)`` taken
         apart lose about 2e-9 relative at ``a + b = 1e6``.
         """
-        a, b = self.a.item(), self.b.item()
-        s = a + b
-        mu, nu = a / s, b / s
+        a, b = self.a[rows, None], self.b[rows, None]
+        mu, nu = a / (a + b), b / (a + b)
         d = x - mu
-        bulk = np.abs(d) < 0.5 * min(mu, nu)
+        bulk = np.abs(d) < 0.5 * np.minimum(mu, nu)
+        far = ~bulk
+        lx = np.log1p(d / mu, out=np.empty(d.shape), where=bulk)
+        np.negative(d, out=d)
+        ly = np.log1p(np.divide(d, nu, out=d), out=d, where=bulk)
         with np.errstate(divide="ignore", invalid="ignore"):
-            lx = np.where(bulk, np.log1p(d / mu), np.log(x / mu))
-            ly = np.where(bulk, np.log1p(-d / nu), np.log(y / nu))
-        return ((a - 1.0) * lx + (b - 1.0) * ly
-                + 0.5 * (3.0 * math.log(s) - math.log(2.0 * math.pi * a * b))
+            np.log(x / mu, out=lx, where=far)
+            np.log(y / nu, out=ly, where=far)
+        lx *= a - 1.0
+        ly *= b - 1.0
+        lx += ly
+        lx += self._log_pdf_constant[rows, None]
+        return lx
+
+    @functools.cached_property
+    def _log_pdf_constant(self):
+        """``log_pstar_pdf``'s Stirling constant of every row."""
+        a, b = self.a, self.b
+        s = a + b
+        return (0.5 * (3.0 * np.log(s) - np.log(2.0 * math.pi * a * b))
                 - _stirling_rest(a) - _stirling_rest(b) + _stirling_rest(s))
+
+    def pstar_nodes(self, cuts, squared, p=0.0, rows=0, cdf: bool = False):
+        """The nodes of ``nodes`` at ``pstar = p + (1 - p) f0`` (``p`` one
+        value per set of cuts): weights, ``1 - f0``, pstar, ``1 - pstar``,
+        pstar's density there (zero outside (0, 1)) and, with ``cdf``, its
+        CDF, in [0, 1].
+
+        The CDF is ``betainc`` at each panel's upper end ``b`` plus the
+        integral over ``[x, b]`` of pstar's density times ``|d pstar / dx| =
+        (1 - p) f0 d log c / dx``, by ``_cumulative_legendre``: one ``betainc``
+        per panel, and no difference of two CDFs.  x is the log of the family
+        mean ``theta (log c)'``, so ``d log c / dx = exp(x) du/dx``.
+        """
+        # arrays the size of the nodes are reused in place, since this runs on
+        # FACTORIZED_BLOCK rows at once: x becomes log(f0 d log c / dx)
+        slope, w, density, log_c, log_dudx = self._nodes(cuts, squared, rows)
+        w *= density
+        del density
+        slope += log_dudx
+        slope -= log_c
+        p = np.asarray(p, dtype=float)[..., None]
+        om = -np.expm1(-log_c)
+        pstar = np.exp(np.negative(log_c, out=log_c), out=log_c)
+        pstar += p * om
+        y = (1.0 - p) * om
+        pdf = np.exp(self.log_pstar_pdf(pstar, y, rows))
+        pdf[(pstar <= 0.0) | (y <= 0.0)] = 0.0
+        if not cdf:
+            return w, om, pstar, y, pdf
+        np.exp(slope, out=slope)
+        slope *= pdf
+        slope *= 1.0 - p
+        cuts = np.asarray(cuts, dtype=float)
+        slope = slope.reshape(cuts.shape[:-1] + (-1, 64))
+        linear, square = _cumulative_legendre()
+        below = slope @ linear
+        # a squared panel one row at a time, so that a row's bits are its own
+        at = np.nonzero(squared)
+        below[at] = (slope[at][:, None, :] @ square)[:, 0]
+        below *= np.diff(cuts)[..., None]
+        log_c_end = self.series.coord_point(cuts[..., 1:])[1]
+        end = np.clip(np.exp(-log_c_end) - p * np.expm1(-log_c_end), 0.0, 1.0)
+        below += special.betainc(self.a[rows, None], self.b[rows, None], end)[..., None]
+        return w, om, pstar, y, pdf, np.clip(below, 0.0, 1.0, out=below).reshape(w.shape)
 
     def inverse_cdf(self, r: np.ndarray) -> np.ndarray:
         """x of the one row at CDF levels ``r``, by linear interpolation of a
         midpoint-rule CDF over 4096 cells of the bracket."""
         edges = np.linspace(self.lo.item(), self.hi.item(), 4097)
-        log_d, _ = self.log_density(0.5 * (edges[1:] + edges[:-1]))
+        log_d = self.log_density(0.5 * (edges[1:] + edges[:-1]))[0]
         cdf = np.concatenate(([0.0], np.cumsum(np.exp(log_d - self.peak.item()))))
         self.require_weight(cdf[-1:])
         return np.interp(r, cdf / cdf[-1], edges)
@@ -416,7 +524,8 @@ def _importance_t(n: int, n0: int, s: int, prior: PriorKind, B: int,
     logw = np.expm1(neg_theta)
     np.negative(logw, out=logw)
     np.log(logw, out=logw)
-    np.subtract(np.log(theta), logw, out=logw)
+    log_theta = np.log(theta)
+    np.subtract(log_theta, logw, out=logw)
     logw *= m
     # the log prior in (pstar, theta), -log Z - (log pstar + k log(1 - pstar)) / 2
     # + log g(theta) (see PriorKind); k = 0 takes no log(1 - pstar), which is
@@ -426,7 +535,7 @@ def _importance_t(n: int, n0: int, s: int, prior: PriorKind, B: int,
         log_prior += record.k * np.log1p(-pstar)
     log_prior *= -0.5
     log_prior -= record.log_z
-    log_prior += record.log_g(series, theta, series.log_c(theta))
+    log_prior += record.log_g(series, theta, series.log_c(theta), log_theta)
     logw += log_prior
     logw -= logw.max()
     w = np.exp(logw, out=logw)
@@ -493,11 +602,12 @@ def _factorized_t(family: Family, n0, m, s, prior: PriorKind = _DEFAULT_PRIOR) -
     """Factorized T for rows of ``(n0, m, s)``, on one batched theta rule per
     ``FACTORIZED_BLOCK`` rows.
 
-    ``T = E[P(pstar > f0(theta))]``, both laws the rule's, under ``prior``'s
-    record.  ``P(pstar > f0)`` rises where ``1 - f0`` crosses the window, between
-    the two cuts that ``edges_at(0)`` gives every row, the exact marginal's cuts at
-    zero; the panel ending at the upper one is squared.  Rows are grouped by their
-    number of distinct cuts, so each row sums the same nodes in the same order as alone.
+    ``T = E[1 - CDF(f0(theta))]`` with pstar's CDF from ``pstar_nodes``, both
+    laws the rule's, under ``prior``'s record.  ``P(pstar > f0)`` rises where
+    ``1 - f0`` crosses the window, between the outer cuts that ``edges_at(0)``
+    gives every row, the exact marginal's cuts at zero; the panel ending at the
+    upper one is squared.  Rows are grouped by their number of distinct cuts, so
+    each row sums the same nodes in the same order as alone.
     """
     n0, m, s = map(np.atleast_1d, (n0, m, s))
     t = np.empty(n0.size)
@@ -507,8 +617,8 @@ def _factorized_t(family: Family, n0, m, s, prior: PriorKind = _DEFAULT_PRIOR) -
         edges = rule.edges_at(0.0, np.arange(rule.m.size))
         num, den = np.empty(rule.m.size), np.empty(rule.m.size)
         for rows, cuts in _distinct_cuts(np.hstack([rule.cuts, edges])):
-            _, w, log_c = rule.nodes(cuts, cuts[:, 1:] == edges[rows, 1:], rows)
-            below = rule.pstar_cdf(np.exp(-log_c), -np.expm1(-log_c), rows)
+            squared = cuts[:, 1:] == edges[rows, -1:]
+            w, *_, below = rule.pstar_nodes(cuts, squared, 0.0, rows, cdf=True)
             num[rows] = np.sum(w * (1.0 - below), axis=1)
             den[rows] = np.sum(w, axis=1)
         rule.require_weight(den)
@@ -566,7 +676,7 @@ class ExactMarginal:
     one-row theta ``rule``, whose Beta law for ``pstar = f0 + p * (1 - f0)``
     given theta, averaged over theta and mapped back to p, gives the density
     and CDF.  Each point gets its own Gauss-Legendre nodes: the rule's panels
-    plus one over its ``window`` of ``1 - pstar``, mapped to the rule's
+    cut at the points of its ``window`` of ``1 - pstar``, mapped to the rule's
     coordinate through ``1 - pstar = (1 - p)(1 - f0)``.  Root searches run in
     ``t = log(1 - p)``, where the heavy left tail of an all-ones sample
     (theta near zero sends ``-f0 / (1 - f0)`` to minus infinity) becomes an
@@ -575,41 +685,34 @@ class ExactMarginal:
 
     rule: _ThetaPosterior
 
-    def _nodes_at(self, p):
-        """``pstar``, ``1 - pstar``, ``1 - f0`` and normalized node weights,
-        per point (leading axes) and node (last axis)."""
+    def _local(self, p, cdf: bool = False):
+        """Density, its derivative in p and, with ``cdf``, the CDF at ``p``.
+        Each point gets the rule's panels plus its ``edges_at`` cuts, and the
+        panel ending where pstar reaches zero has a Beta tail there too."""
         rule = self.rule
         edges = rule.edges_at(p)
-        p = np.asarray(p, dtype=float)[..., None]
         base = np.unique(rule.cuts[0])
         cuts = np.broadcast_to(base, edges.shape[:-1] + base.shape)
         cuts = np.sort(np.concatenate([cuts, edges], axis=-1))
-        # the panel ending where pstar reaches zero has a Beta tail there too
-        _, w, log_c = rule.nodes(cuts, squared=cuts[..., 1:] == edges[..., 1:])
-        om = -np.expm1(-log_c)
-        return (np.exp(-log_c) + p * om, (1.0 - p) * om, om,
-                w / w.sum(axis=-1, keepdims=True))
-
-    def _local(self, p, cdf: bool = False):
-        """Density, its derivative in p and, with ``cdf``, the CDF at ``p``."""
-        x, y, om, w = self._nodes_at(p)
-        # the density of p given theta at each node, zero outside the weight range
-        inside = (x > 0.0) & (y > 0.0)
-        pdf = np.where(inside, np.exp(self.rule.log_pstar_pdf(x, y)) * om, 0.0) * w
-        a, b = self.rule.a[0], self.rule.b[0]
+        w, om, x, y, pdf, *below = rule.pstar_nodes(cuts, cuts[..., 1:] == edges[..., -1:], p,
+                                                    cdf=cdf)
+        w = w / w.sum(axis=-1, keepdims=True)
+        # the density of p given theta at each node: pstar's times 1 - f0
+        pdf = pdf * om * w
+        a, b = rule.a[0], rule.b[0]
         # the slope is infinite where pstar**(a - 1) meets zero with a < 2
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             rate = np.where(pdf > 0.0, (a - 1.0) / x - (b - 1.0) / y, 0.0)
             out = (pdf.sum(axis=-1), np.sum(pdf * rate * om, axis=-1))
-        return out + (np.sum(self.rule.pstar_cdf(x, y) * w, axis=-1),) if cdf else out
+        return out + tuple(np.sum(c * w, axis=-1) for c in below)
 
     def density(self, p) -> np.ndarray:
         """Marginal posterior density of the weight at ``p``."""
         return self._local(p)[0]
 
     def cdf(self, p) -> np.ndarray:
-        """Marginal posterior CDF of the weight at ``p``."""
-        return np.minimum(self._local(p, cdf=True)[2], 1.0)
+        """Marginal posterior CDF of the weight at ``p``, in [0, 1]."""
+        return np.clip(self._local(p, cdf=True)[2], 0.0, 1.0)
 
     def _quantile_t(self, q: np.ndarray) -> np.ndarray:
         """``t = log(1 - p)`` where the CDF is each level of ``q``, a row
@@ -657,7 +760,7 @@ class ExactMarginal:
         """The range of ``t`` that the rule's ``window`` reaches over its
         theta bracket, from its top down."""
         log_c = self.rule.log_density(self.rule.cuts[0, ::2])[1]
-        return np.log(self.rule.window[0, ::-1] / -np.expm1(-log_c))
+        return np.log(self.rule.window[0, ::-2] / -np.expm1(-log_c))
 
     def interval(self, level: float, kind: IntervalKind) -> IntervalEstimate:
         """Equal-tail interval (two CDF roots) or HPD interval (the level set

@@ -108,7 +108,7 @@ _POISSON = _PowerSeries(
     # 1 - e^-t - t e^-t, without its cancellation at small t
     trunc_info=lambda t, log_c: special.gammainc(2.0, t) / (t * np.square(np.expm1(-t))),
     dlog_trunc_info=_poisson_dlog_trunc_info,
-    log_jeffreys=lambda t, log_c: -0.5 * np.log(t),
+    log_jeffreys=lambda t, log_c, log_t=None: -0.5 * (np.log(t) if log_t is None else log_t),
     dlog_jeffreys=lambda t, log_c: -0.5 / t,
 )
 
@@ -135,7 +135,7 @@ _GEOMETRIC = _PowerSeries(
     tail_bound=lambda t, eps: int(math.ceil(math.log(eps) / math.log(t))) + 2,
     trunc_info=lambda t, log_c: np.exp(2.0 * log_c) / t,
     dlog_trunc_info=lambda t, log_c: -1.0 / t + 2.0 * np.exp(log_c),
-    log_jeffreys=lambda t, log_c: -0.5 * np.log(t) + log_c,
+    log_jeffreys=lambda t, log_c, log_t=None: -0.5 * (np.log(t) if log_t is None else log_t) + log_c,
     dlog_jeffreys=lambda t, log_c: -0.5 / t + np.exp(log_c),
 )
 
@@ -157,8 +157,9 @@ class Family(Enum):
     * ``log_a``: ``log a_y``, vectorized over ``y``;
     * ``mean`` and ``theta_from_mean``: the family mean and its inverse;
     * ``coord(x, x0)``: the Bayes theta rule's terms ``(theta, log theta, log c,
-      log(c - 1), log(du/dx))`` at an unbounded coordinate ``x`` of theta, the
-      2nd and 4th maybe less their value at ``x0``; ``coord_point(x)``: ``(theta,
+      log(c - 1), log(du/dx))``, with ``u = log theta``, at ``x``, the log of
+      the family mean and so an unbounded coordinate of theta, the 2nd and 4th
+      maybe less their value at ``x0``; ``coord_point(x)``: ``(theta,
       log c)``; ``coord_score(theta, log c, m, s, dlog_g)``: the
       rule's score in x given ``d log g / d theta``; ``coord_from_log_c``;
     * ``draws``: the base sampler;
@@ -168,7 +169,8 @@ class Family(Enum):
     * ``log_jeffreys`` and ``dlog_jeffreys``: the log of the family's
       Jeffreys prior for theta, ``sqrt(i(theta))``, and its derivative.
 
-    The last four take ``log c`` after theta, so as not to round ``1 - theta``.
+    The last four take ``log c`` after theta, so as not to round ``1 - theta``;
+    ``log_jeffreys`` also takes ``log theta`` where a caller has it.
     All but ``draws`` and ``tail_bound`` are elementwise over arrays, and
     none checks theta: ``ZipsModel`` does, through ``require_theta``.
     """

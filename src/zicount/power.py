@@ -20,7 +20,7 @@ import numpy as np
 
 # posterior_prob_positive is unused here; perfbench/tracing.py wraps this
 # module's name
-from .bayes import _DEFAULT_PRIOR, _SAMPLED_T, posterior_prob_positive
+from .bayes import _DEFAULT_PRIOR, _SAMPLED_T, _distinct_rows, posterior_prob_positive
 from .distributions import Family, ZipsModel, sample_values
 from .errors import DegenerateSampleError, MissingCellError
 from .frequentist import _alpha_cutoffs, _lr_statistic_stats, _score_statistic
@@ -246,8 +246,8 @@ def _replication_table(family: Family, p: float, theta: float, n: int, reps: int
         rows[rep] = n0, s
         if t is not None:
             t[rep] = sampled_t(n, n0, s, _DEFAULT_PRIOR, draws, next(bayes))[0]
-    distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
-    return distinct, inverse.reshape(-1), t, redraws
+    distinct, inverse = _distinct_rows(*rows.T)
+    return np.stack(distinct, axis=1), inverse, t, redraws
 
 
 def _run_combo(config: PowerConfig, combo_index: int):

@@ -17,7 +17,7 @@ from zicount import (CountSample, DegenerateSampleError, ExactMarginal, Family,
 
 from zicount.datasets import dataset_names, load_dataset
 from zicount.bayes import (FACTORIZED_BLOCK, _FACTORIZED_T_ACCURACY, _distinct_cuts,
-                           _factorized_t, _prior_prob_positive, _ThetaPosterior)
+                           _factorized_t, _prior_prob_positive, _scan, _ThetaPosterior)
 
 from conftest import (PosteriorOracle, fd_gradient, wedge_prob_positive,
                       zip_theta_rejection_draws)
@@ -320,6 +320,52 @@ def _sample_of(n0, m, s):
     return CountSample({value: count for value, count in table.items() if count})
 
 
+# Cook's finite sum for the geometric lower tail P(p <= 0 | y) under the
+# conditional prior (Cook, "Exact calculation of beta inequalities", 2005):
+# theta is Beta(s - m + 1/2, m) and pstar Beta(n0 + 1/2, m + 1/2), so with the
+# integer shape m the tail is a sum of m positive terms, the ratio of each to
+# the one before in closed form.  Each row's largest term, by its index, from
+# a 30-digit mpmath sum, starts the recurrence both ways.  The rows: the three
+# datasets, the near-top tables of test_geometric_near_theta_one, and m from 1
+# to 1e5.
+COOK_ROWS = {
+    (81, 17, 26): (16, 0.006162936489495265),
+    (38, 37, 52): (14, 0.062207764193993036),
+    (168, 55, 86): (54, 0.003092958997263594),
+    (1, 2, 10**14 + 1): (1, 6.7702750025725765e-21),
+    (2, 2, 10**12 + 1): (1, 4.513516668328452e-29),
+    (1, 2, 200_000_000_000): (1, 7.569397565838129e-17),
+    (1, 2, 1_000_001): (1, 6.770225072045906e-09),
+    (40, 1, 2): (0, 0.008217959418243067),
+    (4, 1, 1): (0, 0.47034534408687106),
+    (5, 3, 100): (2, 1.5266902647635028e-06),
+    (500, 1000, 3000): (997, 0.005954035692574786),
+    (400, 1000, 3000): (797, 0.006890952421499654),
+    (100_000, 100_000, 200_000): (99_997, 0.0006307900297086188),
+    (30_000, 100_000, 150_000): (14_999, 0.0023326735347901),
+}
+# rows where the rule's lower tail is off by more: 4.3e-11 relative at a tail
+# of 5.9e-11, 7% at 2.7e-32 (past the theta bracket), 3.0e-12 at n0 = 1e6
+COOK_ROWS_UNRESOLVED = {
+    (10, 3, 100): (2, 4.836022327168057e-11),
+    (1000, 1000, 3000): (999, 4.462118798891374e-33),
+    (999_999, 1, 1): (0, 0.0011283787439535452),
+}
+
+
+def _cook_lower_tail(n0, m, s, peak_index, peak):
+    a, c = n0 + 0.5, s - m + 0.5
+    ratio = [(c + i) * (a + i) / ((i + 1) * (a + i + s + 1)) for i in range(m - 1)]
+    terms = [peak]
+    for r in ratio[peak_index:]:
+        terms.append(terms[-1] * r)
+    term = peak
+    for r in reversed(ratio[:peak_index]):
+        term /= r
+        terms.append(term)
+    return math.fsum(terms)
+
+
 class TestThetaPosterior:
     """The theta-posterior rule behind factorized T under either prior,
     posterior draws and the exact marginal, against the 1-D quadrature
@@ -441,6 +487,48 @@ class TestThetaPosterior:
         _, w, log_c = rule.nodes(np.unique(rule.cuts[0]))
         tail = np.sum(w * special.betainc(rule.a[0], rule.b[0], np.exp(-log_c))) / np.sum(w)
         assert tail == pytest.approx(lower_tail, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("row, peak", COOK_ROWS.items(), ids=str)
+    def test_geometric_lower_tail_matches_cooks_sum(self, row, peak):
+        # P(p <= 0 | y), the exact marginal's CDF at zero, which sums w * CDF
+        # over the rule's nodes at factorized T's cuts, against the finite sum
+        exact = exact_marginal(Family.GEOMETRIC, _sample_of(*row))
+        assert exact.cdf(0.0) == pytest.approx(_cook_lower_tail(*row, *peak), rel=1e-12, abs=0.0)
+
+    @pytest.mark.xfail(strict=True, reason="a tail far below the CDF's range on its panels, "
+                       "or past the theta bracket, keeps no 1e-12 relative precision")
+    @pytest.mark.parametrize("row, peak", COOK_ROWS_UNRESOLVED.items(), ids=str)
+    def test_geometric_lower_tail_unresolved_rows(self, row, peak):
+        exact = exact_marginal(Family.GEOMETRIC, _sample_of(*row))
+        assert exact.cdf(0.0) == pytest.approx(_cook_lower_tail(*row, *peak), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("prior", PriorKind, ids=lambda k: k.value)
+    @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
+    def test_t_and_marginal_cdf_stay_in_unit_interval(self, family, prior):
+        # the batched test's rows, all-ones samples and near-top geometric
+        # tables: T in [0, 1], and the marginal CDF in [0, 1] and
+        # non-decreasing on the 129-point scan of its t range, up to the
+        # rounding of its normalized weights' sum near one (steps back of
+        # 1.1e-16 to 3.3e-16 on these rows)
+        rng = np.random.default_rng(3 if family is Family.POISSON else 4)
+        rows = [(1, 1, 1), (0, 1, 1), (1, 1, 7), (10, 1, 40), (0, 2, 3), (3, 2, 2),
+                (4, 6, 6), (999_995, 5, 9), (999_000, 1000, 1500), (1000, 2, 3)]
+        for _ in range(FACTORIZED_BLOCK + 40):
+            n = int(np.exp(rng.uniform(math.log(2.0), math.log(1e6))))
+            m = int(rng.integers(1, n + 1))
+            rows.append((n - m, m, m + int(rng.poisson(m * rng.uniform(0.05, 3.0)))))
+        rows += [(4, 6, 6), (18, 2, 2), (19, 1, 1), (0, 5, 5), (999_999, 1, 1), (1, 999_999, 999_999)]
+        if family is Family.GEOMETRIC:
+            rows += [(1, 2, 10**14 + 1), (2, 2, 10**12 + 1), (1, 2, 200_000_000_000)]
+        n0, m, s = np.array(rows).T
+        t = _factorized_t(family, n0, m, s, prior)
+        assert np.all((t >= 0.0) & (t <= 1.0))
+        for row in rows[:10] + rows[-9:]:
+            if row[0] == 0:
+                continue
+            exact = ExactMarginal(_ThetaPosterior(family, *row, prior))
+            _, _, cdf = _scan(exact.cdf, exact._t_range())
+            assert np.all((cdf >= 0.0) & (cdf <= 1.0)) and np.all(np.diff(cdf) >= -1e-15), row
 
     @pytest.mark.parametrize("row", [(4, 1, 1), (5, 1, 1), (6, 1, 1), (306, 1, 1),
                                      (999_999, 1, 1), (7200, 10596, 26368),

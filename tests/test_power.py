@@ -9,6 +9,7 @@ from zicount import (CellResult, CountSample, DegenerateSampleError, Family, Met
                      REFERENCE_POWER_ONE_SIDED, REFERENCE_POWER_TWO_SIDED,
                      compare_tables, posterior_prob_positive, run_power_study,
                      uniformity_check)
+from zicount.bayes import _distinct_rows
 from zicount.distributions import ZipsModel, sample_values
 from zicount.frequentist import _alpha_cutoffs, _lr_statistic_stats, _score_statistic
 from zicount.power import SEED_BLOCK, _rep_rngs, _replication_table, _replications
@@ -357,6 +358,18 @@ class TestSeedLayout:
                 expected[rep] = posterior_prob_positive(
                     family, CountSample.from_values(values), B=draws, seed=int(bayes_seed)).value
         assert np.array_equal(t, expected)
+
+    def test_distinct_rows_are_numpy_uniques(self):
+        # the replication table's distinct (n0, s) and each row's index, by one
+        # lexsort: numpy's sorted unique rows and inverse, with counts near
+        # the int64 limit, which a key packing both columns would overflow
+        rng = np.random.default_rng(8)
+        rows = np.stack([rng.integers(0, 40, 5000), rng.integers(0, 90, 5000)], axis=1)
+        rows[::7] += 2**62
+        (n0, s), inverse = _distinct_rows(*rows.T)
+        want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert np.array_equal(np.stack([n0, s], axis=1), want)
+        assert np.array_equal(inverse, want_inverse.reshape(-1))
 
     def test_score_and_lr_grid_draws_no_bayes_seed(self, monkeypatch):
         def data_only(seed, key, reps, child):
