@@ -12,7 +12,7 @@ import warnings
 from zicount import (Family, IntervalKind, bayes_factor_positive,
                      dataset_names, exact_marginal, load_dataset, lr_test,
                      mle_full, mle_null, posterior_prob_positive,
-                     posterior_prob_positive_quadrature, score_test)
+                     posterior_prob_positive_factorized, score_test)
 
 SEED = 1
 
@@ -38,7 +38,7 @@ for name in dataset_names():
           f"one-sided p = {lr.p_value:.4f}")
 
     est = posterior_prob_positive(Family.POISSON, sample, B=10_000, seed=SEED)
-    exact = posterior_prob_positive_quadrature(Family.POISSON, sample)
+    exact = posterior_prob_positive_factorized(Family.POISSON, sample)
     print(f"P(p > 0 | data): {est.value:.4f} +/- {est.mc_se:.4f} "
           f"(importance sampling, ESS {est.ess:.0f}); quadrature {exact:.4f}")
 

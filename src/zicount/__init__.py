@@ -38,8 +38,7 @@ _EXPORTS = {name: module for module, names in {
               "density_curve", "draw_posterior", "exact_marginal",
               "grad_log_prior", "hpd_interval", "log_prior",
               "marginal_posterior_density", "posterior_prob_positive",
-              "posterior_prob_positive_factorized",
-              "posterior_prob_positive_quadrature", "prior_density"),
+              "posterior_prob_positive_factorized", "prior_density"),
     "counts": ("CountSample",),
     "datasets": ("dataset_names", "dataset_table", "format_freq_csv",
                  "load_counts", "load_dataset", "parse_counts_text"),

@@ -7,20 +7,20 @@ family's Jeffreys prior for theta.  In the orthogonal coordinates
 ``pstar | y ~ Beta(n0 + 1/2, n - n0 + 1 - k/2)`` and a theta law with density
 proportional to ``theta**s / (c(theta) - 1)**(n - n0)`` times the record's
 ``g(theta)``.  One rule, ``_ThetaPosterior``, owns both laws under a given
-record for both families; pstar's Beta law has no other owner.  Factorized
-T under either prior, in rules of ``FACTORIZED_BLOCK`` rows, and, under the
-default record, posterior draws, the exact marginal posterior of the weight
-(``exact_marginal``: density, CDF, equal-tail and HPD intervals, which the
-CLI uses) and the draw-based density all read it.  The draw-based density
-and intervals (``draw_posterior`` onwards) are the paper's route.  Each
-interval solves both of its ends as two rows of one ``_newton`` search.
+record for both families; pstar's Beta law has no other owner.  Its one
+row-wise kernel, ``marginal``, is the weight's exact marginal posterior:
+factorized T under either prior, in rules of ``FACTORIZED_BLOCK`` rows, is
+``1 - CDF(0)``, and under the default record ``exact_marginal`` (density,
+CDF, equal-tail and HPD intervals, which the CLI uses) reads it elsewhere.
+Posterior draws and the draw-based density read the rule too; the draw-based
+density and intervals (``draw_posterior`` onwards) are the paper's route.
+Each interval solves both of its ends as two rows of one ``_newton`` search.
 
 The test statistic is the posterior probability of positive weight,
-``T(Y) = P(p > 0 | Y)``.  The CLI computes it on the theta rule
-(``posterior_prob_positive_factorized``, also ``posterior_prob_positive_quadrature``):
-one minus the average over the rule's nodes of pstar's CDF at ``f0(theta)``,
-which the rule gets from ``betainc`` once per panel and from pstar's density,
-integrated on each panel's own nodes, in between.
+``T(Y) = P(p > 0 | Y)``, which the CLI computes on the theta rule
+(``posterior_prob_positive_factorized``): one minus the average over the
+rule's nodes of pstar's CDF at ``f0(theta)``, from ``betainc`` once per
+panel and pstar's density, integrated on each panel's own nodes, in between.
 The paper's route is a sampling kernel per family, ``_SAMPLED_T``: a
 self-normalized importance sampler (Poisson) or exact posterior draws
 (geometric), each a function of ``(n, n0, s)`` alone.  The power study runs
@@ -277,8 +277,9 @@ class _ThetaPosterior:
     """The factorized posterior of rows of ``(n0, m, s)`` (arrays over rows,
     scalars one row) under the record ``prior`` of a ``PriorKind``.  ``pstar``
     is ``Beta(a, b)`` by the record's ``pstar_shapes``, and this rule is that
-    law's one owner: ``log_pstar_pdf`` is its log density, and ``pstar_nodes``
-    gives that and its CDF at ``pstar = p + (1 - p) f0`` on the rule's nodes;
+    law's one owner: ``log_pstar_pdf`` is its log density, ``pstar_nodes``
+    gives that and its CDF at ``pstar = p + (1 - p) f0`` on the rule's nodes,
+    and ``marginal`` averages them over theta into the weight's marginal;
     its ``window``, the 1e-17, 1/2 and 1 - 1e-17 quantiles of
     ``1 - pstar``, are the points that ``edges_at`` maps into x.  With pstar integrated
     out, ``m`` positive counts summing to ``s`` leave the kernel
@@ -350,31 +351,8 @@ class _ThetaPosterior:
         return ((s + 1.0) * log_theta - m * log_cm1
                 + (self.prior.log_g(self.series, theta, log_c) + log_dudx)), log_c, log_dudx
 
-    def _nodes(self, cuts, squared, rows):
-        """``nodes`` with its weights in two factors, the rule's and the
-        density relative to the mode; and ``log(du/dx)``."""
-        cuts = np.asarray(cuts, dtype=float)
-        b = cuts[..., 1:, None]
-        width = b - cuts[..., :-1, None]
-        rule = _gauss_legendre()[np.asarray(squared, dtype=int)]
-        x = (b - width * rule[..., 0, :]).reshape(cuts.shape[:-1] + (-1,))
-        quad = (width * rule[..., 1, :]).reshape(x.shape)
-        del rule
-        log_d, log_c, log_dudx = self.log_density(x, rows)
-        return x, quad, np.exp(log_d - self.peak[rows, None]), log_c, log_dudx
-
-    def nodes(self, cuts, squared=False, rows=0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """64 Gauss-Legendre nodes x per panel between ``cuts``, weights times
-        the density relative to the mode, and ``log c``.  The leading axes of
-        ``cuts`` run over sets of cuts of the one row index ``rows`` or, for
-        an index array, over those rows.  A panel flagged in ``squared`` maps
-        ``x = b - (b - a) t**2`` first: half-integer powers of ``b - x`` (a
-        Beta tail) become polynomials."""
-        x, quad, density, log_c, _ = self._nodes(cuts, squared, rows)
-        return x, quad * density, log_c
-
     def edges_at(self, p, rows=0):
-        """Cuts of factorized T (p = 0) and of the exact marginal: x where ``1 - pstar =
+        """The cuts that ``marginal`` adds at ``p``: x where ``1 - pstar =
         (1 - p)(1 - f0)`` reaches each point of the ``window`` (last axis), per ``p`` and
         row as in ``log_pstar_pdf``; ``lo`` for an edge outside the bracket (an empty panel).
         Between the outer two pstar's CDF at ``f0`` falls from one to zero, and the
@@ -420,10 +398,15 @@ class _ThetaPosterior:
                 - _stirling_rest(a) - _stirling_rest(b) + _stirling_rest(s))
 
     def pstar_nodes(self, cuts, squared, p=0.0, rows=0, cdf: bool = False):
-        """The nodes of ``nodes`` at ``pstar = p + (1 - p) f0`` (``p`` one
-        value per set of cuts): weights, ``1 - f0``, pstar, ``1 - pstar``,
-        pstar's density there (zero outside (0, 1)) and, with ``cdf``, its
-        CDF, in [0, 1].
+        """pstar's law on 64 Gauss-Legendre nodes x per panel between ``cuts``,
+        at ``pstar = p + (1 - p) f0`` (``p`` one value per set of cuts): the
+        nodes' weights times the theta density relative to the mode, ``1 - f0``,
+        pstar, ``1 - pstar``, pstar's density there (zero outside (0, 1)) and,
+        with ``cdf``, its CDF.  The leading axes of ``cuts`` run over sets of
+        cuts of the one row index ``rows`` or, for an index array, over those
+        rows.  A panel flagged in ``squared`` maps ``x = b - (b - a) t**2``
+        first: half-integer powers of ``b - x`` (a Beta tail) become
+        polynomials.
 
         The CDF is ``betainc`` at each panel's upper end ``b`` plus the
         integral over ``[x, b]`` of pstar's density times ``|d pstar / dx| =
@@ -433,9 +416,17 @@ class _ThetaPosterior:
         """
         # arrays the size of the nodes are reused in place, since this runs on
         # FACTORIZED_BLOCK rows at once: x becomes log(f0 d log c / dx)
-        slope, w, density, log_c, log_dudx = self._nodes(cuts, squared, rows)
-        w *= density
-        del density
+        cuts = np.asarray(cuts, dtype=float)
+        b = cuts[..., 1:, None]
+        width = b - cuts[..., :-1, None]
+        rule = _gauss_legendre()[np.asarray(squared, dtype=int)]
+        slope = (b - width * rule[..., 0, :]).reshape(cuts.shape[:-1] + (-1,))
+        w = (width * rule[..., 1, :]).reshape(slope.shape)
+        del rule
+        log_d, log_c, log_dudx = self.log_density(slope, rows)
+        log_d -= self.peak[rows, None]
+        w *= np.exp(log_d, out=log_d)
+        del log_d
         slope += log_dudx
         slope -= log_c
         p = np.asarray(p, dtype=float)[..., None]
@@ -450,7 +441,6 @@ class _ThetaPosterior:
         np.exp(slope, out=slope)
         slope *= pdf
         slope *= 1.0 - p
-        cuts = np.asarray(cuts, dtype=float)
         slope = slope.reshape(cuts.shape[:-1] + (-1, 64))
         linear, square = _cumulative_legendre()
         below = slope @ linear
@@ -461,7 +451,38 @@ class _ThetaPosterior:
         log_c_end = self.series.coord_point(cuts[..., 1:])[1]
         end = np.clip(np.exp(-log_c_end) - p * np.expm1(-log_c_end), 0.0, 1.0)
         below += special.betainc(self.a[rows, None], self.b[rows, None], end)[..., None]
-        return w, om, pstar, y, pdf, np.clip(below, 0.0, 1.0, out=below).reshape(w.shape)
+        return w, om, pstar, y, pdf, below.reshape(w.shape)
+
+    def marginal(self, p, rows, density: bool = True, cdf: bool = False):
+        """The weight's marginal posterior at equal-length arrays of points ``p``
+        and row indices ``rows``: with ``density``, its density and slope in p,
+        and with ``cdf``, its CDF; None for what is not asked.  An entry's cuts
+        are its row's ``cuts`` and ``edges_at(p)``, and the panel ending at the
+        top edge, where pstar's Beta tail meets zero, is squared.  Entries are
+        grouped by ``_distinct_cuts``, so each sums the nodes it would alone."""
+        edges = self.edges_at(p, rows)
+        total, dens, slope, below = (np.empty(p.size) for _ in range(4))
+        for at, cuts in _distinct_cuts(np.hstack([self.cuts[rows], edges])):
+            squared = cuts[:, 1:] == edges[at, -1:]
+            w, om, pstar, y, pdf, *tail = self.pstar_nodes(cuts, squared, p[at], rows[at], cdf)
+            total[at] = np.sum(w, axis=1)
+            if density:
+                # the density of p given theta at each node, pstar's times 1 - f0,
+                # times the node's weight
+                pdf *= om
+                pdf *= w
+                a, b = self.a[rows[at], None], self.b[rows[at], None]
+                # the slope is infinite where pstar**(a - 1) meets zero with a < 2
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    rate = np.where(pdf > 0.0, (a - 1.0) / pstar - (b - 1.0) / y, 0.0)
+                    dens[at], slope[at] = pdf.sum(axis=1), np.sum(pdf * rate * om, axis=1)
+            if cdf:
+                # pstar's CDF at each node, in [0, 1], so that their weighted mean is too
+                nodes = np.clip(tail[0], 0.0, 1.0, out=tail[0])
+                below[at] = np.sum(np.multiply(nodes, w, out=nodes), axis=1)
+        self.require_weight(total, rows)
+        return (dens / total if density else None, slope / total if density else None,
+                below / total if cdf else None)
 
     def inverse_cdf(self, r: np.ndarray) -> np.ndarray:
         """x of the one row at CDF levels ``r``, by linear interpolation of a
@@ -472,13 +493,14 @@ class _ThetaPosterior:
         self.require_weight(cdf[-1:])
         return np.interp(r, cdf / cdf[-1], edges)
 
-    def require_weight(self, total) -> None:
-        """Raise ``QuadratureError`` naming ``(n0, s)`` of the first row whose
-        weight ``total`` is not finite and positive."""
+    def require_weight(self, total, rows=0) -> None:
+        """Raise ``QuadratureError`` naming ``(n0, s)`` of the row (``rows`` as
+        in ``log_density``) of the first weight ``total`` not finite and positive."""
         bad = np.flatnonzero(~(np.isfinite(total) & (total > 0.0)))
         if bad.size:
+            row = np.broadcast_to(rows, np.shape(total))[bad[0]]
             raise QuadratureError(f"theta posterior has no weight on its nodes at (n0, s) = "
-                                  f"({self.n0[bad[0]]:.17g}, {self.s[bad[0]]:.17g})")
+                                  f"({self.n0[row]:.17g}, {self.s[row]:.17g})")
 
 
 def draw_posterior(family: Family, sample: CountSample, B: int = DEFAULT_DRAWS,
@@ -599,30 +621,18 @@ def posterior_prob_positive(family: Family, sample: CountSample,
 
 
 def _factorized_t(family: Family, n0, m, s, prior: PriorKind = _DEFAULT_PRIOR) -> np.ndarray:
-    """Factorized T for rows of ``(n0, m, s)``, on one batched theta rule per
-    ``FACTORIZED_BLOCK`` rows.
-
-    ``T = E[1 - CDF(f0(theta))]`` with pstar's CDF from ``pstar_nodes``, both
-    laws the rule's, under ``prior``'s record.  ``P(pstar > f0)`` rises where
-    ``1 - f0`` crosses the window, between the outer cuts that ``edges_at(0)``
-    gives every row, the exact marginal's cuts at zero; the panel ending at the
-    upper one is squared.  Rows are grouped by their number of distinct cuts, so
-    each row sums the same nodes in the same order as alone.
+    """Factorized T for rows of ``(n0, m, s)``: ``T = 1 - CDF(0)``, one minus
+    the weight's exact marginal CDF at zero from the theta rule's ``marginal``,
+    on one batched rule per ``FACTORIZED_BLOCK`` rows under ``prior``'s record.
+    Each row sums the same nodes in the same order as alone.
     """
     n0, m, s = map(np.atleast_1d, (n0, m, s))
     t = np.empty(n0.size)
     for start in range(0, n0.size, FACTORIZED_BLOCK):
         block = slice(start, start + FACTORIZED_BLOCK)
         rule = _ThetaPosterior(family, n0[block], m[block], s[block], prior)
-        edges = rule.edges_at(0.0, np.arange(rule.m.size))
-        num, den = np.empty(rule.m.size), np.empty(rule.m.size)
-        for rows, cuts in _distinct_cuts(np.hstack([rule.cuts, edges])):
-            squared = cuts[:, 1:] == edges[rows, -1:]
-            w, *_, below = rule.pstar_nodes(cuts, squared, 0.0, rows, cdf=True)
-            num[rows] = np.sum(w * (1.0 - below), axis=1)
-            den[rows] = np.sum(w, axis=1)
-        rule.require_weight(den)
-        t[block] = num / den
+        rows = np.arange(rule.m.size)
+        t[block] = 1.0 - rule.marginal(np.zeros(rows.size), rows, density=False, cdf=True)[2]
     return t
 
 
@@ -636,15 +646,11 @@ def posterior_prob_positive_factorized(family: Family, sample: CountSample,
     meet at its mode.  Far more accurate than the importance sampler for
     large samples, where the sampler's proposal drifts away from the
     posterior.  The one-row case of ``_factorized_t``, which null
-    calibration calls once on all distinct ``(n0, s)``.  Also bound as
-    ``posterior_prob_positive_quadrature``.
+    calibration calls once on all distinct ``(n0, s)``.
     """
     _require_counts(sample)
     return float(_factorized_t(family, [sample.n0], [sample.n - sample.n0], [sample.s],
                                prior)[0])
-
-
-posterior_prob_positive_quadrature = posterior_prob_positive_factorized
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +681,8 @@ class ExactMarginal:
     """Exact marginal posterior of the weight under the prior record of its
     one-row theta ``rule``, whose Beta law for ``pstar = f0 + p * (1 - f0)``
     given theta, averaged over theta and mapped back to p, gives the density
-    and CDF.  Each point gets its own Gauss-Legendre nodes: the rule's panels
+    and CDF: the rule's ``marginal`` kernel, of which factorized T is ``1 -
+    CDF(0)``.  Each point gets its own Gauss-Legendre nodes: the rule's panels
     cut at the points of its ``window`` of ``1 - pstar``, mapped to the rule's
     coordinate through ``1 - pstar = (1 - p)(1 - f0)``.  Root searches run in
     ``t = log(1 - p)``, where the heavy left tail of an all-ones sample
@@ -685,26 +692,11 @@ class ExactMarginal:
 
     rule: _ThetaPosterior
 
-    def _local(self, p, cdf: bool = False):
-        """Density, its derivative in p and, with ``cdf``, the CDF at ``p``.
-        Each point gets the rule's panels plus its ``edges_at`` cuts, and the
-        panel ending where pstar reaches zero has a Beta tail there too."""
-        rule = self.rule
-        edges = rule.edges_at(p)
-        base = np.unique(rule.cuts[0])
-        cuts = np.broadcast_to(base, edges.shape[:-1] + base.shape)
-        cuts = np.sort(np.concatenate([cuts, edges], axis=-1))
-        w, om, x, y, pdf, *below = rule.pstar_nodes(cuts, cuts[..., 1:] == edges[..., -1:], p,
-                                                    cdf=cdf)
-        w = w / w.sum(axis=-1, keepdims=True)
-        # the density of p given theta at each node: pstar's times 1 - f0
-        pdf = pdf * om * w
-        a, b = rule.a[0], rule.b[0]
-        # the slope is infinite where pstar**(a - 1) meets zero with a < 2
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            rate = np.where(pdf > 0.0, (a - 1.0) / x - (b - 1.0) / y, 0.0)
-            out = (pdf.sum(axis=-1), np.sum(pdf * rate * om, axis=-1))
-        return out + tuple(np.sum(c * w, axis=-1) for c in below)
+    def _local(self, p, density: bool = True, cdf: bool = False):
+        """``marginal``'s density, its derivative in p and CDF at ``p``, of any shape."""
+        p = np.asarray(p, dtype=float)
+        out = self.rule.marginal(p.ravel(), np.zeros(p.size, dtype=np.intp), density, cdf)
+        return tuple(None if v is None else v.reshape(p.shape)[()] for v in out)
 
     def density(self, p) -> np.ndarray:
         """Marginal posterior density of the weight at ``p``."""
@@ -712,7 +704,7 @@ class ExactMarginal:
 
     def cdf(self, p) -> np.ndarray:
         """Marginal posterior CDF of the weight at ``p``, in [0, 1]."""
-        return np.clip(self._local(p, cdf=True)[2], 0.0, 1.0)
+        return self._local(p, density=False, cdf=True)[2]
 
     def _quantile_t(self, q: np.ndarray) -> np.ndarray:
         """``t = log(1 - p)`` where the CDF is each level of ``q``, a row
@@ -734,7 +726,7 @@ class ExactMarginal:
         side = np.array([1.0, -1.0])
 
         def fun(t, rows):
-            f, df = self._local(-np.expm1(t))
+            f, df, _ = self._local(-np.expm1(t))
             with np.errstate(divide="ignore", invalid="ignore"):
                 return side[rows] * (np.log(f) - log_c), -side[rows] * (df / f) * np.exp(t)
 
@@ -747,7 +739,7 @@ class ExactMarginal:
         last = [math.nan, math.nan]  # the first step has no slope: a bisection
 
         def fun(t, rows):
-            f, df = self._local(-np.expm1(t))
+            f, df, _ = self._local(-np.expm1(t))
             with np.errstate(divide="ignore", invalid="ignore"):
                 d = -(df / f) * np.exp(t)
                 slope = (d - last[1]) / (t - last[0])
@@ -820,7 +812,8 @@ def exact_marginal(family: Family, sample: CountSample) -> ExactMarginal:
     the theta rule."""
     _require_counts(sample, zero=True)
     rule = _ThetaPosterior(family, sample.n0, sample.n - sample.n0, sample.s)
-    rule.require_weight(np.sum(rule.nodes(np.unique(rule.cuts[0]))[1]))
+    # one evaluation at p = 0, which raises where the rule has no weight
+    rule.marginal(np.zeros(1), np.zeros(1, dtype=np.intp), density=False)
     return ExactMarginal(rule)
 
 

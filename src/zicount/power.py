@@ -287,6 +287,7 @@ def run_power_study(config: PowerConfig, n_jobs: int = 1,
     Deterministic for a given config seed regardless of ``n_jobs`` or cell
     evaluation order.
     """
+    require_count("n_jobs", n_jobs, 1)
     combos = config.combos()
 
     def finished():

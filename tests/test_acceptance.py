@@ -19,7 +19,7 @@ from zicount import (CountSample, Family, Method, PowerConfig,
                      credible_interval, draw_posterior, fisher_info,
                      fisher_info_orthogonal, hpd_interval, log_pmf,
                      loglik_derivatives, p_lower, posterior_prob_positive,
-                     posterior_prob_positive_quadrature,
+                     posterior_prob_positive_factorized,
                      REFERENCE_POWER_ONE_SIDED, run_power_study, score_test,
                      uniformity_check)
 from zicount.distributions import _log_likelihood
@@ -76,7 +76,7 @@ def test_criterion_2_bayes_posterior_probabilities():
         f"reflects sampling error of the original computation, and it also "
         f"contradicts this criterion's own quadrature cross-check below"))
     for name, cs in DATASETS.items():
-        exact = posterior_prob_positive_quadrature(Family.POISSON, cs)
+        exact = posterior_prob_positive_factorized(Family.POISSON, cs)
         diff = abs(estimates[name].value - exact)
         detail = f"|mc - quad| = {diff:.5f} (tol 0.005)"
         if name == "terror":

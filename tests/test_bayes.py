@@ -12,8 +12,7 @@ from zicount import (CountSample, DegenerateSampleError, ExactMarginal, Family,
                      grad_log_prior, hpd_interval, log_prior, lr_test,
                      marginal_posterior_density, mle_full, mle_null, p_lower,
                      posterior_prob_positive, posterior_prob_positive_factorized,
-                     posterior_prob_positive_quadrature, posterior_tail_expansion,
-                     prior_density, sample_values, score_test)
+                     posterior_tail_expansion, prior_density, sample_values, score_test)
 
 from zicount.datasets import dataset_names, load_dataset
 from zicount.bayes import (FACTORIZED_BLOCK, _FACTORIZED_T_ACCURACY, _distinct_cuts,
@@ -211,7 +210,7 @@ class TestPosteriorProbPositive:
         prior = PriorKind.JEFFREYS_JOINT
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            exact = posterior_prob_positive_quadrature(Family.POISSON, cs, prior)
+            exact = posterior_prob_positive_factorized(Family.POISSON, cs, prior)
         assert exact == pytest.approx(expected, rel=1e-4)
         est = posterior_prob_positive(Family.POISSON, cs, prior, B=200_000, seed=1)
         assert abs(est.value - exact) < 4.0 * est.mc_se
@@ -243,7 +242,7 @@ class TestPosteriorProbPositive:
         # zero mass symmetric about one half on the pstar scale, with the
         # theta posterior concentrated at one half
         cs = CountSample({0: 200, 2: 200})
-        value = posterior_prob_positive_quadrature(Family.GEOMETRIC, cs)
+        value = posterior_prob_positive_factorized(Family.GEOMETRIC, cs)
         assert value == pytest.approx(0.5, abs=0.02)
 
     def test_monotone_in_zero_count(self):
@@ -254,7 +253,7 @@ class TestPosteriorProbPositive:
         for freq in tables:
             cs = CountSample(freq)
             assert (cs.n, cs.s) == (50, 60)
-            values.append(posterior_prob_positive_quadrature(Family.POISSON, cs))
+            values.append(posterior_prob_positive_factorized(Family.POISSON, cs))
         assert values == sorted(values)
 
     def test_low_ess_warning(self, cholera):
@@ -424,9 +423,9 @@ class TestThetaPosterior:
         base = np.unique(rule.cuts[0])
         cuts = np.sort(np.concatenate([np.broadcast_to(base, (5, base.size)), extra], axis=1))
         squared = rng.random((5, cuts.shape[1] - 1)) < 0.4
-        batched = rule.nodes(cuts, squared)
+        batched = rule.pstar_nodes(cuts, squared, cdf=True)
         for row in range(5):
-            single = rule.nodes(cuts[row], squared[row])
+            single = rule.pstar_nodes(cuts[row], squared[row], cdf=True)
             for got, want in zip(batched, single):
                 assert np.array_equal(got[row], want)
 
@@ -484,8 +483,8 @@ class TestThetaPosterior:
         assert all(math.isfinite(end) for end in ends)
         assert all(np.all(np.isfinite(v)) for v in (draws.pstar, draws.theta, draws.p))
         rule = exact.rule
-        _, w, log_c = rule.nodes(np.unique(rule.cuts[0]))
-        tail = np.sum(w * special.betainc(rule.a[0], rule.b[0], np.exp(-log_c))) / np.sum(w)
+        w, _, pstar, *_ = rule.pstar_nodes(np.unique(rule.cuts[0]), False)
+        tail = np.sum(w * special.betainc(rule.a[0], rule.b[0], pstar)) / np.sum(w)
         assert tail == pytest.approx(lower_tail, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("row, peak", COOK_ROWS.items(), ids=str)
@@ -778,12 +777,26 @@ class TestExactMarginal:
         {0: 40, 1: 1, 2: 1}, {0: 60, 1: 1, 2: 1}, {0: 1000, 1: 1, 2: 1}), ids=str)
     @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
     def test_factorized_t_is_the_marginal_tail(self, family, case):
-        # two exact routes to T = P(p > 0 | Y) on the one rule: the factorized
-        # average of pstar's Beta tail and one minus the marginal CDF at zero;
-        # the last three have a rise over most of the theta bracket
+        # factorized T = P(p > 0 | Y) is one minus the marginal CDF at zero,
+        # both from the one kernel on the one rule; the last three have a rise
+        # over most of the theta bracket
         cs = load_dataset(case) if isinstance(case, str) else _marginal_sample(family, case)
         tail = 1.0 - exact_marginal(family, cs).cdf(0.0)
-        assert abs(posterior_prob_positive_factorized(family, cs) - tail) <= 1e-14
+        assert posterior_prob_positive_factorized(family, cs) == tail
+
+    @pytest.mark.parametrize("case", tuple(dataset_names()) + ({0: 4, 1: 6}, {0: 19, 1: 1}),
+                             ids=str)
+    @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
+    def test_batched_points_equal_points_alone(self, family, case):
+        # the kernel groups points by their number of distinct cuts, so that
+        # each sums the same nodes in the same order as alone: points across
+        # the curve, in its far left tail, at zero and near one
+        cs = load_dataset(case) if isinstance(case, str) else CountSample(case)
+        exact = exact_marginal(family, cs)
+        points = np.concatenate([exact.curve(64)[0], [-1e6, -10.0, 0.0, 0.5, 0.999]])
+        points = points[np.random.default_rng(5).permutation(points.size)]
+        for route in (exact.density, exact.cdf):
+            assert np.array_equal(route(points), [route(x) for x in points])
 
     @pytest.mark.parametrize("level", (0.05, 0.5, 0.95, 0.99))
     @pytest.mark.parametrize("case", MARGINAL_CASES, ids=str)
@@ -897,7 +910,7 @@ def test_exact_marginal_returns_finite_numbers_or_typed_errors(family, table):
 LOW_ESS_TABLES = ({0: 1, 2: 999_999}, {0: 600_000, 1: 250_000, 2: 100_000, 3: 50_000})
 IS_ROUTES = tuple(f"posterior_prob_positive/{kind.value}" for kind in PriorKind) + (
     "bayes_factor_positive",)
-# exact T under each prior, through its second name, posterior_prob_positive_quadrature
+# exact T under each prior
 FACTORIZED_ROUTES = tuple(f"factorized/{kind.value}" for kind in PriorKind)
 EXPANSION_ROUTES = tuple(f"expansion_inputs/{kind.value}" for kind in PriorKind)
 DRAW_ROUTES = ("draw_posterior", "credible_interval", "marginal_posterior_density",
@@ -910,7 +923,7 @@ HPD_HULL_TABLES = ({0: 400_000, 1: 600_000}, {0: 1, 2: 999_999}, {0: 5, 1: 9_999
 def _sweep_outputs(route, family, cs):
     """The numbers one route returns on one sweep sample."""
     if route.startswith("factorized/"):
-        return [posterior_prob_positive_quadrature(family, cs, PriorKind(route.split("/")[1]))]
+        return [posterior_prob_positive_factorized(family, cs, PriorKind(route.split("/")[1]))]
     if route.startswith("posterior_prob_positive/"):
         est = posterior_prob_positive(family, cs, PriorKind(route.split("/")[1]), B=500)
         return [est.value, est.mc_se, est.ess]

@@ -222,6 +222,6 @@ def test_package_loads_no_quadpack():
             "        importlib.import_module('zicount.' + info.name)\n"
             "sample = zicount.load_dataset('uti')\n"
             "for prior in zicount.PriorKind:\n"
-            "    zicount.posterior_prob_positive_quadrature(zicount.Family.POISSON, sample, prior)\n"
+            "    zicount.posterior_prob_positive_factorized(zicount.Family.POISSON, sample, prior)\n"
             "print('scipy.integrate' in sys.modules)")
     assert _run(code).strip() == "False"

@@ -82,11 +82,21 @@ class TestRunPowerStudy:
         (dict(reps=1000.0), "reps must be an integer, got 1000.0"),
         (dict(draws=10.5), "draws must be an integer, got 10.5"),
         (dict(draws=True), "draws must be an integer, got True"),
+        (dict(n_jobs=0), "n_jobs must be at least 1, got 0"),
+        (dict(n_jobs=-3), "n_jobs must be at least 1, got -3"),
+        (dict(n_jobs=True), "n_jobs must be an integer, got True"),
+        (dict(n_jobs=1.0), "n_jobs must be an integer, got 1.0"),
+        (dict(n_jobs=2.5), "n_jobs must be an integer, got 2.5"),
+        (dict(n_jobs="2"), "n_jobs must be an integer, got '2'"),
     ], ids=["n-one", "n-float", "alpha-zero", "alpha-above-one", "alpha-nan",
-            "reps-float", "draws-float", "draws-bool"])
-    def test_config_rejects_bad_sample_size_and_level(self, overrides, message):
+            "reps-float", "draws-float", "draws-bool", "jobs-zero", "jobs-negative",
+            "jobs-bool", "jobs-float-one", "jobs-float", "jobs-str"])
+    def test_config_rejects_bad_sample_size_and_level(self, monkeypatch, overrides, message):
+        # a config entry fails on construction, and n_jobs before any cell runs
+        monkeypatch.setattr("zicount.power._run_combo", None)
+        config = {k: v for k, v in overrides.items() if k != "n_jobs"}
         with pytest.raises(ValueError, match=message):
-            small_grid(**overrides)
+            run_power_study(small_grid(**config), overrides.get("n_jobs", 1))
 
     def test_config_takes_methods_by_their_values(self):
         by_value = small_grid(methods=("score1", "bayes"))
