@@ -36,8 +36,7 @@ _EXPORTS = {name: module for module, names in {
               "IntervalKind", "PosteriorDraws", "PosteriorProbability",
               "PriorKind", "bayes_factor_positive", "credible_interval",
               "density_curve", "draw_posterior", "exact_marginal",
-              "grad_log_prior", "hpd_interval", "log_prior",
-              "marginal_posterior_density", "posterior_prob_positive",
+              "grad_log_prior", "hpd_interval", "log_prior", "posterior_prob_positive",
               "posterior_prob_positive_factorized", "prior_density"),
     "counts": ("CountSample",),
     "datasets": ("dataset_names", "dataset_table", "format_freq_csv",

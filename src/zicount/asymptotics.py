@@ -124,8 +124,7 @@ def posterior_tail_expansion(inputs: ExpansionInputs, eta10: float,
     Reduces to the normal leading term when the correction ingredients
     vanish; the result is clipped to [0, 1].
     """
-    if not n > 0:
-        raise ValueError("n must be positive")
+    require_count("n", n, 1)
     if not math.isfinite(eta10):
         raise ValueError(f"eta10 must be finite, got {eta10!r}")
     i11 = inputs.info_inv[0, 0]
@@ -155,6 +154,7 @@ def _simulate_null_ts(family: Family, theta_null: float, n: int, reps: int,
     require_count("reps", reps, 1)
     require_count("n", n, 2)
     require_count("B", B, 0)
+    require_count("seed", seed, 0)
     distinct, inverse, t, _ = _replication_table(family, 0.0, theta_null, n, reps, seed, draws=B)
     if t is not None:
         return t

@@ -17,7 +17,7 @@ density and intervals (``draw_posterior`` onwards) are the paper's route.
 Each interval solves both of its ends as two rows of one ``_newton`` search.
 
 The test statistic is the posterior probability of positive weight,
-``T(Y) = P(p > 0 | Y)``, which the CLI computes on the theta rule
+``T(Y) = P(p > 0 | Y)``, exact on the theta rule
 (``posterior_prob_positive_factorized``): one minus the average over the
 rule's nodes of pstar's CDF at ``f0(theta)``, from ``betainc`` once per
 panel and pstar's density, integrated on each panel's own nodes, in between.
@@ -26,7 +26,8 @@ self-normalized importance sampler (Poisson) or exact posterior draws
 (geometric), each a function of ``(n, n0, s)`` alone.  The power study runs
 it on each replication's sufficient statistics; ``posterior_prob_positive``
 runs it on a ``CountSample`` and adds the standard error and effective
-sample size.
+sample size.  ``bayes_factor_positive``, the factor the CLI reports, reads
+``B`` as null calibration does: exact T at ``B = 0``, its default.
 """
 
 from __future__ import annotations
@@ -511,6 +512,7 @@ def draw_posterior(family: Family, sample: CountSample, B: int = DEFAULT_DRAWS,
     inverse CDF from the same stream; ``p = (pstar - f0) / (1 - f0)``.
     """
     require_count("B", B, 1)
+    require_count("seed", seed, 0)
     _require_counts(sample, zero=True)
     rule = _ThetaPosterior(family, sample.n0, sample.n - sample.n0, sample.s)
     rng = np.random.default_rng(seed)
@@ -594,10 +596,12 @@ def posterior_prob_positive(family: Family, sample: CountSample,
     1% of ``B``.  The power study calls the kernel itself on each
     replication's ``(n, n0, s)``, with the same draws and the same T.
 
-    ``seed`` is an int or a ``Generator``, whose draws it advances; the
-    result's ``seed`` is then None."""
+    ``seed`` is an integer of at least 0 or a ``Generator``, whose draws it
+    advances; the result's ``seed`` is then None."""
     _require_counts(sample)
     require_count("B", B, 1)
+    if not isinstance(seed, np.random.Generator):
+        require_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     value, w, ind = _SAMPLED_T[family](sample.n, sample.n0, sample.s, prior, B, rng)
     if w is None:  # exact draws: the binomial error, floored at one draw's
@@ -851,17 +855,6 @@ def _marginal_density_evaluator(draws: PosteriorDraws, sample: CountSample):
     return evaluate
 
 
-def marginal_posterior_density(draws: PosteriorDraws, sample: CountSample,
-                               at_p) -> np.ndarray:
-    """Estimated marginal posterior density of the weight at given points.
-
-    Nonnegative everywhere and integrates to one over the extended range up
-    to Monte Carlo error; points below the weight range at every drawn theta
-    get density zero.
-    """
-    return _marginal_density_evaluator(draws, sample)(at_p)
-
-
 def credible_interval(draws: PosteriorDraws, level: float) -> IntervalEstimate:
     """Equal-tail posterior interval from the weight draws."""
     require_probability("level", level)
@@ -930,13 +923,16 @@ def _prior_prob_positive(family: Family, prior: PriorKind,
                          theta_window: tuple[float, float]) -> tuple[float, tuple[float, float]]:
     """Prior probability of positive weight, theta averaged over a window.
 
-    Both theta integrals use one 241-node tanh-sinh rule in ``log theta``."""
+    Both theta integrals use one 241-node tanh-sinh rule in ``log theta``.  The
+    window, clipped to the family's range, must give finite prior odds."""
     series, prior = family._series, prior._prior
     lo, hi = theta_window
     hi = min(hi, series.theta_max - 1e-6)
     lo = max(lo, 1e-12)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"theta window {theta_window!r}: a non-finite end in the family's range")
     if not hi > lo:
-        raise ValueError("empty theta window")
+        raise ValueError(f"theta window {theta_window!r}: empty in the family's range")
     a, b = math.log(lo), math.log(hi)
     tau = np.linspace(-4.0, 4.0, 241)
     arg = 0.5 * math.pi * np.sinh(tau)
@@ -950,33 +946,33 @@ def _prior_prob_positive(family: Family, prior: PriorKind,
     om, root_f0 = -np.expm1(-log_c), np.sqrt(series.f0(theta))
     positive = (2.0 / math.pi * np.arctan2(np.sqrt(om), root_f0) if prior.k
                 else om / (1.0 + root_f0))
-    return float(weight @ positive / weight.sum()), (lo, hi)
-
-
-def _bayes_factor_from(value: float, floor: float, family: Family,
-                       prior: PriorKind = _DEFAULT_PRIOR,
-                       theta_window: tuple[float, float] = DEFAULT_THETA_WINDOW
-                       ) -> BayesFactorResult:
-    """The posterior-odds factor for T resolved to ``floor``; a lower bound above 1 - floor."""
-    q, window = _prior_prob_positive(family, prior, theta_window)
-    lower_bound = value > 1.0 - floor
-    t_eff = min(value, 1.0 - floor)
-    factor = (t_eff / (1.0 - t_eff)) / (q / (1.0 - q))
-    return BayesFactorResult(value=factor, posterior_prob=value,
-                             prior_prob=q, theta_window=window,
-                             lower_bound=lower_bound)
+    q = float(weight @ positive / weight.sum())
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"theta window {theta_window!r}: prior P(p > 0) = {q!r}, no finite odds")
+    return q, (lo, hi)
 
 
 def bayes_factor_positive(family: Family, sample: CountSample,
-                          prior: PriorKind = _DEFAULT_PRIOR,
-                          B: int = DEFAULT_DRAWS, seed: int = 0,
+                          prior: PriorKind = _DEFAULT_PRIOR, B: int = 0, seed: int = 0,
                           theta_window: tuple[float, float] = DEFAULT_THETA_WINDOW
                           ) -> BayesFactorResult:
     """Posterior odds of {p > 0} divided by its prior odds.
 
-    When the posterior probability is within Monte Carlo error of one, the
-    returned value is a lower bound (flagged on the result).
+    ``B = 0`` takes exact T, resolved to 1e-8; ``B > 0`` takes the paper's
+    sampler with ``B`` draws from ``seed``, resolved to the larger of its
+    standard error and ``1/B``.  Within its resolution of one, T gives a lower
+    bound on the factor (flagged on the result).
     """
-    est = posterior_prob_positive(family, sample, prior, B, seed)
-    return _bayes_factor_from(est.value, max(est.mc_se, 1.0 / est.draws), family,
-                              prior, theta_window)
+    require_count("B", B, 0)
+    require_count("seed", seed, 0)
+    if B:
+        est = posterior_prob_positive(family, sample, prior, B, seed)
+        t, floor = est.value, max(est.mc_se, 1.0 / B)
+    else:
+        t, floor = posterior_prob_positive_factorized(family, sample, prior), _FACTORIZED_T_ACCURACY
+    q, window = _prior_prob_positive(family, prior, theta_window)
+    lower_bound = t > 1.0 - floor
+    t_eff = min(t, 1.0 - floor)
+    factor = (t_eff / (1.0 - t_eff)) / (q / (1.0 - q))
+    return BayesFactorResult(value=factor, posterior_prob=t, prior_prob=q,
+                             theta_window=window, lower_bound=lower_bound)

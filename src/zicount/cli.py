@@ -187,15 +187,13 @@ def _cmd_test(args) -> int:
     if args.method in ("lr", "all"):
         results["lr"] = _test_entry(lr_test(family, sample, args.alpha, sided))
     if args.method in ("bayes", "all"):
-        from .bayes import _FACTORIZED_T_ACCURACY, _bayes_factor_from
-
-        t = posterior_prob_positive_factorized(family, sample)
+        bf = bayes_factor_positive(family, sample)
+        t = bf.posterior_prob
         # T is exact, so mc_se and ess are 0.0, kept because perfbench/checks.py reads them
         results["bayes"] = {
             "statistic": t, "posterior_prob": t, "mc_se": 0.0, "ess": 0.0, "alpha": args.alpha,
             "reject": t > 1.0 - args.alpha, "sidedness": "one",
         }
-        bf = _bayes_factor_from(t, _FACTORIZED_T_ACCURACY, family)
         results["bayes_factor"] = {
             "value": bf.value, "posterior_prob": bf.posterior_prob,
             "prior_prob": bf.prior_prob, "theta_window": list(bf.theta_window),

@@ -149,8 +149,8 @@ def parse_counts_text(text: str, name: str = "<input>") -> CountSample:
 
 
 def load_counts(path) -> CountSample:
-    """Read a dataset file from disk."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """Read a dataset file from disk, UTF-8 with or without a byte-order mark."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_counts_text(handle.read(), name=str(path))
 
 

@@ -28,6 +28,7 @@ import numpy as np
 from ._lazy import LazyModule
 from .counts import CountSample
 from .errors import DegenerateSampleError, ParameterRangeError, QuadratureError
+from .limits import require_count
 
 special = LazyModule("scipy.special", globals())
 
@@ -505,9 +506,12 @@ def sample(model: ZipsModel, n: int, rng_seed) -> CountSample:
     For ``p >= 0`` the two-stage mixture is used (with probability p emit a
     zero, otherwise draw from the base family).  For negative p the mixture
     decomposition is invalid, so draws come from the inverse CDF of the
-    zero-inflated pmf directly.
+    zero-inflated pmf directly.  ``rng_seed`` is an integer of at least 0 or
+    a ``Generator``, whose draws it advances.
     """
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    if not isinstance(rng_seed, np.random.Generator):
+        require_count("rng_seed", rng_seed, 0)
+    rng = np.random.default_rng(rng_seed)
     values = sample_values(model, n, rng)
     return CountSample.from_values(values)
 

@@ -193,8 +193,11 @@ class TestPosteriorTailExpansion:
         assert -0.6 <= slopes[1] <= -0.4
 
     def test_input_validation(self):
-        for n in (0, math.nan):
-            with pytest.raises(ValueError, match="n must be positive"):
+        for n, message in ((0, "n must be at least 1, got 0"),
+                           (math.nan, "n must be an integer, got nan"),
+                           (True, "n must be an integer, got True"),
+                           (2.5, "n must be an integer, got 2.5")):
+            with pytest.raises(ValueError, match=message):
                 posterior_tail_expansion(synthetic_inputs(), 0.0, n)
         for eta10 in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="eta10 must be finite"):
@@ -235,6 +238,18 @@ class TestUniformityCheck:
                            (-1, "B must be at least 0, got -1")):
             with pytest.raises(ValueError, match=message):
                 uniformity_check(Family.POISSON, 1.0, 100, reps=10, B=B)
+
+    def test_seed_validation(self):
+        # uniformity_check and beta_calibration share the null simulation and
+        # its seed check; None would draw OS entropy, a different T each call
+        for seed, message in ((None, "seed must be an integer, got None"),
+                              (1.5, "seed must be an integer, got 1.5"),
+                              (True, "seed must be an integer, got True"),
+                              (-1, "seed must be at least 0, got -1")):
+            with pytest.raises(ValueError, match=message):
+                uniformity_check(Family.POISSON, 1.0, 20, 50, seed=seed)
+            with pytest.raises(ValueError, match=message):
+                beta_calibration(Family.POISSON, 1.0, 20, 500, seed=seed)
 
     @pytest.mark.parametrize("family, theta, n", [
         (Family.POISSON, 1.0, 30), (Family.GEOMETRIC, 0.5, 60)])

@@ -10,13 +10,14 @@ from zicount import (CountSample, DegenerateSampleError, ExactMarginal, Family,
                      bayes_factor_positive, credible_interval, density_curve,
                      draw_posterior, exact_marginal, expansion_inputs, fisher_info,
                      grad_log_prior, hpd_interval, log_prior, lr_test,
-                     marginal_posterior_density, mle_full, mle_null, p_lower,
+                     mle_full, mle_null, p_lower,
                      posterior_prob_positive, posterior_prob_positive_factorized,
                      posterior_tail_expansion, prior_density, sample_values, score_test)
 
 from zicount.datasets import dataset_names, load_dataset
 from zicount.bayes import (FACTORIZED_BLOCK, _FACTORIZED_T_ACCURACY, _distinct_cuts,
-                           _factorized_t, _prior_prob_positive, _scan, _ThetaPosterior)
+                           _factorized_t, _marginal_density_evaluator, _prior_prob_positive,
+                           _scan, _ThetaPosterior)
 
 from conftest import (PosteriorOracle, fd_gradient, wedge_prob_positive,
                       zip_theta_rejection_draws)
@@ -577,7 +578,7 @@ class TestMarginalDensity:
     def test_uti_unimodal_with_mode_in_range(self, uti):
         draws = draw_posterior(Family.POISSON, uti, B=30_000, seed=12)
         grid = np.linspace(-0.2, 0.99, 400)
-        dens = marginal_posterior_density(draws, uti, grid)
+        dens = _marginal_density_evaluator(draws, uti)(grid)
         assert np.all(dens >= 0.0)
         mode = grid[int(np.argmax(dens))]
         assert 0.4 < mode < 0.8
@@ -588,7 +589,7 @@ class TestMarginalDensity:
     def test_terror_mode_near_zero(self, terror):
         draws = draw_posterior(Family.POISSON, terror, B=30_000, seed=13)
         grid = np.linspace(-0.9, 0.9, 600)
-        dens = marginal_posterior_density(draws, terror, grid)
+        dens = _marginal_density_evaluator(draws, terror)(grid)
         assert abs(grid[int(np.argmax(dens))]) < 0.15
 
     def test_integrates_to_one(self, uti, terror):
@@ -596,14 +597,14 @@ class TestMarginalDensity:
             draws = draw_posterior(Family.POISSON, cs, B=30_000, seed=14)
             lo = float(np.min(-np.exp(-draws.theta) / (1 - np.exp(-draws.theta))))
             grid = np.linspace(lo + 1e-9, 1.0 - 1e-9, 4000)
-            dens = marginal_posterior_density(draws, cs, grid)
+            dens = _marginal_density_evaluator(draws, cs)(grid)
             assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=0.01)
 
     def test_matches_exact_density(self, uti):
         draws = draw_posterior(Family.POISSON, uti, B=60_000, seed=15)
         oracle = PosteriorOracle(uti)
         grid = np.linspace(-0.1, 0.95, 40)
-        estimated = marginal_posterior_density(draws, uti, grid)
+        estimated = _marginal_density_evaluator(draws, uti)(grid)
         exact = np.array([oracle.p_density(x) for x in grid])
         assert np.max(np.abs(estimated - exact)) < 0.02 * exact.max()
 
@@ -667,7 +668,7 @@ class TestIntervals:
             width_eq = equal.upper - equal.lower
             assert width_hpd <= width_eq + 0.02
             mode_grid = np.linspace(draws.p.min(), draws.p.max(), 512)
-            dens = marginal_posterior_density(draws, cs, mode_grid)
+            dens = _marginal_density_evaluator(draws, cs)(mode_grid)
             mode = mode_grid[int(np.argmax(dens))]
             assert hpd.lower <= mode <= hpd.upper
             assert hpd.density_threshold is not None and hpd.density_threshold > 0
@@ -690,11 +691,27 @@ class TestIntervals:
         with pytest.raises(ValueError, match="num must be an integer, got 16.5"):
             density_curve(draws, uti, 16.5)
 
+    def test_seed_validation(self, uti):
+        # a seed is an integer of at least 0; None would draw OS entropy
+        for seed, message in ((None, "seed must be an integer, got None"),
+                              (1.5, "seed must be an integer, got 1.5"),
+                              (True, "seed must be an integer, got True"),
+                              (-1, "seed must be at least 0, got -1")):
+            with pytest.raises(ValueError, match=message):
+                draw_posterior(Family.POISSON, uti, B=100, seed=seed)
+            with pytest.raises(ValueError, match=message):
+                posterior_prob_positive(Family.GEOMETRIC, uti, B=100, seed=seed)
+        # posterior_prob_positive also takes a Generator, as documented
+        by_generator = posterior_prob_positive(Family.GEOMETRIC, uti, B=100,
+                                               seed=np.random.default_rng(np.int64(3)))
+        by_seed = posterior_prob_positive(Family.GEOMETRIC, uti, B=100, seed=np.int64(3))
+        assert by_generator.value == by_seed.value
+
     def test_routes_reject_a_sample_the_draws_did_not_come_from(self, uti, terror):
         # pstar's Beta law comes from the sample, so another one would give
         # a wrong density with no error
         draws = draw_posterior(Family.POISSON, uti, B=2000, seed=20)
-        routes = (lambda cs: marginal_posterior_density(draws, cs, [0.5]),
+        routes = (lambda cs: _marginal_density_evaluator(draws, cs)([0.5]),
                   lambda cs: density_curve(draws, cs, 64),
                   lambda cs: hpd_interval(draws, cs, 0.95))
         for route in routes:
@@ -910,10 +927,11 @@ def test_exact_marginal_returns_finite_numbers_or_typed_errors(family, table):
 LOW_ESS_TABLES = ({0: 1, 2: 999_999}, {0: 600_000, 1: 250_000, 2: 100_000, 3: 50_000})
 IS_ROUTES = tuple(f"posterior_prob_positive/{kind.value}" for kind in PriorKind) + (
     "bayes_factor_positive",)
-# exact T under each prior
-FACTORIZED_ROUTES = tuple(f"factorized/{kind.value}" for kind in PriorKind)
+# exact T under each prior, and the Bayes factor on it
+FACTORIZED_ROUTES = tuple(f"factorized/{kind.value}" for kind in PriorKind) + (
+    "bayes_factor_positive/exact",)
 EXPANSION_ROUTES = tuple(f"expansion_inputs/{kind.value}" for kind in PriorKind)
-DRAW_ROUTES = ("draw_posterior", "credible_interval", "marginal_posterior_density",
+DRAW_ROUTES = ("draw_posterior", "credible_interval", "_marginal_density_evaluator",
                "density_curve", "hpd_interval")
 # the tables where the draw-based HPD grid may cross its threshold more than
 # twice at B = 500, so that it returns its documented hull fallback
@@ -927,8 +945,8 @@ def _sweep_outputs(route, family, cs):
     if route.startswith("posterior_prob_positive/"):
         est = posterior_prob_positive(family, cs, PriorKind(route.split("/")[1]), B=500)
         return [est.value, est.mc_se, est.ess]
-    if route == "bayes_factor_positive":
-        result = bayes_factor_positive(family, cs, B=500)
+    if route.startswith("bayes_factor_positive"):
+        result = bayes_factor_positive(family, cs, B=0 if route.endswith("/exact") else 500)
         return [result.value, result.posterior_prob, result.prior_prob]
     if route.startswith("expansion_inputs/"):
         inputs = expansion_inputs(family, cs, PriorKind(route.split("/")[1]))
@@ -939,8 +957,8 @@ def _sweep_outputs(route, family, cs):
         if route == "credible_interval":
             est = credible_interval(draws, 0.95)
             return [est.lower, est.upper]
-        if route == "marginal_posterior_density":
-            return [*marginal_posterior_density(draws, cs, [-10.0, 0.0, 0.5, 0.999])]
+        if route == "_marginal_density_evaluator":
+            return [*_marginal_density_evaluator(draws, cs)([-10.0, 0.0, 0.5, 0.999])]
         if route == "density_curve":
             grid, dens = density_curve(draws, cs, 64)
             return [*grid, *dens]
@@ -1008,6 +1026,9 @@ class TestBayesFactor:
     def test_lower_bound_flag_near_one(self, cholera):
         with pytest.warns(UserWarning):
             result = bayes_factor_positive(Family.POISSON, cholera, B=10_000, seed=24)
+            est = posterior_prob_positive(Family.POISSON, cholera, B=10_000, seed=24)
+        # B > 0 resolves the sampler's T to the larger of its se and 1/B
+        assert result.posterior_prob == est.value > 1.0 - max(est.mc_se, 1.0 / est.draws)
         assert result.lower_bound
         assert math.isfinite(result.value) and result.value > 1.0
 
@@ -1041,6 +1062,56 @@ class TestBayesFactor:
         result = bayes_factor_positive(Family.POISSON, uti, B=2000, seed=25,
                                        theta_window=(0.0, 30.0))
         assert result.theta_window[1] == 30.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", list(PriorKind))
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("name", ["uti", "terror", "cholera"])
+    def test_default_is_exact_t(self, name, family, kind):
+        # B = 0, the default, takes T from the theta rule, resolved to
+        # _FACTORIZED_T_ACCURACY, with no Monte Carlo diagnostic to warn of
+        cs = load_dataset(name)
+        result = bayes_factor_positive(family, cs, kind)
+        t = posterior_prob_positive_factorized(family, cs, kind)
+        assert result.posterior_prob == t
+        assert result == bayes_factor_positive(family, cs, kind, B=0)
+        assert result.lower_bound is (t > 1.0 - _FACTORIZED_T_ACCURACY)
+        q = result.prior_prob
+        t_eff = min(t, 1.0 - _FACTORIZED_T_ACCURACY)
+        assert result.value == (t_eff / (1.0 - t_eff)) / (q / (1.0 - q))
+
+    def test_b_and_seed_validation(self, uti):
+        # B = 0 is exact T and B > 0 the paper's sampler; no other B is a route
+        for name, value, message in (
+                ("B", 2.5, "B must be an integer, got 2.5"),
+                ("B", True, "B must be an integer, got True"),
+                ("B", -1, "B must be at least 0, got -1"),
+                ("seed", None, "seed must be an integer, got None"),
+                ("seed", 1.5, "seed must be an integer, got 1.5"),
+                ("seed", True, "seed must be an integer, got True"),
+                ("seed", -1, "seed must be at least 0, got -1")):
+            for B in (0, 100):
+                with pytest.raises(ValueError, match=message):
+                    bayes_factor_positive(Family.POISSON, uti, **{"B": B, name: value})
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family, window", [
+        (Family.POISSON, (0.0, math.inf)), (Family.POISSON, (0.0, 1e300)),
+        (Family.POISSON, (math.nan, 5.0)), (Family.GEOMETRIC, (2.0, 3.0))])
+    def test_window_without_finite_prior_odds(self, uti, family, window):
+        # Poisson theta has no upper end: an infinite window end stays, and a
+        # huge one rounds the prior probability of p > 0 to one; a geometric
+        # window past theta_max is empty
+        with pytest.raises(ValueError, match=r"theta window \("):
+            bayes_factor_positive(family, uti, theta_window=window)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("hi", [math.inf, 1e300, 50.0])
+    def test_geometric_window_clipped_to_theta_max(self, uti, hi):
+        result = bayes_factor_positive(Family.GEOMETRIC, uti, theta_window=(0.0, hi))
+        assert result.theta_window == (1e-12, 1.0 - 1e-6)
+        assert result == bayes_factor_positive(Family.GEOMETRIC, uti)
+        assert math.isfinite(result.value) and 0.0 < result.prior_prob < 1.0
 
 
 class _nullcontext:

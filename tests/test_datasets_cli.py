@@ -4,8 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from zicount import (CountSample, Family, Method, dataset_names, dataset_table,
-                     format_freq_csv, load_counts, load_dataset,
+from zicount import (CountSample, Family, Method, bayes_factor_positive, dataset_names,
+                     dataset_table, format_freq_csv, load_counts, load_dataset,
                      parse_counts_text, posterior_prob_positive_factorized)
 from zicount.bayes import _FACTORIZED_T_ACCURACY
 from zicount.cli import main, validate_report
@@ -115,6 +115,29 @@ class TestCli:
         assert (results["bayes"]["mc_se"], results["bayes"]["ess"]) == (0.0, 0.0)
         assert results["bayes_factor"]["posterior_prob"] == t
         assert results["bayes_factor"]["lower_bound"] is False
+        # the library's default factor is the one the command reports, bit for bit
+        bf = bayes_factor_positive(family, load_dataset(name))
+        assert [results["bayes_factor"][key] for key in
+                ("value", "posterior_prob", "prior_prob", "lower_bound")] == \
+            [bf.value, bf.posterior_prob, bf.prior_prob, bf.lower_bound]
+
+    def test_bayes_test_makes_one_library_call(self, monkeypatch, capsys):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(bayes_factor_positive(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr("zicount.cli.bayes_factor_positive", spy)
+        assert main(["test", "--dataset", "uti", "--method", "bayes", "--out", "json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        [bf] = calls
+        assert results["bayes"]["statistic"] == results["bayes"]["posterior_prob"] == \
+            bf.posterior_prob
+        assert results["bayes_factor"] == {
+            "value": bf.value, "posterior_prob": bf.posterior_prob,
+            "prior_prob": bf.prior_prob, "theta_window": list(bf.theta_window),
+            "lower_bound": bf.lower_bound, "non_authoritative": bf.non_authoritative}
 
     @pytest.mark.parametrize("n, lower_bound, t_is_one", [
         (2_000, False, False), (4_000, True, False), (1_000_000, True, True)])

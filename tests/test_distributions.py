@@ -400,6 +400,16 @@ class TestSampling:
         model = ZipsModel(Family.POISSON, -0.1, 1.0)
         assert sample(model, 500, rng_seed=9) == sample(model, 500, rng_seed=9)
         assert sample(model, 500, rng_seed=9) != sample(model, 500, rng_seed=10)
+        assert sample(model, 500, np.random.default_rng(9)) == sample(model, 500, rng_seed=9)
+
+    def test_seed_validation(self):
+        model = ZipsModel(Family.POISSON, 0.2, 1.0)
+        for seed, message in ((None, "rng_seed must be an integer, got None"),
+                              (1.5, "rng_seed must be an integer, got 1.5"),
+                              (True, "rng_seed must be an integer, got True"),
+                              (-1, "rng_seed must be at least 0, got -1")):
+            with pytest.raises(ValueError, match=message):
+                sample(model, 10, seed)
 
 
 class TestCountSample:

@@ -3,7 +3,8 @@
 ``parse_counts_text`` reads comma-free text with ``np.loadtxt`` first and
 hands it to the line parser whenever numpy cannot read it the same way.
 Each check here parses a text both ways and requires the same sample or the
-same error message.
+same error message.  A file that starts with a UTF-8 byte-order mark reads
+as the same file without one.
 """
 
 import random
@@ -91,3 +92,17 @@ def test_many_comments_with_carriage_returns(monkeypatch):
     fast, slow = _both_ways(monkeypatch, text)
     assert fast == slow
     assert sum(count for _, count in fast[1]) == 99_000
+
+
+@pytest.mark.parametrize("text, freq", [
+    ("0\n0\n3\n1\n", {0: 2, 1: 1, 3: 1}),
+    ("value,count\n0,30\n1,6\n2,4\n", {0: 30, 1: 6, 2: 4}),
+], ids=["raw", "frequency"])
+def test_byte_order_mark_is_skipped(tmp_path, text, freq):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    sample = datasets.load_counts(marked)
+    assert sample == datasets.load_counts(plain)
+    assert sample.freq == freq
