@@ -1,13 +1,15 @@
 """Modules imported on first use.
 
-``scipy.special`` is about half of a cold ``import numpy, scipy.special``,
-and the light commands (``--version``, ``datasets``) never call it, so the
-modules that need SciPy bind it as::
+SciPy is left only on the simulation paths: ``distributions`` calls
+``scipy.special`` for the Poisson tail bound of ``sample_values``, and
+``asymptotics`` calls ``scipy.stats`` for the KS test of
+``uniformity_check``.  Importing either is most of a cold start, and no
+other command needs them, so those modules bind them as::
 
     special = LazyModule("scipy.special", globals())
 
 The first attribute lookup imports the module and rebinds the global name to
-it.  From then on ``special.betainc`` is an ordinary attribute lookup on the
+it.  From then on ``special.pdtr`` is an ordinary attribute lookup on the
 module itself, with no stand-in between.
 """
 

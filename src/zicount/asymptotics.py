@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lazy import LazyModule
+from ._special import beta_quantile, ndtr
 # posterior_prob_positive_factorized and sample_values are unused here;
 # perfbench/tracing.py wraps this module's names
 from .bayes import (_DEFAULT_PRIOR, PriorKind, _factorized_t, grad_log_prior,
@@ -29,7 +30,6 @@ from .frequentist import mle_full
 from .limits import require_count, require_probability
 from .power import _replication_table
 
-special = LazyModule("scipy.special", globals())
 stats = LazyModule("scipy.stats", globals())
 
 
@@ -68,7 +68,7 @@ class BetaCalibration:
     def cutoff(self, alpha: float) -> float:
         """Upper-alpha rejection cutoff for the Bayes test at this n."""
         require_probability("alpha", alpha)
-        return float(special.betaincinv(self.alpha_hat, self.beta_hat, 1.0 - alpha))
+        return float(beta_quantile(self.alpha_hat, self.beta_hat, alpha, complement=True)[0])
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def posterior_tail_expansion(inputs: ExpansionInputs, eta10: float,
     # positive, which requires the minus sign here
     # normal pdf in scipy.stats.norm.pdf's own arithmetic, so values match it
     pdf = np.exp(-w**2 / 2.0) / np.sqrt(2 * np.pi)
-    value = special.ndtr(w) - pdf * (g1 + g3 * (w * w - 1.0)) / math.sqrt(n)
+    value = ndtr(w) - pdf * (g1 + g3 * (w * w - 1.0)) / math.sqrt(n)
     return float(min(max(value, 0.0), 1.0))
 
 

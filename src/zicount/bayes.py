@@ -19,8 +19,10 @@ Each interval solves both of its ends as two rows of one ``_newton`` search.
 The test statistic is the posterior probability of positive weight,
 ``T(Y) = P(p > 0 | Y)``, exact on the theta rule
 (``posterior_prob_positive_factorized``): one minus the average over the
-rule's nodes of pstar's CDF at ``f0(theta)``, from ``betainc`` once per
-panel and pstar's density, integrated on each panel's own nodes, in between.
+rule's nodes of pstar's CDF at ``f0(theta)``: ``betainc`` once at the top
+of the theta bracket, where pstar is lowest, plus pstar's density integrated
+on the panels' own nodes down from there.  The special functions are the
+package's own (``_special``), so no computing path imports SciPy.
 The paper's route is a sampling kernel per family, ``_SAMPLED_T``: a
 self-normalized importance sampler (Poisson) or exact posterior draws
 (geometric), each a function of ``(n, n0, s)`` alone.  The power study runs
@@ -41,12 +43,10 @@ from typing import Callable
 
 import numpy as np
 
-from ._lazy import LazyModule
+from ._special import beta_quantile, betainc, log_beta_constant, log_beta_pdf
 from .distributions import CountSample, Family, ZipsModel, _newton, _require_counts
 from .errors import QuadratureError
 from .limits import MIN_CURVE_POINTS, require_count, require_probability
-
-special = LazyModule("scipy.special", globals())
 
 DEFAULT_DRAWS = 10_000
 # theta window over which the Bayes factor averages its prior odds
@@ -219,8 +219,9 @@ def _gauss_legendre() -> np.ndarray:
 def _cumulative_legendre() -> np.ndarray:
     """Spectral integration on ``_gauss_legendre``'s nodes (Greengard 1991): per
     unit width, the integral of a function over ``[node, b]`` from its values at
-    the nodes, by integrating their degree-63 interpolant: ``f @ this[0]`` on
-    the linear map, ``f @ this[1]`` on the squared one."""
+    the nodes, by integrating their degree-63 interpolant, and in a 65th column
+    over the whole panel, by the Gauss-Legendre weights: ``f @ this[0]`` on the
+    linear map, ``f @ this[1]`` on the squared one."""
     x, gl = np.polynomial.legendre.leggauss(64)
     j = np.arange(64)
     maps = []
@@ -234,7 +235,7 @@ def _cumulative_legendre() -> np.ndarray:
                               (leg[:, 2:] - leg[:, :-2]) / (2.0 * j[1:] + 1.0)])
         coef = (j + 0.5) * leg[:, :64] * gl[:, None]
         maps.append((0.5 * integral @ coef.T * slope).T)
-    return np.array(maps)
+    return np.concatenate([maps, _gauss_legendre()[:, 1, :, None]], axis=2)
 
 
 def _distinct_rows(*columns):
@@ -265,13 +266,28 @@ def _distinct_cuts(cuts: np.ndarray):
         yield rows, cuts[rows][new[rows]].reshape(-1, k)
 
 
-def _stirling_rest(z: np.ndarray) -> np.ndarray:
-    """``log Gamma(z)`` less ``(z - 1/2) log z - z + log(2 pi) / 2``, elementwise;
-    from z = 10 on by its asymptotic series, which avoids the cancellation."""
-    z2 = z * z
-    series = (1/12 - (1/360 - (1/1260 - (1/1680 - 1/(1188*z2)) / z2) / z2) / z2) / z
-    return np.where(z < 10.0, special.gammaln(z) - ((z - 0.5) * np.log(z) - z
-                                                   + 0.5 * math.log(2.0 * math.pi)), series)
+def _pstar_window(a, b) -> np.ndarray:
+    """The rule's ``window`` of ``1 - pstar ~ Beta(b, a)``, a row of three per
+    entry of ``a`` and ``b``, and one less each, the pstar they leave, each to
+    its own precision: ``[1 - pstar, pstar]``.  The outer two are the 1e-17
+    and 1 - 1e-17 quantiles, by one ``beta_quantile`` call on the distinct
+    shape pairs; they also bound the exact marginal's scan.  The middle one
+    only splits the fall between them, so it is the median's closed form
+    ``(b - 1/3) / (a + b - 2/3)`` (Kerman 2011), in (0, 1) for shapes above
+    1/3."""
+    (a, b), pair = _distinct_rows(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    tails = np.stack(beta_quantile(b[:, None], a[:, None], 1e-17,
+                                   complement=np.array([False, True])))
+    middle = np.stack([b - 1.0 / 3.0, a - 1.0 / 3.0]) / (a + b - 2.0 / 3.0)
+    return np.concatenate([tails[..., :1], middle[..., None], tails[..., 1:]], axis=2)[:, pair]
+
+
+def _pstar_cdf(series, a, b, constant, x, p=0.0):
+    """pstar's Beta(a, b) CDF, ``log_beta_constant(a, b)`` given, at ``pstar =
+    p + (1 - p) f0`` at the family coordinate x; elementwise."""
+    log_c = series.coord_point(x)[1]
+    om = -np.expm1(-log_c)
+    return betainc(a, b, np.exp(-log_c) + p * om, (1.0 - p) * om, constant)
 
 
 class _ThetaPosterior:
@@ -281,8 +297,9 @@ class _ThetaPosterior:
     law's one owner: ``log_pstar_pdf`` is its log density, ``pstar_nodes``
     gives that and its CDF at ``pstar = p + (1 - p) f0`` on the rule's nodes,
     and ``marginal`` averages them over theta into the weight's marginal;
-    its ``window``, the 1e-17, 1/2 and 1 - 1e-17 quantiles of
-    ``1 - pstar``, are the points that ``edges_at`` maps into x.  With pstar integrated
+    its ``window``, the 1e-17 and 1 - 1e-17 quantiles of ``1 - pstar`` and
+    about its median (``window_pstar`` the pstar each leaves, to its own
+    precision), are the points that ``edges_at`` maps into x.  With pstar integrated
     out, ``m`` positive counts summing to ``s`` leave the kernel
     ``theta**s / (c(theta) - 1)**m`` times the record's ``g(theta)``, times
     the Jacobian of the family's unbounded coordinate ``x``: ``u = log(theta)``
@@ -297,14 +314,14 @@ class _ThetaPosterior:
     in its underflow; a row of ``cuts`` is ``lo``, the mode and ``hi``.
     """
 
-    def __init__(self, family: Family, n0, m, s, prior: PriorKind = _DEFAULT_PRIOR):
+    def __init__(self, family: Family, n0, m, s, prior: PriorKind = _DEFAULT_PRIOR,
+                 window=None):
         self.series, self.prior = family._series, prior._prior
         self.n0, self.m, self.s = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (n0, m, s))
         self.a, self.b = self.prior.pstar_shapes(self.n0, self.m)
-        # the window once per distinct shape pair, which rows share
-        (a, b), pair = _distinct_rows(self.a, self.b)
-        self.window = np.stack([special.betaincinv(b, a, 1e-17), special.betaincinv(b, a, 0.5),
-                                special.betainccinv(b, a, 1e-17)], axis=1)[pair]
+        if window is None:
+            window = _pstar_window(self.a, self.b)
+        self.window, self.window_pstar = window
         # every row's mode of x and its Laplace sd, by one row-wise Newton on
         # the score with a central-difference slope, from the log of the mean
         # (s + 1/2) / m - 1 (geometric's exact mode)
@@ -357,63 +374,50 @@ class _ThetaPosterior:
         (1 - p)(1 - f0)`` reaches each point of the ``window`` (last axis), per ``p`` and
         row as in ``log_pstar_pdf``; ``lo`` for an edge outside the bracket (an empty panel).
         Between the outer two pstar's CDF at ``f0`` falls from one to zero, and the
-        middle one splits that fall where a power-law tail makes it long in x."""
+        middle one splits that fall where a power-law tail makes it long in x.
+        ``log c = -log f0`` comes from the smaller of ``1 - f0`` and ``f0 = (pstar
+        - p) / (1 - p)``, with the window's own pstar, which keeps its digits."""
         lo, hi = self.lo[rows, None], self.hi[rows, None]
+        p = np.asarray(p, dtype=float)[..., None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            om = self.window[rows] / (1.0 - np.asarray(p, dtype=float)[..., None])
-            edges = self.series.coord_from_log_c(-np.log1p(-om))
+            om = self.window[rows] / (1.0 - p)
+            log_c = np.where(om < 0.5, -np.log1p(-om),
+                             np.log1p(-p) - np.log(self.window_pstar[rows] - p))
+            edges = self.series.coord_from_log_c(log_c)
         return np.where((edges > lo) & (edges < hi), edges, lo)
 
     def log_pstar_pdf(self, x, y, rows=0):
         """Log of pstar's Beta(a, b) density at ``x`` in (0, 1), with ``y = 1 -
         x`` given, of the one row index ``rows`` at every element of ``x`` or,
-        for an index array, of those rows along its first axis.
-
-        Written about the mean ``a / (a + b)`` with a Stirling constant, so that
-        no term is of order ``a + b``: ``x**(a - 1)`` and ``B(a, b)`` taken
-        apart lose about 2e-9 relative at ``a + b = 1e6``.
-        """
-        a, b = self.a[rows, None], self.b[rows, None]
-        mu, nu = a / (a + b), b / (a + b)
-        d = x - mu
-        bulk = np.abs(d) < 0.5 * np.minimum(mu, nu)
-        far = ~bulk
-        lx = np.log1p(d / mu, out=np.empty(d.shape), where=bulk)
-        np.negative(d, out=d)
-        ly = np.log1p(np.divide(d, nu, out=d), out=d, where=bulk)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.log(x / mu, out=lx, where=far)
-            np.log(y / nu, out=ly, where=far)
-        lx *= a - 1.0
-        ly *= b - 1.0
-        lx += ly
-        lx += self._log_pdf_constant[rows, None]
-        return lx
+        for an index array, of those rows along its first axis; by
+        ``log_beta_pdf``, written about the mean with a Stirling constant."""
+        return log_beta_pdf(x, y, self.a[rows, None], self.b[rows, None],
+                            self._log_pdf_constant[rows, None])
 
     @functools.cached_property
     def _log_pdf_constant(self):
         """``log_pstar_pdf``'s Stirling constant of every row."""
-        a, b = self.a, self.b
-        s = a + b
-        return (0.5 * (3.0 * np.log(s) - np.log(2.0 * math.pi * a * b))
-                - _stirling_rest(a) - _stirling_rest(b) + _stirling_rest(s))
+        return log_beta_constant(self.a, self.b)
 
-    def pstar_nodes(self, cuts, squared, p=0.0, rows=0, cdf: bool = False):
+    def pstar_nodes(self, cuts, squared, p=0.0, rows=0, top=None):
         """pstar's law on 64 Gauss-Legendre nodes x per panel between ``cuts``,
         at ``pstar = p + (1 - p) f0`` (``p`` one value per set of cuts): the
         nodes' weights times the theta density relative to the mode, ``1 - f0``,
         pstar, ``1 - pstar``, pstar's density there (zero outside (0, 1)) and,
-        with ``cdf``, its CDF.  The leading axes of ``cuts`` run over sets of
+        given ``top``, its CDF.  The leading axes of ``cuts`` run over sets of
         cuts of the one row index ``rows`` or, for an index array, over those
         rows.  A panel flagged in ``squared`` maps ``x = b - (b - a) t**2``
         first: half-integer powers of ``b - x`` (a Beta tail) become
         polynomials.
 
-        The CDF is ``betainc`` at each panel's upper end ``b`` plus the
+        The CDF is its value at each panel's upper end ``b`` plus the
         integral over ``[x, b]`` of pstar's density times ``|d pstar / dx| =
-        (1 - p) f0 d log c / dx``, by ``_cumulative_legendre``: one ``betainc``
-        per panel, and no difference of two CDFs.  x is the log of the family
-        mean ``theta (log c)'``, so ``d log c / dx = exp(x) du/dx``.
+        (1 - p) f0 d log c / dx``, by ``_cumulative_legendre``.  The value at
+        the top cut, where pstar is at its lowest, is ``top``, one per set of
+        cuts (``_pstar_cdf`` there).  Each other end adds the whole panel above it to that panel's end, so
+        every CDF is a sum of positive terms, never a difference of two CDFs.
+        x is the log of the family mean ``theta (log c)'``, so ``d log c / dx
+        = exp(x) du/dx``.
         """
         # arrays the size of the nodes are reused in place, since this runs on
         # FACTORIZED_BLOCK rows at once: x becomes log(f0 d log c / dx)
@@ -437,7 +441,7 @@ class _ThetaPosterior:
         y = (1.0 - p) * om
         pdf = np.exp(self.log_pstar_pdf(pstar, y, rows))
         pdf[(pstar <= 0.0) | (y <= 0.0)] = 0.0
-        if not cdf:
+        if top is None:
             return w, om, pstar, y, pdf
         np.exp(slope, out=slope)
         slope *= pdf
@@ -449,23 +453,34 @@ class _ThetaPosterior:
         at = np.nonzero(squared)
         below[at] = (slope[at][:, None, :] @ square)[:, 0]
         below *= np.diff(cuts)[..., None]
-        log_c_end = self.series.coord_point(cuts[..., 1:])[1]
-        end = np.clip(np.exp(-log_c_end) - p * np.expm1(-log_c_end), 0.0, 1.0)
-        below += special.betainc(self.a[rows, None], self.b[rows, None], end)[..., None]
+        # the CDF at each panel's end, down from the top: the top's plus the
+        # whole panels above, added one at a time
+        whole = below[..., :0:-1, 64]
+        top = np.broadcast_to(top, whole.shape[:-1])[..., None]
+        ends = np.cumsum(np.concatenate([top, whole], axis=-1), axis=-1)[..., ::-1]
+        below = below[..., :64]
+        below += ends[..., None]
         return w, om, pstar, y, pdf, below.reshape(w.shape)
 
-    def marginal(self, p, rows, density: bool = True, cdf: bool = False):
+    def marginal(self, p, rows, density: bool = True, cdf: bool = False, top=None):
         """The weight's marginal posterior at equal-length arrays of points ``p``
         and row indices ``rows``: with ``density``, its density and slope in p,
         and with ``cdf``, its CDF; None for what is not asked.  An entry's cuts
         are its row's ``cuts`` and ``edges_at(p)``, and the panel ending at the
         top edge, where pstar's Beta tail meets zero, is squared.  Entries are
-        grouped by ``_distinct_cuts``, so each sums the nodes it would alone."""
+        grouped by ``_distinct_cuts``, so each sums the nodes it would alone.
+        pstar's CDF at each entry's top cut, its row's hi, is ``top`` where
+        given and ``_pstar_cdf`` there otherwise; ``pstar_nodes`` adds whole
+        panels down from it."""
         edges = self.edges_at(p, rows)
         total, dens, slope, below = (np.empty(p.size) for _ in range(4))
+        if cdf and top is None:
+            top = _pstar_cdf(self.series, self.a[rows], self.b[rows],
+                             self._log_pdf_constant[rows], self.hi[rows], p)
         for at, cuts in _distinct_cuts(np.hstack([self.cuts[rows], edges])):
             squared = cuts[:, 1:] == edges[at, -1:]
-            w, om, pstar, y, pdf, *tail = self.pstar_nodes(cuts, squared, p[at], rows[at], cdf)
+            w, om, pstar, y, pdf, *tail = self.pstar_nodes(cuts, squared, p[at], rows[at],
+                                                           top[at] if cdf else None)
             total[at] = np.sum(w, axis=1)
             if density:
                 # the density of p given theta at each node, pstar's times 1 - f0,
@@ -632,11 +647,21 @@ def _factorized_t(family: Family, n0, m, s, prior: PriorKind = _DEFAULT_PRIOR) -
     """
     n0, m, s = map(np.atleast_1d, (n0, m, s))
     t = np.empty(n0.size)
-    for start in range(0, n0.size, FACTORIZED_BLOCK):
-        block = slice(start, start + FACTORIZED_BLOCK)
-        rule = _ThetaPosterior(family, n0[block], m[block], s[block], prior)
+    # the window once per distinct shape pair of the whole call
+    window = _pstar_window(*prior._prior.pstar_shapes(n0.astype(float), m.astype(float)))
+    blocks = [slice(start, start + FACTORIZED_BLOCK)
+              for start in range(0, n0.size, FACTORIZED_BLOCK)]
+    rules = [_ThetaPosterior(family, n0[block], m[block], s[block], prior, window[:, block])
+             for block in blocks]
+    if not rules:
+        return t
+    # pstar's CDF at every row's hi, where pstar is lowest, in one betainc call
+    top = _pstar_cdf(family._series, *(np.concatenate([getattr(rule, name) for rule in rules])
+                                       for name in ("a", "b", "_log_pdf_constant", "hi")))
+    for block, rule in zip(blocks, rules):
         rows = np.arange(rule.m.size)
-        t[block] = 1.0 - rule.marginal(np.zeros(rows.size), rows, density=False, cdf=True)[2]
+        t[block] = 1.0 - rule.marginal(np.zeros(rows.size), rows, density=False, cdf=True,
+                                       top=top[block])[2]
     return t
 
 
@@ -720,7 +745,7 @@ class ExactMarginal:
             dens, _, cdf = self._local(-np.expm1(t), cdf=True)
             return cdf - q[rows], -dens * np.exp(t)
 
-        t = np.log(special.betaincinv(self.rule.b[0], self.rule.a[0], 1.0 - q) / om)  # 1 - pstar
+        t = np.log(beta_quantile(self.rule.a[0], self.rule.b[0], q)[1] / om)  # 1 - pstar
         return _newton(fun, t, 1e-9 * np.maximum(1.0, np.abs(t)))
 
     def _flank_t(self, log_c: float, t, split: float) -> np.ndarray:

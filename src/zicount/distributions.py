@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from ._lazy import LazyModule
+from ._special import gammainc2, lgamma
 from .counts import CountSample
 from .errors import DegenerateSampleError, ParameterRangeError, QuadratureError
 from .limits import require_count
@@ -79,7 +80,7 @@ def _poisson_tail_bound(theta: float, eps: float) -> int:
 def _poisson_dlog_trunc_info(theta, log_c):
     e = np.exp(-theta)
     om = -np.expm1(-theta)
-    return theta * e / special.gammainc(2.0, theta) - 1.0 / theta - 2.0 * e / om
+    return theta * e / gammainc2(theta) - 1.0 / theta - 2.0 * e / om
 
 
 def _geometric_coord(v, v0):
@@ -96,7 +97,7 @@ _POISSON = _PowerSeries(
     f0_derivs=lambda t: (-(e := np.exp(-t)), e, -e),
     log_c=lambda t: t,
     log_c_derivs=lambda t: (1.0, 0.0, 0.0),
-    log_a=lambda y: -special.gammaln(y + 1.0),
+    log_a=lambda y: -lgamma(y + 1.0),
     mean=lambda t: t,
     theta_from_mean=lambda mean: mean,
     coord=lambda u, u0: (t := np.exp(u), u, t, t + np.log(-np.expm1(-t)), 0.0),
@@ -107,7 +108,7 @@ _POISSON = _PowerSeries(
     draws=lambda rng, t, n: rng.poisson(t, n),
     tail_bound=_poisson_tail_bound,
     # 1 - e^-t - t e^-t, without its cancellation at small t
-    trunc_info=lambda t, log_c: special.gammainc(2.0, t) / (t * np.square(np.expm1(-t))),
+    trunc_info=lambda t, log_c: gammainc2(t) / (t * np.square(np.expm1(-t))),
     dlog_trunc_info=_poisson_dlog_trunc_info,
     log_jeffreys=lambda t, log_c, log_t=None: -0.5 * (np.log(t) if log_t is None else log_t),
     dlog_jeffreys=lambda t, log_c: -0.5 / t,
@@ -519,8 +520,9 @@ def sample(model: ZipsModel, n: int, rng_seed) -> CountSample:
 def sample_values(model: ZipsModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """Raw count draws as an integer array (back end for ``sample``); ``n``
     must be a positive integer."""
-    # concrete types, not numbers.Integral: this runs once per replication
-    if not (isinstance(n, (int, np.integer)) and n > 0):
+    # concrete types, not numbers.Integral: this runs once per replication;
+    # bool is an int, and True would reach numpy as a size
+    if not (isinstance(n, (int, np.integer)) and n > 0) or n is True:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     p, theta = model.p, model.theta
     if p >= 0.0:

@@ -18,13 +18,11 @@ from enum import Enum
 
 import numpy as np
 
-from ._lazy import LazyModule
+from ._special import chdtrc, ndtr, ndtri
 from .distributions import (CountSample, Family, _log_a_sum, _newton, _require_counts,
                             loglik_derivatives)
 from .errors import DegenerateSampleError
 from .limits import require_probability
-
-special = LazyModule("scipy.special", globals())
 
 
 class Sidedness(Enum):
@@ -226,10 +224,13 @@ def _lr_statistic_stats(family: Family, n: int, n0, s):
 
 
 def _alpha_cutoffs(alpha: float) -> tuple[float, float]:
-    """Upper-alpha normal and chi-square(1) cutoffs, as scipy.stats computes them."""
+    """Upper-alpha normal and chi-square(1) cutoffs, from alpha itself: the
+    normal quantile at ``1 - alpha`` is ``-ndtri(alpha)``, and the
+    chi-square(1) one the square of the normal quantile at ``alpha / 2``.
+    Neither rounds ``1 - alpha``, so an alpha below 1e-16 keeps its cutoffs
+    (half the least double, which rounds to zero, is taken as that double)."""
     require_probability("alpha", alpha)
-    return (float(special.ndtri(1.0 - alpha)),
-            float(2.0 * special.gammaincinv(0.5, 1.0 - alpha)))
+    return -ndtri(alpha), ndtri(max(0.5 * alpha, math.ulp(0.0))) ** 2
 
 
 def _build_report(method: TestMethod, stat: float, sign: float,
@@ -239,10 +240,10 @@ def _build_report(method: TestMethod, stat: float, sign: float,
     signed_root = sign * math.sqrt(max(stat, 0.0))
     z_cut, chi_cut = _alpha_cutoffs(alpha)
     if sidedness is Sidedness.ONE_SIDED:
-        p_value = float(special.ndtr(-signed_root))
+        p_value = ndtr(-signed_root)
         reject = signed_root > z_cut
     else:
-        p_value = float(special.chdtrc(1, stat))
+        p_value = chdtrc(stat)
         reject = stat > chi_cut
     return TestReport(method=method, statistic=stat, signed_root=signed_root,
                       p_value=p_value, alpha=alpha,

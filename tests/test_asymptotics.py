@@ -128,7 +128,11 @@ class TestPosteriorTailExpansion:
                                         0.0, n) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("third_scale", [0.0, 0.3, 50.0])
-    def test_matches_scipy_stats_normal_exactly(self, third_scale):
+    def test_matches_scipy_stats_normal(self, third_scale):
+        # the normal CDF is the package's own (zicount._special.ndtr, within
+        # 4e-16 of 40-digit values); scipy.stats.norm.cdf is up to 2e-13
+        # relative off them in the far tail, about (1 + w**2) units in the
+        # last place, so that is the tolerance
         inputs = synthetic_inputs(third_scale=third_scale)
         g1, g3 = _correction_terms(inputs)
         for n in (25, 100, 400):
@@ -137,7 +141,8 @@ class TestPosteriorTailExpansion:
                 value = (stats.norm.cdf(w) - stats.norm.pdf(w)
                          * (g1 + g3 * (w * w - 1.0)) / math.sqrt(n))
                 expected = float(min(max(value, 0.0), 1.0))
-                assert posterior_tail_expansion(inputs, eta10, n) == expected
+                assert posterior_tail_expansion(inputs, eta10, n) == pytest.approx(
+                    expected, rel=1e-15 * (1.0 + w * w), abs=0.0)
 
     def test_clipped_to_unit_interval(self):
         inputs = synthetic_inputs(third_scale=50.0)
@@ -310,12 +315,14 @@ class TestBetaCalibration:
         cutoff = cal.cutoff(0.05)
         assert 0.9 < cutoff < 0.99
 
-    def test_cutoff_matches_scipy_stats_beta_exactly(self):
+    def test_cutoff_matches_scipy_stats_beta(self):
+        # the package's own incomplete beta inverse against SciPy's
         rng = np.random.default_rng(11)
         for a, b in zip(rng.uniform(0.3, 3.0, 200), rng.uniform(0.3, 3.0, 200)):
             cal = BetaCalibration(float(a), float(b), 50, Family.POISSON, 1.0)
             for alpha in (0.1, 0.05, 0.01, 0.001):
-                assert cal.cutoff(alpha) == float(stats.beta.ppf(1.0 - alpha, a, b))
+                assert cal.cutoff(alpha) == pytest.approx(
+                    float(stats.beta.ppf(1.0 - alpha, a, b)), rel=1e-15, abs=0.0)
 
     def test_approaches_uniform_as_n_grows(self):
         small = beta_calibration(Family.POISSON, 1.0, 50, reps=2500, B=0, seed=7)

@@ -17,7 +17,7 @@ from zicount import (CountSample, DegenerateSampleError, ExactMarginal, Family,
 from zicount.datasets import dataset_names, load_dataset
 from zicount.bayes import (FACTORIZED_BLOCK, _FACTORIZED_T_ACCURACY, _distinct_cuts,
                            _factorized_t, _marginal_density_evaluator, _prior_prob_positive,
-                           _scan, _ThetaPosterior)
+                           _pstar_cdf, _scan, _ThetaPosterior)
 
 from conftest import (PosteriorOracle, fd_gradient, wedge_prob_positive,
                       zip_theta_rejection_draws)
@@ -326,8 +326,8 @@ def _sample_of(n0, m, s):
 # integer shape m the tail is a sum of m positive terms, the ratio of each to
 # the one before in closed form.  Each row's largest term, by its index, from
 # a 30-digit mpmath sum, starts the recurrence both ways.  The rows: the three
-# datasets, the near-top tables of test_geometric_near_theta_one, and m from 1
-# to 1e5.
+# datasets, the near-top tables of test_geometric_near_theta_one, m from 1
+# to 1e5, and n0 = 1e6 at m = 1.
 COOK_ROWS = {
     (81, 17, 26): (16, 0.006162936489495265),
     (38, 37, 52): (14, 0.062207764193993036),
@@ -343,13 +343,13 @@ COOK_ROWS = {
     (400, 1000, 3000): (797, 0.006890952421499654),
     (100_000, 100_000, 200_000): (99_997, 0.0006307900297086188),
     (30_000, 100_000, 150_000): (14_999, 0.0023326735347901),
+    (999_999, 1, 1): (0, 0.0011283787439535452),
 }
 # rows where the rule's lower tail is off by more: 4.3e-11 relative at a tail
-# of 5.9e-11, 7% at 2.7e-32 (past the theta bracket), 3.0e-12 at n0 = 1e6
+# of 5.9e-11, 7% at 2.7e-32 (past the theta bracket)
 COOK_ROWS_UNRESOLVED = {
     (10, 3, 100): (2, 4.836022327168057e-11),
     (1000, 1000, 3000): (999, 4.462118798891374e-33),
-    (999_999, 1, 1): (0, 0.0011283787439535452),
 }
 
 
@@ -424,9 +424,11 @@ class TestThetaPosterior:
         base = np.unique(rule.cuts[0])
         cuts = np.sort(np.concatenate([np.broadcast_to(base, (5, base.size)), extra], axis=1))
         squared = rng.random((5, cuts.shape[1] - 1)) < 0.4
-        batched = rule.pstar_nodes(cuts, squared, cdf=True)
+        top = _pstar_cdf(rule.series, rule.a[0], rule.b[0], rule._log_pdf_constant[0],
+                         cuts[:, -1])
+        batched = rule.pstar_nodes(cuts, squared, top=top)
         for row in range(5):
-            single = rule.pstar_nodes(cuts[row], squared[row], cdf=True)
+            single = rule.pstar_nodes(cuts[row], squared[row], top=top[row])
             for got, want in zip(batched, single):
                 assert np.array_equal(got[row], want)
 

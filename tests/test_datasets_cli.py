@@ -225,6 +225,25 @@ class TestCli:
         assert 0.4 < entry["lower"] < entry["upper"] < 0.8
         assert entry["density_threshold"] > 0
 
+    @pytest.mark.parametrize("n0", [20_000_000, 100_000_000])
+    def test_commands_on_a_frequency_file_of_large_shapes(self, tmp_path, capsys, n0):
+        # n0 zeros and n0 positive counts give pstar Beta shapes of about n0;
+        # a 1% equal-tail interval starts from pstar's quantiles at its centre,
+        # where the incomplete beta's fraction takes about 6 n0**(1/3) pairs
+        # of terms; and at alpha = 1e-17, 1 - alpha rounds to one
+        path = tmp_path / "large.csv"
+        path.write_text(f"0,{n0}\n1,{n0 // 2}\n2,{n0 // 2}\n")
+        for kind in ("equal", "hpd"):
+            assert main(["interval", "--data", str(path), "--kind", kind, "--level", "0.01",
+                         "--out", "json"]) == 0
+            entry = json.loads(capsys.readouterr().out)["intervals"][0]
+            assert 0.1420 < entry["lower"] < entry["upper"] < 0.1422
+        assert main(["test", "--data", str(path), "--method", "all", "--alpha", "1e-17",
+                     "--out", "json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["score"]["reject"] and results["lr"]["reject"]
+        assert main(["posterior", "--data", str(path), "--out", str(tmp_path / "curve.csv")]) == 0
+
     def test_interval_on_large_count_file(self, tmp_path, capsys):
         # 20 000 Poisson(1.5) counts with 5% extra zeros, as in the benchmark
         rng = np.random.default_rng(1)

@@ -388,13 +388,15 @@ class TestSampling:
         result = stats.chisquare(observed, expected)
         assert result.pvalue > 1e-3
 
-    @pytest.mark.parametrize("n", [-1, 0, 2.5, "3"])
+    @pytest.mark.parametrize("n", [-1, 0, 2.5, "3", True, False])
     def test_sample_size_must_be_a_positive_integer(self, n):
-        model = ZipsModel(Family.POISSON, -0.1, 1.0)
-        with pytest.raises(ValueError, match="n must be a positive integer"):
-            sample_values(model, n, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="n must be a positive integer"):
-            sample(model, n, 0)
+        # both draw paths: the inverse CDF at p < 0 and the mixture at p > 0
+        for p in (-0.1, 0.2):
+            model = ZipsModel(Family.POISSON, p, 1.0)
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                sample_values(model, n, np.random.default_rng(0))
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                sample(model, n, 0)
 
     def test_seed_determinism(self):
         model = ZipsModel(Family.POISSON, -0.1, 1.0)

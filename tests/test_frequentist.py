@@ -231,11 +231,19 @@ class TestScoreTest:
             assert not one.reject and not two.reject
 
 
-    @pytest.mark.parametrize("alpha", [0.2, 0.05, 0.01, 1e-6])
-    def test_report_matches_scipy_stats_exactly(self, alpha):
-        z_cut = stats.norm.ppf(1.0 - alpha)
-        chi_cut = stats.chi2.ppf(1.0 - alpha, 1)
-        assert _alpha_cutoffs(alpha) == (float(z_cut), float(chi_cut))
+    @pytest.mark.parametrize("alpha", [0.2, 0.05, 0.01, 1e-6, 1e-17])
+    def test_report_matches_scipy_stats(self, alpha):
+        # the cutoffs and p-values are the package's own (zicount._special,
+        # checked against 40-digit values in tests/test_special.py), the
+        # cutoffs from alpha itself, so that 1 - alpha, which is one below
+        # 1.1e-16, is never rounded; against scipy.stats the normal cutoff
+        # agrees within 1e-15 and the chi-square(1) one within SciPy's own
+        # error, up to 1.7e-14; the p-values within about (1 + z**2) units in
+        # the last place for the normal tail at z, and up to 1e-14 (1 + x / 2)
+        # relative for the chi-square(1) tail at x
+        z_cut, chi_cut = _alpha_cutoffs(alpha)
+        assert z_cut == pytest.approx(float(stats.norm.isf(alpha)), rel=1e-15, abs=0.0)
+        assert chi_cut == pytest.approx(float(stats.chi2.isf(alpha, 1)), rel=2e-14, abs=0.0)
         # statistics at and one ulp around both cutoffs, plus a spread
         stats_grid = [0.0, 1e-12, 1e-3, 0.5, 2.7, 15.34, 30.56, 80.0, 700.0,
                       z_cut ** 2, float(chi_cut)]
@@ -245,11 +253,14 @@ class TestScoreTest:
             for sign in (1.0, -1.0, 0.0):
                 one = _build_report(TestMethod.SCORE, stat, sign, alpha,
                                     Sidedness.ONE_SIDED)
-                assert one.p_value == float(stats.norm.sf(one.signed_root))
+                assert one.p_value == pytest.approx(
+                    float(stats.norm.sf(one.signed_root)),
+                    rel=1e-15 * (1.0 + one.signed_root ** 2), abs=0.0)
                 assert one.reject == bool(one.signed_root > z_cut)
                 two = _build_report(TestMethod.LR, stat, sign, alpha,
                                     Sidedness.TWO_SIDED)
-                assert two.p_value == float(stats.chi2.sf(stat, 1))
+                assert two.p_value == pytest.approx(float(stats.chi2.sf(stat, 1)),
+                                                    rel=2e-14 * (1.0 + stat / 2.0), abs=0.0)
                 assert two.reject == bool(stat > chi_cut)
 
 

@@ -1,9 +1,11 @@
-"""Import weight of the package and of the light CLI commands.
+"""Import weight of the package and of the CLI commands.
 
 ``tests/conftest.py`` imports ``scipy.stats`` into the test process, and one
 command's imports would be charged to every later command in a shared
 interpreter, so each check runs in a fresh interpreter and reports what that
-interpreter loaded.
+interpreter loaded.  SciPy is installed here, so these checks show that no
+command imports it, not that a command runs without it; a CI job without
+SciPy runs the commands themselves.
 """
 
 import json
@@ -32,8 +34,17 @@ LIGHT_COMMANDS = (
     ["posterior", "--dataset", "cholera", "--out", "{tmp}/density.csv"],
 )
 
+# every computing command under the geometric model and on a count file
+COMPUTING_COMMANDS = tuple(
+    [*command, *source, "--model", model]
+    for command in (["test"], ["interval", "--kind", "equal"], ["interval", "--kind", "hpd"],
+                    ["posterior", "--out", "{tmp}/density.csv"])
+    for source, model in ((["--dataset", "terror"], "geometric"),
+                          (["--data", "{tmp}/counts.txt"], "poisson"),
+                          (["--data", "{tmp}/counts.txt"], "geometric")))
+
 # commands that load no SciPy at all
-SCIPY_FREE_COMMANDS = (["--version"], ["datasets", "list"])
+SCIPY_FREE_COMMANDS = (["datasets", "list"], *LIGHT_COMMANDS, *COMPUTING_COMMANDS)
 
 # commands that the parser, or the bundled frequency tables, answer before
 # any model module loads, with their exit codes
@@ -126,9 +137,16 @@ def test_cli_import_loads_no_scipy_and_no_asymptotics():
     assert "zicount.asymptotics" not in modules
 
 
+def _counts_file(tmp_path) -> None:
+    """A count file of 200 counts with excess zeros, at ``{tmp}/counts.txt``."""
+    counts = [0] * 80 + [1] * 60 + [2] * 35 + [3] * 15 + [4] * 7 + [6] * 3
+    (tmp_path / "counts.txt").write_text("\n".join(map(str, counts)) + "\n", encoding="utf-8")
+
+
 @pytest.mark.parametrize("argv", SCIPY_FREE_COMMANDS, ids=" ".join)
-def test_light_command_loads_no_scipy(argv):
-    code, modules = _command(argv)
+def test_light_command_loads_no_scipy(tmp_path, argv):
+    _counts_file(tmp_path)
+    code, modules = _command([arg.format(tmp=tmp_path) for arg in argv])
     assert code == 0
     assert _scipy(modules) == []
 
@@ -141,12 +159,15 @@ def test_light_command_loads_no_heavy_module(tmp_path, argv):
 
 
 def test_special_functions_are_called_on_scipy_special_itself():
+    # the Poisson tail bound of sampling at p < 0 still calls scipy.special;
     # after the first call the stand-in has swapped the module into the
     # caller's globals, so no call goes through a wrapper
     code = ("import scipy.special, zicount\n"
-            "zicount.score_test(zicount.Family.POISSON, zicount.load_dataset('uti'))\n"
-            "print(zicount.frequentist.special is scipy.special)")
-    assert _run(code).strip() == "True"
+            "model = zicount.ZipsModel(zicount.Family.POISSON, -0.1, 1.0)\n"
+            "print(type(zicount.distributions.special).__name__)\n"
+            "zicount.sample(model, 10, 0)\n"
+            "print(zicount.distributions.special is scipy.special)")
+    assert _run(code).split() == ["LazyModule", "True"]
 
 
 def test_every_export_is_its_submodules_own_object():
