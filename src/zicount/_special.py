@@ -18,8 +18,9 @@ start-up.  They are here instead:
   ``statistics.NormalDist``; the chi-square(1) quantile at ``1 - alpha`` is
   ``ndtri(alpha / 2)**2``.
 
-Simulation (the Poisson tail bound of ``sample_values`` and the KS test of
-``uniformity_check``) still calls SciPy.
+Simulation still calls SciPy in two places, each importing it inside the
+function that calls it: the Poisson tail bound of ``sample_values`` at
+``p < 0`` (``pdtrik`` and ``pdtr``) and the KS test of ``uniformity_check``.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lazy import LazyModule
 from ._special import beta_quantile, ndtr
 # posterior_prob_positive_factorized and sample_values are unused here;
 # perfbench/tracing.py wraps this module's names
@@ -29,8 +28,6 @@ from .errors import DegenerateSampleError
 from .frequentist import mle_full
 from .limits import require_count, require_probability
 from .power import _replication_table
-
-stats = LazyModule("scipy.stats", globals())
 
 
 @dataclass(frozen=True)
@@ -173,6 +170,9 @@ def uniformity_check(family: Family, theta_null: float, n: int, reps: int,
     proposal degenerates without a warning, and ``B = 0`` (factorized T) is
     the accurate route.
     """
+    # the one SciPy call of the module, loaded here and not with it
+    from scipy import stats
+
     ts = _simulate_null_ts(family, theta_null, n, reps, B, seed)
     ks = stats.kstest(ts, "uniform")
     return UniformityReport(ks_distance=float(ks.statistic),

@@ -8,8 +8,9 @@ family's Jeffreys prior for theta.  In the orthogonal coordinates
 proportional to ``theta**s / (c(theta) - 1)**(n - n0)`` times the record's
 ``g(theta)``.  One rule, ``_ThetaPosterior``, owns both laws under a given
 record for both families; pstar's Beta law has no other owner.  Its one
-row-wise kernel, ``marginal``, is the weight's exact marginal posterior:
-factorized T under either prior, in rules of ``FACTORIZED_BLOCK`` rows, is
+row-wise kernel, ``marginal``, is the weight's exact marginal posterior,
+whose node arrays it bounds by working ``FACTORIZED_BLOCK`` entries at a
+time: factorized T under either prior, on one rule over all its rows, is
 ``1 - CDF(0)``, and under the default record ``exact_marginal`` (density,
 CDF, equal-tail and HPD intervals, which the CLI uses) reads it elsewhere.
 Posterior draws and the draw-based density read the rule too; the draw-based
@@ -51,8 +52,10 @@ from .limits import MIN_CURVE_POINTS, require_count, require_probability
 DEFAULT_DRAWS = 10_000
 # theta window over which the Bayes factor averages its prior odds
 DEFAULT_THETA_WINDOW = (0.0, 50.0)
-# rows per theta rule of a factorized-T call, which bounds its node arrays: a 5.4 MB
-# tracemalloc peak over the benchmark's null-calibration pass
+# entries of the theta rule's ``marginal`` per pass over the nodes, which bounds
+# the kernel's node arrays for every caller: factorized T, the exact marginal's
+# density, CDF and intervals, and its curve, which peaks at about 12 MB of
+# tracemalloc at 20 000 points on the bundled datasets
 FACTORIZED_BLOCK = 256
 # the tolerance the tests hold factorized T to, so the resolution of 1 - T
 _FACTORIZED_T_ACCURACY = 1e-8
@@ -312,16 +315,16 @@ class _ThetaPosterior:
     Laplace 1e-16 point where the density is below 1e-16 of its peak, so
     that a tail falling off faster than the Laplace one is not cut far out
     in its underflow; a row of ``cuts`` is ``lo``, the mode and ``hi``.
+    Every step is row-wise (the mode's Newton, the ladder, the window once per
+    distinct shape pair), so a row's rule is the same bits in any batch, and
+    one rule serves a whole call.
     """
 
-    def __init__(self, family: Family, n0, m, s, prior: PriorKind = _DEFAULT_PRIOR,
-                 window=None):
+    def __init__(self, family: Family, n0, m, s, prior: PriorKind = _DEFAULT_PRIOR):
         self.series, self.prior = family._series, prior._prior
         self.n0, self.m, self.s = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (n0, m, s))
         self.a, self.b = self.prior.pstar_shapes(self.n0, self.m)
-        if window is None:
-            window = _pstar_window(self.a, self.b)
-        self.window, self.window_pstar = window
+        self.window, self.window_pstar = _pstar_window(self.a, self.b)
         # every row's mode of x and its Laplace sd, by one row-wise Newton on
         # the score with a central-difference slope, from the log of the mean
         # (s + 1/2) / m - 1 (geometric's exact mode)
@@ -420,7 +423,7 @@ class _ThetaPosterior:
         = exp(x) du/dx``.
         """
         # arrays the size of the nodes are reused in place, since this runs on
-        # FACTORIZED_BLOCK rows at once: x becomes log(f0 d log c / dx)
+        # FACTORIZED_BLOCK entries at once: x becomes log(f0 d log c / dx)
         cuts = np.asarray(cuts, dtype=float)
         b = cuts[..., 1:, None]
         width = b - cuts[..., :-1, None]
@@ -462,40 +465,43 @@ class _ThetaPosterior:
         below += ends[..., None]
         return w, om, pstar, y, pdf, below.reshape(w.shape)
 
-    def marginal(self, p, rows, density: bool = True, cdf: bool = False, top=None):
+    def marginal(self, p, rows, density: bool = True, cdf: bool = False):
         """The weight's marginal posterior at equal-length arrays of points ``p``
         and row indices ``rows``: with ``density``, its density and slope in p,
         and with ``cdf``, its CDF; None for what is not asked.  An entry's cuts
         are its row's ``cuts`` and ``edges_at(p)``, and the panel ending at the
-        top edge, where pstar's Beta tail meets zero, is squared.  Entries are
-        grouped by ``_distinct_cuts``, so each sums the nodes it would alone.
-        pstar's CDF at each entry's top cut, its row's hi, is ``top`` where
-        given and ``_pstar_cdf`` there otherwise; ``pstar_nodes`` adds whole
+        top edge, where pstar's Beta tail meets zero, is squared.  Entries run
+        ``FACTORIZED_BLOCK`` at a time, grouped by ``_distinct_cuts``, so each
+        sums the nodes it would alone.  pstar's CDF at every entry's top cut,
+        its row's hi, is one ``_pstar_cdf`` call; ``pstar_nodes`` adds whole
         panels down from it."""
         edges = self.edges_at(p, rows)
         total, dens, slope, below = (np.empty(p.size) for _ in range(4))
-        if cdf and top is None:
+        if cdf:
             top = _pstar_cdf(self.series, self.a[rows], self.b[rows],
                              self._log_pdf_constant[rows], self.hi[rows], p)
-        for at, cuts in _distinct_cuts(np.hstack([self.cuts[rows], edges])):
-            squared = cuts[:, 1:] == edges[at, -1:]
-            w, om, pstar, y, pdf, *tail = self.pstar_nodes(cuts, squared, p[at], rows[at],
-                                                           top[at] if cdf else None)
-            total[at] = np.sum(w, axis=1)
-            if density:
-                # the density of p given theta at each node, pstar's times 1 - f0,
-                # times the node's weight
-                pdf *= om
-                pdf *= w
-                a, b = self.a[rows[at], None], self.b[rows[at], None]
-                # the slope is infinite where pstar**(a - 1) meets zero with a < 2
-                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                    rate = np.where(pdf > 0.0, (a - 1.0) / pstar - (b - 1.0) / y, 0.0)
-                    dens[at], slope[at] = pdf.sum(axis=1), np.sum(pdf * rate * om, axis=1)
-            if cdf:
-                # pstar's CDF at each node, in [0, 1], so that their weighted mean is too
-                nodes = np.clip(tail[0], 0.0, 1.0, out=tail[0])
-                below[at] = np.sum(np.multiply(nodes, w, out=nodes), axis=1)
+        for start in range(0, p.size, FACTORIZED_BLOCK):
+            block = np.arange(start, min(start + FACTORIZED_BLOCK, p.size))
+            for at, cuts in _distinct_cuts(np.hstack([self.cuts[rows[block]], edges[block]])):
+                at = block[at]
+                squared = cuts[:, 1:] == edges[at, -1:]
+                w, om, pstar, y, pdf, *tail = self.pstar_nodes(cuts, squared, p[at], rows[at],
+                                                               top[at] if cdf else None)
+                total[at] = np.sum(w, axis=1)
+                if density:
+                    # the density of p given theta at each node, pstar's times 1 - f0,
+                    # times the node's weight
+                    pdf *= om
+                    pdf *= w
+                    a, b = self.a[rows[at], None], self.b[rows[at], None]
+                    # the slope is infinite where pstar**(a - 1) meets zero with a < 2
+                    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                        rate = np.where(pdf > 0.0, (a - 1.0) / pstar - (b - 1.0) / y, 0.0)
+                        dens[at], slope[at] = pdf.sum(axis=1), np.sum(pdf * rate * om, axis=1)
+                if cdf:
+                    # pstar's CDF at each node, in [0, 1], so that their weighted mean is too
+                    nodes = np.clip(tail[0], 0.0, 1.0, out=tail[0])
+                    below[at] = np.sum(np.multiply(nodes, w, out=nodes), axis=1)
         self.require_weight(total, rows)
         return (dens / total if density else None, slope / total if density else None,
                 below / total if cdf else None)
@@ -641,28 +647,13 @@ def posterior_prob_positive(family: Family, sample: CountSample,
 
 def _factorized_t(family: Family, n0, m, s, prior: PriorKind = _DEFAULT_PRIOR) -> np.ndarray:
     """Factorized T for rows of ``(n0, m, s)``: ``T = 1 - CDF(0)``, one minus
-    the weight's exact marginal CDF at zero from the theta rule's ``marginal``,
-    on one batched rule per ``FACTORIZED_BLOCK`` rows under ``prior``'s record.
-    Each row sums the same nodes in the same order as alone.
+    the weight's exact marginal CDF at zero from ``marginal``, on one theta
+    rule over all the rows under ``prior``'s record.  Each row sums the same
+    nodes in the same order as alone.
     """
-    n0, m, s = map(np.atleast_1d, (n0, m, s))
-    t = np.empty(n0.size)
-    # the window once per distinct shape pair of the whole call
-    window = _pstar_window(*prior._prior.pstar_shapes(n0.astype(float), m.astype(float)))
-    blocks = [slice(start, start + FACTORIZED_BLOCK)
-              for start in range(0, n0.size, FACTORIZED_BLOCK)]
-    rules = [_ThetaPosterior(family, n0[block], m[block], s[block], prior, window[:, block])
-             for block in blocks]
-    if not rules:
-        return t
-    # pstar's CDF at every row's hi, where pstar is lowest, in one betainc call
-    top = _pstar_cdf(family._series, *(np.concatenate([getattr(rule, name) for rule in rules])
-                                       for name in ("a", "b", "_log_pdf_constant", "hi")))
-    for block, rule in zip(blocks, rules):
-        rows = np.arange(rule.m.size)
-        t[block] = 1.0 - rule.marginal(np.zeros(rows.size), rows, density=False, cdf=True,
-                                       top=top[block])[2]
-    return t
+    rule = _ThetaPosterior(family, n0, m, s, prior)
+    rows = np.arange(rule.m.size)
+    return 1.0 - rule.marginal(np.zeros(rows.size), rows, density=False, cdf=True)[2]
 
 
 def posterior_prob_positive_factorized(family: Family, sample: CountSample,

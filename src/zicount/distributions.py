@@ -25,13 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from ._lazy import LazyModule
 from ._special import gammainc2, lgamma
 from .counts import CountSample
 from .errors import DegenerateSampleError, ParameterRangeError, QuadratureError
 from .limits import require_count
-
-special = LazyModule("scipy.special", globals())
 
 # Open endpoints are rejected within this relative margin to keep logs finite.
 BOUNDARY_MARGIN = 1e-12
@@ -64,7 +61,10 @@ class _PowerSeries:
 def _poisson_tail_bound(theta: float, eps: float) -> int:
     # the Poisson inverse survival function (scipy.stats' discrete rule on
     # pdtrik/pdtr) loses precision below 1e-16; extend geometrically from
-    # there using the tail ratio bound
+    # there using the tail ratio bound.  Only sampling at p < 0 calls this, so
+    # SciPy loads here and not with the module
+    from scipy import special
+
     clamped = max(eps, 1e-16)
     q = 1.0 - clamped
     isf = math.ceil(special.pdtrik(q, theta))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -809,13 +810,31 @@ class TestExactMarginal:
     def test_batched_points_equal_points_alone(self, family, case):
         # the kernel groups points by their number of distinct cuts, so that
         # each sums the same nodes in the same order as alone: points across
-        # the curve, in its far left tail, at zero and near one
+        # the curve, in its far left tail, at zero and near one, more of them
+        # than one block of the kernel's entries, so that a batch crosses a
+        # block's end
         cs = load_dataset(case) if isinstance(case, str) else CountSample(case)
         exact = exact_marginal(family, cs)
-        points = np.concatenate([exact.curve(64)[0], [-1e6, -10.0, 0.0, 0.5, 0.999]])
+        points = np.concatenate([exact.curve(FACTORIZED_BLOCK + 44)[0],
+                                 [-1e6, -10.0, 0.0, 0.5, 0.999]])
         points = points[np.random.default_rng(5).permutation(points.size)]
         for route in (exact.density, exact.cdf):
             assert np.array_equal(route(points), [route(x) for x in points])
+
+    @pytest.mark.parametrize("case", dataset_names())
+    @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
+    def test_curve_memory_does_not_grow_with_its_points(self, family, case):
+        # the kernel works on FACTORIZED_BLOCK entries at a time, so a long
+        # curve holds one block's nodes, not every point's
+        cs = load_dataset(case)
+        tracemalloc.start()
+        try:
+            grid, dens = exact_marginal(family, cs).curve(20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.size == 20_000 and np.all(np.isfinite(dens))
+        assert peak < 32 << 20
 
     @pytest.mark.parametrize("level", (0.05, 0.5, 0.95, 0.99))
     @pytest.mark.parametrize("case", MARGINAL_CASES, ids=str)

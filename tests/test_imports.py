@@ -158,16 +158,19 @@ def test_light_command_loads_no_heavy_module(tmp_path, argv):
     assert [name for name in HEAVY if name in modules] == []
 
 
-def test_special_functions_are_called_on_scipy_special_itself():
-    # the Poisson tail bound of sampling at p < 0 still calls scipy.special;
-    # after the first call the stand-in has swapped the module into the
-    # caller's globals, so no call goes through a wrapper
-    code = ("import scipy.special, zicount\n"
-            "model = zicount.ZipsModel(zicount.Family.POISSON, -0.1, 1.0)\n"
-            "print(type(zicount.distributions.special).__name__)\n"
-            "zicount.sample(model, 10, 0)\n"
-            "print(zicount.distributions.special is scipy.special)")
-    assert _run(code).split() == ["LazyModule", "True"]
+def test_simulation_imports_scipy_only_where_it_calls_it():
+    # distributions and asymptotics import SciPy inside the two functions that
+    # call it; of sampling, only the Poisson tail bound at p < 0 does
+    code = ("import json, sys\n"
+            "import zicount.asymptotics, zicount.distributions\n"
+            "from zicount import Family, ZipsModel, sample\n"
+            "scipy = lambda: [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+            "loaded = [scipy()]\n"
+            "sample(ZipsModel(Family.POISSON, 0.1, 1.0), 10, 0)\n"
+            "loaded.append(scipy())\n"
+            "sample(ZipsModel(Family.POISSON, -0.1, 1.0), 10, 0)\n"
+            "print(json.dumps(loaded + ['scipy.special' in sys.modules]))")
+    assert json.loads(_run(code)) == [[], [], True]
 
 
 def test_every_export_is_its_submodules_own_object():
